@@ -10,13 +10,24 @@ arguments never leave the unit interval.  The defining problems are
 where ``I`` is the Bernoulli KL divergence, ``p`` the empirical success
 rate, ``t`` the sample count and ``f`` the exploration budget.
 
-The solver bisects on ``log(1 - q)`` (upper bound) or ``log(q)`` (lower
-bound) rather than on ``q`` itself.  Near-saturated roots sit within a few
-float spacings of the boundary, where plain bisection on ``q`` stalls at a
-bracket too wide for the target residual; in log space the divergence's
-slope is bounded by the bracket construction, which yields a certified
-residual of ``(f + 0.75 t) / 2**iters`` and lets the iteration count be
-computed up front instead of guessed.
+The solver works on ``v = log(1 - q)`` (upper bound) or ``v = log(q)``
+(lower bound) rather than on ``q`` itself: near-saturated roots sit within a
+few float spacings of the boundary, where ``q`` is too coarse to meet the
+target residual.  In ``v`` the divergence is convex and decreasing on the
+bound's side of ``p``, so a Newton step from the infeasible end never
+passes the root and the chord through both ends of a bracket never falls
+short of it.  Each element starts from closed-form bounds left of its root
+and takes Newton steps, then Newton and chord steps that shrink a
+two-sided bracket, and stops on its own test:
+
+- its residual ``|t * I(p, q) - f|`` is certified at ``1e-10`` (or, where
+  ``t`` is too large for float64 to reach that, at a few times the
+  residual's own rounding error); or
+- after a hard cap of Newton steps, bisection has collapsed its float
+  bracket.
+
+No element's result depends on the other elements of the batch, and a
+zero budget returns ``p`` exactly.
 """
 
 from __future__ import annotations
@@ -45,6 +56,12 @@ __all__ = [
 # may do better.  Two orders of magnitude under the 1e-9 the tests demand,
 # leaving room for evaluation error in the probability-scale transform.
 _RESIDUAL_BOUND = 1e-10
+_EPS4 = 4.0 * np.finfo(float).eps
+# Newton steps every element takes before its first stop test; from the
+# solver's starting point these certify nearly all inputs.
+_UNCHECKED_STEPS = 4
+# Newton steps after which an element falls back to bisection.
+_NEWTON_STEPS = 16
 
 
 def kl_bernoulli(p, q):
@@ -85,106 +102,171 @@ def _allowance_vec(n: np.ndarray) -> np.ndarray:
     return ln + 3.0 * np.log(np.maximum(ln, 1.0))
 
 
-def _bisect_log_space(p, t, f, upper: bool) -> np.ndarray:
-    """Solve the confidence-bound equation for strictly interior p.
+def _residual(e, c):
+    """Fill ``e[1]`` with I(p, q(v)) - f/t and ``e[2]`` with its negated slope.
 
-    Returns q on the probability scale.  ``p``, ``t``, ``f`` are same-shape
-    1-D float arrays; every p must lie in (0, 1) and every t must be >= 1.
+    ``e[0]`` holds log-space points v; ``c`` stacks w, s and
+    ``k = s*log(s) - f/t`` in the same shape, as set up in
+    :func:`_solve_log_space`.
     """
-    pbar = 1.0 - p
-    entropy = p * np.log(p) + pbar * np.log(pbar)
-    if upper:
-        # variable v = log(1 - q); I = entropy - p*log1p(-e^v) - pbar*v
-        anchor = np.log(pbar)
-        slope_coeff = pbar
-        weight = p
-    else:
-        # variable v = log(q); I = entropy - p*v - pbar*log1p(-e^v)
-        anchor = np.log(p)
-        slope_coeff = p
-        weight = pbar
-    target = f / t
-    hi = anchor.copy()
-    # At anchor - (f/t + 0.75)/slope_coeff the divergence provably exceeds
-    # f/t (the spare 0.75 absorbs the entropy term), so the root is bracketed.
-    lo = anchor - (target + 0.75) / slope_coeff
+    v, r, rho = e
+    w, s, k = c
+    np.expm1(v, rho)
+    np.negative(rho, rho)  # 1 - e^v, the probability opposite the variable
+    np.divide(w, rho, rho)
+    np.log(rho, r)
+    r *= w
+    r -= s * v
+    r += k
+    np.subtract(1.0, rho, rho)  # -dr/dv = 1 - w/(1 - e^v) > 0 left of the anchor
 
-    # |d(t*I)/dv| <= t * slope_coeff on the bracket, so the residual at the
-    # feasible end is at most width * t * slope_coeff = (f + 0.75 t) / 2**it.
-    worst = float(np.max(f)) + 0.75 * float(np.max(t))
-    iters = max(1, math.ceil(math.log2(worst / _RESIDUAL_BOUND)))
 
-    mid = np.empty_like(hi)
-    lnq = np.empty_like(hi)
-    val = np.empty_like(hi)
-    feas = np.empty(hi.shape, dtype=bool)
-    for _ in range(iters):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        np.exp(mid, out=lnq)
-        np.negative(lnq, out=lnq)
-        np.log1p(lnq, out=lnq)
-        np.multiply(weight, lnq, out=val)
-        np.multiply(slope_coeff, mid, out=lnq)
-        val += lnq
-        np.subtract(entropy, val, out=val)
-        np.less_equal(val, target, out=feas)
-        np.copyto(hi, mid, where=feas)
-        np.copyto(lo, mid, where=~feas)
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _solve_log_space(p, t, target, upper: bool):
+    """Solve t * I(p, q) = f for strictly interior p, one element at a time.
+
+    ``p``, ``t``, ``target`` (= f/t > 0) are same-shape 1-D float arrays with
+    every p in (0, 1) and every t >= 1.  Returns ``(q, steps)``: q on the
+    probability scale and the number of Newton steps the slowest element
+    took; more than ``_NEWTON_STEPS`` means some element fell back to
+    bisection.  No element's result depends on the other elements.
+    """
+    # UCB: v = log(1 - q); LCB: v = log(q).  With s = 1 - p (UCB) or p (LCB)
+    # and w = 1 - s, I(p, q(v)) = w*log(w/(1 - e^v)) + s*(log(s) - v), which
+    # is zero at the anchor v = log(s) and convex and decreasing left of it.
+    n = p.shape[0]
+    c = np.empty((3, 2, n))  # w, s, k, repeated for both candidate rows
+    w, s, k = c[:, 0]
     if upper:
-        q = -np.expm1(hi)
-        np.maximum(q, p, out=q)
-        np.minimum(q, 1.0, out=q)
+        np.subtract(1.0, p, s)
+        w[:] = p
     else:
-        q = np.exp(hi)
-        np.minimum(q, p, out=q)
-        np.maximum(q, 0.0, out=q)
-    return q
+        np.subtract(1.0, p, w)
+        s[:] = p
+    anchor = np.log(s)
+    np.multiply(s, anchor, k)
+    k -= target
+    c[:, 1] = c[:, 0]
+    # The certified bound, or where t is too large for float64 to reach it,
+    # 4 eps * (2 + 2 f/t + s |log s|): at least twice the residual's rounding
+    # error, and above the change of the residual over one float step of v.
+    tol = target - k
+    tol += 2.0
+    tol *= _EPS4
+    np.maximum(tol, _RESIDUAL_BOUND / t, out=tol)
+
+    e = np.empty((3, 2, n))  # point, residual, negated slope of two candidates
+    lo, hi = e[0]
+    # The bracket starts at points that are provably infeasible (lo) and
+    # feasible (hi).  Since w/(1 - e^v) <= 1 left of the anchor, I lies below
+    # s*(log(s) - v) and above w*log(w) + s*(log(s) - v).
+    np.divide(target, s, hi)
+    np.subtract(anchor, hi, hi)
+    np.subtract(anchor, (target - w * np.log(w)) / s, lo)
+    # I(p, q) >= (q - p)^2 / (2 max x(1 - x) over [p, q]) and that maximum is
+    # at most min(1/4, s, q on the UCB side), so the distance d solving the
+    # bound's equality is infeasible too; it is tight when the root nears p.
+    # Past d = s/2 the rounding of s - d could spoil that, and lo is better.
+    d = np.sqrt(np.minimum(s, 0.25) * (2.0 * target))
+    np.minimum(d, target + np.sqrt(target * (target + 2.0 * w)), out=d)
+    np.subtract(s, d, d)
+    np.copyto(d, 0.0, where=d < 0.5 * s)
+    np.fmax(lo, np.log(d), lo)
+    # Newton steps from the left never pass the root, so the first few need
+    # no check; checking each costs more than the rare extra step saves.
+    head, c_head = e[:, :1], c[:, :1]
+    for _ in range(_UNCHECKED_STEPS):
+        _residual(head, c_head)
+        e[1, 0] /= e[2, 0]
+        lo += e[1, 0]
+
+    _residual(e, c)
+    lo_state = e[:, 0].copy()  # lo, r(lo) > 0, -r'(lo) > 0
+    hi_state = e[:2, 1].copy()  # hi, r(hi) <= 0
+    lo, r_lo, n_lo = lo_state
+    hi, r_hi = hi_state
+    ntol = -tol
+    # An end whose residual exceeds tol has an exact sign and a Newton step
+    # of at least one float spacing, so each element moves until certified.
+    # A sign against the bracket can only be rounding within tol, which
+    # certifies that end; the same tests stop the element either way.
+    active = r_lo > tol
+    active &= r_hi < ntol
+    steps = _UNCHECKED_STEPS
+    while active.any():
+        steps += 1
+        if steps <= _NEWTON_STEPS:
+            # Newton from the infeasible end stays left of the root; the chord
+            # through both ends lands right of it (I is convex in v).
+            np.divide(r_lo, n_lo, e[0, 0])
+            np.subtract(hi, lo, e[0, 1])
+            e[0, 1] *= r_lo
+            e[0, 1] /= r_lo - r_hi
+            e[0] += lo
+            _residual(e, c)
+            np.copyto(lo_state, e[:, 0], where=active)
+            np.copyto(hi_state, e[:2, 1], where=active)
+        else:
+            # Hard cap reached: bisect until the float bracket collapses.
+            mid = lo + hi
+            mid *= 0.5
+            active &= (lo < mid) & (mid < hi)
+            e[0] = mid
+            _residual(e, c)
+            move = e[1, 0] <= 0.0
+            move &= active
+            np.copyto(hi_state, e[:2, 0], where=move)
+            np.copyto(lo_state, e[:, 0], where=move ^ active)
+        active &= r_lo > tol
+        active &= r_hi < ntol
+
+    v = np.where(r_lo <= -r_hi, lo, hi)
+    if upper:
+        q = np.expm1(v)
+        np.negative(q, q)
+        return np.maximum(q, p, out=q), steps
+    q = np.exp(v)
+    return np.minimum(q, p, out=q), steps
 
 
 def _solve_probability(p_hat, pulls, budget, upper: bool):
     p = np.asarray(p_hat, dtype=float)
     t = np.asarray(pulls, dtype=float)
     f = np.asarray(budget, dtype=float)
-    if np.any((p < 0.0) | (p > 1.0)):
+    # One reduction per bound; fmin/fmax skip NaN as comparisons would.
+    lowest = np.fmin.reduce
+    if lowest(p, axis=None, initial=0.0) < 0.0 or np.fmax.reduce(p, axis=None, initial=1.0) > 1.0:
         raise ValueError("empirical rate must lie in [0, 1]")
-    if np.any(t < 0):
+    if lowest(t, axis=None, initial=0.0) < 0.0:
         raise ValueError("pull counts must be nonnegative")
-    if np.any(f < 0):
+    if lowest(f, axis=None, initial=0.0) < 0.0:
         raise ValueError("budget must be nonnegative")
-    scalar = p.ndim == 0 and t.ndim == 0 and f.ndim == 0
-    p, t, f = np.broadcast_arrays(p, t, f)
-    shape = p.shape
-    p = p.ravel()
-    t = t.ravel()
-    f = f.ravel()
 
-    out = np.empty(p.shape, dtype=float)
-    pulled = t > 0
-    if upper:
-        out[~pulled] = 1.0
-        hits_one = pulled & (p >= 1.0)
-        out[hits_one] = 1.0  # I(1, q) infinite below 1, zero at 1
-        zeros = pulled & (p <= 0.0)
-        if np.any(zeros):
-            # t * (-log(1 - q)) = f
-            out[zeros] = -np.expm1(-f[zeros] / t[zeros])
-        interior = pulled & (p > 0.0) & (p < 1.0)
-        if np.any(interior):
-            out[interior] = _bisect_log_space(p[interior], t[interior], f[interior], upper=True)
-    else:
-        out[~pulled] = 0.0
-        hits_zero = pulled & (p <= 0.0)
-        out[hits_zero] = 0.0
-        ones = pulled & (p >= 1.0)
-        if np.any(ones):
-            # t * (-log(q)) = f
-            out[ones] = np.exp(-f[ones] / t[ones])
-        interior = pulled & (p > 0.0) & (p < 1.0)
-        if np.any(interior):
-            out[interior] = _bisect_log_space(p[interior], t[interior], f[interior], upper=False)
-    out = out.reshape(shape)
-    if scalar:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        target = f / t
+        # Unpulled entries give the extreme value; endpoint rates have closed
+        # forms; interior entries hold p, the exact answer at a zero budget,
+        # until solved.
+        if upper:
+            # I(1, q) is infinite below 1; t * (-log(1 - q)) = f at p = 0
+            use_p = p > 0.0
+            out = np.where(use_p, p, -np.expm1(-target))
+            np.copyto(out, 1.0, where=t <= 0.0)
+            inner = out < 1.0
+        else:
+            # I(0, q) is infinite above 0; t * (-log(q)) = f at p = 1
+            use_p = p < 1.0
+            out = np.where(use_p, p, np.exp(-target))
+            np.copyto(out, 0.0, where=t <= 0.0)
+            inner = out > 0.0
+        inner &= use_p
+        inner &= target > 0.0
+    if inner.any():
+        p, t, target = (
+            (a if a.shape == out.shape else np.broadcast_to(a, out.shape))[inner] for a in (p, t, target)
+        )
+        out[inner] = _solve_log_space(p, t, target, upper)[0]
+    if out.ndim == 0:
         return float(out)
     return out
 

@@ -29,6 +29,49 @@ def kl_closed_form(p: float, q: float) -> float:
     return terms
 
 
+def kl_mp(p: float, q: float, dps: int = 30):
+    """Bernoulli divergence in mpmath at ``dps`` digits; inf off the support."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return _kl_mp(mpmath.mpf(p), mpmath.mpf(q))
+
+
+def _kl_mp(p, q):
+    import mpmath
+
+    if (q == 0 and p > 0) or (q == 1 and p < 1):
+        return mpmath.inf
+    out = mpmath.mpf(0)
+    if p > 0:
+        out += p * mpmath.log(p / q)
+    if p < 1:
+        out += (1 - p) * mpmath.log((1 - p) / (1 - q))
+    return out
+
+
+def confidence_root_mp(p: float, t: float, f: float, upper: bool, dps: int = 30):
+    """Root of t * I(p, q) = f on the bound's side of p, as an mpmath number.
+
+    Plain bisection on q itself in ``dps``-digit arithmetic until the bracket
+    is below 1e-22 of the root: no log-space transform, no Newton step,
+    nothing shared with the package's solver.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        p, t, f = mpmath.mpf(p), mpmath.mpf(t), mpmath.mpf(f)
+        lo, hi = (p, mpmath.mpf(1)) if upper else (mpmath.mpf(0), p)
+        tol = mpmath.mpf("1e-22")
+        while hi - lo > tol * hi:
+            mid = (lo + hi) / 2
+            if (t * _kl_mp(p, mid) <= f) == upper:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
 def increasing_path_exists(mu: np.ndarray, start: tuple[int, int], goal: tuple[int, int],
                            neighbors) -> bool:
     """DFS for a strictly throughput-increasing path from start to goal.

@@ -25,7 +25,8 @@ from chanrate import (
     window_ucb_index,
 )
 
-from _oracles import kl_closed_form
+import chanrate.klstats as klstats
+from _oracles import confidence_root_mp, kl_closed_form, kl_mp
 
 
 class TestKlBernoulli:
@@ -105,15 +106,12 @@ class TestConfidenceBounds:
         assert lcb_probability(0.0, 0, 5.0) == 0.0
 
     def test_zero_budget_collapses_to_point_estimate(self):
-        # The exact root is p itself.  The divergence is quadratically flat
-        # there, so the solver may stop ~1e-8 away in q while the residual
-        # t*I stays far below 1e-9; assert the residual, not the distance.
-        u = ucb_probability(0.3, 50, 0.0)
-        l = lcb_probability(0.3, 50, 0.0)
-        assert 0.3 <= u < 0.3 + 1e-6
-        assert 0.3 - 1e-6 < l <= 0.3
-        assert 50 * kl_closed_form(0.3, u) < 1e-9
-        assert 50 * kl_closed_form(0.3, l) < 1e-9
+        # The exact root is p itself, and the solver returns it exactly.
+        assert ucb_probability(0.3, 50, 0.0) == 0.3
+        assert lcb_probability(0.3, 50, 0.0) == 0.3
+        p = np.array([0.0, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0])
+        np.testing.assert_array_equal(ucb_probability(p, 50, 0.0), p)
+        np.testing.assert_array_equal(lcb_probability(p, 50, 0.0), p)
 
     def test_brackets_the_empirical_rate(self):
         rng = np.random.default_rng(11)
@@ -179,7 +177,110 @@ class TestConfidenceBounds:
     def test_broadcasting_and_scalar_types(self):
         out = ucb_probability(np.full((3, 4), 0.5), np.arange(1, 5), 2.0)
         assert out.shape == (3, 4)
+        low = lcb_probability(np.array([0.0, 0.5, 1.0]), np.arange(12).reshape(4, 3), 2.0)
+        assert low.shape == (4, 3)
+        assert low[0, 0] == 0.0 and abs(low[0, 2] - math.exp(-1.0)) < 1e-15
+        assert low[1, 1] == lcb_probability(0.5, 4, 2.0)
         assert isinstance(ucb_probability(0.5, 3, 2.0), float)
+
+
+class TestSolverIndependence:
+    """A bound depends only on its own (p, t, f), never on the rest of the batch."""
+
+    @staticmethod
+    def _cases(n=2000):
+        rng = np.random.default_rng(17)
+        t = np.floor(10 ** rng.uniform(0, 5, n))
+        p = rng.integers(0, t + 1) / t
+        p[:100] = rng.choice([0.0, 1.0], 100)
+        f = rng.uniform(0.0, 25.0, n)
+        f[100:150] = 0.0
+        return p, t, f
+
+    @pytest.mark.parametrize("bound", [ucb_probability, lcb_probability])
+    def test_batch_composition_and_order_do_not_change_bits(self, bound):
+        p, t, f = self._cases()
+        batch = bound(p, t, f)
+        alone = np.array([bound(pi, ti, fi) for pi, ti, fi in zip(p, t, f)])
+        np.testing.assert_array_equal(alone, batch)
+        perm = np.random.default_rng(5).permutation(p.size)
+        np.testing.assert_array_equal(bound(p[perm], t[perm], f[perm]), batch[perm])
+        # A neighbour with far more pulls leaves every other element alone.
+        with_big = bound(np.append(p, 0.5), np.append(t, 1e6), np.append(f, 25.0))
+        np.testing.assert_array_equal(with_big[:-1], batch)
+
+
+class TestSolverAgainstHighPrecision:
+    """Roots checked against a 30-digit bisection that shares no code with the solver."""
+
+    @staticmethod
+    def _cases(kind, rng, n=60):
+        if kind == "random":
+            t = np.floor(10 ** rng.uniform(0, 5, n))
+            s = np.floor(rng.uniform(0, 1, n) * (t - 1)) + 1
+            f = rng.uniform(0.01, 25.0, n)
+        elif kind == "near-saturated":
+            # p within a few samples of 1 and a large budget: q -> 1.
+            t = np.floor(10 ** rng.uniform(0, 4, n))
+            s = t - rng.integers(1, 4, n)
+            f = rng.uniform(5.0, 25.0, n)
+        else:
+            # Small f/t: the root sits where the divergence is flat.
+            t = np.floor(10 ** rng.uniform(2, 5, n))
+            s = np.floor(rng.uniform(0, 1, n) * (t - 1)) + 1
+            f = 10 ** rng.uniform(-8, -2, n)
+        p = s / t
+        keep = (p > 0) & (p < 1)
+        return p[keep], t[keep], f[keep]
+
+    @staticmethod
+    def _count_coarse(p, t, f, q, upper):
+        """Assert each root's certificate; return how many needed the 4-ulp one."""
+        coarse = 0
+        for pi, ti, fi, qi in zip(p, t, f, q):
+            root = confidence_root_mp(pi, ti, fi, upper)
+            within_4_ulp = abs(qi - root) <= 4 * np.spacing(qi)
+            if abs(ti * kl_mp(pi, qi) - fi) > 1e-9:
+                # The float grid is too coarse near q = 1 to meet the residual;
+                # the true root must then lie within 4 ulp of the answer.
+                coarse += 1
+                assert within_4_ulp, (pi, ti, fi, qi)
+        return coarse
+
+    @pytest.mark.parametrize("upper", [True, False])
+    @pytest.mark.parametrize("kind", ["random", "near-saturated", "small-f/t"])
+    def test_certified_residual_or_root_within_four_ulp(self, kind, upper):
+        rng = np.random.default_rng(["random", "near-saturated", "small-f/t"].index(kind))
+        p, t, f = self._cases(kind, rng)
+        if kind == "near-saturated" and not upper:
+            p = 1.0 - p  # mirror: q -> 0
+        q, steps = klstats._solve_log_space(p, t, f / t, upper)
+        assert steps <= klstats._NEWTON_STEPS  # never fell back to bisection
+        coarse = self._count_coarse(p, t, f, q, upper)
+        if (kind, upper) == ("near-saturated", True):
+            assert coarse > 0  # the 4-ulp certificate is exercised
+
+    def test_bisection_fallback_meets_the_same_certificate(self, monkeypatch):
+        monkeypatch.setattr(klstats, "_UNCHECKED_STEPS", 0)
+        monkeypatch.setattr(klstats, "_NEWTON_STEPS", 0)
+        rng = np.random.default_rng(3)
+        for kind in ("random", "near-saturated", "small-f/t"):
+            p, t, f = self._cases(kind, rng, n=15)
+            for upper in (True, False):
+                q, steps = klstats._solve_log_space(p, t, f / t, upper)
+                assert steps > 0
+                self._count_coarse(p, t, f, q, upper)
+
+    def test_step_count_stays_under_cap_on_extreme_inputs(self):
+        rng = np.random.default_rng(23)
+        n = 20_000
+        t = np.floor(10 ** rng.uniform(0, 7, n))
+        p = (np.floor(rng.uniform(0, 1, n) * (t - 1)) + 1) / t
+        f = 10 ** rng.uniform(-8, 1.5, n)
+        keep = (p > 0) & (p < 1)
+        for upper in (True, False):
+            _, steps = klstats._solve_log_space(p[keep], t[keep], f[keep] / t[keep], upper)
+            assert steps <= klstats._NEWTON_STEPS
 
 
 class TestArmStats:

@@ -99,6 +99,26 @@ class TestBatchSemantics:
             np.testing.assert_array_equal(st_b.pulls, st_s.pulls)
             np.testing.assert_array_equal(st_b.successes, st_s.successes)
 
+        # Near-tie tables, where index values differing in the last bits
+        # decide the argmax: every pair's rate * theta lies within 1e-3 of
+        # the best, and lanes see Bernoulli(theta) outcomes.
+        for table in range(3):
+            channels, n_rates = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+            rates = np.sort(rng.uniform(0.5, 4.0, n_rates))
+            mu = rng.uniform(0.3, 0.9) * rates[0] - rng.uniform(0.0, 1e-3, (channels, n_rates))
+            theta = (mu / rates).ravel()
+            u = rng.uniform(size=(steps, S))
+            for kind in ("kl-ucb", "kl-ucb-u", "crs-t"):
+                batched = build_policy(kind, rates, channels=channels, batch=S)
+                scalars = [build_policy(kind, rates, channels=channels) for _ in range(S)]
+                for n in range(steps):
+                    flats = batched.select_batch()
+                    for i in range(S):
+                        pick = scalars[i].select()
+                        assert flat_to_pair(int(flats[i]), n_rates) == pick, (table, kind, n, i)
+                        scalars[i].update(pick, int(u[n, i] < theta[int(flats[i])]))
+                    batched.update_batch(flats, (u[n] < theta[flats]).astype(np.int64))
+
     def test_update_batch_shape_check(self):
         policy = build_policy("kl-ucb", RATES2, channels=1, batch=2)
         flats = policy.select_batch()
