@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,6 +71,26 @@ _BLOCK = 512
 
 LEARNING_KINDS = ("kl-ucb", "crs-t", "kl-ucb-u")
 BASELINE_KINDS = ("oracle", "static")
+
+
+def _json_int(value, what: str) -> int:
+    """``value`` as an int if it is an integral number (not a bool)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not float(value).is_integer()
+    ):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_ints(values, what: str) -> list[int] | tuple[int, ...]:
+    """A JSON list of integral numbers as ints, checked as by ``_json_int``."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {values!r}")
+    if set(map(type, values)) <= {int}:  # all plain ints: no call per entry
+        return values
+    return [_json_int(v, f"each of {what}") for v in values]
 
 
 @dataclass(frozen=True)
@@ -119,15 +140,23 @@ class PolicySpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PolicySpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"policy entry must be an object, got {data!r}")
         extra = set(data) - {"kind", "window", "strict"}
         if extra:
             raise ValueError(f"unknown policy keys: {sorted(extra)}")
         if "kind" not in data:
             raise ValueError("policy entry needs a 'kind'")
+        if not isinstance(data["kind"], str):
+            raise ValueError(f"policy kind must be a string, got {data['kind']!r}")
+        window = data.get("window")
+        strict = data.get("strict", False)
+        if not isinstance(strict, bool):
+            raise ValueError(f"strict must be true or false, got {strict!r}")
         return cls(
             kind=data["kind"],
-            window=data.get("window"),
-            strict=bool(data.get("strict", False)),
+            window=None if window is None else _json_int(window, "window"),
+            strict=strict,
         )
 
 
@@ -182,11 +211,11 @@ class ExperimentConfig:
                 f"horizon {self.horizon} below the pair count "
                 f"{self.channels * len(self.rates)}"
             )
-        seeds = tuple(int(s) for s in self.seeds)
+        seeds = tuple(map(int, self.seeds))
         object.__setattr__(self, "seeds", seeds)
         if not seeds:
             raise ValueError("at least one seed required")
-        if any(s < 0 for s in seeds):
+        if min(seeds) < 0:
             raise ValueError("seeds must be nonnegative")
         if len(set(seeds)) != len(seeds):
             raise ValueError("seeds must be distinct")
@@ -263,6 +292,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict, base_dir: str | Path | None = None) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         known = {
             "rates",
             "theta",
@@ -283,6 +314,7 @@ class ExperimentConfig:
         for key in ("rates", "policies", "horizon", "seeds"):
             if key not in data:
                 raise ValueError(f"config missing required key {key!r}")
+        horizon = _json_int(data["horizon"], "horizon")
         base = Path(base_dir) if base_dir is not None else Path(".")
 
         def resolve(p: str) -> Path:
@@ -301,27 +333,31 @@ class ExperimentConfig:
         elif "theta_csv" in data:
             theta = load_theta_csv(resolve(data["theta_csv"]))
         elif "trace_csv" in data:
-            trace = TraceTable.from_csv(resolve(data["trace_csv"]), horizon=data["horizon"])
+            trace = TraceTable.from_csv(resolve(data["trace_csv"]), horizon=horizon)
         else:
             synth = dict(data["synth"])
             synth.setdefault("rates", list(data["rates"]))
-            synth.setdefault("horizon", data["horizon"])
+            synth.setdefault("horizon", horizon)
             drift = SyntheticDriftSpec.from_json_dict(synth)
+        if not isinstance(data["policies"], (list, tuple)):
+            raise ValueError(f"policies must be a list, got {data['policies']!r}")
         seeds = data["seeds"]
-        if isinstance(seeds, int):
-            seeds = list(range(1, seeds + 1))
+        if isinstance(seeds, (list, tuple)):
+            seeds = _json_ints(seeds, "seeds")
+        else:
+            seeds = list(range(1, _json_int(seeds, "seeds") + 1))
         occupancy = data.get("occupancy")
         return cls(
             rates=rates,
             policies=tuple(PolicySpec.from_json_dict(p) for p in data["policies"]),
-            horizon=int(data["horizon"]),
+            horizon=horizon,
             seeds=tuple(seeds),
             theta=theta,
             occupancy=None if occupancy is None else np.asarray(occupancy, dtype=float),
             trace=trace,
             drift=drift,
             accounting=data.get("accounting", "alternative"),
-            checkpoints=tuple(data.get("checkpoints", ())),
+            checkpoints=tuple(_json_ints(data.get("checkpoints", []), "checkpoints")),
             out_dir=data.get("out_dir", "results"),
         )
 
@@ -430,18 +466,65 @@ def _checkpoint_grid(config: ExperimentConfig, slots: int, time_horizon: float |
     return tuple(sorted(cps))
 
 
+@dataclass(frozen=True)
+class _Schedule:
+    """What every policy pass of one run shares: the environment and its
+    outcome tape, the slot and checkpoint grids, and the time ledger's
+    constants (``None`` under slot accounting)."""
+
+    env: Environment
+    tape: OutcomeTape
+    slots: int
+    checkpoints: tuple[int, ...]
+    r_flat: np.ndarray
+    time_horizon: float | None
+    th_flat: np.ndarray | None
+    time_benchmark: float | None
+
+    @property
+    def inv_r(self) -> np.ndarray:
+        return 1.0 / self.r_flat
+
+    def blocks(self):
+        """Yield ``(n0, n1, mu_b, mu_star_b, outs)`` block by block: the
+        throughputs ``(B, P)`` of steps ``[n0, n1)``, their row maxima, and
+        the outcomes ``(S, B, P)``."""
+        S, P = len(self.tape.seeds), self.r_flat.size
+        for n0 in range(0, self.slots, _BLOCK):
+            n1 = min(n0 + _BLOCK, self.slots)
+            mu_b = self.env.theta_block(n0, n1).reshape(n1 - n0, P) * self.r_flat
+            outs = self.tape.block(n0, n1).reshape(S, n1 - n0, P)
+            yield n0, n1, mu_b, mu_b.max(axis=1), outs
+
+    def result(
+        self, spec: PolicySpec, traj, pulls, expected, realized, decisions, s_counts
+    ) -> PolicyRunResult:
+        kwargs = {}
+        if self.time_horizon is not None:
+            kwargs = {
+                "packet_counts": s_counts,
+                "time_used": s_counts @ self.inv_r,
+                "time_regret": self.time_benchmark - s_counts @ self.th_flat,
+            }
+        return PolicyRunResult(
+            spec=spec,
+            label=spec.label,
+            checkpoints=self.checkpoints,
+            trajectories=traj,
+            pulls=pulls,
+            expected_reward=expected,
+            realized_reward=realized,
+            decisions=decisions,
+            **kwargs,
+        )
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     env = config.build_environment()
-    S = len(config.seeds)
     C, K = config.channels, config.n_rates
     P = C * K
-    r = config.rates.as_array()
-    r_flat = np.tile(r, C)
-    inv_r = 1.0 / r_flat
+    r_flat = np.tile(config.rates.as_array(), C)
     slots, time_horizon = _resolve_slots(config)
-    checkpoints = _checkpoint_grid(config, slots, time_horizon)
-    cp_col = {cp: i for i, cp in enumerate(checkpoints)}
-    lanes = np.arange(S)
     tape = OutcomeTape(env, config.seeds)
 
     # Prepass over the schedule: oracle total, per-pair totals, best pair
@@ -458,6 +541,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     static_flat = int(np.argmax(mu_totals))
     static_reward = float(mu_totals[static_flat])
 
+    th_flat = time_benchmark = None
     if time_horizon is not None:
         model = config.model()
         opt = compute_optima(model)
@@ -467,90 +551,162 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             config.rates.rate(opt.best.rate_index) * time_horizon
         )
 
-    results: list[PolicyRunResult] = []
+    run = _Schedule(
+        env=env,
+        tape=tape,
+        slots=slots,
+        checkpoints=_checkpoint_grid(config, slots, time_horizon),
+        r_flat=r_flat,
+        time_horizon=time_horizon,
+        th_flat=th_flat,
+        time_benchmark=time_benchmark,
+    )
+    baselines = [spec for spec in config.policies if spec.is_baseline]
+    results = {
+        spec.label: res
+        for spec, res in zip(baselines, _run_baselines(run, baselines, best_flats, static_flat))
+    }
     for spec in config.policies:
-        policy = None
         if not spec.is_baseline:
-            policy = build_policy(
-                spec.kind, config.rates, C, window=spec.window, batch=S, strict=spec.strict
-            )
-        pseudo = np.zeros(S)
-        expected = np.zeros(S)
-        realized = np.zeros(S)
-        pulls = np.zeros((S, P), dtype=np.int64)
-        traj = np.empty((S, len(checkpoints)))
-        decisions = np.empty(slots, dtype=np.int64)
-        if time_horizon is not None:
-            s_counts = np.zeros((S, P), dtype=np.int64)
-            frozen = np.zeros(S, dtype=bool)
-
-        for n0 in range(0, slots, _BLOCK):
-            n1 = min(n0 + _BLOCK, slots)
-            B = n1 - n0
-            mu_b = env.theta_block(n0, n1).reshape(B, P) * r_flat
-            mu_star_b = mu_b.max(axis=1)
-            outs = tape.block(n0, n1).reshape(S, B, P)
-            for i in range(B):
-                n = n0 + i
-                if policy is not None:
-                    flats = policy.select_batch()
-                elif spec.kind == "oracle":
-                    flats = np.full(S, best_flats[n], dtype=np.int64)
-                else:
-                    flats = np.full(S, static_flat, dtype=np.int64)
-                o = outs[lanes, i, flats]
-                if policy is not None:
-                    policy.update_batch(flats, o.astype(np.int64))
-                mu_n = mu_b[i]
-                pseudo += mu_star_b[i] - mu_n[flats]
-                expected += mu_n[flats]
-                realized += o * r_flat[flats]
-                pulls[lanes, flats] += 1
-                decisions[n] = flats[0]
-                if time_horizon is not None and not frozen.all():
-                    act = np.flatnonzero(~frozen)
-                    fl = flats[act]
-                    s_counts[act, fl] += 1
-                    over = s_counts[act] @ inv_r > time_horizon
-                    if over.any():
-                        s_counts[act[over], fl[over]] -= 1
-                        frozen[act[over]] = True
-                col = cp_col.get(n + 1)
-                if col is not None:
-                    traj[:, col] = pseudo
-
-        kwargs = {}
-        if time_horizon is not None:
-            kwargs = {
-                "packet_counts": s_counts,
-                "time_used": s_counts @ inv_r,
-                "time_regret": time_benchmark - s_counts @ th_flat,
-            }
-        results.append(
-            PolicyRunResult(
-                spec=spec,
-                label=spec.label,
-                checkpoints=checkpoints,
-                trajectories=traj,
-                pulls=pulls,
-                expected_reward=expected,
-                realized_reward=realized,
-                decisions=decisions,
-                **kwargs,
-            )
-        )
+            results[spec.label] = _run_learning(run, spec, config)
 
     return ExperimentResult(
         config=config,
         slots=slots,
         time_horizon=time_horizon,
-        checkpoints=checkpoints,
-        policies=tuple(results),
+        checkpoints=run.checkpoints,
+        policies=tuple(results[spec.label] for spec in config.policies),
         oracle_reward=oracle_reward,
         static_reward=static_reward,
         static_flat=static_flat,
         best_flats=best_flats,
     )
+
+
+def _run_learning(run: _Schedule, spec: PolicySpec, config: ExperimentConfig) -> PolicyRunResult:
+    """Step one learning policy through the run, one slot at a time."""
+    S, P = len(run.tape.seeds), run.r_flat.size
+    r_flat, inv_r, time_horizon = run.r_flat, run.inv_r, run.time_horizon
+    policy = build_policy(
+        spec.kind, config.rates, config.channels, window=spec.window, batch=S, strict=spec.strict
+    )
+    lanes = np.arange(S)
+    cp_col = {cp: i for i, cp in enumerate(run.checkpoints)}
+    pseudo = np.zeros(S)
+    expected = np.zeros(S)
+    realized = np.zeros(S)
+    pulls = np.zeros((S, P), dtype=np.int64)
+    traj = np.empty((S, len(run.checkpoints)))
+    decisions = np.empty(run.slots, dtype=np.int64)
+    s_counts = None
+    if time_horizon is not None:
+        s_counts = np.zeros((S, P), dtype=np.int64)
+        frozen = np.zeros(S, dtype=bool)
+
+    for n0, n1, mu_b, mu_star_b, outs in run.blocks():
+        for i in range(n1 - n0):
+            n = n0 + i
+            flats = policy.select_batch()
+            o = outs[lanes, i, flats]
+            policy.update_batch(flats, o.astype(np.int64))
+            mu_n = mu_b[i]
+            pseudo += mu_star_b[i] - mu_n[flats]
+            expected += mu_n[flats]
+            realized += o * r_flat[flats]
+            pulls[lanes, flats] += 1
+            decisions[n] = flats[0]
+            if time_horizon is not None and not frozen.all():
+                act = np.flatnonzero(~frozen)
+                fl = flats[act]
+                s_counts[act, fl] += 1
+                over = s_counts[act] @ inv_r > time_horizon
+                if over.any():
+                    s_counts[act[over], fl[over]] -= 1
+                    frozen[act[over]] = True
+            col = cp_col.get(n + 1)
+            if col is not None:
+                traj[:, col] = pseudo
+
+    return run.result(spec, traj, pulls, expected, realized, decisions, s_counts)
+
+
+def _run_baselines(
+    run: _Schedule, specs: list[PolicySpec], best_flats: np.ndarray, static_flat: int
+) -> list[PolicyRunResult]:
+    """The oracle and static baselines, a block at a time.
+
+    Their decisions are known in advance (``best_flats`` and ``static_flat``)
+    and are the same on every lane, so each block takes a few array
+    operations on one shared theta and tape block.  Every running sum is a
+    ``cumsum`` with the running value placed first, which adds in the same
+    order as stepping slot by slot and so gives the same bits.
+    """
+    if not specs:
+        return []
+    S, P = len(run.tape.seeds), run.r_flat.size
+    cps = np.asarray(run.checkpoints)
+    ledgers = [_BaselineLedger(S, P, run.slots, len(cps)) for _ in specs]
+    for n0, n1, mu_b, mu_star_b, outs in run.blocks():
+        steps = np.arange(n1 - n0)
+        lo, hi = np.searchsorted(cps, (n0, n1), side="right")
+        for spec, led in zip(specs, ledgers):
+            flats = best_flats[n0:n1] if spec.kind == "oracle" else np.full(n1 - n0, static_flat)
+            mu = mu_b[steps, flats]
+            pseudo = np.cumsum(np.concatenate(([led.pseudo], mu_star_b - mu)))
+            led.pseudo = pseudo[-1]
+            led.traj[:, lo:hi] = pseudo[cps[lo:hi] - n0]
+            led.expected = np.cumsum(np.concatenate(([led.expected], mu)))[-1]
+            # Each lane's running value joins its first gain, which is the
+            # first addition the slot-by-slot sum makes; in place, so the
+            # block holds one (S, B) float array.
+            gains = outs[:, steps, flats] * run.r_flat[flats]
+            gains[:, 0] += led.realized
+            led.realized = np.cumsum(gains, axis=1, out=gains)[:, -1].copy()
+            led.pulls += np.bincount(flats, minlength=P)
+            led.decisions[n0:n1] = flats
+            if run.time_horizon is not None and not led.frozen:
+                # Packet counts after each step of the block; the first row
+                # over the budget is the packet that no longer fits.  Under
+                # time accounting the source is stationary, so a baseline
+                # plays one pair throughout: each row has one nonzero count
+                # and the canonical reduction is exact in any summation order.
+                one_hot = np.zeros((n1 - n0, P), dtype=np.int64)
+                one_hot[steps, flats] = 1
+                counts = led.counts + np.cumsum(one_hot, axis=0)
+                over = np.flatnonzero(counts @ run.inv_r > run.time_horizon)
+                if over.size:
+                    led.frozen = True
+                    led.counts = counts[over[0]] - one_hot[over[0]]
+                else:
+                    led.counts = counts[-1]
+
+    return [
+        run.result(
+            spec,
+            led.traj,
+            np.tile(led.pulls, (S, 1)),
+            np.full(S, led.expected),
+            led.realized,
+            led.decisions,
+            np.tile(led.counts, (S, 1)),
+        )
+        for spec, led in zip(specs, ledgers)
+    ]
+
+
+class _BaselineLedger:
+    """Running totals of one baseline.  Every lane makes the same decisions,
+    so only the realized reward is kept per lane."""
+
+    def __init__(self, lanes: int, pairs: int, slots: int, checkpoints: int):
+        self.pseudo = 0.0
+        self.expected = 0.0
+        self.realized = np.zeros(lanes)
+        self.pulls = np.zeros(pairs, dtype=np.int64)
+        self.counts = np.zeros(pairs, dtype=np.int64)
+        self.frozen = False
+        self.traj = np.empty((lanes, checkpoints))
+        self.decisions = np.empty(slots, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -694,13 +850,23 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
     paths["regret"] = regret_path
 
     dec_path = out / "decisions.csv"
+    # "channel,rate_index" text of each flat pair index, built once.
+    pair_text = ["{},{}".format(*flat_to_pair(j, K)) for j in range(config.channels * K)]
     with dec_path.open("w", newline="") as fh:
         fh.write("step,policy,channel,rate_index,best_channel,best_rate_index\n")
         for pol in sorted(result.policies, key=lambda p: p.label):
-            for n in range(result.slots):
-                c, k = flat_to_pair(int(pol.decisions[n]), K)
-                bc, bk = flat_to_pair(int(result.best_flats[n]), K)
-                fh.write(f"{n},{pol.label},{c},{k},{bc},{bk}\n")
+            for n0 in range(0, result.slots, _BLOCK):
+                n1 = min(n0 + _BLOCK, result.slots)
+                rows = zip(
+                    range(n0, n1),
+                    pol.decisions[n0:n1].tolist(),
+                    result.best_flats[n0:n1].tolist(),
+                )
+                fh.write(
+                    "".join(
+                        f"{n},{pol.label},{pair_text[d]},{pair_text[b]}\n" for n, d, b in rows
+                    )
+                )
     paths["decisions"] = dec_path
 
     summary: dict = {

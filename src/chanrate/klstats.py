@@ -233,13 +233,17 @@ def _solve_probability(p_hat, pulls, budget, upper: bool):
     p = np.asarray(p_hat, dtype=float)
     t = np.asarray(pulls, dtype=float)
     f = np.asarray(budget, dtype=float)
-    # One reduction per bound; fmin/fmax skip NaN as comparisons would.
-    lowest = np.fmin.reduce
-    if lowest(p, axis=None, initial=0.0) < 0.0 or np.fmax.reduce(p, axis=None, initial=1.0) > 1.0:
+    # One reduction per bound.  minimum/maximum propagate NaN and a NaN
+    # fails every comparison, so a NaN anywhere is rejected like a negative.
+    lowest = np.minimum.reduce
+    if not (
+        lowest(p, axis=None, initial=0.0) >= 0.0
+        and np.maximum.reduce(p, axis=None, initial=1.0) <= 1.0
+    ):
         raise ValueError("empirical rate must lie in [0, 1]")
-    if lowest(t, axis=None, initial=0.0) < 0.0:
+    if not (lowest(t, axis=None, initial=0.0) >= 0.0):
         raise ValueError("pull counts must be nonnegative")
-    if lowest(f, axis=None, initial=0.0) < 0.0:
+    if not (lowest(f, axis=None, initial=0.0) >= 0.0):
         raise ValueError("budget must be nonnegative")
 
     with np.errstate(divide="ignore", invalid="ignore"):

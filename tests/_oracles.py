@@ -146,3 +146,73 @@ def expected_regret_exhaustive(policy, theta: np.ndarray, rates: np.ndarray,
         return total
 
     return recurse(policy.clone(), 0)
+
+
+def baseline_run_reference(kind: str, theta: np.ndarray, outcomes: np.ndarray,
+                           rates: np.ndarray, checkpoints, time_budget: float | None = None
+                           ) -> dict:
+    """Slot-by-slot, lane-by-lane replay of the ``oracle`` or ``static`` baseline.
+
+    ``theta`` is the ``(slots, C, K)`` success-probability schedule,
+    ``outcomes`` the ``(S, slots, C, K)`` outcome bits and ``rates`` the K
+    rates; pairs are numbered ``c * K + k``.  The oracle plays the pair of
+    highest ``rate * theta`` at each step and static the pair of highest
+    total over the run (the first one on ties).  Under a time budget a
+    lane's packet ledger stops at the first packet whose airtime,
+    ``counts @ (1 / rates)``, exceeds the budget; the time benchmark is the
+    best pair's success probability times the packets of its rate that fit.
+    Returns the fields of a ``PolicyRunResult``, with ``None`` for the time
+    fields when there is no budget.
+    """
+    slots, channels, n_rates = theta.shape
+    lanes = outcomes.shape[0]
+    pairs = channels * n_rates
+    rate = [float(rates[j % n_rates]) for j in range(pairs)]
+    inv_r = np.array([1.0 / r for r in rate])
+    mu = [[float(theta[n, j // n_rates, j % n_rates]) * rate[j] for j in range(pairs)]
+          for n in range(slots)]
+    if kind == "oracle":
+        plays = [row.index(max(row)) for row in mu]
+    else:
+        totals = [math.fsum(mu[n][j] for n in range(slots)) for j in range(pairs)]
+        plays = [totals.index(max(totals))] * slots
+    wanted = set(checkpoints)
+
+    out = {name: [] for name in ("trajectories", "pulls", "expected_reward",
+                                 "realized_reward", "packet_counts")}
+    for lane in range(lanes):
+        pseudo = expected = realized = 0.0
+        pulls = [0] * pairs
+        counts = [0] * pairs
+        frozen = False
+        traj = []
+        for n in range(slots):
+            j = plays[n]
+            pseudo += max(mu[n]) - mu[n][j]
+            expected += mu[n][j]
+            realized += int(outcomes[lane, n, j // n_rates, j % n_rates]) * rate[j]
+            pulls[j] += 1
+            if time_budget is not None and not frozen:
+                counts[j] += 1
+                if np.array(counts) @ inv_r > time_budget:
+                    counts[j] -= 1
+                    frozen = True
+            if n + 1 in wanted:
+                traj.append(pseudo)
+        for name, value in zip(out, (traj, pulls, expected, realized, counts)):
+            out[name].append(value)
+
+    ref = {name: np.array(value) for name, value in out.items()}
+    ref["decisions"] = np.array(plays)
+    if time_budget is None:
+        ref.update(packet_counts=None, time_used=None, time_regret=None)
+    else:
+        th_flat = [float(v) for v in theta[0].reshape(-1)]
+        best = mu[0].index(max(mu[0]))
+        benchmark = th_flat[best] * math.floor(rate[best] * time_budget)
+        ref["time_used"] = np.array([np.array(c) @ inv_r for c in out["packet_counts"]])
+        ref["time_regret"] = np.array(
+            [benchmark - sum(c * th for c, th in zip(counts, th_flat))
+             for counts in out["packet_counts"]]
+        )
+    return ref

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -51,6 +52,54 @@ class TestErrors:
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            pytest.param({"seeds": True}, "seeds must be an integer", id="seeds-true"),
+            pytest.param({"seeds": [1, 2.5]}, "each of seeds must be an integer", id="seed-fraction"),
+            pytest.param({"horizon": True}, "horizon must be an integer", id="horizon-true"),
+            pytest.param({"horizon": 10.7}, "horizon must be an integer", id="horizon-fraction"),
+            pytest.param(
+                {"policies": [{"kind": "kl-ucb-u", "window": 2.5}]},
+                "window must be an integer",
+                id="window-fraction",
+            ),
+            pytest.param(
+                {"policies": [{"kind": "kl-ucb-u", "strict": "no"}]},
+                "strict must be true or false",
+                id="strict-string",
+            ),
+            pytest.param({"policies": [1]}, "policy entry must be an object", id="policy-number"),
+            pytest.param(
+                {"policies": [{"kind": 1}]}, "policy kind must be a string", id="kind-number"
+            ),
+            pytest.param(
+                {"checkpoints": [10.5]}, "each of checkpoints must be an integer", id="checkpoint-fraction"
+            ),
+            pytest.param({"checkpoints": 7}, "checkpoints must be a list", id="checkpoints-number"),
+        ],
+    )
+    def test_malformed_config_values(self, tmp_path, capsys, patch, message):
+        cfg = {
+            "rates": [1.0, 2.0],
+            "theta": [[0.9, 0.6], [0.5, 0.3]],
+            "policies": [{"kind": "static"}],
+            "horizon": 16,
+            "seeds": 2,
+            "out_dir": str(tmp_path / "results"),
+        }
+        cfg.update(patch)
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "results").exists()
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        (tmp_path / "config.json").write_text("[1, 2]")
+        assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 2
+        assert "error: config must be a JSON object" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -127,6 +176,31 @@ class TestSimulate:
             assert data["config"].pop("out_dir") == str(model_files / run)
             summaries.append(data)
         assert summaries[0] == summaries[1]
+
+    def test_baselines_byte_identical_under_time_accounting(self, tmp_path, capsys):
+        # Same contract as acceptance criterion 11, on the baseline path:
+        # oracle and static beside a learner, both ledgers, non-dyadic rates.
+        out = tmp_path / "results"
+        cfg = {
+            "rates": [1.1, 2.3],
+            "theta": [[0.9, 0.3], [0.5, 0.2]],
+            "policies": [{"kind": "oracle"}, {"kind": "static"}, {"kind": "kl-ucb"}],
+            "horizon": 300,
+            "seeds": 4,
+            "accounting": "both",
+            "out_dir": str(out),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        names = ("regret.csv", "decisions.csv", "summary.json", "bounds.json")
+        runs = []
+        for _ in range(2):
+            shutil.rmtree(out, ignore_errors=True)
+            assert main(["simulate", "--config", str(path)]) == 0
+            runs.append({name: (out / name).read_bytes() for name in names})
+        capsys.readouterr()
+        for name in names:
+            assert runs[0][name] == runs[1][name], name
 
 
 class TestGenEnv:

@@ -9,6 +9,7 @@ import pytest
 
 from chanrate import (
     ExperimentConfig,
+    OutcomeTape,
     PolicySpec,
     RateSet,
     SyntheticDriftSpec,
@@ -19,6 +20,8 @@ from chanrate import (
     run_experiment,
     save_theta_csv,
 )
+
+from _oracles import baseline_run_reference
 
 
 def config_2x2(**kw):
@@ -210,6 +213,86 @@ class TestRunExperiment:
             result.policy("crs-t")
         with pytest.raises(KeyError, match="no checkpoint"):
             result.policy("kl-ucb").regret_at(999)
+
+
+_RESULT_FIELDS = (
+    "trajectories",
+    "pulls",
+    "expected_reward",
+    "realized_reward",
+    "decisions",
+    "packet_counts",
+    "time_used",
+    "time_regret",
+)
+_BASELINES = (PolicySpec("oracle"), PolicySpec("static"), PolicySpec("kl-ucb"))
+
+
+def _baseline_configs():
+    """Configs for the baseline reference test, with the packet count at
+    which the time ledger freezes (None when no budget applies)."""
+    t0 = np.array([[0.95, 0.5, 0.2], [0.9, 0.75, 0.3]])
+    t1 = t0[::-1].copy()
+    t2 = np.array([[0.3, 0.2, 0.1], [0.99, 0.9, 0.8]])
+    nd3 = RateSet.of([31 / 32, 1.1, 2.3])
+    yield "stationary", dict(
+        rates=nd3, theta=t0, horizon=1300, seeds=(1, 2, 3), checkpoints=(700, 1001)
+    ), None
+    trace = TraceTable(starts=(0, 300, 900), tables=(t0, t1, t2), horizon=1100)
+    yield "trace-segments-mid-block", dict(
+        rates=nd3, trace=trace, horizon=1100, seeds=(4, 5), checkpoints=(299, 300, 901)
+    ), None
+    drift = SyntheticDriftSpec(rates=nd3, channels=3, horizon=900, step_std=0.05, seed=2)
+    yield "synth-drift", dict(rates=nd3, drift=drift, horizon=900, seeds=(1, 7)), None
+    theta = np.array([[0.9, 0.3], [0.5, 0.2]])
+    yield "both-freeze-mid-block", dict(
+        rates=RateSet.of([1.1, 2.3]), theta=theta, horizon=1000, seeds=(1, 2, 3),
+        accounting="both", checkpoints=(1111,),
+    ), 1100
+    yield "original-freeze-mid-block", dict(
+        rates=RateSet.of([31 / 32, 1.3]), theta=np.array([[0.9, 0.6]]), horizon=400,
+        seeds=(2, 3), accounting="original", occupancy=np.array([0.1]),
+    ), 387
+    yield "freeze-at-block-start", dict(
+        rates=RateSet.of([1.3, 2.9]), theta=np.array([[0.9, 0.2]]), horizon=394,
+        seeds=(1, 2), accounting="both",
+    ), 512
+    yield "freeze-at-block-end", dict(
+        rates=RateSet.of([0.5, 1.0]), theta=np.array([[0.9, 0.3]]), horizon=1022,
+        seeds=(1, 2), accounting="both",
+    ), 511
+
+
+class TestBaselinesAgainstReference:
+    """The block-vectorized oracle and static baselines reproduce a plain
+    slot-by-slot replay bit for bit, on every result field."""
+
+    @pytest.mark.parametrize(
+        "kw, packets", [pytest.param(kw, n, id=name) for name, kw, n in _baseline_configs()]
+    )
+    def test_every_field_is_bitwise_equal(self, kw, packets):
+        config = ExperimentConfig(policies=_BASELINES, **kw)
+        result = run_experiment(config)
+        env = config.build_environment()
+        theta = env.theta_block(0, result.slots)
+        outcomes = OutcomeTape(env, config.seeds).block(0, result.slots)
+        for kind in ("oracle", "static"):
+            pol = result.policy(kind)
+            ref = baseline_run_reference(
+                kind, theta, outcomes, config.rates.as_array(), result.checkpoints,
+                result.time_horizon,
+            )
+            for name in _RESULT_FIELDS:
+                got = getattr(pol, name)
+                if ref[name] is None:
+                    assert got is None, (kind, name)
+                else:
+                    assert got.shape == ref[name].shape, (kind, name)
+                    assert np.array_equal(got, ref[name]), (kind, name)
+            if packets is not None:
+                # The scenario is the one named: the ledger stops where stated.
+                assert np.all(pol.packet_counts.sum(axis=1) == packets)
+                assert packets < result.slots
 
 
 class TestTimeAccounting:

@@ -174,6 +174,21 @@ class TestConfidenceBounds:
         with pytest.raises(ValueError, match="budget"):
             lcb_probability(0.5, 10, -1.0)
 
+    @pytest.mark.parametrize("bound", [ucb_probability, lcb_probability])
+    @pytest.mark.parametrize(
+        "position, message",
+        [(0, "must lie in"), (1, "pull counts"), (2, "budget")],
+    )
+    @pytest.mark.parametrize("in_array", [False, True])
+    def test_nan_rejected_like_a_negative(self, bound, position, message, in_array):
+        args = [np.array([0.5, 0.0, 1.0]), np.array([3.0, 0.0, 7.0]), np.array([1.0, 0.0, 2.0])]
+        if in_array:
+            args[position][1] = np.nan
+        else:
+            args[position] = math.nan
+        with pytest.raises(ValueError, match=message):
+            bound(*args)
+
     def test_broadcasting_and_scalar_types(self):
         out = ucb_probability(np.full((3, 4), 0.5), np.arange(1, 5), 2.0)
         assert out.shape == (3, 4)
