@@ -8,9 +8,13 @@ and a scalar replay of a batched run reproduces it bit for bit.
 
 Purity is achieved by deriving outcomes from a virtual uniform tape: step
 ``n`` reads cell ``(c, k)`` of a ``(chunk, C, K)`` uniform block generated
-from ``SeedSequence([tag, seed, n // chunk])`` and compares it against the
-success probability in force at ``n``.  Blocks are cached, so sequential
-simulation touches each one once per seed.
+by ``default_rng(SeedSequence([tag, seed, n // chunk]))`` and compares it
+against the success probability in force at ``n``.  ``OutcomeTape``
+reproduces that stream without one ``SeedSequence`` per seed: it hashes
+the entropy of every seed at once (numpy's ``SeedSequence`` pool hash,
+vectorized over seeds), seeds one ``PCG64`` per seed from the result, and
+draws only the rows a block needs.  Nothing is cached; a block costs the
+same whichever blocks came before it.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import expit
 
 from .model import DecisionPair, LinkModel, RateSet, compute_optima
@@ -53,12 +57,15 @@ _OUTCOME_TAG = 0x9E3779B9
 _DRIFT_TAG = 0x2545F491
 
 
-@lru_cache(maxsize=64)
-def _uniform_chunk(seed: int, block: int, channels: int, n_rates: int) -> np.ndarray:
-    gen = np.random.default_rng(np.random.SeedSequence([_OUTCOME_TAG, seed, block]))
-    u = gen.random((_CHUNK, channels, n_rates))
-    u.setflags(write=False)
-    return u
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+# numpy's stream-compatibility policy keeps them, and the streams seeded
+# from them, fixed.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 
 
 def _check_seed(seed: int) -> int:
@@ -67,8 +74,90 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _check_seeds(seeds) -> tuple[int, ...]:
+    """``_check_seed`` on every seed, in bulk: one ``type`` pass and one
+    ``min`` when all are plain ints, the per-seed check otherwise."""
+    seeds = tuple(seeds)
+    if set(map(type, seeds)) - {int} or (seeds and min(seeds) < 0):
+        return tuple(map(_check_seed, seeds))
+    return seeds
+
+
+def _words(n: int) -> list[int]:
+    """Little-endian 32-bit words of ``n`` as ``SeedSequence`` splits an
+    entropy integer (0 is one word)."""
+    out = [n & _MASK32]
+    while n := n >> 32:
+        out.append(n & _MASK32)
+    return out
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row.
+
+    ``entropy`` is a ``(lanes, L)`` uint32 array, one entropy word list per
+    row; the result is ``(lanes, 4)`` uint64.  Each step of numpy's pool
+    hash is one uint32 array operation over all rows (uint32 arithmetic
+    wraps, as the C code does); the hash constants do not depend on the
+    data, so they stay Python ints.
+    """
+    lanes, L = entropy.shape
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> _XSHIFT
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        out ^= out >> _XSHIFT
+        return out
+
+    zero = np.zeros(lanes, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < L else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, L):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+
+    # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
+    # paired little-endian into uint64s.
+    state = np.empty((lanes, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> _XSHIFT
+        state[:, i] = value
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _tagged(seed_words: np.ndarray) -> np.ndarray:
+    """Outcome-stream entropy prefixes: ``_OUTCOME_TAG`` before each row."""
+    tag = np.full((len(seed_words), 1), _OUTCOME_TAG, dtype=np.uint32)
+    return np.hstack([tag, seed_words])
+
+
+class _PresetState(ISeedSequence):
+    """Hands ``PCG64`` a seed state computed by ``_seed_states``."""
+
+    __slots__ = ("state",)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
 class Environment:
-    """Base class: a success-probability schedule plus a seeded outcome tape.
+    """Base class: a success-probability schedule plus the seed of its
+    outcome stream (``OutcomeTape`` draws the outcomes).
 
     Subclasses implement ``theta_at`` (effective success probabilities in
     force at a step) and may override ``theta_block`` with something faster
@@ -135,14 +224,6 @@ class Environment:
 
     def mu_star_at(self, step: int) -> float:
         return float(self.mu_at(step).max())
-
-    def draw(self, pair: DecisionPair, step: int) -> int:
-        """Bernoulli outcome of playing ``pair`` at ``step`` (0 or 1)."""
-        step = self._check_step(step)
-        c, k = pair
-        u = _uniform_chunk(self._seed, step // _CHUNK, self._channels, self.n_rates)
-        th = self.theta_at(step)[c - 1, k - 1]
-        return int(u[step % _CHUNK, c - 1, k - 1] < th)
 
     def with_seed(self, seed: int) -> "Environment":
         """Same probability schedule, different outcome stream."""
@@ -309,6 +390,8 @@ class TraceEnvironment(Environment):
             )
         super().__init__(rates, trace.channels, trace.horizon, seed)
         self._trace = trace
+        self._starts = np.asarray(trace.starts, dtype=np.int64)
+        self._tables = np.stack(trace.tables)
         self._mu_cache: dict[int, tuple[DecisionPair, float]] = {}
 
     @property
@@ -322,10 +405,8 @@ class TraceEnvironment(Environment):
         self._check_step(start)
         if stop > start:
             self._check_step(stop - 1)
-        out = np.empty((stop - start, self.channels, self.n_rates))
-        for n in range(start, stop):
-            out[n - start] = self._trace.theta_at(n)
-        return out
+        segments = np.searchsorted(self._starts, np.arange(start, stop), side="right") - 1
+        return self._tables[segments]
 
     def _segment_optimum(self, seg: int) -> tuple[DecisionPair, float]:
         hit = self._mu_cache.get(seg)
@@ -536,18 +617,35 @@ class OutcomeTape:
     """Materializes outcome blocks for many seeds over one environment.
 
     ``block(start, stop)`` returns a ``(seeds, stop-start, C, K)`` uint8
-    array whose entries match ``env.with_seed(s).draw(pair, n)`` exactly;
-    batched runs and scalar replays therefore agree bit for bit.
+    array: entry ``[i, n - start, c, k]`` is 1 when cell ``(c, k)`` of the
+    uniform chunk ``default_rng(SeedSequence([tag, seeds[i], n // chunk]))
+    .random((chunk, C, K))``, at row ``n % chunk``, is below the success
+    probability in force at ``n``.  Each lane depends on its own seed only,
+    so batched runs and scalar replays agree bit for bit.
     """
 
     def __init__(self, env: Environment, seeds: tuple[int, ...] | list[int]):
-        seeds = tuple(_check_seed(s) for s in seeds)
+        seeds = _check_seeds(seeds)
         if not seeds:
             raise ValueError("at least one seed required")
         if len(set(seeds)) != len(seeds):
             raise ValueError("seeds must be distinct")
         self._env = env
         self._seeds = seeds
+        # Lanes grouped by the word count of their seed, which sets the
+        # entropy length: (lane indices, (lanes, 1 + words) uint32 entropy
+        # prefix [tag, *words(seed)]).
+        if max(seeds) <= _MASK32:
+            words = np.array(seeds, dtype=np.uint32)[:, None]
+            self._groups = [(range(len(seeds)), _tagged(words))]
+        else:
+            by_len: dict[int, list[int]] = {}
+            for lane, seed in enumerate(seeds):
+                by_len.setdefault(len(_words(seed)), []).append(lane)
+            self._groups = [
+                (lanes, _tagged(np.array([_words(seeds[i]) for i in lanes], dtype=np.uint32)))
+                for lanes in by_len.values()
+            ]
 
     @property
     def seeds(self) -> tuple[int, ...]:
@@ -564,15 +662,21 @@ class OutcomeTape:
         C, K = self._env.channels, self._env.n_rates
         out = np.empty((len(self._seeds), stop - start, C, K), dtype=np.uint8)
         b_lo, b_hi = start // _CHUNK, (stop - 1) // _CHUNK
-        for si, seed in enumerate(self._seeds):
-            pos = 0
-            for b in range(b_lo, b_hi + 1):
-                u = _uniform_chunk(seed, b, C, K)
-                lo = max(start, b * _CHUNK)
-                hi = min(stop, (b + 1) * _CHUNK)
-                seg = slice(lo - b * _CHUNK, hi - b * _CHUNK)
-                np.less(
-                    u[seg], th[pos : pos + hi - lo], out=out[si, pos : pos + hi - lo]
-                )
-                pos += hi - lo
+        # A double takes one uint64 draw, so rows [0, hi) of a chunk are
+        # the first hi * C * K draws of its stream: generate only those.
+        buf = np.empty((min(_CHUNK, stop - b_lo * _CHUNK), C, K))
+        preset = _PresetState()
+        for b in range(b_lo, b_hi + 1):
+            lo = max(start, b * _CHUNK) - b * _CHUNK
+            hi = min(stop, (b + 1) * _CHUNK) - b * _CHUNK
+            pos = b * _CHUNK + lo - start
+            rows, seg = buf[:hi], buf[lo:hi]
+            th_seg = th[pos : pos + hi - lo]
+            block_words = np.array(_words(b), dtype=np.uint32)
+            for lanes, prefix in self._groups:
+                suffix = np.broadcast_to(block_words, (len(lanes), block_words.size))
+                for lane, state in zip(lanes, _seed_states(np.hstack([prefix, suffix]))):
+                    preset.state = state
+                    np.random.Generator(np.random.PCG64(preset)).random(out=rows)
+                    np.less(seg, th_seg, out=out[lane, pos : pos + hi - lo])
         return out

@@ -85,7 +85,8 @@ def _json_int(value, what: str) -> int:
 
 
 def _json_ints(values, what: str) -> list[int] | tuple[int, ...]:
-    """A JSON list of integral numbers as ints, checked as by ``_json_int``."""
+    """A list of integral numbers as ints, checked as by ``_json_int``, so a
+    non-integral entry is rejected rather than truncated."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{what} must be a list, got {values!r}")
     if set(map(type, values)) <= {int}:  # all plain ints: no call per entry
@@ -211,7 +212,7 @@ class ExperimentConfig:
                 f"horizon {self.horizon} below the pair count "
                 f"{self.channels * len(self.rates)}"
             )
-        seeds = tuple(map(int, self.seeds))
+        seeds = tuple(_json_ints(tuple(self.seeds), "seeds"))
         object.__setattr__(self, "seeds", seeds)
         if not seeds:
             raise ValueError("at least one seed required")
@@ -225,7 +226,7 @@ class ExperimentConfig:
             )
         if self.accounting != "alternative" and self.theta is None:
             raise ValueError("time accounting requires a stationary theta table")
-        cps = tuple(int(c) for c in self.checkpoints)
+        cps = tuple(_json_ints(tuple(self.checkpoints), "checkpoints"))
         object.__setattr__(self, "checkpoints", cps)
         if any(c < 1 for c in cps):
             raise ValueError("checkpoints must be >= 1")

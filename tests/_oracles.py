@@ -216,3 +216,28 @@ def baseline_run_reference(kind: str, theta: np.ndarray, outcomes: np.ndarray,
              for counts in out["packet_counts"]]
         )
     return ref
+
+
+# The outcome tape's reproducibility contract: the domain tag of outcome
+# streams and the steps per uniform chunk.  Restated here, not imported.
+TAPE_TAG = 0x9E3779B9
+TAPE_CHUNK = 512
+
+
+def reference_outcomes(env, seed: int, start: int, stop: int) -> np.ndarray:
+    """``(stop - start, C, K)`` uint8 outcomes of ``env`` under ``seed`` over
+    steps ``[start, stop)``, the plain way: for each step one
+    ``SeedSequence`` and one ``default_rng`` for its chunk, the full
+    ``(512, C, K)`` chunk drawn, its row compared with ``env.theta_at``."""
+    out = np.empty((stop - start, env.channels, env.n_rates), dtype=np.uint8)
+    for n in range(start, stop):
+        gen = np.random.default_rng(np.random.SeedSequence([TAPE_TAG, seed, n // TAPE_CHUNK]))
+        u = gen.random((TAPE_CHUNK, env.channels, env.n_rates))
+        out[n - start] = u[n % TAPE_CHUNK] < env.theta_at(n)
+    return out
+
+
+def reference_draw(env, pair: tuple[int, int], step: int) -> int:
+    """Bernoulli outcome (0 or 1) of playing ``pair`` at ``step`` under ``env.seed``."""
+    c, k = pair
+    return int(reference_outcomes(env, env.seed, step, step + 1)[0, c - 1, k - 1])

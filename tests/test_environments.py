@@ -18,6 +18,9 @@ from chanrate import (
     synth_drift_env,
     trace_env,
 )
+from chanrate.environments import _seed_states
+
+from _oracles import TAPE_TAG, reference_draw, reference_outcomes
 
 
 @pytest.fixture()
@@ -52,14 +55,14 @@ class TestStationary:
 
     def test_draw_is_pure(self, tiny_model):
         env = stationary_env(tiny_model, seed=3)
-        first = [env.draw((1, 1), n) for n in range(100)]
-        second = [env.draw((1, 1), n) for n in range(100)]
+        first = [reference_draw(env, (1, 1), n) for n in range(100)]
+        second = [reference_draw(env, (1, 1), n) for n in range(100)]
         assert first == second
 
     def test_draw_mean_tracks_probability(self, tiny_model):
         env = stationary_env(tiny_model, seed=70)
         n = 4096
-        mean = sum(env.draw((2, 1), i) for i in range(n)) / n
+        mean = sum(reference_draw(env, (2, 1), i) for i in range(n)) / n
         # theta = 0.5; a 6-sigma band at this sample size is +-0.047.
         assert abs(mean - 0.5) < 0.05
 
@@ -68,8 +71,8 @@ class TestStationary:
         b = a.with_seed(2)
         assert b.seed == 2 and a.seed == 1
         np.testing.assert_array_equal(a.theta_at(0), b.theta_at(0))
-        draws_a = [a.draw((1, 1), n) for n in range(200)]
-        draws_b = [b.draw((1, 1), n) for n in range(200)]
+        draws_a = [reference_draw(a, (1, 1), n) for n in range(200)]
+        draws_b = [reference_draw(b, (1, 1), n) for n in range(200)]
         assert draws_a != draws_b
 
     def test_seed_validation(self, tiny_model):
@@ -143,6 +146,19 @@ class TestTraceEnvironment:
         assert env.best_pair_at(0) == (1, 1)
         assert env.best_pair_at(150) == (2, 1)
         assert env.mu_star_at(0) == 0.9
+
+    def test_theta_block_matches_pointwise_across_segments(self):
+        rng = np.random.default_rng(3)
+        starts = (0, 3, 4, 100, 512, 517, 600)
+        tables = tuple(rng.random((2, 3)) for _ in starts)
+        env = trace_env(TraceTable(starts, tables, horizon=1000), RateSet.of([1.0, 2.0, 3.0]))
+        for start, stop in ((0, 512), (2, 5), (3, 4), (99, 101), (500, 700), (599, 1000)):
+            block = env.theta_block(start, stop)
+            expected = np.stack([env.theta_at(n) for n in range(start, stop)])
+            assert block.shape == expected.shape
+            assert block.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="beyond horizon"):
+            env.theta_block(990, 1001)
 
     def test_horizon_enforced(self, swap_trace):
         env = trace_env(swap_trace, RateSet.of([1.0, 2.0]))
@@ -287,7 +303,7 @@ class TestOutcomeTape:
             for n in range(500, 530):
                 for c in (1, 2):
                     for k in (1, 2):
-                        assert block[si, n - 500, c - 1, k - 1] == env.draw((c, k), n)
+                        assert block[si, n - 500, c - 1, k - 1] == reference_draw(env, (c, k), n)
 
     def test_trace_schedule_respected(self, swap_trace):
         rates = RateSet.of([1.0, 2.0])
@@ -295,7 +311,7 @@ class TestOutcomeTape:
         tape = OutcomeTape(env, seeds=(4,))
         block = tape.block(90, 110)
         for n in range(90, 110):
-            assert block[0, n - 90, 0, 0] == env.draw((1, 1), n)
+            assert block[0, n - 90, 0, 0] == reference_draw(env, (1, 1), n)
 
     def test_validation(self, tiny_model):
         env = stationary_env(tiny_model)
@@ -306,3 +322,76 @@ class TestOutcomeTape:
         tape = OutcomeTape(env, seeds=(1,))
         with pytest.raises(ValueError, match="stop"):
             tape.block(10, 10)
+
+
+# Seeds whose entropy rows have one, two and three words, and 0 (one word).
+MIXED_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3)
+
+
+class TestOutcomeTapeAgainstReference:
+    @pytest.fixture()
+    def env(self):
+        theta = np.array([[0.9, 0.55, 0.2], [0.6, 0.4, 0.05]])
+        return StationaryEnvironment(LinkModel(RateSet.of([1.0, 2.0, 3.0]), theta))
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [
+            (0, 512),  # one whole chunk
+            (512, 1024),  # chunk-aligned, not the first chunk
+            (0, 7),  # a short prefix
+            (90, 110),  # unaligned inside one chunk
+            (500, 530),  # across the 512 edge
+            (300, 1100),  # across two edges
+            (2**41, 2**41 + 9),  # block index 2^32: a two-word block entropy
+            (2**41 - 4, 2**41 + 4),  # block index 2^32 - 1 into 2^32
+        ],
+    )
+    def test_block_matches_reference_bitwise(self, env, start, stop):
+        block = OutcomeTape(env, MIXED_SEEDS).block(start, stop)
+        assert block.dtype == np.uint8
+        assert block.shape == (len(MIXED_SEEDS), stop - start, 2, 3)
+        for i, seed in enumerate(MIXED_SEEDS):
+            np.testing.assert_array_equal(block[i], reference_outcomes(env, seed, start, stop))
+
+    def test_trace_block_matches_reference_bitwise(self):
+        rng = np.random.default_rng(11)
+        starts = (0, 260, 511, 513)
+        trace = TraceTable(starts, tuple(rng.random((2, 2)) for _ in starts), horizon=700)
+        env = trace_env(trace, RateSet.of([1.0, 2.0]))
+        block = OutcomeTape(env, MIXED_SEEDS).block(250, 600)
+        for i, seed in enumerate(MIXED_SEEDS):
+            np.testing.assert_array_equal(block[i], reference_outcomes(env, seed, 250, 600))
+
+    def test_lanes_are_independent(self, env):
+        full = OutcomeTape(env, MIXED_SEEDS).block(500, 530)
+        for i, seed in enumerate(MIXED_SEEDS):
+            alone = OutcomeTape(env, (seed,)).block(500, 530)
+            assert alone[0].tobytes() == full[i].tobytes()
+        order = [3, 0, 4, 2, 1]
+        permuted = OutcomeTape(env, [MIXED_SEEDS[i] for i in order]).block(500, 530)
+        assert permuted.tobytes() == full[order].tobytes()
+        added = OutcomeTape(env, (*MIXED_SEEDS, 2**40 + 5)).block(500, 530)
+        assert added[:-1].tobytes() == full.tobytes()
+
+    def test_hash_matches_seed_sequence(self):
+        rng = np.random.default_rng(5)
+        for length in range(1, 8):  # below, at and above the 4-word pool
+            rows = rng.integers(0, 2**32, size=(6, length), dtype=np.uint32)
+            rows[0] = 0
+            rows[1] = 2**32 - 1
+            rows[:, 0] = TAPE_TAG
+            states = _seed_states(rows)
+            assert states.dtype == np.uint64 and states.shape == (6, 4)
+            for row, state in zip(rows, states):
+                expected = np.random.SeedSequence([int(w) for w in row]).generate_state(
+                    4, np.uint64
+                )
+                np.testing.assert_array_equal(state, expected)
+
+    def test_bulk_seed_validation(self, env):
+        for bad in (-1, True, 2.0, "3"):
+            with pytest.raises(ValueError, match=f"nonnegative integer, got {bad!r}"):
+                OutcomeTape(env, seeds=(1, bad, 2))
+        tape = OutcomeTape(env, seeds=(np.int64(3), 4))
+        assert tape.seeds == (3, 4) and all(type(s) is int for s in tape.seeds)

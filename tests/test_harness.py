@@ -85,6 +85,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="at least one seed"):
             config_2x2(seeds=())
 
+    def test_non_integral_seeds_rejected_not_truncated(self):
+        for seeds in ((1.5, 2.7), (1, 2.5), (1, float("nan")), (1, float("inf")), ("1",), (True, 2)):
+            with pytest.raises(ValueError, match="each of seeds must be an integer"):
+                config_2x2(seeds=seeds)
+        config = config_2x2(seeds=(1.0, np.int64(2), np.float64(3.0)))
+        assert config.seeds == (1, 2, 3) and all(type(s) is int for s in config.seeds)
+
+    def test_non_integral_checkpoints_rejected_not_truncated(self):
+        for cps in ((3.9,), (4, 100.5), (float("nan"),)):
+            with pytest.raises(ValueError, match="each of checkpoints must be an integer"):
+                config_2x2(checkpoints=cps)
+        assert config_2x2(checkpoints=(3.0, np.int64(5))).checkpoints == (3, 5)
+
     def test_accounting_values(self):
         with pytest.raises(ValueError, match="accounting"):
             config_2x2(accounting="packets")
