@@ -88,7 +88,6 @@ from .policies import (
     KlUcbPolicy,
     KlUcbUPolicy,
     build_policy,
-    make_windowed,
 )
 
 __version__ = "0.1.0"
@@ -148,7 +147,6 @@ __all__ = [
     "lcb_probability",
     "load_rates_json",
     "load_theta_csv",
-    "make_windowed",
     "pair_to_flat",
     "run_experiment",
     "save_theta_csv",

@@ -2,7 +2,9 @@
 
 A run evaluates each configured policy on the same environment under common
 random numbers (one replication lane per seed, all lanes advanced in lock
-step).  Regret is tracked two ways:
+step).  The learning policies step together in one pass over the schedule
+and share one confidence-bound solver call per slot; the oracle and static
+baselines follow in a second pass.  Regret is tracked two ways:
 
 * slot accounting: every transmission costs one slot; the pseudo-regret
   trajectory ``sum(mu_star(n) - mu_chosen(n))`` is sampled at checkpoints.
@@ -28,6 +30,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,7 +55,7 @@ from .model import (
     load_theta_csv,
     pair_to_flat,
 )
-from .policies import build_policy
+from .policies import POLICY_KINDS, build_policy, check_policy_kind, select_all
 
 __all__ = [
     "AccountingReport",
@@ -68,9 +71,6 @@ __all__ = [
 ]
 
 _BLOCK = 512
-
-LEARNING_KINDS = ("kl-ucb", "crs-t", "kl-ucb-u")
-BASELINE_KINDS = ("oracle", "static")
 
 
 def _json_int(value, what: str) -> int:
@@ -103,20 +103,8 @@ class PolicySpec:
     strict: bool = False
 
     def __post_init__(self):
-        kind = self.kind.strip().lower()
+        kind = check_policy_kind(self.kind, window=self.window, strict=self.strict)
         object.__setattr__(self, "kind", kind)
-        if kind not in LEARNING_KINDS + BASELINE_KINDS:
-            raise ValueError(
-                f"unknown policy kind {self.kind!r}; expected one of "
-                f"{sorted(LEARNING_KINDS + BASELINE_KINDS)}"
-            )
-        if self.window is not None:
-            if kind in BASELINE_KINDS:
-                raise ValueError(f"{kind} takes no window")
-            if self.window < 1:
-                raise ValueError("window must be >= 1")
-        if self.strict and kind != "kl-ucb-u":
-            raise ValueError("strict applies only to kl-ucb-u")
 
     @property
     def label(self) -> str:
@@ -129,7 +117,7 @@ class PolicySpec:
 
     @property
     def is_baseline(self) -> bool:
-        return self.kind in BASELINE_KINDS
+        return POLICY_KINDS[self.kind] is None
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -467,11 +455,31 @@ def _checkpoint_grid(config: ExperimentConfig, slots: int, time_horizon: float |
     return tuple(sorted(cps))
 
 
+def _check_memory(config: ExperimentConfig, slots: int) -> None:
+    """Reject a run whose horizon-length arrays cannot fit in physical memory.
+
+    Counts the per-step best pair, one int64 decision log per policy and,
+    for a synthetic drift source, its latent path.
+    """
+    need = 8 * slots * (1 + len(config.policies))
+    if config.drift is not None:
+        need += 8 * config.drift.horizon * config.drift.channels
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf figures here
+        return
+    if need > have:
+        raise ValueError(
+            f"{slots} slots need about {need / 2**30:.3g} GiB of per-slot arrays, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 @dataclass(frozen=True)
 class _Schedule:
-    """What every policy pass of one run shares: the environment and its
-    outcome tape, the slot and checkpoint grids, and the time ledger's
-    constants (``None`` under slot accounting)."""
+    """What every pass of one run shares: the environment and its outcome
+    tape, the slot and checkpoint grids, and the time ledger's constants
+    (``None`` under slot accounting)."""
 
     env: Environment
     tape: OutcomeTape
@@ -486,15 +494,17 @@ class _Schedule:
     def inv_r(self) -> np.ndarray:
         return 1.0 / self.r_flat
 
-    def blocks(self):
+    def blocks(self, outcomes: bool = True):
         """Yield ``(n0, n1, mu_b, mu_star_b, outs)`` block by block: the
         throughputs ``(B, P)`` of steps ``[n0, n1)``, their row maxima, and
-        the outcomes ``(S, B, P)``."""
+        the outcomes ``(S, B, P)`` (None unless ``outcomes``)."""
         S, P = len(self.tape.seeds), self.r_flat.size
+        outs = None
         for n0 in range(0, self.slots, _BLOCK):
             n1 = min(n0 + _BLOCK, self.slots)
             mu_b = self.env.theta_block(n0, n1).reshape(n1 - n0, P) * self.r_flat
-            outs = self.tape.block(n0, n1).reshape(S, n1 - n0, P)
+            if outcomes:
+                outs = self.tape.block(n0, n1).reshape(S, n1 - n0, P)
             yield n0, n1, mu_b, mu_b.max(axis=1), outs
 
     def result(
@@ -521,26 +531,12 @@ class _Schedule:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    slots, time_horizon = _resolve_slots(config)
+    _check_memory(config, slots)
     env = config.build_environment()
     C, K = config.channels, config.n_rates
-    P = C * K
     r_flat = np.tile(config.rates.as_array(), C)
-    slots, time_horizon = _resolve_slots(config)
     tape = OutcomeTape(env, config.seeds)
-
-    # Prepass over the schedule: oracle total, per-pair totals, best pair
-    # per step (reused for the oracle baseline and the decision log).
-    oracle_reward = 0.0
-    mu_totals = np.zeros(P)
-    best_flats = np.empty(slots, dtype=np.int64)
-    for n0 in range(0, slots, _BLOCK):
-        n1 = min(n0 + _BLOCK, slots)
-        mu_b = env.theta_block(n0, n1).reshape(n1 - n0, P) * r_flat
-        oracle_reward += float(mu_b.max(axis=1).sum())
-        mu_totals += mu_b.sum(axis=0)
-        best_flats[n0:n1] = np.argmax(mu_b, axis=1)
-    static_flat = int(np.argmax(mu_totals))
-    static_reward = float(mu_totals[static_flat])
 
     th_flat = time_benchmark = None
     if time_horizon is not None:
@@ -562,14 +558,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         th_flat=th_flat,
         time_benchmark=time_benchmark,
     )
+    learners = [spec for spec in config.policies if not spec.is_baseline]
+    oracle_reward, mu_totals, best_flats, learned = _run_learning(run, learners, config)
+    static_flat = int(np.argmax(mu_totals))
+    static_reward = float(mu_totals[static_flat])
     baselines = [spec for spec in config.policies if spec.is_baseline]
-    results = {
-        spec.label: res
-        for spec, res in zip(baselines, _run_baselines(run, baselines, best_flats, static_flat))
-    }
-    for spec in config.policies:
-        if not spec.is_baseline:
-            results[spec.label] = _run_learning(run, spec, config)
+    results = dict(zip((spec.label for spec in learners), learned))
+    results.update(
+        zip(
+            (spec.label for spec in baselines),
+            _run_baselines(run, baselines, best_flats, static_flat),
+        )
+    )
 
     return ExperimentResult(
         config=config,
@@ -584,51 +584,84 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _run_learning(run: _Schedule, spec: PolicySpec, config: ExperimentConfig) -> PolicyRunResult:
-    """Step one learning policy through the run, one slot at a time."""
+def _run_learning(run: _Schedule, specs: list[PolicySpec], config: ExperimentConfig):
+    """One pass over the schedule that steps every learning policy in lock
+    step, one slot at a time, with one solver call per slot for all their
+    confidence bounds.  The same pass totals the schedule for the baselines.
+
+    Returns the oracle's expected reward, each pair's expected reward, the
+    best pair of every step and one result per spec.
+    """
     S, P = len(run.tape.seeds), run.r_flat.size
     r_flat, inv_r, time_horizon = run.r_flat, run.inv_r, run.time_horizon
-    policy = build_policy(
-        spec.kind, config.rates, config.channels, window=spec.window, batch=S, strict=spec.strict
-    )
+    policies = [
+        build_policy(
+            spec.kind, config.rates, config.channels, window=spec.window, batch=S, strict=spec.strict
+        )
+        for spec in specs
+    ]
+    ledgers = [_LearnerLedger(S, P, run.slots, len(run.checkpoints), time_horizon) for _ in specs]
     lanes = np.arange(S)
     cp_col = {cp: i for i, cp in enumerate(run.checkpoints)}
-    pseudo = np.zeros(S)
-    expected = np.zeros(S)
-    realized = np.zeros(S)
-    pulls = np.zeros((S, P), dtype=np.int64)
-    traj = np.empty((S, len(run.checkpoints)))
-    decisions = np.empty(run.slots, dtype=np.int64)
-    s_counts = None
-    if time_horizon is not None:
-        s_counts = np.zeros((S, P), dtype=np.int64)
-        frozen = np.zeros(S, dtype=bool)
+    oracle_reward = 0.0
+    mu_totals = np.zeros(P)
+    best_flats = np.empty(run.slots, dtype=np.int64)
 
-    for n0, n1, mu_b, mu_star_b, outs in run.blocks():
+    for n0, n1, mu_b, mu_star_b, outs in run.blocks(outcomes=bool(policies)):
+        oracle_reward += float(mu_star_b.sum())
+        mu_totals += mu_b.sum(axis=0)
+        best_flats[n0:n1] = np.argmax(mu_b, axis=1)
+        if not policies:
+            continue
         for i in range(n1 - n0):
             n = n0 + i
-            flats = policy.select_batch()
-            o = outs[lanes, i, flats]
-            policy.update_batch(flats, o.astype(np.int64))
             mu_n = mu_b[i]
-            pseudo += mu_star_b[i] - mu_n[flats]
-            expected += mu_n[flats]
-            realized += o * r_flat[flats]
-            pulls[lanes, flats] += 1
-            decisions[n] = flats[0]
-            if time_horizon is not None and not frozen.all():
-                act = np.flatnonzero(~frozen)
-                fl = flats[act]
-                s_counts[act, fl] += 1
-                over = s_counts[act] @ inv_r > time_horizon
-                if over.any():
-                    s_counts[act[over], fl[over]] -= 1
-                    frozen[act[over]] = True
             col = cp_col.get(n + 1)
-            if col is not None:
-                traj[:, col] = pseudo
+            for policy, flats, led in zip(policies, select_all(policies), ledgers):
+                o = outs[lanes, i, flats]
+                policy._record(flats, o)
+                led.pseudo += mu_star_b[i] - mu_n[flats]
+                led.expected += mu_n[flats]
+                led.realized += o * r_flat[flats]
+                led.pulls[lanes, flats] += 1
+                led.decisions[n] = flats[0]
+                if time_horizon is not None and not led.frozen.all():
+                    frozen, s_counts = led.frozen, led.s_counts
+                    act = np.flatnonzero(~frozen)
+                    fl = flats[act]
+                    s_counts[act, fl] += 1
+                    over = s_counts[act] @ inv_r > time_horizon
+                    if over.any():
+                        s_counts[act[over], fl[over]] -= 1
+                        frozen[act[over]] = True
+                if col is not None:
+                    led.traj[:, col] = led.pseudo
 
-    return run.result(spec, traj, pulls, expected, realized, decisions, s_counts)
+    learned = [
+        run.result(
+            spec, led.traj, led.pulls, led.expected, led.realized, led.decisions, led.s_counts
+        )
+        for spec, led in zip(specs, ledgers)
+    ]
+    return oracle_reward, mu_totals, best_flats, learned
+
+
+class _LearnerLedger:
+    """Running per-lane totals of one learning policy."""
+
+    def __init__(
+        self, lanes: int, pairs: int, slots: int, checkpoints: int, time_horizon: float | None
+    ):
+        self.pseudo = np.zeros(lanes)
+        self.expected = np.zeros(lanes)
+        self.realized = np.zeros(lanes)
+        self.pulls = np.zeros((lanes, pairs), dtype=np.int64)
+        self.traj = np.empty((lanes, checkpoints))
+        self.decisions = np.empty(slots, dtype=np.int64)
+        self.s_counts = self.frozen = None
+        if time_horizon is not None:
+            self.s_counts = np.zeros((lanes, pairs), dtype=np.int64)
+            self.frozen = np.zeros(lanes, dtype=bool)
 
 
 def _run_baselines(

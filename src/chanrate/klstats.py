@@ -122,27 +122,28 @@ def _residual(e, c):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _solve_log_space(p, t, target, upper: bool):
+def _solve_log_space(p, t, target, upper):
     """Solve t * I(p, q) = f for strictly interior p, one element at a time.
 
     ``p``, ``t``, ``target`` (= f/t > 0) are same-shape 1-D float arrays with
-    every p in (0, 1) and every t >= 1.  Returns ``(q, steps)``: q on the
-    probability scale and the number of Newton steps the slowest element
-    took; more than ``_NEWTON_STEPS`` means some element fell back to
-    bisection.  No element's result depends on the other elements.
+    every p in (0, 1) and every t >= 1; ``upper`` is a bool, or a bool array
+    of that shape, choosing each element's bound.  Returns ``(q, steps)``: q
+    on the probability scale and the number of Newton steps the slowest
+    element took; more than ``_NEWTON_STEPS`` means some element fell back
+    to bisection.  No element's result depends on the other elements.
     """
     # UCB: v = log(1 - q); LCB: v = log(q).  With s = 1 - p (UCB) or p (LCB)
     # and w = 1 - s, I(p, q(v)) = w*log(w/(1 - e^v)) + s*(log(s) - v), which
     # is zero at the anchor v = log(s) and convex and decreasing left of it.
+    # The direction only swaps s and w here and picks the transform back.
     n = p.shape[0]
+    lower = np.logical_not(upper)
     c = np.empty((3, 2, n))  # w, s, k, repeated for both candidate rows
     w, s, k = c[:, 0]
-    if upper:
-        np.subtract(1.0, p, s)
-        w[:] = p
-    else:
-        np.subtract(1.0, p, w)
-        s[:] = p
+    np.subtract(1.0, p, s)
+    w[:] = p
+    np.copyto(w, s, where=lower)
+    np.copyto(s, p, where=lower)
     anchor = np.log(s)
     np.multiply(s, anchor, k)
     k -= target
@@ -221,18 +222,26 @@ def _solve_log_space(p, t, target, upper: bool):
         active &= r_hi < ntol
 
     v = np.where(r_lo <= -r_hi, lo, hi)
-    if upper:
-        q = np.expm1(v)
-        np.negative(q, q)
-        return np.maximum(q, p, out=q), steps
-    q = np.exp(v)
-    return np.minimum(q, p, out=q), steps
+    q = np.expm1(v)
+    np.negative(q, q)
+    np.maximum(q, p, out=q)
+    if lower.any():
+        np.copyto(q, np.minimum(np.exp(v), p), where=lower)
+    return q, steps
 
 
-def _solve_probability(p_hat, pulls, budget, upper: bool):
+def _solve_probability(p_hat, pulls, budget, upper):
+    """Confidence bounds on the success probability, elementwise.
+
+    ``upper`` (a bool, or a bool array broadcasting with the others) picks
+    the upper or the lower bound of each element, so one call can serve
+    both directions; every element's result is what a call on it alone
+    returns.
+    """
     p = np.asarray(p_hat, dtype=float)
     t = np.asarray(pulls, dtype=float)
     f = np.asarray(budget, dtype=float)
+    upper = np.asarray(upper, dtype=bool)
     # One reduction per bound.  minimum/maximum propagate NaN and a NaN
     # fails every comparison, so a NaN anywhere is rejected like a negative.
     lowest = np.minimum.reduce
@@ -248,27 +257,27 @@ def _solve_probability(p_hat, pulls, budget, upper: bool):
 
     with np.errstate(divide="ignore", invalid="ignore"):
         target = f / t
-        # Unpulled entries give the extreme value; endpoint rates have closed
-        # forms; interior entries hold p, the exact answer at a zero budget,
-        # until solved.
-        if upper:
-            # I(1, q) is infinite below 1; t * (-log(1 - q)) = f at p = 0
-            use_p = p > 0.0
-            out = np.where(use_p, p, -np.expm1(-target))
-            np.copyto(out, 1.0, where=t <= 0.0)
-            inner = out < 1.0
-        else:
-            # I(0, q) is infinite above 0; t * (-log(q)) = f at p = 1
-            use_p = p < 1.0
-            out = np.where(use_p, p, np.exp(-target))
-            np.copyto(out, 0.0, where=t <= 0.0)
-            inner = out > 0.0
+        # Unpulled entries give the extreme value (1 up, 0 down); endpoint
+        # rates have closed forms; interior entries hold p, the exact answer
+        # at a zero budget, until solved.  I(1, q) is infinite below 1 and
+        # t * (-log(1 - q)) = f at p = 0; I(0, q) is infinite above 0 and
+        # t * (-log(q)) = f at p = 1.
+        use_p = p > 0.0
+        out = -np.expm1(-target)
+        if not upper.all():
+            use_p = np.where(upper, use_p, p < 1.0)
+            out = np.where(upper, out, np.exp(-target))
+        out = np.where(use_p, p, out)
+        np.copyto(out, upper, where=t <= 0.0)
+        inner = out != upper  # out lies in [0, 1]: below 1 up, above 0 down
         inner &= use_p
         inner &= target > 0.0
     if inner.any():
         p, t, target = (
             (a if a.shape == out.shape else np.broadcast_to(a, out.shape))[inner] for a in (p, t, target)
         )
+        if upper.ndim:
+            upper = (upper if upper.shape == out.shape else np.broadcast_to(upper, out.shape))[inner]
         out[inner] = _solve_log_space(p, t, target, upper)[0]
     if out.ndim == 0:
         return float(out)

@@ -18,19 +18,27 @@ acknowledgement bit.  All argmax/argmin ties break lexicographically by
 Policies are internally vectorized over ``batch`` independent replications
 that advance in lock-step (one per environment seed); the scalar interface
 is the batch=1 special case.  ``select_batch``/``update_batch`` expose the
-vector form to the experiment harness.
+vector form.
+
+Selection is split in two so that many policies can share one solver call:
+a policy first requests the confidence bounds its next pick needs, as flat
+``(p, t, f, upper)`` arrays (``f`` and ``upper`` may be scalars), then
+finishes the pick from the solved bounds.  :func:`select_all` solves the
+requests of several policies in one call; ``select_batch`` is
+``select_all`` on one policy.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .graph import NeighborhoodGraph, build_graph
-from .klstats import _allowance_vec, allowance, lcb_probability, ucb_probability
+from .klstats import _allowance_vec, _solve_probability, allowance
 from .model import DecisionPair, RateSet, flat_to_pair
 
 __all__ = [
@@ -42,7 +50,7 @@ __all__ = [
     "KlUcbUPolicy",
     "KlUcbUState",
     "build_policy",
-    "make_windowed",
+    "select_all",
 ]
 
 
@@ -161,12 +169,22 @@ class BasePolicy:
 
     def select_batch(self) -> np.ndarray:
         """Flat pair ids for the next transmission, one per replication."""
+        return select_all([self])[0]
+
+    def _begin_select(self):
+        """Flat ``(p, t, f, upper)`` of the bounds the next pick needs, or None."""
         if self._pending is not None:
             raise RuntimeError("select called twice without an update in between")
         if self._step < self._n_pairs:
+            return None
+        return self._request()
+
+    def _end_select(self, q: np.ndarray | None) -> np.ndarray:
+        """The pick, from the solved bounds ``q`` of :meth:`_begin_select`."""
+        if self._step < self._n_pairs:
             flats = np.full(self._batch, self._step, dtype=np.int64)
         else:
-            flats = self._select_impl()
+            flats = self._finish(q)
         self._pending = flats
         return flats
 
@@ -181,6 +199,10 @@ class BasePolicy:
             raise ValueError("updated pair differs from the selected pair")
         if np.any((outcomes != 0) & (outcomes != 1)):
             raise ValueError("outcomes must be 0 or 1")
+        self._record(flats, outcomes)
+
+    def _record(self, flats: np.ndarray, outcomes: np.ndarray) -> None:
+        """Record the pending pick's 0/1 outcomes, trusted as given."""
         if self._window is not None:
             self._evict()
             pos = self._ring_pos
@@ -214,7 +236,10 @@ class BasePolicy:
     def _after_update(self) -> None:
         pass
 
-    def _select_impl(self) -> np.ndarray:
+    def _request(self):
+        raise NotImplementedError
+
+    def _finish(self, q: np.ndarray | None) -> np.ndarray:
         raise NotImplementedError
 
     # -- shared internals -------------------------------------------------
@@ -257,9 +282,11 @@ class KlUcbPolicy(BasePolicy):
 
     kind = "kl-ucb"
 
-    def _select_impl(self) -> np.ndarray:
-        f = self._scalar_budget()
-        q = ucb_probability(self._success_rates(), self._pulls, f)
+    def _request(self):
+        return self._success_rates().ravel(), self._pulls.ravel(), self._scalar_budget(), True
+
+    def _finish(self, q: np.ndarray) -> np.ndarray:
+        q = q.reshape(self._batch, self._n_pairs)
         np.multiply(q, self._r_flat, out=q)
         return np.argmax(q, axis=1)
 
@@ -278,6 +305,13 @@ class CrsTPolicy(BasePolicy):
 
     kind = "crs-t"
 
+    # Bounds one step solves, in this order: lcb on each channel's leader,
+    # ucb on its lower and upper rate neighbours, ucb on the leader.
+    _OFFSETS = np.array([0, -1, 1, 0])[:, None, None]
+
+    def _reset_extra(self) -> None:
+        self._upper = np.repeat([False, True, True, True], self._batch * self._channels)
+
     def _leaders(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         S, C, K = self._batch, self._channels, self._n_rates
         p = self._success_rates().reshape(S, C, K)
@@ -286,30 +320,29 @@ class CrsTPolicy(BasePolicy):
         lead = np.argmax(mu_hat, axis=2)  # first max = smallest rate index
         return p, t, lead
 
-    def _undecided(
-        self, p: np.ndarray, t: np.ndarray, lead: np.ndarray, f: float
-    ) -> np.ndarray:
+    def _request(self):
         S, C, K = self._batch, self._channels, self._n_rates
-        lanes = self._lanes[:, None]
-        chans = np.arange(C)[None, :]
-        p_lead = p[lanes, chans, lead]
-        t_lead = t[lanes, chans, lead]
-        lcb = lcb_probability(p_lead, t_lead, f) * self._r_row[lead]
-        sup = np.full((S, C), -np.inf)
-        for delta in (-1, 1):
-            kn = lead + delta
-            valid = (kn >= 0) & (kn < K)
-            kc = np.clip(kn, 0, K - 1)
-            q = ucb_probability(p[lanes, chans, kc], t[lanes, chans, kc], f)
-            q *= self._r_row[kc]
-            sup = np.maximum(sup, np.where(valid, q, -np.inf))
-        return lcb < sup  # leader not yet separated from its rate neighbors
-
-    def _select_impl(self) -> np.ndarray:
-        S, C, K = self._batch, self._channels, self._n_rates
-        f = self._scalar_budget()
         p, t, lead = self._leaders()
-        undecided = self._undecided(p, t, lead, f)
+        ks = lead + self._OFFSETS  # (4, S, C); out-of-range neighbours masked later
+        kc = np.clip(ks, 0, K - 1)
+        at = (self._lanes[:, None], np.arange(C), kc)
+        self._ctx = t, lead, ks, kc
+        return p[at].ravel(), t[at].ravel(), self._scalar_budget(), self._upper
+
+    def _bounds(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rate-scaled ucb of every leader, and which channels are undecided."""
+        S, C, K = self._batch, self._channels, self._n_rates
+        _, _, ks, kc = self._ctx
+        q = q.reshape(4, S, C)
+        q *= self._r_row[kc]
+        lcb, below, above, ucb = q
+        sup = np.maximum(np.where(ks[1] >= 0, below, -np.inf), np.where(ks[2] < K, above, -np.inf))
+        return ucb, lcb < sup  # leader not yet separated from its rate neighbors
+
+    def _finish(self, q: np.ndarray) -> np.ndarray:
+        K = self._n_rates
+        b, undecided = self._bounds(q)
+        t, lead = self._ctx[:2]
         explore = undecided.any(axis=1)
 
         # Exploration: lowest undecided channel, least-pulled rate among the
@@ -325,10 +358,6 @@ class CrsTPolicy(BasePolicy):
         flat_ex = ch_ex * K + k_ex
 
         # Exploitation: leader with the highest upper index across channels.
-        lanes = self._lanes[:, None]
-        chans = np.arange(C)[None, :]
-        b = ucb_probability(p[lanes, chans, lead], t[lanes, chans, lead], f)
-        b *= self._r_row[lead]
         ch_xp = np.argmax(b, axis=1)
         flat_xp = ch_xp * K + lead[self._lanes, ch_xp]
 
@@ -336,9 +365,9 @@ class CrsTPolicy(BasePolicy):
 
     def state(self, lane: int = 0) -> CrsTState:
         base = super().state(lane)
-        p, t, lead = self._leaders()
+        lead = self._leaders()[2]
         if self._step >= 1:
-            undecided_mask = self._undecided(p, t, lead, self._scalar_budget())[lane]
+            undecided_mask = self._bounds(_solve_probability(*self._request()))[1][lane]
         else:
             undecided_mask = np.ones(self._channels, dtype=bool)
         return CrsTState(
@@ -434,25 +463,31 @@ class KlUcbUPolicy(BasePolicy):
             self._lead_ring[:, pos] = self._leader
         self._lead_counts[self._lanes, self._leader] += 1
 
-    def _select_impl(self) -> np.ndarray:
+    def _request(self):
         lead = self._leader
         if self.gamma == 0:  # single-vertex graph: the leader is the only pair
-            return lead.copy()
+            return None
         v_lead = self._lead_counts[self._lanes, lead]
-        forced = (v_lead - 1) % self.gamma == 0
-
         if self._budget_override is not None:
             f = np.array([self._budget_override(int(v)) for v in v_lead])
         else:
             f = _allowance_vec(v_lead.astype(float))
         cands = self._cand_table[lead]
-        mask = cands >= 0
         safe = np.maximum(cands, 0)
+        self._ctx = v_lead, cands, safe
         p = np.take_along_axis(self._success_rates(), safe, axis=1)
         t = np.take_along_axis(self._pulls, safe, axis=1)
-        q = ucb_probability(p, t, f[:, None])
+        return p.ravel(), t.ravel(), np.repeat(f, cands.shape[1]), True
+
+    def _finish(self, q: np.ndarray | None) -> np.ndarray:
+        lead = self._leader
+        if q is None:
+            return lead.copy()
+        v_lead, cands, safe = self._ctx
+        forced = (v_lead - 1) % self.gamma == 0
+        q = q.reshape(cands.shape)
         np.multiply(q, self._r_flat[safe], out=q)
-        q[~mask] = -np.inf
+        q[cands < 0] = -np.inf
         best_col = np.argmax(q, axis=1)  # candidate rows sorted: first max wins
         pick = cands[self._lanes, best_col]
         return np.where(forced, lead, pick)
@@ -471,11 +506,62 @@ class KlUcbUPolicy(BasePolicy):
         )
 
 
-_POLICY_KINDS: dict[str, type[BasePolicy]] = {
+def select_all(policies: list[BasePolicy]) -> list[np.ndarray]:
+    """Every policy's next pick, with one solver call for all their bounds.
+
+    The requests are laid end to end, solved together, and each policy gets
+    its slice of the result back; a lone request goes to the solver as it is.
+    Each element's bound is the one a call on it alone gives, so the picks
+    are those of each policy's own ``select_batch``.
+    """
+    requests = [policy._begin_select() for policy in policies]
+    live = [r for r in requests if r is not None]
+    if len(live) == 1:
+        q = _solve_probability(*live[0])
+        bounds = [None if r is None else q for r in requests]
+    elif live:
+        ends = list(itertools.accumulate(r[0].size for r in live))
+        p, t, f = np.empty((3, ends[-1]))
+        upper = np.empty(ends[-1], dtype=bool)
+        a = 0
+        for r, b in zip(live, ends):
+            p[a:b], t[a:b], f[a:b], upper[a:b] = r
+            a = b
+        q = _solve_probability(p, t, f, upper)
+        parts = iter([q[a:b] for a, b in zip([0] + ends, ends)])
+        bounds = [None if r is None else next(parts) for r in requests]
+    else:
+        bounds = requests
+    return [policy._end_select(q) for policy, q in zip(policies, bounds)]
+
+
+# Every policy kind a run accepts: the class that learns it, or None for a
+# baseline whose decisions the harness computes in closed form.
+POLICY_KINDS: dict[str, type[BasePolicy] | None] = {
     "kl-ucb": KlUcbPolicy,
     "crs-t": CrsTPolicy,
     "kl-ucb-u": KlUcbUPolicy,
+    "oracle": None,
+    "static": None,
 }
+
+
+def check_policy_kind(kind: str, *, window: int | None = None, strict: bool = False) -> str:
+    """The normalized name of ``kind`` after checking its variant knobs.
+
+    Baselines take no window, and ``strict`` applies only to "kl-ucb-u".
+    """
+    key = kind.strip().lower()
+    if key not in POLICY_KINDS:
+        raise ValueError(f"unknown policy kind {kind!r}; expected one of {sorted(POLICY_KINDS)}")
+    if window is not None:
+        if POLICY_KINDS[key] is None:
+            raise ValueError(f"{key} takes no window")
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+    if strict and POLICY_KINDS[key] is not KlUcbUPolicy:
+        raise ValueError(f"strict applies only to kl-ucb-u, not {kind!r}")
+    return key
 
 
 def build_policy(
@@ -488,37 +574,14 @@ def build_policy(
     strict: bool = False,
     budget: Callable[[int], float] | None = None,
 ) -> BasePolicy:
-    """Construct a policy by kind name ("kl-ucb", "crs-t", "kl-ucb-u").
+    """Construct a learning policy by kind name ("kl-ucb", "crs-t", "kl-ucb-u").
 
     ``strict`` only applies to "kl-ucb-u" and removes the leader from the
     non-forced candidate set.
     """
-    key = kind.strip().lower()
-    if key not in _POLICY_KINDS:
-        raise ValueError(f"unknown policy kind {kind!r}; expected one of {sorted(_POLICY_KINDS)}")
-    if key == "kl-ucb-u":
-        return KlUcbUPolicy(
-            rates, channels, window=window, batch=batch, budget=budget,
-            include_leader=not strict,
-        )
-    if strict:
-        raise ValueError(f"strict mode is only meaningful for kl-ucb-u, not {kind!r}")
-    return _POLICY_KINDS[key](rates, channels, window=window, batch=batch, budget=budget)
-
-
-def make_windowed(kind: str, window: int) -> Callable[..., BasePolicy]:
-    """Factory for sliding-window policy variants.
-
-    Returns a builder with the same signature as :func:`build_policy` minus
-    the kind and window, e.g.::
-
-        build = make_windowed("kl-ucb-u", window=2000)
-        policy = build(rates, channels, batch=50)
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-
-    def build(rates, channels, **kwargs):
-        return build_policy(kind, rates, channels, window=window, **kwargs)
-
-    return build
+    key = check_policy_kind(kind, window=window, strict=strict)
+    cls = POLICY_KINDS[key]
+    if cls is None:
+        raise ValueError(f"{key} is a baseline, not a learning policy")
+    extra = {"include_leader": False} if strict else {}
+    return cls(rates, channels, window=window, batch=batch, budget=budget, **extra)

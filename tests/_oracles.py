@@ -218,6 +218,45 @@ def baseline_run_reference(kind: str, theta: np.ndarray, outcomes: np.ndarray,
     return ref
 
 
+def crst_pick_reference(pulls, successes, rates, budget, ucb, lcb) -> int:
+    """Flat pair CRS-T plays next for one lane, after its round-robin pass.
+
+    ``pulls``/``successes`` are ``(C, K)`` counts, ``ucb``/``lcb`` scalar
+    confidence bounds on a success probability, called as
+    ``bound(p_hat, pulls, budget)``.  A channel's leader is its rate of
+    highest empirical throughput (the lowest on ties); the channel is
+    undecided while the leader's lower index is below the upper index of a
+    rate next to it.  The lowest undecided channel is probed at the least
+    pulled rate of the leader and its neighbours (the lowest on ties);
+    with every channel decided, the leader of highest upper index plays
+    (the lowest channel on ties).
+    """
+    channels, n_rates = len(pulls), len(rates)
+
+    def rate_hat(c, k):
+        return successes[c][k] / pulls[c][k] if pulls[c][k] > 0 else 0.0
+
+    def index(bound, c, k):
+        return bound(rate_hat(c, k), pulls[c][k], budget) * rates[k]
+
+    leaders, undecided = [], []
+    for c in range(channels):
+        mu = [rate_hat(c, k) * rates[k] for k in range(n_rates)]
+        lead = mu.index(max(mu))
+        leaders.append(lead)
+        near = [index(ucb, c, k) for k in (lead - 1, lead + 1) if 0 <= k < n_rates]
+        if near and index(lcb, c, lead) < max(near):
+            undecided.append(c)
+    if undecided:
+        c = undecided[0]
+        near = [k for k in (leaders[c] - 1, leaders[c], leaders[c] + 1) if 0 <= k < n_rates]
+        k = min(near, key=lambda k: (pulls[c][k], k))
+        return c * n_rates + k
+    upper = [index(ucb, c, leaders[c]) for c in range(channels)]
+    c = upper.index(max(upper))
+    return c * n_rates + leaders[c]
+
+
 # The outcome tape's reproducibility contract: the domain tag of outcome
 # streams and the steps per uniform chunk.  Restated here, not imported.
 TAPE_TAG = 0x9E3779B9

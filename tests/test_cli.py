@@ -101,6 +101,21 @@ class TestErrors:
         assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 2
         assert "error: config must be a JSON object" in capsys.readouterr().err
 
+    def test_horizon_beyond_memory_is_rejected_up_front(self, tmp_path, capsys):
+        cfg = {
+            "rates": [1.0, 2.0],
+            "theta": [[0.9, 0.6], [0.5, 0.3]],
+            "policies": [{"kind": "kl-ucb"}, {"kind": "oracle"}],
+            "horizon": 1e12,
+            "seeds": 2,
+            "out_dir": str(tmp_path / "results"),
+        }
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "physical memory" in err
+        assert not (tmp_path / "results").exists()
+
 
 class TestCheck:
     def test_structural_report(self, model_files, capsys):

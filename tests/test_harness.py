@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from chanrate import (
     TraceTable,
     accounting_check,
     default_checkpoints,
+    demo_model,
     emit_outputs,
     run_experiment,
     save_theta_csv,
@@ -306,6 +308,57 @@ class TestBaselinesAgainstReference:
                 # The scenario is the one named: the ledger stops where stated.
                 assert np.all(pol.packet_counts.sum(axis=1) == packets)
                 assert packets < result.slots
+
+
+def _lock_step_configs():
+    model = demo_model()
+    yield "demo-table", dict(
+        rates=model.rates, theta=np.array(model.theta), horizon=600, seeds=(1, 2, 3, 4),
+        policies=(PolicySpec("kl-ucb"), PolicySpec("kl-ucb-u")),
+    )
+    rates = RateSet.of([1.0, 2.0, 3.5, 5.0])
+    drift = SyntheticDriftSpec(rates=rates, channels=3, horizon=700, step_std=0.03, seed=5)
+    yield "synth-drift", dict(
+        rates=rates, drift=drift, horizon=700, seeds=(2, 9, 2**32 + 1),
+        policies=(
+            PolicySpec("kl-ucb-u", window=200), PolicySpec("crs-t"),
+            PolicySpec("kl-ucb-u", strict=True),
+        ),
+    )
+    yield "both-with-baselines", dict(
+        rates=RateSet.of([0.5, 1.0, 1.3]), theta=np.array([[0.9, 0.6, 0.4], [0.95, 0.7, 0.55]]),
+        horizon=500, seeds=(1, 2, 3), accounting="both", checkpoints=(300,),
+        policies=(
+            PolicySpec("oracle"), PolicySpec("kl-ucb"), PolicySpec("crs-t"),
+            PolicySpec("static"), PolicySpec("kl-ucb-u"),
+        ),
+    )
+
+
+class TestLockStep:
+    """Policies stepped together, sharing each step's solver call, give
+    exactly the results each gives when it runs alone."""
+
+    @pytest.mark.parametrize(
+        "kw", [pytest.param(kw, id=name) for name, kw in _lock_step_configs()]
+    )
+    def test_each_policy_matches_its_solo_run(self, kw):
+        config = ExperimentConfig(**kw)
+        together = run_experiment(config)
+        for spec in config.policies:
+            solo = run_experiment(dataclasses.replace(config, policies=(spec,)))
+            assert solo.slots == together.slots
+            got, ref = together.policy(spec.label), solo.policy(spec.label)
+            assert (got.spec, got.label, got.checkpoints) == (ref.spec, ref.label, ref.checkpoints)
+            for name in _RESULT_FIELDS:
+                if getattr(ref, name) is None:
+                    assert getattr(got, name) is None, (spec.label, name)
+                else:
+                    assert np.array_equal(getattr(got, name), getattr(ref, name)), (spec.label, name)
+            np.testing.assert_array_equal(solo.best_flats, together.best_flats)
+            assert (solo.oracle_reward, solo.static_flat, solo.static_reward) == (
+                together.oracle_reward, together.static_flat, together.static_reward,
+            )
 
 
 class TestTimeAccounting:

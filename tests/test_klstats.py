@@ -224,6 +224,32 @@ class TestSolverIndependence:
         with_big = bound(np.append(p, 0.5), np.append(t, 1e6), np.append(f, 25.0))
         np.testing.assert_array_equal(with_big[:-1], batch)
 
+    def test_mixed_directions_match_each_bound_alone(self):
+        p, t, f = self._cases()
+        upper = np.random.default_rng(11).random(p.size) < 0.5
+        alone = np.array(
+            [
+                (ucb_probability if u else lcb_probability)(pi, ti, fi)
+                for pi, ti, fi, u in zip(p, t, f, upper)
+            ]
+        )
+        mixed = klstats._solve_probability(p, t, f, upper)
+        np.testing.assert_array_equal(mixed, alone)
+        perm = np.random.default_rng(5).permutation(p.size)
+        np.testing.assert_array_equal(
+            klstats._solve_probability(p[perm], t[perm], f[perm], upper[perm]), alone[perm]
+        )
+        for u in (True, False):
+            with_big = klstats._solve_probability(
+                np.append(p, 0.5), np.append(t, 1e6), np.append(f, 25.0), np.append(upper, u)
+            )
+            np.testing.assert_array_equal(with_big[:-1], alone)
+        # A direction given per element or once for the batch gives the same bits.
+        for u, bound in ((True, ucb_probability), (False, lcb_probability)):
+            np.testing.assert_array_equal(
+                klstats._solve_probability(p, t, f, np.full(p.size, u)), bound(p, t, f)
+            )
+
 
 class TestSolverAgainstHighPrecision:
     """Roots checked against a 30-digit bisection that shares no code with the solver."""

@@ -18,9 +18,11 @@ from chanrate import (
     build_graph,
     build_policy,
     flat_to_pair,
-    make_windowed,
+    lcb_probability,
     ucb_probability,
 )
+
+from _oracles import crst_pick_reference
 
 RATES2 = RateSet.of([1.0, 2.0])
 
@@ -190,15 +192,6 @@ class TestWindowing:
             b = run_scalar(wide, 300, lambda n, p: (n + p[1]) % 2)
             assert a == b
 
-    def test_make_windowed_factory(self):
-        build = make_windowed("kl-ucb-u", window=2000)
-        policy = build(RATES2, 2, batch=3)
-        assert isinstance(policy, KlUcbUPolicy)
-        assert policy.window == 2000
-        assert policy.batch == 3
-        with pytest.raises(ValueError, match="window"):
-            make_windowed("kl-ucb", 0)
-
     def test_window_validation(self):
         with pytest.raises(ValueError, match="window"):
             build_policy("kl-ucb", RATES2, 1, window=-1)
@@ -250,6 +243,35 @@ class TestCrsT:
                 else:
                     assert pair.rate_index == leaders[pair.channel - 1]
             policy.update(pair, int(rng.random() < 0.5))
+
+    def test_picks_match_the_plain_rule(self):
+        """Every pick equals a lane-by-lane restatement of the rule that
+        takes each index from its own scalar bound call."""
+        rng = np.random.default_rng(53)
+        rates = np.array([1.0, 1.8, 2.5, 3.1])
+        theta = np.array([[0.95, 0.6, 0.4, 0.2], [0.9, 0.85, 0.5, 0.1], [0.7, 0.5, 0.45, 0.4]])
+        lanes, (channels, n_rates) = 3, theta.shape
+        # A small pinned budget lets channels settle within the run, so the
+        # exploit branch is exercised too.
+        for window, budget in ((None, None), (40, None), (None, 0.3), (60, 0.3)):
+            policy = build_policy(
+                "crs-t", rates, channels=channels, batch=lanes, window=window,
+                budget=None if budget is None else (lambda n: budget),
+            )
+            for n in range(300):
+                want = None
+                if n >= channels * n_rates:
+                    f = allowance(window or n) if budget is None else budget
+                    want = [
+                        crst_pick_reference(
+                            st.pulls, st.successes, rates, f, ucb_probability, lcb_probability
+                        )
+                        for st in map(policy.state, range(lanes))
+                    ]
+                flats = policy.select_batch()
+                assert want is None or flats.tolist() == want, (window, n)
+                hits = rng.random(lanes) < theta.ravel()[flats]
+                policy.update_batch(flats, hits.astype(np.int64))
 
     def test_converges_to_clear_best_pair(self):
         # Deterministic link: rate 1 always works, rate 2 never does.
