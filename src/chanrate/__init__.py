@@ -23,6 +23,7 @@ from .bounds import (
     crst_constants,
 )
 from .environments import (
+    DriftEnvironment,
     Environment,
     OutcomeTape,
     StationaryEnvironment,
@@ -31,9 +32,6 @@ from .environments import (
     TraceTable,
     accelerate,
     drift_to_trace,
-    stationary_env,
-    synth_drift_env,
-    trace_env,
 )
 from .graph import (
     GraphicalUnimodalityReport,
@@ -57,15 +55,10 @@ from .harness import (
     run_experiment,
 )
 from .klstats import (
-    ArmStats,
-    WindowStats,
     allowance,
     kl_bernoulli,
-    lcb_index,
     lcb_probability,
-    ucb_index,
     ucb_probability,
-    window_ucb_index,
 )
 from .model import (
     DecisionPair,
@@ -93,7 +86,6 @@ from .policies import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmStats",
     "AccountingReport",
     "BasePolicy",
     "BoundOutcome",
@@ -103,6 +95,7 @@ __all__ = [
     "CrsTPolicy",
     "DecisionPair",
     "DegenerateOptimumError",
+    "DriftEnvironment",
     "Environment",
     "ExperimentConfig",
     "ExperimentResult",
@@ -122,7 +115,6 @@ __all__ = [
     "TraceEnvironment",
     "TraceTable",
     "UnimodalityReport",
-    "WindowStats",
     "accelerate",
     "accounting_check",
     "allowance",
@@ -143,19 +135,13 @@ __all__ = [
     "emit_outputs",
     "flat_to_pair",
     "kl_bernoulli",
-    "lcb_index",
     "lcb_probability",
     "load_rates_json",
     "load_theta_csv",
     "pair_to_flat",
     "run_experiment",
     "save_theta_csv",
-    "stationary_env",
-    "synth_drift_env",
     "throughput_matrix",
-    "trace_env",
-    "ucb_index",
     "ucb_probability",
-    "window_ucb_index",
     "__version__",
 ]

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import NeighborhoodGraph, build_graph, check_graphically_unimodal
+from .graph import build_graph, check_graphically_unimodal
 from .klstats import kl_bernoulli
 from .model import DecisionPair, LinkModel, compute_optima
 
@@ -208,13 +208,12 @@ def c_U_prime(model: LinkModel) -> BoundOutcome:
     )
 
 
-def c_GU(model: LinkModel, graph: NeighborhoodGraph | None = None) -> BoundOutcome:
+def c_GU(model: LinkModel) -> BoundOutcome:
     """Graph-structured constant over the best pair's viable out-neighbors."""
     opt = compute_optima(model)
     if not opt.unique_global:
         return _undefined("c_GU", "best pair not unique")
-    if graph is None:
-        graph = build_graph(model.channels, model.n_rates)
+    graph = build_graph(model.channels, model.n_rates)
     report = check_graphically_unimodal(model, graph)
     if not report.unimodal:
         w = report.witness
@@ -381,10 +380,10 @@ class BoundReport:
         return out
 
 
-def compute_bound_report(model: LinkModel, graph: NeighborhoodGraph | None = None) -> BoundReport:
+def compute_bound_report(model: LinkModel) -> BoundReport:
     return BoundReport(
         structure_blind=c_I(model),
         channel_unimodal=c_U_prime(model),
-        graph_structured=c_GU(model, graph),
+        graph_structured=c_GU(model),
         crst=crst_constants(model),
     )

@@ -1,8 +1,9 @@
 """Reward environments: stationary, trace-driven, and synthetic drift.
 
-The contract every environment honors is *common random numbers*: the
-Bernoulli outcome of playing pair ``(c, k)`` at step ``n`` under seed ``s``
-is a pure function of ``(s, n, c, k)``.  Two policies evaluated on the same
+Environments are seedless probability schedules.  The outcomes drawn over
+one honor *common random numbers*: the Bernoulli outcome of playing pair
+``(c, k)`` at step ``n`` under seed ``s`` is a pure function of
+``(s, n, c, k)``.  Two policies evaluated on the same
 seed therefore see identical outcomes wherever their decisions coincide,
 and a scalar replay of a batched run reproduces it bit for bit.
 
@@ -19,10 +20,9 @@ same whichever blocks came before it.
 
 from __future__ import annotations
 
-import copy
 import csv
+import dataclasses
 import json
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,9 +31,10 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import expit
 
-from .model import DecisionPair, LinkModel, RateSet, compute_optima
+from .model import LinkModel, RateSet, _json_int, _json_real
 
 __all__ = [
+    "DriftEnvironment",
     "Environment",
     "OutcomeTape",
     "StationaryEnvironment",
@@ -42,9 +43,6 @@ __all__ = [
     "TraceTable",
     "accelerate",
     "drift_to_trace",
-    "stationary_env",
-    "synth_drift_env",
-    "trace_env",
 ]
 
 # Steps per uniform block.  Fixed forever: changing it changes every
@@ -156,15 +154,14 @@ class _PresetState(ISeedSequence):
 
 
 class Environment:
-    """Base class: a success-probability schedule plus the seed of its
-    outcome stream (``OutcomeTape`` draws the outcomes).
+    """Base class: a success-probability schedule.  It holds no seed;
+    ``OutcomeTape`` draws the outcomes, one stream per seed it is given.
 
     Subclasses implement ``theta_at`` (effective success probabilities in
-    force at a step) and may override ``theta_block`` with something faster
-    than the stacking default.
+    force at a step) and ``theta_block`` (the same for a run of steps).
     """
 
-    def __init__(self, rates: RateSet, channels: int, horizon: int | None, seed: int):
+    def __init__(self, rates: RateSet, channels: int, horizon: int | None):
         if channels < 1:
             raise ValueError("channels must be >= 1")
         if horizon is not None and horizon < 1:
@@ -172,7 +169,6 @@ class Environment:
         self._rates = rates
         self._channels = int(channels)
         self._horizon = None if horizon is None else int(horizon)
-        self._seed = _check_seed(seed)
 
     @property
     def rates(self) -> RateSet:
@@ -191,10 +187,6 @@ class Environment:
         """Number of valid steps, or None when the schedule never ends."""
         return self._horizon
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def _check_step(self, step: int) -> int:
         step = int(step)
         if step < 0:
@@ -209,45 +201,17 @@ class Environment:
 
     def theta_block(self, start: int, stop: int) -> np.ndarray:
         """Probabilities for steps [start, stop), shape (stop-start, C, K)."""
-        self._check_step(start)
-        if stop > start:
-            self._check_step(stop - 1)
-        return np.stack([self.theta_at(n) for n in range(start, stop)])
-
-    def mu_at(self, step: int) -> np.ndarray:
-        return self.theta_at(step) * self._rates.as_array()[None, :]
-
-    def best_pair_at(self, step: int) -> DecisionPair:
-        mu = self.mu_at(step)
-        flat = int(np.argmax(mu))
-        return DecisionPair(flat // self.n_rates + 1, flat % self.n_rates + 1)
-
-    def mu_star_at(self, step: int) -> float:
-        return float(self.mu_at(step).max())
-
-    def with_seed(self, seed: int) -> "Environment":
-        """Same probability schedule, different outcome stream."""
-        clone = copy.copy(self)
-        clone._seed = _check_seed(seed)
-        return clone
+        raise NotImplementedError
 
 
 class StationaryEnvironment(Environment):
     """Fixed success probabilities given by a link model."""
 
-    def __init__(self, model: LinkModel, seed: int = 0):
-        super().__init__(model.rates, model.channels, None, seed)
-        self._model = model
+    def __init__(self, model: LinkModel):
+        super().__init__(model.rates, model.channels, None)
         th = model.effective_theta().copy()
         th.setflags(write=False)
         self._theta = th
-        opt = compute_optima(model)
-        self._best = opt.best
-        self._mu_star = opt.mu_star
-
-    @property
-    def model(self) -> LinkModel:
-        return self._model
 
     def theta_at(self, step: int) -> np.ndarray:
         self._check_step(step)
@@ -256,16 +220,6 @@ class StationaryEnvironment(Environment):
     def theta_block(self, start: int, stop: int) -> np.ndarray:
         self._check_step(start)
         return np.broadcast_to(self._theta, (stop - start, *self._theta.shape))
-
-    def best_pair_at(self, step: int) -> DecisionPair:
-        return self._best
-
-    def mu_star_at(self, step: int) -> float:
-        return self._mu_star
-
-
-def stationary_env(model: LinkModel, seed: int = 0) -> StationaryEnvironment:
-    return StationaryEnvironment(model, seed)
 
 
 @dataclass(frozen=True)
@@ -383,20 +337,15 @@ class TraceTable:
 class TraceEnvironment(Environment):
     """Replays a trace table; steps at or past the horizon are rejected."""
 
-    def __init__(self, trace: TraceTable, rates: RateSet, seed: int = 0):
+    def __init__(self, trace: TraceTable, rates: RateSet):
         if len(rates) != trace.n_rates:
             raise ValueError(
                 f"rate count {len(rates)} does not match trace width {trace.n_rates}"
             )
-        super().__init__(rates, trace.channels, trace.horizon, seed)
+        super().__init__(rates, trace.channels, trace.horizon)
         self._trace = trace
         self._starts = np.asarray(trace.starts, dtype=np.int64)
         self._tables = np.stack(trace.tables)
-        self._mu_cache: dict[int, tuple[DecisionPair, float]] = {}
-
-    @property
-    def trace(self) -> TraceTable:
-        return self._trace
 
     def theta_at(self, step: int) -> np.ndarray:
         return self._trace.theta_at(self._check_step(step))
@@ -407,28 +356,6 @@ class TraceEnvironment(Environment):
             self._check_step(stop - 1)
         segments = np.searchsorted(self._starts, np.arange(start, stop), side="right") - 1
         return self._tables[segments]
-
-    def _segment_optimum(self, seg: int) -> tuple[DecisionPair, float]:
-        hit = self._mu_cache.get(seg)
-        if hit is None:
-            mu = self._trace.tables[seg] * self._rates.as_array()[None, :]
-            flat = int(np.argmax(mu))
-            hit = (
-                DecisionPair(flat // self.n_rates + 1, flat % self.n_rates + 1),
-                float(mu.reshape(-1)[flat]),
-            )
-            self._mu_cache[seg] = hit
-        return hit
-
-    def best_pair_at(self, step: int) -> DecisionPair:
-        return self._segment_optimum(self._trace.segment_index(self._check_step(step)))[0]
-
-    def mu_star_at(self, step: int) -> float:
-        return self._segment_optimum(self._trace.segment_index(self._check_step(step)))[1]
-
-
-def trace_env(trace: TraceTable, rates: RateSet, seed: int = 0) -> TraceEnvironment:
-    return TraceEnvironment(trace, rates, seed)
 
 
 def accelerate(trace: TraceTable, factor: int) -> TraceTable:
@@ -488,9 +415,9 @@ class SyntheticDriftSpec:
             raise ValueError("channels must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.step_std < 0.0:
+        if not self.step_std >= 0.0:  # NaN fails too
             raise ValueError("step_std must be >= 0")
-        if self.softness <= 0.0:
+        if not self.softness > 0.0:
             raise ValueError("softness must be > 0")
         if not self.latent_hi > self.latent_lo:
             raise ValueError("latent_hi must exceed latent_lo")
@@ -523,24 +450,25 @@ class SyntheticDriftSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SyntheticDriftSpec":
-        known = {
-            "rates",
-            "channels",
-            "horizon",
-            "step_std",
-            "softness",
-            "latent_lo",
-            "latent_hi",
-            "thresholds",
-            "seed",
-        }
-        extra = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError(f"drift spec must be an object, got {data!r}")
+        extra = set(data) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise ValueError(f"unknown drift spec keys: {sorted(extra)}")
-        kwargs = dict(data)
-        kwargs["rates"] = RateSet.of(kwargs["rates"])
-        if kwargs.get("thresholds") is not None:
-            kwargs["thresholds"] = tuple(kwargs["thresholds"])
+        missing = [k for k in ("rates", "channels", "horizon", "step_std") if k not in data]
+        if missing:
+            raise ValueError(f"drift spec missing keys: {missing}")
+        kwargs = {
+            k: (_json_int if k in ("channels", "horizon", "seed") else _json_real)(v, k)
+            for k, v in data.items()
+            if k not in ("rates", "thresholds")
+        }
+        kwargs["rates"] = RateSet.of(data["rates"])
+        thresholds = data.get("thresholds")
+        if thresholds is not None:
+            if not isinstance(thresholds, (list, tuple)):
+                raise ValueError(f"thresholds must be a list, got {thresholds!r}")
+            kwargs["thresholds"] = tuple(_json_real(v, "each threshold") for v in thresholds)
         return cls(**kwargs)
 
     @classmethod
@@ -558,11 +486,9 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 class DriftEnvironment(Environment):
     """Synthetic drift: latent walks precomputed at construction."""
 
-    def __init__(self, spec: SyntheticDriftSpec, seed: int | None = None):
-        super().__init__(
-            spec.rates, spec.channels, spec.horizon, spec.seed if seed is None else seed
-        )
-        self._spec = spec
+    def __init__(self, spec: SyntheticDriftSpec):
+        super().__init__(spec.rates, spec.channels, spec.horizon)
+        self._softness = spec.softness
         span = spec.latent_hi - spec.latent_lo
         start = spec.latent_lo + span * (np.arange(spec.channels) + 0.5) / spec.channels
         if spec.step_std > 0.0:
@@ -575,28 +501,20 @@ class DriftEnvironment(Environment):
             self._latent = np.broadcast_to(start, (spec.horizon, spec.channels))
         self._thresholds = spec.threshold_array()
 
-    @property
-    def spec(self) -> SyntheticDriftSpec:
-        return self._spec
-
     def latent_at(self, step: int) -> np.ndarray:
         return self._latent[self._check_step(step)].copy()
 
     def theta_at(self, step: int) -> np.ndarray:
         step = self._check_step(step)
         z = self._latent[step][:, None] - self._thresholds[None, :]
-        return expit(z / self._spec.softness)
+        return expit(z / self._softness)
 
     def theta_block(self, start: int, stop: int) -> np.ndarray:
         self._check_step(start)
         if stop > start:
             self._check_step(stop - 1)
         z = self._latent[start:stop, :, None] - self._thresholds[None, None, :]
-        return expit(z / self._spec.softness)
-
-
-def synth_drift_env(spec: SyntheticDriftSpec) -> DriftEnvironment:
-    return DriftEnvironment(spec)
+        return expit(z / self._softness)
 
 
 def drift_to_trace(spec: SyntheticDriftSpec, sample_every: int = 1) -> TraceTable:
@@ -650,10 +568,6 @@ class OutcomeTape:
     @property
     def seeds(self) -> tuple[int, ...]:
         return self._seeds
-
-    @property
-    def env(self) -> Environment:
-        return self._env
 
     def block(self, start: int, stop: int) -> np.ndarray:
         if stop <= start:

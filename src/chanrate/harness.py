@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,18 +37,20 @@ import numpy as np
 
 from .bounds import compute_bound_report
 from .environments import (
+    DriftEnvironment,
     Environment,
     OutcomeTape,
+    StationaryEnvironment,
     SyntheticDriftSpec,
+    TraceEnvironment,
     TraceTable,
-    stationary_env,
-    synth_drift_env,
-    trace_env,
 )
 from .model import (
     DecisionPair,
     LinkModel,
     RateSet,
+    _json_array,
+    _json_int,
     compute_optima,
     flat_to_pair,
     load_theta_csv,
@@ -71,17 +72,6 @@ __all__ = [
 ]
 
 _BLOCK = 512
-
-
-def _json_int(value, what: str) -> int:
-    """``value`` as an int if it is an integral number (not a bool)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not float(value).is_integer()
-    ):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _json_ints(values, what: str) -> list[int] | tuple[int, ...]:
@@ -245,12 +235,12 @@ class ExperimentConfig:
             return None
         return LinkModel(self.rates, self.theta, self.occupancy)
 
-    def build_environment(self, seed: int = 0) -> Environment:
+    def build_environment(self) -> Environment:
         if self.theta is not None:
-            return stationary_env(self.model(), seed)
+            return StationaryEnvironment(self.model())
         if self.trace is not None:
-            return trace_env(self.trace, self.rates, seed)
-        return synth_drift_env(self.drift).with_seed(seed)
+            return TraceEnvironment(self.trace, self.rates)
+        return DriftEnvironment(self.drift)
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -306,8 +296,10 @@ class ExperimentConfig:
         horizon = _json_int(data["horizon"], "horizon")
         base = Path(base_dir) if base_dir is not None else Path(".")
 
-        def resolve(p: str) -> Path:
-            path = Path(p)
+        def resolve(key: str) -> Path:
+            if not isinstance(data[key], str):
+                raise ValueError(f"{key} must be a path, got {data[key]!r}")
+            path = Path(data[key])
             return path if path.is_absolute() else base / path
 
         rates = RateSet.of(data["rates"])
@@ -318,16 +310,17 @@ class ExperimentConfig:
             )
         theta = trace = drift = None
         if "theta" in data:
-            theta = np.asarray(data["theta"], dtype=float)
+            theta = _json_array(data["theta"], "theta")
         elif "theta_csv" in data:
-            theta = load_theta_csv(resolve(data["theta_csv"]))
+            theta = load_theta_csv(resolve("theta_csv"))
         elif "trace_csv" in data:
-            trace = TraceTable.from_csv(resolve(data["trace_csv"]), horizon=horizon)
+            trace = TraceTable.from_csv(resolve("trace_csv"), horizon=horizon)
         else:
-            synth = dict(data["synth"])
-            synth.setdefault("rates", list(data["rates"]))
-            synth.setdefault("horizon", horizon)
-            drift = SyntheticDriftSpec.from_json_dict(synth)
+            if not isinstance(data["synth"], dict):
+                raise ValueError(f"synth must be an object, got {data['synth']!r}")
+            drift = SyntheticDriftSpec.from_json_dict(
+                {"rates": data["rates"], "horizon": horizon, **data["synth"]}
+            )
         if not isinstance(data["policies"], (list, tuple)):
             raise ValueError(f"policies must be a list, got {data['policies']!r}")
         seeds = data["seeds"]
@@ -336,18 +329,21 @@ class ExperimentConfig:
         else:
             seeds = list(range(1, _json_int(seeds, "seeds") + 1))
         occupancy = data.get("occupancy")
+        out_dir = data.get("out_dir", "results")
+        if not isinstance(out_dir, str):
+            raise ValueError(f"out_dir must be a path, got {out_dir!r}")
         return cls(
             rates=rates,
             policies=tuple(PolicySpec.from_json_dict(p) for p in data["policies"]),
             horizon=horizon,
             seeds=tuple(seeds),
             theta=theta,
-            occupancy=None if occupancy is None else np.asarray(occupancy, dtype=float),
+            occupancy=None if occupancy is None else _json_array(occupancy, "occupancy"),
             trace=trace,
             drift=drift,
             accounting=data.get("accounting", "alternative"),
             checkpoints=tuple(_json_ints(data.get("checkpoints", []), "checkpoints")),
-            out_dir=data.get("out_dir", "results"),
+            out_dir=out_dir,
         )
 
     @classmethod
@@ -458,10 +454,15 @@ def _checkpoint_grid(config: ExperimentConfig, slots: int, time_horizon: float |
 def _check_memory(config: ExperimentConfig, slots: int) -> None:
     """Reject a run whose horizon-length arrays cannot fit in physical memory.
 
-    Counts the per-step best pair, one int64 decision log per policy and,
-    for a synthetic drift source, its latent path.
+    Counts the per-step best pair, one int64 decision log per policy, each
+    windowed policy's rings (per lane an int64 pair ring and an int8
+    outcome ring, and for kl-ucb-u an int64 leader ring) and, for a
+    synthetic drift source, its latent path.
     """
     need = 8 * slots * (1 + len(config.policies))
+    need += len(config.seeds) * sum(
+        p.window * (17 if p.kind == "kl-ucb-u" else 9) for p in config.policies if p.window
+    )
     if config.drift is not None:
         need += 8 * config.drift.horizon * config.drift.channels
     try:
@@ -470,7 +471,7 @@ def _check_memory(config: ExperimentConfig, slots: int) -> None:
         return
     if need > have:
         raise ValueError(
-            f"{slots} slots need about {need / 2**30:.3g} GiB of per-slot arrays, "
+            f"{slots} slots need about {need / 2**30:.3g} GiB of per-slot and window arrays, "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
@@ -911,7 +912,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
         "static": {
             "pair": [result.static_pair.channel, result.static_pair.rate_index],
             "expected_reward": result.static_reward,
-            "efficiency": result.static_reward / result.oracle_reward,
+            "efficiency": float(np.divide(result.static_reward, result.oracle_reward)),
         },
         "policies": {},
     }

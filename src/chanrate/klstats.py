@@ -33,23 +33,15 @@ zero budget returns ``p`` exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import rel_entr
 
-from .model import DecisionPair
-
 __all__ = [
-    "ArmStats",
-    "WindowStats",
     "allowance",
     "kl_bernoulli",
-    "lcb_index",
     "lcb_probability",
-    "ucb_index",
     "ucb_probability",
-    "window_ucb_index",
 ]
 
 # Certified bound on |t * I(p, q) - f| at the returned point; the solver
@@ -296,136 +288,3 @@ def ucb_probability(p_hat, pulls, budget):
 def lcb_probability(p_hat, pulls, budget):
     """Lower confidence bound on the success probability; unpulled entries give 0."""
     return _solve_probability(p_hat, pulls, budget, upper=False)
-
-
-@dataclass
-class ArmStats:
-    """Full-history pull and success counts for one (channel, rate) pair."""
-
-    pulls: int = 0
-    successes: int = 0
-
-    def __post_init__(self) -> None:
-        if self.pulls < 0 or self.successes < 0 or self.successes > self.pulls:
-            raise ValueError(f"inconsistent counts: {self.successes}/{self.pulls}")
-
-    def record(self, outcome: int) -> None:
-        if outcome not in (0, 1):
-            raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-        self.pulls += 1
-        self.successes += outcome
-
-    def success_rate(self) -> float:
-        """Empirical success probability; 0 by convention before the first pull."""
-        if self.pulls == 0:
-            return 0.0
-        return self.successes / self.pulls
-
-    def empirical_mean(self, rate: float) -> float:
-        """Empirical throughput: rate times the success rate."""
-        return rate * self.success_rate()
-
-
-class WindowStats:
-    """Per-pair statistics over the last ``window`` global decision steps.
-
-    Each push records one global step: the selected pair (or None for a step
-    that selected nothing) and its outcome bit.  Once the buffer is full the
-    oldest step falls out, so per-pair counts always reflect at most
-    ``window`` most recent steps and sum to the window size exactly when
-    every slot holds a real decision.
-    """
-
-    def __init__(self, channels: int, n_rates: int, window: int) -> None:
-        if channels < 1 or n_rates < 1:
-            raise ValueError("need at least one channel and one rate")
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self._n_rates = n_rates
-        self._window = window
-        self._ring_pair = np.full(window, -1, dtype=np.int64)  # flat pair id, -1 empty
-        self._ring_outcome = np.zeros(window, dtype=np.int8)
-        self._pos = 0
-        self._steps = 0
-        self._pulls = np.zeros((channels, n_rates), dtype=np.int64)
-        self._successes = np.zeros((channels, n_rates), dtype=np.int64)
-
-    @property
-    def window(self) -> int:
-        return self._window
-
-    @property
-    def steps(self) -> int:
-        """Total steps pushed since construction (not capped at the window)."""
-        return self._steps
-
-    def push(self, pair: DecisionPair | tuple[int, int] | None, outcome: int) -> None:
-        if outcome not in (0, 1):
-            raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-        old = self._ring_pair[self._pos]
-        if old >= 0:
-            c, k = divmod(int(old), self._n_rates)
-            self._pulls[c, k] -= 1
-            self._successes[c, k] -= self._ring_outcome[self._pos]
-        if pair is None:
-            self._ring_pair[self._pos] = -1
-            self._ring_outcome[self._pos] = 0
-        else:
-            c, k = pair
-            self._pulls[c - 1, k - 1] += 1
-            self._successes[c - 1, k - 1] += outcome
-            self._ring_pair[self._pos] = (c - 1) * self._n_rates + (k - 1)
-            self._ring_outcome[self._pos] = outcome
-        self._pos = (self._pos + 1) % self._window
-        self._steps += 1
-
-    def pulls(self, pair: DecisionPair | tuple[int, int]) -> int:
-        c, k = pair
-        return int(self._pulls[c - 1, k - 1])
-
-    def successes(self, pair: DecisionPair | tuple[int, int]) -> int:
-        c, k = pair
-        return int(self._successes[c - 1, k - 1])
-
-    def success_rate(self, pair: DecisionPair | tuple[int, int]) -> float:
-        t = self.pulls(pair)
-        if t == 0:
-            return 0.0
-        return self.successes(pair) / t
-
-    def empirical_mean(self, pair: DecisionPair | tuple[int, int], rate: float) -> float:
-        return rate * self.success_rate(pair)
-
-    def pulls_matrix(self) -> np.ndarray:
-        return self._pulls.copy()
-
-
-def ucb_index(stats: ArmStats, rate: float, budget: float) -> float:
-    """Largest throughput in [empirical mean, rate] compatible with the budget.
-
-    Solves rate * max{q : pulls * I(p_hat, q) <= budget} where p_hat is the
-    empirical success rate.  An unpulled arm returns the full rate.
-    """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    return rate * ucb_probability(stats.success_rate(), stats.pulls, budget)
-
-
-def lcb_index(stats: ArmStats, rate: float, budget: float) -> float:
-    """Pessimistic counterpart of :func:`ucb_index`; unpulled arms return 0."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    return rate * lcb_probability(stats.success_rate(), stats.pulls, budget)
-
-
-def window_ucb_index(ws: WindowStats, pair: DecisionPair | tuple[int, int], rate: float) -> float:
-    """Windowed optimistic index with constant budget allowance(window).
-
-    The sample count inside the window multiplies the divergence exactly as
-    the full-history index does with its total pull count; only the budget
-    switches from allowance(step) to the constant allowance(window).
-    """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    budget = allowance(ws.window)
-    return rate * ucb_probability(ws.success_rate(pair), ws.pulls(pair), budget)

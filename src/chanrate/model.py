@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +51,33 @@ class DecisionPair(NamedTuple):
     rate_index: int
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` as an int if it is an integral number (not a bool)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not float(value).is_integer()
+    ):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_real(value, what: str):
+    """``value``, unchanged, if it is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _json_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array; anything numpy cannot convert raises
+    ValueError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError:
+        raise ValueError(f"{what} must hold numbers, got {value!r}") from None
+
+
 def pair_to_flat(pair: DecisionPair | tuple[int, int], n_rates: int) -> int:
     """Row-major flat id of a 1-based (channel, rate) pair."""
     c, k = pair
@@ -75,15 +104,17 @@ class RateSet:
         if len(self.values) == 0:
             raise ValueError("rate set must contain at least one rate")
         vals = tuple(float(v) for v in self.values)
-        if any(v <= 0 for v in vals):
-            raise ValueError("rates must be positive")
+        if not all(0 < v < math.inf for v in vals):
+            raise ValueError("rates must be positive and finite")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("rates must be strictly increasing")
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def of(cls, rates: Iterable[float]) -> "RateSet":
-        return cls(tuple(float(r) for r in rates))
+    def of(cls, rates: Sequence[float] | np.ndarray) -> "RateSet":
+        if not isinstance(rates, (list, tuple, np.ndarray)):
+            raise ValueError(f"rates must be a list of numbers, got {rates!r}")
+        return cls(tuple(_json_real(r, "each rate") for r in rates))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
@@ -128,7 +159,7 @@ class LinkModel:
             )
         if th.shape[0] < 1:
             raise ValueError("at least one channel required")
-        if np.any((th < 0.0) | (th > 1.0)):
+        if not np.all((th >= 0.0) & (th <= 1.0)):  # NaN fails too
             raise ValueError("theta entries must lie in [0, 1]")
         th.setflags(write=False)
         object.__setattr__(self, "theta", th)
@@ -136,7 +167,7 @@ class LinkModel:
             occ = np.array(self.occupancy, dtype=float)
             if occ.shape != (th.shape[0],):
                 raise ValueError("occupancy must have one entry per channel")
-            if np.any((occ < 0.0) | (occ > 1.0)):
+            if not np.all((occ >= 0.0) & (occ <= 1.0)):
                 raise ValueError("occupancy entries must lie in [0, 1]")
             occ.setflags(write=False)
             object.__setattr__(self, "occupancy", occ)
@@ -331,7 +362,7 @@ def load_rates_json(path: str | Path) -> tuple[RateSet, np.ndarray | None]:
         if "rates" not in data:
             raise ValueError(f"{path}: missing 'rates' key")
         occupancy = data.get("occupancy")
-        occ = None if occupancy is None else np.asarray(occupancy, dtype=float)
+        occ = None if occupancy is None else _json_array(occupancy, "occupancy")
         return RateSet.of(data["rates"]), occ
     raise ValueError(f"{path}: expected a JSON list or object")
 

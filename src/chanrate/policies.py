@@ -406,15 +406,10 @@ class KlUcbUPolicy(BasePolicy):
         window: int | None = None,
         batch: int = 1,
         budget: Callable[[int], float] | None = None,
-        graph: NeighborhoodGraph | None = None,
         include_leader: bool = True,
     ) -> None:
         n_rates = len(rates) if isinstance(rates, RateSet) else len(tuple(rates))
-        if graph is None:
-            graph = build_graph(channels, n_rates)
-        elif graph.channels != channels or graph.n_rates != n_rates:
-            raise ValueError("graph shape does not match the policy dimensions")
-        self.graph = graph
+        self.graph = graph = build_graph(channels, n_rates)
         self._include_leader = include_leader
         self._cand_table = self._build_candidates(graph, include_leader)
         super().__init__(rates, channels, window=window, batch=batch, budget=budget)

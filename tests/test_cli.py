@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chanrate import save_theta_csv
 from chanrate.cli import main
@@ -110,11 +114,53 @@ class TestErrors:
             "seeds": 2,
             "out_dir": str(tmp_path / "results"),
         }
-        (tmp_path / "config.json").write_text(json.dumps(cfg))
-        assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 2
+        # A short run whose window rings alone exceed physical memory.
+        short = dict(cfg, horizon=16, policies=[{"kind": "kl-ucb", "window": 100000000000000}])
+        for config in (cfg, short):
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "physical memory" in err
+            assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "command, patch",
+        [
+            pytest.param("simulate", {"rates": 5}, id="simulate-rates-number"),
+            pytest.param("simulate", {"rates": None}, id="simulate-rates-null"),
+            pytest.param("simulate", {"synth": 5}, id="simulate-synth-number"),
+            pytest.param("simulate", {"synth": {}}, id="simulate-synth-empty"),
+            pytest.param("simulate", {"synth": {"channels": "a"}}, id="simulate-synth-channels"),
+            pytest.param("simulate", {"theta_csv": 5}, id="simulate-theta-csv-number"),
+            pytest.param("bounds", {"rates": 5}, id="bounds-rates-number"),
+            pytest.param("check", {"rates": 5}, id="check-rates-number"),
+            pytest.param("gen-env", {"step_std": "a"}, id="gen-env-step-std-string"),
+            pytest.param("gen-env", {"channels": 2.5}, id="gen-env-channels-fraction"),
+            pytest.param("gen-env", {"step_std": ...}, id="gen-env-step-std-missing"),
+        ],
+    )
+    def test_malformed_input_exits_2_without_traceback(self, model_files, capsys, command, patch):
+        # ``...`` drops a key; a simulate patch without a source gets a theta table.
+        doc = {
+            "simulate": {"rates": [1.0, 2.0], "policies": [{"kind": "static"}], "horizon": 16, "seeds": 2},
+            "bounds": {},
+            "check": {},
+            "gen-env": {"rates": [1.0, 2.0], "channels": 2, "horizon": 10, "step_std": 0.1},
+        }[command]
+        if command == "simulate" and not {"synth", "theta_csv"} & set(patch):
+            doc["theta"] = [[0.9, 0.6], [0.5, 0.3]]
+        doc = {k: v for k, v in {**doc, **patch}.items() if v is not ...}
+        path = model_files / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = {
+            "simulate": ["--config", str(path), "--out", str(model_files / "results")],
+            "bounds": ["--theta", str(model_files / "theta.csv"), "--rates", str(path)],
+            "gen-env": ["--spec", str(path), "--out", str(model_files / "trace.csv")],
+        }
+        argv["check"] = argv["bounds"]
+        assert main([command, *argv[command]]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "physical memory" in err
-        assert not (tmp_path / "results").exists()
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestCheck:
@@ -249,3 +295,101 @@ class TestGenEnv:
         assert trace.starts == (0, 10, 20, 30, 40)
         assert trace.channels == 2 and trace.n_rates == 2
         assert np.all((trace.tables[0] > 0) & (trace.tables[0] < 1))
+
+
+# Values of a type no config key takes: null, booleans, strings, fractional
+# or non-finite numbers, and lists and objects of these.  Integral numbers
+# are left out so that no count (horizon, seeds, window) can grow large.
+_WRONG = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.text(max_size=3)
+    | st.floats(allow_nan=True, allow_infinity=True).filter(lambda x: not x.is_integer()),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _object(draw, required: dict, optional: dict, wrong=_WRONG) -> dict:
+    """An object drawn key by key, with some optional keys left out; in
+    half of the draws one key is then removed or given a value from
+    ``wrong``."""
+    keys = [*required, *(k for k in optional if draw(st.booleans()))]
+    out = {k: draw({**required, **optional}[k]) for k in keys}
+    key = draw(st.sampled_from([None] * len(keys) + keys))
+    if key is not None:
+        if draw(st.booleans()):
+            del out[key]
+        else:
+            out[key] = draw(wrong)
+    return out
+
+
+@st.composite
+def _configs(draw, out_dir: str) -> dict:
+    """A simulate config, well formed (horizon up to 64, up to 3 seeds)
+    but for at most one removed or wrong-typed key at each level."""
+    rates = sorted(draw(st.sets(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=3)))
+    channels = draw(st.integers(1, 2))
+    prob = st.floats(0.0, 1.0)
+    row = st.lists(prob, min_size=len(rates), max_size=len(rates))
+    policy = _object(
+        {"kind": st.sampled_from(["kl-ucb", "crs-t", "kl-ucb-u", "oracle", "static"])},
+        {"window": st.integers(1, 70), "strict": st.booleans()},
+    )
+    synth = _object(
+        {"channels": st.integers(1, 2), "step_std": st.floats(0.0, 0.2)},
+        {
+            "seed": st.integers(0, 9),
+            "softness": st.floats(0.01, 1.0),
+            "latent_lo": st.floats(-1.0, 0.0),
+            "thresholds": st.lists(
+                st.floats(-1.0, 1.0), min_size=len(rates), max_size=len(rates), unique=True
+            ).map(sorted),
+        },
+    )
+    source = draw(st.sampled_from(["theta", "synth", "theta", "synth", "theta_csv", "trace_csv"]))
+    required = {
+        "rates": st.just(rates),
+        "horizon": st.integers(6, 64),
+        "seeds": st.integers(1, 3) | st.lists(st.integers(0, 2**64), min_size=1, max_size=3, unique=True),
+        "policies": st.lists(policy, min_size=1, max_size=3, unique_by=str),
+        source: {
+            "theta": st.lists(row, min_size=channels, max_size=channels),
+            "theta_csv": st.just("missing.csv"),
+            "trace_csv": st.just("missing.csv"),
+            "synth": synth,
+        }[source],
+    }
+    optional = {
+        "occupancy": st.lists(prob, min_size=channels, max_size=channels),
+        "accounting": st.sampled_from(["alternative", "original", "both"]),
+        "checkpoints": st.lists(st.integers(1, 64), max_size=3),
+    }
+    config = draw(_object(required, optional))
+    # out_dir is never a wrong-typed string, which would name a directory
+    # outside the test's own.
+    if draw(st.booleans()):
+        config["out_dir"] = draw(st.just(out_dir) | _WRONG.filter(lambda v: not isinstance(v, str)))
+    return config
+
+
+class TestArbitraryConfigs:
+    @settings(
+        derandomize=True,
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_simulate_exits_0_or_2_without_traceback(self, tmp_path, monkeypatch, data):
+        monkeypatch.chdir(tmp_path)  # the default out_dir is relative
+        config = data.draw(_configs(str(tmp_path / "results")))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(path)])
+        assert code in (0, 2)
+        assert (code == 2) == err.getvalue().startswith("error:")

@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from chanrate import (
+    DriftEnvironment,
     LinkModel,
     OutcomeTape,
     RateSet,
     StationaryEnvironment,
     SyntheticDriftSpec,
+    TraceEnvironment,
     TraceTable,
     accelerate,
     drift_to_trace,
-    stationary_env,
-    synth_drift_env,
-    trace_env,
 )
 from chanrate.environments import _seed_states
 
@@ -33,14 +32,12 @@ def swap_trace():
 
 class TestStationary:
     def test_schedule_is_constant(self, tiny_model):
-        env = stationary_env(tiny_model, seed=5)
+        env = StationaryEnvironment(tiny_model)
         np.testing.assert_array_equal(env.theta_at(0), env.theta_at(999))
         assert env.horizon is None
-        assert env.best_pair_at(123) == (1, 2)
-        assert env.mu_star_at(0) == 1.2
 
     def test_theta_block_broadcasts(self, tiny_model):
-        env = stationary_env(tiny_model)
+        env = StationaryEnvironment(tiny_model)
         block = env.theta_block(10, 20)
         assert block.shape == (10, 2, 2)
         np.testing.assert_array_equal(block[3], tiny_model.theta)
@@ -49,37 +46,27 @@ class TestStationary:
         model = LinkModel(
             RateSet.of([1.0]), np.array([[0.8], [0.8]]), occupancy=np.array([0.5, 0.0])
         )
-        env = stationary_env(model)
+        env = StationaryEnvironment(model)
         np.testing.assert_allclose(env.theta_at(0), [[0.4], [0.8]])
-        assert env.best_pair_at(0) == (2, 1)
 
     def test_draw_is_pure(self, tiny_model):
-        env = stationary_env(tiny_model, seed=3)
-        first = [reference_draw(env, (1, 1), n) for n in range(100)]
-        second = [reference_draw(env, (1, 1), n) for n in range(100)]
+        env = StationaryEnvironment(tiny_model)
+        first = [reference_draw(env, 3, (1, 1), n) for n in range(100)]
+        second = [reference_draw(env, 3, (1, 1), n) for n in range(100)]
         assert first == second
 
     def test_draw_mean_tracks_probability(self, tiny_model):
-        env = stationary_env(tiny_model, seed=70)
+        env = StationaryEnvironment(tiny_model)
         n = 4096
-        mean = sum(reference_draw(env, (2, 1), i) for i in range(n)) / n
+        mean = sum(reference_draw(env, 70, (2, 1), i) for i in range(n)) / n
         # theta = 0.5; a 6-sigma band at this sample size is +-0.047.
         assert abs(mean - 0.5) < 0.05
 
     def test_with_seed_changes_outcomes_not_schedule(self, tiny_model):
-        a = stationary_env(tiny_model, seed=1)
-        b = a.with_seed(2)
-        assert b.seed == 2 and a.seed == 1
-        np.testing.assert_array_equal(a.theta_at(0), b.theta_at(0))
-        draws_a = [reference_draw(a, (1, 1), n) for n in range(200)]
-        draws_b = [reference_draw(b, (1, 1), n) for n in range(200)]
-        assert draws_a != draws_b
-
-    def test_seed_validation(self, tiny_model):
-        with pytest.raises(ValueError, match="seed"):
-            stationary_env(tiny_model, seed=-1)
-        with pytest.raises(ValueError, match="seed"):
-            stationary_env(tiny_model, seed=True)
+        env = StationaryEnvironment(tiny_model)
+        draws_1 = [reference_draw(env, 1, (1, 1), n) for n in range(200)]
+        draws_2 = [reference_draw(env, 2, (1, 1), n) for n in range(200)]
+        assert draws_1 != draws_2
 
 
 class TestTraceTable:
@@ -141,17 +128,11 @@ class TestTraceTable:
 
 
 class TestTraceEnvironment:
-    def test_segment_optima(self, swap_trace):
-        env = trace_env(swap_trace, RateSet.of([1.0, 2.0]), seed=0)
-        assert env.best_pair_at(0) == (1, 1)
-        assert env.best_pair_at(150) == (2, 1)
-        assert env.mu_star_at(0) == 0.9
-
     def test_theta_block_matches_pointwise_across_segments(self):
         rng = np.random.default_rng(3)
         starts = (0, 3, 4, 100, 512, 517, 600)
         tables = tuple(rng.random((2, 3)) for _ in starts)
-        env = trace_env(TraceTable(starts, tables, horizon=1000), RateSet.of([1.0, 2.0, 3.0]))
+        env = TraceEnvironment(TraceTable(starts, tables, horizon=1000), RateSet.of([1.0, 2.0, 3.0]))
         for start, stop in ((0, 512), (2, 5), (3, 4), (99, 101), (500, 700), (599, 1000)):
             block = env.theta_block(start, stop)
             expected = np.stack([env.theta_at(n) for n in range(start, stop)])
@@ -161,14 +142,14 @@ class TestTraceEnvironment:
             env.theta_block(990, 1001)
 
     def test_horizon_enforced(self, swap_trace):
-        env = trace_env(swap_trace, RateSet.of([1.0, 2.0]))
+        env = TraceEnvironment(swap_trace, RateSet.of([1.0, 2.0]))
         env.theta_at(199)
         with pytest.raises(ValueError, match="step 200 beyond horizon 200"):
             env.theta_at(200)
 
     def test_rate_width_must_match(self, swap_trace):
         with pytest.raises(ValueError, match="rate count"):
-            trace_env(swap_trace, RateSet.of([1.0]))
+            TraceEnvironment(swap_trace, RateSet.of([1.0]))
 
 
 class TestAccelerate:
@@ -252,29 +233,29 @@ class TestSyntheticDrift:
             SyntheticDriftSpec.from_json_dict(data)
 
     def test_rows_nonincreasing_in_rate(self):
-        env = synth_drift_env(self.spec())
+        env = DriftEnvironment(self.spec())
         for step in (0, 57, 399):
             th = env.theta_at(step)
             assert np.all(np.diff(th, axis=1) <= 0)
             assert np.all((th > 0) & (th < 1))
 
     def test_zero_step_std_is_stationary(self):
-        env = synth_drift_env(self.spec(step_std=0.0))
+        env = DriftEnvironment(self.spec(step_std=0.0))
         np.testing.assert_array_equal(env.theta_at(0), env.theta_at(399))
 
     def test_latent_stays_in_range(self):
-        env = synth_drift_env(self.spec(step_std=0.3))
+        env = DriftEnvironment(self.spec(step_std=0.3))
         for step in range(0, 400, 7):
             lat = env.latent_at(step)
             assert np.all((lat >= 0.0) & (lat <= 1.0))
 
     def test_same_spec_same_path(self):
-        a = synth_drift_env(self.spec())
-        b = synth_drift_env(self.spec())
+        a = DriftEnvironment(self.spec())
+        b = DriftEnvironment(self.spec())
         np.testing.assert_array_equal(a.theta_at(250), b.theta_at(250))
 
     def test_theta_block_matches_pointwise(self):
-        env = synth_drift_env(self.spec())
+        env = DriftEnvironment(self.spec())
         block = env.theta_block(40, 60)
         for i, step in enumerate(range(40, 60)):
             np.testing.assert_array_equal(block[i], env.theta_at(step))
@@ -282,7 +263,7 @@ class TestSyntheticDrift:
     def test_drift_to_trace_exact_at_unit_sampling(self):
         spec = self.spec(horizon=50)
         trace = drift_to_trace(spec, sample_every=1)
-        env = synth_drift_env(spec)
+        env = DriftEnvironment(spec)
         assert trace.horizon == 50
         for step in (0, 13, 49):
             np.testing.assert_array_equal(trace.theta_at(step), env.theta_at(step))
@@ -290,31 +271,31 @@ class TestSyntheticDrift:
     def test_drift_to_trace_holds_between_samples(self):
         spec = self.spec(horizon=50)
         trace = drift_to_trace(spec, sample_every=10)
-        env = synth_drift_env(spec)
+        env = DriftEnvironment(spec)
         np.testing.assert_array_equal(trace.theta_at(19), env.theta_at(10))
 
 
 class TestOutcomeTape:
     def test_matches_scalar_draws_across_chunk_boundary(self, tiny_model):
-        envs = [stationary_env(tiny_model, seed=s) for s in (1, 2)]
-        tape = OutcomeTape(envs[0], seeds=(1, 2))
+        env = StationaryEnvironment(tiny_model)
+        tape = OutcomeTape(env, seeds=(1, 2))
         block = tape.block(500, 530)  # spans the 512-step chunk edge
-        for si, env in enumerate(envs):
+        for si, seed in enumerate((1, 2)):
             for n in range(500, 530):
                 for c in (1, 2):
                     for k in (1, 2):
-                        assert block[si, n - 500, c - 1, k - 1] == reference_draw(env, (c, k), n)
+                        assert block[si, n - 500, c - 1, k - 1] == reference_draw(env, seed, (c, k), n)
 
     def test_trace_schedule_respected(self, swap_trace):
         rates = RateSet.of([1.0, 2.0])
-        env = trace_env(swap_trace, rates, seed=4)
+        env = TraceEnvironment(swap_trace, rates)
         tape = OutcomeTape(env, seeds=(4,))
         block = tape.block(90, 110)
         for n in range(90, 110):
-            assert block[0, n - 90, 0, 0] == reference_draw(env, (1, 1), n)
+            assert block[0, n - 90, 0, 0] == reference_draw(env, 4, (1, 1), n)
 
     def test_validation(self, tiny_model):
-        env = stationary_env(tiny_model)
+        env = StationaryEnvironment(tiny_model)
         with pytest.raises(ValueError, match="distinct"):
             OutcomeTape(env, seeds=(1, 1))
         with pytest.raises(ValueError, match="at least one seed"):
@@ -358,7 +339,7 @@ class TestOutcomeTapeAgainstReference:
         rng = np.random.default_rng(11)
         starts = (0, 260, 511, 513)
         trace = TraceTable(starts, tuple(rng.random((2, 2)) for _ in starts), horizon=700)
-        env = trace_env(trace, RateSet.of([1.0, 2.0]))
+        env = TraceEnvironment(trace, RateSet.of([1.0, 2.0]))
         block = OutcomeTape(env, MIXED_SEEDS).block(250, 600)
         for i, seed in enumerate(MIXED_SEEDS):
             np.testing.assert_array_equal(block[i], reference_outcomes(env, seed, 250, 600))

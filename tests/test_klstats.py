@@ -14,15 +14,10 @@ import numpy as np
 import pytest
 
 from chanrate import (
-    ArmStats,
-    WindowStats,
     allowance,
     kl_bernoulli,
-    lcb_index,
     lcb_probability,
-    ucb_index,
     ucb_probability,
-    window_ucb_index,
 )
 
 import chanrate.klstats as klstats
@@ -189,6 +184,16 @@ class TestConfidenceBounds:
         with pytest.raises(ValueError, match=message):
             bound(*args)
 
+    def test_windowed_index_uses_constant_budget(self):
+        # 0 successes in 20 pulls at a window of 100, so budget allowance(100):
+        # the optimistic probability solves 20 * (-log(1 - q)) = allowance(100).
+        got = ucb_probability(0.0, 20, allowance(100))
+        assert abs(got - 0.3682966975225834) < 1e-12
+        assert abs(got - (-math.expm1(-allowance(100) / 20))) < 1e-12
+        # Pessimistic mirror at 20 straight successes.
+        low = lcb_probability(1.0, 20, allowance(100))
+        assert abs(low - 0.6317033024774166) < 1e-12
+
     def test_broadcasting_and_scalar_types(self):
         out = ucb_probability(np.full((3, 4), 0.5), np.arange(1, 5), 2.0)
         assert out.shape == (3, 4)
@@ -322,96 +327,3 @@ class TestSolverAgainstHighPrecision:
         for upper in (True, False):
             _, steps = klstats._solve_log_space(p[keep], t[keep], f[keep] / t[keep], upper)
             assert steps <= klstats._NEWTON_STEPS
-
-
-class TestArmStats:
-    def test_record_and_rates(self):
-        st = ArmStats()
-        assert st.success_rate() == 0.0
-        st.record(1)
-        st.record(0)
-        st.record(1)
-        assert st.pulls == 3
-        assert st.successes == 2
-        assert st.success_rate() == pytest.approx(2 / 3)
-        assert st.empirical_mean(13.0) == pytest.approx(26 / 3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            ArmStats(pulls=2, successes=3)
-        st = ArmStats()
-        with pytest.raises(ValueError, match="outcome"):
-            st.record(2)
-
-    def test_index_wrappers(self):
-        st = ArmStats(pulls=10, successes=5)
-        f = allowance(100)
-        assert ucb_index(st, 2.0, f) == 2.0 * ucb_probability(0.5, 10, f)
-        assert lcb_index(st, 2.0, f) == 2.0 * lcb_probability(0.5, 10, f)
-        assert ucb_index(ArmStats(), 2.0, f) == 2.0
-        with pytest.raises(ValueError, match="rate"):
-            ucb_index(st, 0.0, f)
-
-
-class TestWindowStats:
-    def test_counts_track_last_window_steps(self):
-        ws = WindowStats(channels=1, n_rates=2, window=3)
-        ws.push((1, 1), 1)
-        ws.push((1, 1), 0)
-        ws.push((1, 2), 1)
-        assert ws.pulls((1, 1)) == 2
-        ws.push((1, 2), 1)  # evicts the first (1,1) success
-        assert ws.pulls((1, 1)) == 1
-        assert ws.successes((1, 1)) == 0
-        assert ws.pulls((1, 2)) == 2
-        assert ws.steps == 4
-
-    def test_full_ring_pull_total_equals_window(self):
-        rng = np.random.default_rng(3)
-        ws = WindowStats(channels=2, n_rates=3, window=16)
-        for _ in range(100):
-            pair = (int(rng.integers(1, 3)), int(rng.integers(1, 4)))
-            ws.push(pair, int(rng.integers(0, 2)))
-        assert ws.pulls_matrix().sum() == 16
-
-    def test_none_steps_leave_holes(self):
-        ws = WindowStats(channels=1, n_rates=1, window=4)
-        ws.push((1, 1), 1)
-        ws.push(None, 0)
-        ws.push((1, 1), 1)
-        assert ws.pulls((1, 1)) == 2
-        assert ws.pulls_matrix().sum() == 2
-
-    def test_matches_full_history_when_window_covers_it(self):
-        """A window at least as long as the run reproduces plain counts."""
-        rng = np.random.default_rng(5)
-        ws = WindowStats(channels=1, n_rates=2, window=500)
-        st = [ArmStats(), ArmStats()]
-        for _ in range(200):
-            k = int(rng.integers(0, 2))
-            out = int(rng.integers(0, 2))
-            ws.push((1, k + 1), out)
-            st[k].record(out)
-        for k in (0, 1):
-            assert ws.pulls((1, k + 1)) == st[k].pulls
-            assert ws.success_rate((1, k + 1)) == st[k].success_rate()
-
-    def test_windowed_index_uses_constant_budget(self):
-        ws = WindowStats(channels=1, n_rates=1, window=100)
-        for _ in range(20):
-            ws.push((1, 1), 0)
-        # 0 successes in 20 pulls, budget allowance(100): the optimistic
-        # success probability solves 20 * (-log(1 - q)) = allowance(100).
-        got = window_ucb_index(ws, (1, 1), 1.0)
-        assert abs(got - 0.3682966975225834) < 1e-12
-        assert abs(got - (-math.expm1(-allowance(100) / 20))) < 1e-12
-        # Pessimistic mirror at 20 straight successes.
-        low = lcb_probability(1.0, 20, allowance(ws.window))
-        assert abs(low - 0.6317033024774166) < 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            WindowStats(1, 1, 0)
-        ws = WindowStats(1, 1, 2)
-        with pytest.raises(ValueError, match="outcome"):
-            ws.push((1, 1), 5)

@@ -12,10 +12,8 @@ import pytest
 
 from chanrate import (
     KlUcbPolicy,
-    KlUcbUPolicy,
     RateSet,
     allowance,
-    build_graph,
     build_policy,
     flat_to_pair,
     lcb_probability,
@@ -341,10 +339,6 @@ class TestKlUcbU:
         assert policy.gamma == 0
         decisions = run_scalar(policy, 10, lambda n, p: 1)
         assert decisions == [(1, 1)] * 10
-
-    def test_custom_graph_shape_check(self):
-        with pytest.raises(ValueError, match="graph shape"):
-            KlUcbUPolicy(RATES2, channels=2, graph=build_graph(3, 2))
 
 
 class TestBuildPolicy:
