@@ -17,7 +17,7 @@ import sys
 from .bounds import compute_bound_report
 from .environments import SyntheticDriftSpec, drift_to_trace
 from .graph import check_graphically_unimodal, check_monotone, check_unimodal
-from .harness import ExperimentConfig, emit_outputs, run_experiment
+from .harness import ExperimentConfig, _require_memory, emit_outputs, run_experiment
 from .model import DegenerateOptimumError, LinkModel, compute_optima, load_rates_json, load_theta_csv
 
 __all__ = ["main"]
@@ -44,10 +44,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"(channel {result.static_pair.channel}, rate {result.static_pair.rate_index})"
     )
     for pol in result.policies:
-        eff = pol.expected_reward.mean() / result.oracle_reward
+        # Undefined when the oracle earns nothing (every pair at zero throughput).
+        eff = (
+            "n/a"
+            if result.oracle_reward == 0.0
+            else f"{pol.expected_reward.mean() / result.oracle_reward:.4f}"
+        )
         print(
             f"{pol.label}: final regret {pol.final_regret.mean():.6g} "
-            f"+/- {pol.stddev_regret[-1]:.6g}, efficiency {eff:.4f}"
+            f"+/- {pol.stddev_regret[-1]:.6g}, efficiency {eff}"
         )
     for name in sorted(paths):
         print(f"wrote {paths[name]}")
@@ -102,6 +107,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_gen_env(args: argparse.Namespace) -> int:
     spec = SyntheticDriftSpec.from_json(args.spec)
+    _require_memory(
+        spec.nbytes(args.sample_every),
+        f"the latent path and trace tables of a {spec.horizon}-step drift spec",
+    )
     trace = drift_to_trace(spec, sample_every=args.sample_every)
     trace.to_csv(args.out)
     print(

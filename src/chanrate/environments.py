@@ -23,13 +23,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import expit
 
 from .model import LinkModel, RateSet, _json_int, _json_real
 
@@ -64,6 +65,16 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
+
+# Bytes of Python objects per drift_to_trace segment besides its table's
+# data: two array headers (the table is a view of the array _expit fills),
+# the start step and two tuple slots; about 288 under tracemalloc on
+# 64-bit CPython 3.11.
+_SEGMENT_OBJECT_BYTES = 300
+
+# The largest double whose exp is finite; math.exp raises above it, where
+# the C library's exp returns inf.
+_EXP_MAX = math.log(sys.float_info.max)
 
 
 def _check_seed(seed: int) -> int:
@@ -435,6 +446,18 @@ class SyntheticDriftSpec:
         span = self.latent_hi - self.latent_lo
         return self.latent_lo + span * (np.arange(1, K + 1) / (K + 1))
 
+    def nbytes(self, sample_every: int | None = None) -> int:
+        """Estimated bytes this process holds in memory: its latent path
+        (``horizon x channels`` float64, unless ``step_std`` is 0) and, when
+        ``sample_every`` is given, the tables ``drift_to_trace`` builds."""
+        need = 8 * self.horizon * self.channels if self.step_std > 0.0 else 0
+        if sample_every is not None:
+            if sample_every < 1:
+                raise ValueError("sample_every must be >= 1")
+            segments = -(-self.horizon // sample_every)
+            need += segments * (8 * self.channels * len(self.rates) + _SEGMENT_OBJECT_BYTES)
+        return need
+
     def to_json_dict(self) -> dict:
         return {
             "rates": list(self.rates.as_array()),
@@ -483,8 +506,30 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + np.where(y > span, 2.0 * span - y, y)
 
 
+def _expit(z: np.ndarray) -> np.ndarray:
+    """``scipy.special.expit``, 1 / (1 + exp(-z)), elementwise.
+
+    ``math.exp`` calls the C library's exp, as scipy does, so every result
+    has the same bits; numpy's ``np.exp`` is a different implementation and
+    differs in the last bit on some inputs.  Where exp(-z) overflows, the
+    result is exactly 0, as in scipy.
+    """
+    nz = np.negative(z).ravel()
+    e = np.fromiter(map(math.exp, np.minimum(nz, _EXP_MAX).tolist()), float, nz.size)
+    e[nz > _EXP_MAX] = math.inf
+    e += 1.0
+    np.divide(1.0, e, out=e)
+    return e.reshape(z.shape)
+
+
 class DriftEnvironment(Environment):
-    """Synthetic drift: latent walks precomputed at construction."""
+    """Synthetic drift: latent walks precomputed at construction.
+
+    The success probability of rate ``k`` on channel ``c`` at step ``n`` is
+    the logistic function of ``(latent[n, c] - threshold[k]) / softness``,
+    computed through the C library's exp (see ``_expit``) so that it has the
+    bits of ``scipy.special.expit`` without importing scipy.
+    """
 
     def __init__(self, spec: SyntheticDriftSpec):
         super().__init__(spec.rates, spec.channels, spec.horizon)
@@ -507,14 +552,14 @@ class DriftEnvironment(Environment):
     def theta_at(self, step: int) -> np.ndarray:
         step = self._check_step(step)
         z = self._latent[step][:, None] - self._thresholds[None, :]
-        return expit(z / self._softness)
+        return _expit(z / self._softness)
 
     def theta_block(self, start: int, stop: int) -> np.ndarray:
         self._check_step(start)
         if stop > start:
             self._check_step(stop - 1)
         z = self._latent[start:stop, :, None] - self._thresholds[None, None, :]
-        return expit(z / self._softness)
+        return _expit(z / self._softness)
 
 
 def drift_to_trace(spec: SyntheticDriftSpec, sample_every: int = 1) -> TraceTable:

@@ -431,8 +431,12 @@ class ExperimentResult:
     def static_pair(self) -> DecisionPair:
         return flat_to_pair(self.static_flat, self.config.n_rates)
 
-    def efficiency(self, label: str) -> np.ndarray:
-        """Per-lane expected reward as a fraction of the oracle's."""
+    def efficiency(self, label: str) -> np.ndarray | None:
+        """Per-lane expected reward as a fraction of the oracle's; None when
+        the oracle earns nothing (every pair has zero throughput), where the
+        fraction is undefined."""
+        if self.oracle_reward == 0.0:
+            return None
         return self.policy(label).expected_reward / self.oracle_reward
 
 
@@ -451,6 +455,20 @@ def _checkpoint_grid(config: ExperimentConfig, slots: int, time_horizon: float |
     return tuple(sorted(cps))
 
 
+def _require_memory(need: int, what: str) -> None:
+    """Raise ValueError when ``need`` bytes exceed physical memory; ``what``
+    names the arrays for the message."""
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf figures here
+        return
+    if need > have:
+        raise ValueError(
+            f"{what} need about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def _check_memory(config: ExperimentConfig, slots: int) -> None:
     """Reject a run whose horizon-length arrays cannot fit in physical memory.
 
@@ -464,16 +482,8 @@ def _check_memory(config: ExperimentConfig, slots: int) -> None:
         p.window * (17 if p.kind == "kl-ucb-u" else 9) for p in config.policies if p.window
     )
     if config.drift is not None:
-        need += 8 * config.drift.horizon * config.drift.channels
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf figures here
-        return
-    if need > have:
-        raise ValueError(
-            f"{slots} slots need about {need / 2**30:.3g} GiB of per-slot and window arrays, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+        need += config.drift.nbytes()
+    _require_memory(need, f"the per-slot and window arrays of {slots} slots")
 
 
 @dataclass(frozen=True)
@@ -904,15 +914,17 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
                 )
     paths["decisions"] = dec_path
 
+    # Efficiencies are fractions of the oracle's reward: null when it is 0.
+    undefined = result.oracle_reward == 0.0
     summary: dict = {
         "config": config.to_json_dict(),
         "slots": result.slots,
         "checkpoints": list(result.checkpoints),
-        "oracle": {"expected_reward": result.oracle_reward, "efficiency": 1.0},
+        "oracle": {"expected_reward": result.oracle_reward, "efficiency": None if undefined else 1.0},
         "static": {
             "pair": [result.static_pair.channel, result.static_pair.rate_index],
             "expected_reward": result.static_reward,
-            "efficiency": float(np.divide(result.static_reward, result.oracle_reward)),
+            "efficiency": None if undefined else result.static_reward / result.oracle_reward,
         },
         "policies": {},
     }
@@ -920,13 +932,13 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
         summary["time_horizon"] = result.time_horizon
         summary["accounting"] = accounting_check(result).to_json_dict()
     for pol in result.policies:
-        eff = pol.expected_reward / result.oracle_reward
+        eff = result.efficiency(pol.label)
         entry = {
             "final_regret_mean": float(pol.final_regret.mean()),
             "final_regret_stddev": float(np.std(pol.final_regret, ddof=1))
             if len(pol.final_regret) > 1
             else 0.0,
-            "efficiency_mean": float(eff.mean()),
+            "efficiency_mean": None if eff is None else float(eff.mean()),
             "expected_reward_mean": float(pol.expected_reward.mean()),
             "realized_reward_mean": float(pol.realized_reward.mean()),
         }
@@ -936,7 +948,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
         summary["policies"][pol.label] = entry
     sum_path = out / "summary.json"
     with sum_path.open("w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     paths["summary"] = sum_path
 

@@ -28,14 +28,20 @@ two-sided bracket, and stops on its own test:
 
 No element's result depends on the other elements of the batch, and a
 zero budget returns ``p`` exactly.
+
+The divergence itself is a port of ``scipy.special.rel_entr`` to Python's
+``math`` module, which calls the same C library ``log`` and ``log1p``, so
+it returns the same bits without importing scipy.  numpy's own ``np.log``
+is a different implementation and would not: it differs from the C
+library's in the last bit on about a third of inputs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
-from scipy.special import rel_entr
 
 __all__ = [
     "allowance",
@@ -49,6 +55,7 @@ __all__ = [
 # leaving room for evaluation error in the probability-scale transform.
 _RESIDUAL_BOUND = 1e-10
 _EPS4 = 4.0 * np.finfo(float).eps
+_DBL_MIN = sys.float_info.min
 # Newton steps every element takes before its first stop test; from the
 # solver's starting point these certify nearly all inputs.
 _UNCHECKED_STEPS = 4
@@ -56,23 +63,53 @@ _UNCHECKED_STEPS = 4
 _NEWTON_STEPS = 16
 
 
+def _rel_entr(x: float, y: float) -> float:
+    """``scipy.special.rel_entr(x, y)`` on Python floats: x*log(x/y).
+
+    The same branches in the same order as scipy's C code, so every result,
+    NaN and infinity included, has the same bits.
+    """
+    if math.isnan(x) or math.isnan(y):
+        return math.nan
+    if x > 0.0 and y > 0.0:
+        ratio = x / y
+        if 0.5 < ratio < 2.0:
+            return x * math.log1p((x - y) / y)  # more accurate when x ~ y
+        if _DBL_MIN < ratio < math.inf:
+            return x * math.log(ratio)
+        return x * (math.log(x) - math.log(y))  # the ratio under- or overflows
+    if x == 0.0 and y >= 0.0:
+        return 0.0
+    return math.inf
+
+
+def _kl(p: float, q: float) -> float:
+    if p < 0.0 or p > 1.0 or q < 0.0 or q > 1.0:
+        raise ValueError("kl_bernoulli arguments must lie in [0, 1]")
+    return _rel_entr(p, q) + _rel_entr(1.0 - p, 1.0 - q)
+
+
 def kl_bernoulli(p, q):
     """Bernoulli KL divergence I(p, q), elementwise on arrays.
 
     Conventions: 0*log(0) = 0; the result is +inf when q is 0 or 1 while
-    p is not.  Scalar inputs return a float.
+    p is not, and NaN when either argument is NaN.  Python float (or int)
+    arguments return a float without a numpy round trip; anything else
+    broadcasts and returns an array, or a float for 0-d inputs.
+
+    Bitwise equal to ``rel_entr(p, q) + rel_entr(1 - p, 1 - q)`` with
+    scipy's ``rel_entr``, of which this is a C-library (libm) port.
 
     Raises:
         ValueError: if any argument lies outside [0, 1].
     """
-    p_arr = np.asarray(p, dtype=float)
-    q_arr = np.asarray(q, dtype=float)
-    if np.any((p_arr < 0.0) | (p_arr > 1.0)) or np.any((q_arr < 0.0) | (q_arr > 1.0)):
-        raise ValueError("kl_bernoulli arguments must lie in [0, 1]")
-    out = rel_entr(p_arr, q_arr) + rel_entr(1.0 - p_arr, 1.0 - q_arr)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    if isinstance(p, (float, int)) and isinstance(q, (float, int)):
+        return _kl(float(p), float(q))
+    p_arr, q_arr = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    out = np.fromiter(map(_kl, p_arr.ravel().tolist(), q_arr.ravel().tolist()), float, p_arr.size)
+    if p_arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(p_arr.shape)
 
 
 def allowance(n: int) -> float:

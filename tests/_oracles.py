@@ -280,3 +280,12 @@ def reference_draw(env, seed: int, pair: tuple[int, int], step: int) -> int:
     """Bernoulli outcome (0 or 1) of playing ``pair`` at ``step`` under ``seed``."""
     c, k = pair
     return int(reference_outcomes(env, seed, step, step + 1)[0, c - 1, k - 1])
+
+
+def assert_same_bits(got, want) -> None:
+    """``got`` and ``want`` hold the same float64 bits, NaN matching NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))

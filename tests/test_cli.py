@@ -5,13 +5,18 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import chanrate
 from chanrate import save_theta_csv
 from chanrate.cli import main
 
@@ -263,8 +268,45 @@ class TestSimulate:
         for name in names:
             assert runs[0][name] == runs[1][name], name
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_throughput_efficiency_is_null(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        cfg = {
+            "rates": [1.0, 2.0],
+            "theta": [[0.0, 0.0]],
+            "policies": [{"kind": "kl-ucb"}, {"kind": "oracle"}, {"kind": "static"}],
+            "horizon": 16,
+            "seeds": 2,
+            "accounting": "both",
+            "out_dir": str(out),
+        }
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 0
+        assert capsys.readouterr().out.count("efficiency n/a") == 3
+
+        def strict(constant):
+            raise AssertionError(f"summary.json holds {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=strict)
+        assert summary["oracle"]["efficiency"] is None
+        assert summary["static"]["efficiency"] is None
+        for entry in summary["policies"].values():
+            assert entry["efficiency_mean"] is None
+
 
 class TestGenEnv:
+    @pytest.mark.parametrize("step_std", [0.1, 0.0])
+    def test_horizon_beyond_memory_is_rejected_up_front(self, tmp_path, capsys, step_std):
+        # A moving walk holds a horizon-long latent path; a frozen one does
+        # not, but its trace still needs one table per step.
+        spec = {"rates": [1.0, 2.0], "channels": 2, "horizon": 1e15, "step_std": step_std}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "trace.csv"
+        assert main(["gen-env", "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "physical memory" in err
+        assert not out.exists()
+
     def test_spec_to_trace_round_trip(self, tmp_path, capsys):
         spec = {
             "rates": [1.0, 2.0],
@@ -295,6 +337,60 @@ class TestGenEnv:
         assert trace.starts == (0, 10, 20, 30, 40)
         assert trace.channels == 2 and trace.n_rates == 2
         assert np.all((trace.tables[0] > 0) & (trace.tables[0] < 1))
+
+
+def _python(cwd, code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this chanrate; return its stdout."""
+    src = Path(chanrate.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestWithoutScipy:
+    """scipy is a test-only oracle: the package neither imports nor needs it."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        code = "import sys, chanrate; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        assert _python(tmp_path, code).strip() == "[]"
+
+    def test_cli_runs_with_scipy_blocked(self, model_files, config_file):
+        synth = {
+            "rates": [1.0, 2.0],
+            "synth": {"channels": 2, "step_std": 0.05, "softness": 1e-4},
+            "policies": [{"kind": "kl-ucb-u", "window": 20}, {"kind": "crs-t"}],
+            "horizon": 64,
+            "seeds": 2,
+        }
+        (model_files / "synth.json").write_text(json.dumps(synth))
+        spec = {"rates": [1.0, 2.0], "channels": 2, "horizon": 50, "step_std": 0.05}
+        (model_files / "spec.json").write_text(json.dumps(spec))
+        model = ["--theta", "theta.csv", "--rates", "rates.json"]
+        commands = [
+            ["simulate", "--config", str(config_file)],
+            ["simulate", "--config", "synth.json", "--out", "synth"],
+            ["bounds", *model],
+            ["gen-env", "--spec", "spec.json", "--out", "trace.csv"],
+        ]
+        # A None entry in sys.modules makes every import of scipy fail.
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from chanrate.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(codes))\n"
+        )
+        out = _python(model_files, code, json.dumps(commands))
+        assert json.loads(out.splitlines()[-1]) == [0, 0, 0, 0]
+        assert (model_files / "synth" / "summary.json").exists()
+        assert (model_files / "trace.csv").exists()
 
 
 # Values of a type no config key takes: null, booleans, strings, fractional

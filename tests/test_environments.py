@@ -17,9 +17,9 @@ from chanrate import (
     accelerate,
     drift_to_trace,
 )
-from chanrate.environments import _seed_states
+from chanrate.environments import _EXP_MAX, _expit, _seed_states
 
-from _oracles import TAPE_TAG, reference_draw, reference_outcomes
+from _oracles import TAPE_TAG, assert_same_bits, reference_draw, reference_outcomes
 
 
 @pytest.fixture()
@@ -259,6 +259,33 @@ class TestSyntheticDrift:
         block = env.theta_block(40, 60)
         for i, step in enumerate(range(40, 60)):
             np.testing.assert_array_equal(block[i], env.theta_at(step))
+
+    @pytest.mark.parametrize("softness", [0.08, 1e-4, 1e-300])
+    def test_theta_matches_scipy_expit_bitwise(self, softness):
+        expit = pytest.importorskip("scipy.special").expit
+        rates = RateSet.of([1.0 + k for k in range(8)])
+        spec = self.spec(rates=rates, channels=5, horizon=512, step_std=0.05, softness=softness)
+        env = DriftEnvironment(spec)
+        latent = np.stack([env.latent_at(n) for n in range(spec.horizon)])
+        z = (latent[:, :, None] - spec.threshold_array()) / softness
+        if softness == 1e-4:
+            # exp(-z) overflows on some elements and is finite but huge on others.
+            assert (-z > 745.0).any() and ((-z > 709.0) & (-z < 745.0)).any()
+        want = expit(z)
+        assert_same_bits(env.theta_block(0, spec.horizon), want)
+        for n in (0, 1, 255, 511):
+            assert_same_bits(env.theta_at(n), want[n])
+
+    def test_expit_port_at_overflow_edges(self):
+        expit = pytest.importorskip("scipy.special").expit
+        # exp(-z) is finite down to z = -_EXP_MAX and overflows below it.
+        below = np.nextafter(-_EXP_MAX, -np.inf)
+        z = np.array(
+            [0.0, -0.0, 1.0, -1.0, 36.0, -37.0, 709.0, -709.0, 745.0, -745.0, -746.0, _EXP_MAX,
+             -_EXP_MAX, np.nextafter(-_EXP_MAX, 0.0), below, -1e300, 1e300, -np.inf, np.inf, np.nan]
+        )
+        assert_same_bits(_expit(z), expit(z))
+        assert _expit(np.array([-_EXP_MAX]))[0] > 0.0 and _expit(np.array([below]))[0] == 0.0
 
     def test_drift_to_trace_exact_at_unit_sampling(self):
         spec = self.spec(horizon=50)

@@ -21,7 +21,7 @@ from chanrate import (
 )
 
 import chanrate.klstats as klstats
-from _oracles import confidence_root_mp, kl_closed_form, kl_mp
+from _oracles import assert_same_bits, confidence_root_mp, kl_closed_form, kl_mp
 
 
 class TestKlBernoulli:
@@ -65,6 +65,55 @@ class TestKlBernoulli:
 
     def test_scalar_returns_float(self):
         assert isinstance(kl_bernoulli(0.2, 0.5), float)
+
+
+class TestKlBernoulliMatchesScipy:
+    """kl_bernoulli is a libm port of scipy's rel_entr; scipy is the oracle."""
+
+    @staticmethod
+    def oracle(p, q):
+        rel_entr = pytest.importorskip("scipy.special").rel_entr
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        return rel_entr(p, q) + rel_entr(1.0 - p, 1.0 - q)
+
+    def test_random_pairs_bitwise(self):
+        rng = np.random.default_rng(20140222)
+        n = 100_000
+        p = rng.uniform(0.0, 1.0, n)
+        # A third each: unrelated q, q near p (the log1p branch), tiny q.
+        q = rng.uniform(0.0, 1.0, n)
+        near = slice(n // 3, 2 * n // 3)
+        q[near] = np.clip(p[near] * (1.0 + rng.normal(0.0, 0.3, p[near].size)), 0.0, 1.0)
+        q[2 * n // 3 :] = 10.0 ** rng.uniform(-320.0, 0.0, n - 2 * n // 3)
+        assert_same_bits(kl_bernoulli(p, q), self.oracle(p, q))
+        assert_same_bits(kl_bernoulli(q, p), self.oracle(q, p))
+
+    def test_edges_bitwise(self):
+        up, down = np.inf, -np.inf
+        base = [0.0, 1.0, 0.5, 0.25, 0.75, 0.125, 0.375, 0.3, 0.7, 1e-6]
+        edges = base + [
+            5e-324,  # subnormal
+            1e-310,
+            np.finfo(float).tiny,
+            np.nextafter(1.0, down),  # one ulp below 1
+            np.nextafter(0.0, up),
+            np.nextafter(0.5, up),
+            np.nextafter(0.5, down),
+        ]
+        # p at the x/y ratios 0.5 and 2 and their float neighbours.
+        for q in (0.1, 0.3, 0.4, 1e-300):
+            for r in (0.5, 2.0):
+                x = r * q
+                edges += [x, np.nextafter(x, up), np.nextafter(x, down)]
+        edges = np.array(edges)
+        edges = edges[(edges >= 0.0) & (edges <= 1.0)]
+        p, q = np.meshgrid(edges, edges)
+        p = np.append(p.ravel(), [np.nan, 0.3, np.nan])
+        q = np.append(q.ravel(), [0.3, np.nan, np.nan])
+        want = self.oracle(p, q)
+        assert_same_bits(kl_bernoulli(p, q), want)
+        # The scalar path (Python floats, no numpy) is the same helper.
+        assert_same_bits([kl_bernoulli(a, b) for a, b in zip(p.tolist(), q.tolist())], want)
 
 
 class TestAllowance:
