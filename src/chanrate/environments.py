@@ -50,6 +50,11 @@ __all__ = [
 # outcome stream, so it is part of the reproducibility contract.
 _CHUNK = 512
 
+# Segments (to_csv) or sampled rows (drift_to_trace) handled per array
+# operation: enough to spread the per-call cost, few enough that the
+# temporaries (a stacked copy, _expit's list of floats) stay small.
+_ROWS = 512
+
 # Domain tags keep outcome streams and drift paths statistically unrelated
 # even when the user passes the same seed to both.
 _OUTCOME_TAG = 0x9E3779B9
@@ -262,11 +267,16 @@ class TraceTable:
         if len(self.tables) != len(self.starts):
             raise ValueError("one probability table per segment required")
         shape = self.tables[0].shape
-        for tab in self.tables:
+        for i, (start, tab) in enumerate(zip(self.starts, self.tables)):
             if tab.shape != shape or tab.ndim != 2:
                 raise ValueError("all segment tables must share one (C, K) shape")
-            if np.any(tab < 0.0) or np.any(tab > 1.0):
-                raise ValueError("trace probabilities must lie in [0, 1]")
+            bad = ~((tab >= 0.0) & (tab <= 1.0))  # NaN is bad too
+            if bad.any():
+                c, k = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"trace probabilities must lie in [0, 1]: segment {i + 1} (from step "
+                    f"{start}) has {float(tab[c, k])!r} at channel {c + 1}, rate {k + 1}"
+                )
         if self.horizon is not None and self.horizon <= self.starts[-1]:
             raise ValueError("horizon must exceed the last segment start")
         for tab in self.tables:
@@ -289,18 +299,25 @@ class TraceTable:
         return self.tables[self.segment_index(step)]
 
     def to_csv(self, path: str | Path) -> None:
-        """Write the sparse CSV form: full first segment, then changed cells."""
+        """Write the sparse CSV form: full first segment, then changed cells.
+
+        Each segment is compared with the one before it, ``_ROWS`` segments
+        at a time; a NaN table before the first makes every cell of the
+        first segment count as changed.  Rows end in CRLF, as ``csv``
+        writes them, and a probability is written as its ``repr``.
+        """
+        C, K = self.channels, self.n_rates
+        cell_text = np.array([f"{c + 1},{k + 1}," for c in range(C) for k in range(K)], object)
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["start_step", "channel", "rate_index", "theta"])
-            prev = None
-            for start, tab in zip(self.starts, self.tables):
-                for c in range(self.channels):
-                    for k in range(self.n_rates):
-                        if prev is not None and tab[c, k] == prev[c, k]:
-                            continue
-                        w.writerow([start, c + 1, k + 1, repr(float(tab[c, k]))])
-                prev = tab
+            fh.write("start_step,channel,rate_index,theta\r\n")
+            prev = np.full((1, C * K), np.nan)
+            for a in range(0, len(self.tables), _ROWS):
+                tabs = np.concatenate([prev, np.reshape(self.tables[a : a + _ROWS], (-1, C * K))])
+                seg, cell = np.nonzero(tabs[1:] != tabs[:-1])
+                start_text = np.array([f"{s}," for s in self.starts[a : a + _ROWS]], dtype=object)
+                theta_text = np.array(list(map(repr, tabs[seg + 1, cell].tolist())), dtype=object)
+                fh.write("".join((start_text[seg] + cell_text[cell] + theta_text + "\r\n").tolist()))
+                prev = tabs[-1:]
 
     @classmethod
     def from_csv(cls, path: str | Path, horizon: int | None = None) -> "TraceTable":
@@ -329,18 +346,18 @@ class TraceTable:
         by_start: dict[int, list[tuple[int, int, float]]] = {s: [] for s in starts}
         for s, c, k, th in rows:
             by_start[s].append((c, k, th))
+        unset = np.ones((channels, n_rates), dtype=bool)
+        for c, k, _ in by_start[starts[0]]:
+            unset[c - 1, k - 1] = False
+        if unset.any():
+            c, k = np.argwhere(unset)[0]
+            raise ValueError(f"first segment leaves channel {c + 1}, rate {k + 1} unspecified")
         tables: list[np.ndarray] = []
-        current = np.full((channels, n_rates), np.nan)
+        current = np.empty((channels, n_rates))
         for s in starts:
             current = current.copy()
             for c, k, th in by_start[s]:
                 current[c - 1, k - 1] = th
-            if np.any(np.isnan(current)):
-                missing = np.argwhere(np.isnan(current))[0]
-                raise ValueError(
-                    f"first segment leaves channel {missing[0] + 1}, "
-                    f"rate {missing[1] + 1} unspecified"
-                )
             tables.append(current)
         return cls(starts=tuple(starts), tables=tuple(tables), horizon=horizon)
 
@@ -571,9 +588,13 @@ def drift_to_trace(spec: SyntheticDriftSpec, sample_every: int = 1) -> TraceTabl
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     env = DriftEnvironment(spec)
+    latent = env._latent[::sample_every]
+    tables = np.empty((len(latent), spec.channels, len(spec.rates)))
+    for a in range(0, len(latent), _ROWS):
+        z = latent[a : a + _ROWS, :, None] - env._thresholds
+        tables[a : a + _ROWS] = _expit(z / env._softness)
     starts = tuple(range(0, spec.horizon, sample_every))
-    tables = tuple(env.theta_at(s) for s in starts)
-    return TraceTable(starts=starts, tables=tables, horizon=spec.horizon)
+    return TraceTable(starts=starts, tables=tuple(tables), horizon=spec.horizon)
 
 
 class OutcomeTape:

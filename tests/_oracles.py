@@ -8,6 +8,8 @@ internals beyond plain data types.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -148,53 +150,72 @@ def expected_regret_exhaustive(policy, theta: np.ndarray, rates: np.ndarray,
     return recurse(policy.clone(), 0)
 
 
-def baseline_run_reference(kind: str, theta: np.ndarray, outcomes: np.ndarray,
-                           rates: np.ndarray, checkpoints, time_budget: float | None = None
-                           ) -> dict:
-    """Slot-by-slot, lane-by-lane replay of the ``oracle`` or ``static`` baseline.
+def baseline_plays(kind: str, theta: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Flat pairs the ``oracle`` or ``static`` baseline plays at each step.
 
-    ``theta`` is the ``(slots, C, K)`` success-probability schedule,
+    ``theta`` is the ``(slots, C, K)`` success-probability schedule and
+    ``rates`` the K rates; pairs are numbered ``c * K + k``.  The oracle
+    plays the pair of highest ``rate * theta`` at each step and static the
+    pair of highest total over the run (the first one on ties).
+    """
+    slots, channels, n_rates = theta.shape
+    pairs = channels * n_rates
+    mu = [[float(theta[n, j // n_rates, j % n_rates]) * float(rates[j % n_rates])
+           for j in range(pairs)] for n in range(slots)]
+    if kind == "oracle":
+        return np.array([row.index(max(row)) for row in mu])
+    totals = [math.fsum(mu[n][j] for n in range(slots)) for j in range(pairs)]
+    return np.full(slots, totals.index(max(totals)))
+
+
+def weighted_sum_reference(counts, weights) -> float:
+    """``sum(count * weight)`` over the pairs of one ledger, added left to
+    right in plain Python floats; with ``1 / rate`` weights, its airtime."""
+    total = 0.0
+    for count, weight in zip(counts, weights):
+        total += int(count) * float(weight)
+    return total
+
+
+def run_reference(plays: np.ndarray, theta: np.ndarray, outcomes: np.ndarray,
+                  rates: np.ndarray, checkpoints, time_budget: float | None = None) -> dict:
+    """Slot-by-slot, lane-by-lane ledger of the given plays.
+
+    ``plays`` is the ``(S, slots)`` flat pair each lane plays at each step,
+    ``theta`` the ``(slots, C, K)`` success-probability schedule,
     ``outcomes`` the ``(S, slots, C, K)`` outcome bits and ``rates`` the K
-    rates; pairs are numbered ``c * K + k``.  The oracle plays the pair of
-    highest ``rate * theta`` at each step and static the pair of highest
-    total over the run (the first one on ties).  Under a time budget a
-    lane's packet ledger stops at the first packet whose airtime,
-    ``counts @ (1 / rates)``, exceeds the budget; the time benchmark is the
-    best pair's success probability times the packets of its rate that fit.
+    rates; pairs are numbered ``c * K + k``.  Under a time budget a lane's
+    packet ledger stops at the first packet whose airtime
+    (``weighted_sum_reference`` of ``1 / rate``) exceeds the budget; the
+    time benchmark is the best pair's success probability times the packets
+    of its rate that fit.
     Returns the fields of a ``PolicyRunResult``, with ``None`` for the time
     fields when there is no budget.
     """
     slots, channels, n_rates = theta.shape
-    lanes = outcomes.shape[0]
     pairs = channels * n_rates
     rate = [float(rates[j % n_rates]) for j in range(pairs)]
-    inv_r = np.array([1.0 / r for r in rate])
+    inv_r = [1.0 / r for r in rate]
     mu = [[float(theta[n, j // n_rates, j % n_rates]) * rate[j] for j in range(pairs)]
           for n in range(slots)]
-    if kind == "oracle":
-        plays = [row.index(max(row)) for row in mu]
-    else:
-        totals = [math.fsum(mu[n][j] for n in range(slots)) for j in range(pairs)]
-        plays = [totals.index(max(totals))] * slots
     wanted = set(checkpoints)
 
     out = {name: [] for name in ("trajectories", "pulls", "expected_reward",
                                  "realized_reward", "packet_counts")}
-    for lane in range(lanes):
+    for lane, lane_plays in enumerate(plays.tolist()):
         pseudo = expected = realized = 0.0
         pulls = [0] * pairs
         counts = [0] * pairs
         frozen = False
         traj = []
-        for n in range(slots):
-            j = plays[n]
+        for n, j in enumerate(lane_plays):
             pseudo += max(mu[n]) - mu[n][j]
             expected += mu[n][j]
             realized += int(outcomes[lane, n, j // n_rates, j % n_rates]) * rate[j]
             pulls[j] += 1
             if time_budget is not None and not frozen:
                 counts[j] += 1
-                if np.array(counts) @ inv_r > time_budget:
+                if weighted_sum_reference(counts, inv_r) > time_budget:
                     counts[j] -= 1
                     frozen = True
             if n + 1 in wanted:
@@ -203,19 +224,36 @@ def baseline_run_reference(kind: str, theta: np.ndarray, outcomes: np.ndarray,
             out[name].append(value)
 
     ref = {name: np.array(value) for name, value in out.items()}
-    ref["decisions"] = np.array(plays)
+    ref["decisions"] = np.array(plays[0])
     if time_budget is None:
         ref.update(packet_counts=None, time_used=None, time_regret=None)
     else:
         th_flat = [float(v) for v in theta[0].reshape(-1)]
         best = mu[0].index(max(mu[0]))
         benchmark = th_flat[best] * math.floor(rate[best] * time_budget)
-        ref["time_used"] = np.array([np.array(c) @ inv_r for c in out["packet_counts"]])
+        ref["time_used"] = np.array([weighted_sum_reference(c, inv_r) for c in out["packet_counts"]])
         ref["time_regret"] = np.array(
-            [benchmark - sum(c * th for c, th in zip(counts, th_flat))
-             for counts in out["packet_counts"]]
+            [benchmark - weighted_sum_reference(c, th_flat) for c in out["packet_counts"]]
         )
     return ref
+
+
+def trace_csv_reference(trace) -> str:
+    """The sparse CSV text of a ``TraceTable``, one cell at a time: every
+    cell of the first segment, then each cell that differs from the
+    previous segment's, written by ``csv.writer`` with ``repr`` values."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["start_step", "channel", "rate_index", "theta"])
+    prev = None
+    for start, tab in zip(trace.starts, trace.tables):
+        for c in range(tab.shape[0]):
+            for k in range(tab.shape[1]):
+                if prev is not None and tab[c, k] == prev[c, k]:
+                    continue
+                w.writerow([start, c + 1, k + 1, repr(float(tab[c, k]))])
+        prev = tab
+    return buf.getvalue()
 
 
 def crst_pick_reference(pulls, successes, rates, budget, ucb, lcb) -> int:

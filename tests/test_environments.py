@@ -19,7 +19,13 @@ from chanrate import (
 )
 from chanrate.environments import _EXP_MAX, _expit, _seed_states
 
-from _oracles import TAPE_TAG, assert_same_bits, reference_draw, reference_outcomes
+from _oracles import (
+    TAPE_TAG,
+    assert_same_bits,
+    reference_draw,
+    reference_outcomes,
+    trace_csv_reference,
+)
 
 
 @pytest.fixture()
@@ -83,6 +89,16 @@ class TestTraceTable:
         with pytest.raises(ValueError, match="exceed the last segment"):
             TraceTable(starts=(0, 10), tables=(tab, tab), horizon=10)
 
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5, 1.5, float("inf")])
+    def test_probabilities_outside_unit_interval_name_their_segment(self, bad):
+        tab = np.full((2, 2), 0.5)
+        worse = tab.copy()
+        worse[1, 0] = bad
+        with pytest.raises(
+            ValueError, match=rf"segment 2 \(from step 10\) has {bad!r} at channel 2, rate 1"
+        ):
+            TraceTable(starts=(0, 10, 20), tables=(tab, worse, tab))
+
     def test_segment_lookup(self, swap_trace):
         assert swap_trace.segment_index(0) == 0
         assert swap_trace.segment_index(99) == 0
@@ -119,6 +135,29 @@ class TestTraceTable:
         )
         with pytest.raises(ValueError, match="leaves channel 1, rate 2 unspecified"):
             TraceTable.from_csv(path)
+
+    def test_csv_rejects_nan_in_a_later_segment(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "start_step,channel,rate_index,theta\n0,1,1,0.5\n0,1,2,0.5\n7,1,2,nan\n"
+        )
+        with pytest.raises(ValueError, match=r"segment 2 \(from step 7\) has nan at channel 1, rate 2"):
+            TraceTable.from_csv(path)
+
+    def test_csv_bytes_match_a_per_cell_writer(self, tmp_path):
+        # Many repeated cells, both zeros (equal, so a flip is no change)
+        # and more segments than one comparison pass takes.
+        rng = np.random.default_rng(5)
+        values = np.array([0.0, -0.0, 0.25, 1.0, 0.1, 1 / 3])
+        tables = tuple(values[rng.integers(0, 6, size=(2, 3))] for _ in range(1300))
+        starts = tuple(range(0, 3 * 1300, 3))
+        trace = TraceTable(starts=starts, tables=tables)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        assert path.read_bytes() == trace_csv_reference(trace).encode()
+        again = TraceTable.from_csv(path)
+        assert again.starts == starts
+        assert np.array_equal(np.stack(again.tables), np.stack(tables))
 
     def test_csv_rejects_missing_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -288,18 +327,20 @@ class TestSyntheticDrift:
         assert _expit(np.array([-_EXP_MAX]))[0] > 0.0 and _expit(np.array([below]))[0] == 0.0
 
     def test_drift_to_trace_exact_at_unit_sampling(self):
-        spec = self.spec(horizon=50)
+        spec = self.spec(horizon=1100)
         trace = drift_to_trace(spec, sample_every=1)
         env = DriftEnvironment(spec)
-        assert trace.horizon == 50
-        for step in (0, 13, 49):
-            np.testing.assert_array_equal(trace.theta_at(step), env.theta_at(step))
+        assert trace.horizon == 1100
+        for step in range(1100):
+            assert_same_bits(trace.theta_at(step), env.theta_at(step))
 
     def test_drift_to_trace_holds_between_samples(self):
-        spec = self.spec(horizon=50)
-        trace = drift_to_trace(spec, sample_every=10)
+        spec = self.spec(horizon=1600)
+        trace = drift_to_trace(spec, sample_every=3)
         env = DriftEnvironment(spec)
-        np.testing.assert_array_equal(trace.theta_at(19), env.theta_at(10))
+        assert trace.starts == tuple(range(0, 1600, 3))
+        for step in range(1600):
+            assert_same_bits(trace.theta_at(step), env.theta_at(step - step % 3))
 
 
 class TestOutcomeTape:

@@ -16,14 +16,16 @@ from chanrate import (
     SyntheticDriftSpec,
     TraceTable,
     accounting_check,
+    build_policy,
     default_checkpoints,
     demo_model,
     emit_outputs,
     run_experiment,
     save_theta_csv,
 )
+from chanrate.harness import _flat_sum
 
-from _oracles import baseline_run_reference
+from _oracles import assert_same_bits, baseline_plays, run_reference, weighted_sum_reference
 
 
 def config_2x2(**kw):
@@ -278,6 +280,24 @@ def _baseline_configs():
     ), 511
 
 
+def _assert_matches_reference(pol, ref) -> None:
+    for name in _RESULT_FIELDS:
+        got = getattr(pol, name)
+        if ref[name] is None:
+            assert got is None, (pol.label, name)
+        else:
+            assert got.shape == ref[name].shape, (pol.label, name)
+            assert np.array_equal(got, ref[name]), (pol.label, name)
+            if got.dtype.kind == "f":
+                assert_same_bits(got, ref[name])
+
+
+def _schedule(config: ExperimentConfig, slots: int):
+    """The run's ``(slots, C, K)`` probabilities and ``(S, slots, C, K)`` outcomes."""
+    env = config.build_environment()
+    return env.theta_block(0, slots), OutcomeTape(env, config.seeds).block(0, slots)
+
+
 class TestBaselinesAgainstReference:
     """The block-vectorized oracle and static baselines reproduce a plain
     slot-by-slot replay bit for bit, on every result field."""
@@ -288,26 +308,132 @@ class TestBaselinesAgainstReference:
     def test_every_field_is_bitwise_equal(self, kw, packets):
         config = ExperimentConfig(policies=_BASELINES, **kw)
         result = run_experiment(config)
-        env = config.build_environment()
-        theta = env.theta_block(0, result.slots)
-        outcomes = OutcomeTape(env, config.seeds).block(0, result.slots)
+        theta, outcomes = _schedule(config, result.slots)
+        rates = config.rates.as_array()
         for kind in ("oracle", "static"):
             pol = result.policy(kind)
-            ref = baseline_run_reference(
-                kind, theta, outcomes, config.rates.as_array(), result.checkpoints,
-                result.time_horizon,
+            plays = np.tile(baseline_plays(kind, theta, rates), (len(config.seeds), 1))
+            _assert_matches_reference(
+                pol, run_reference(plays, theta, outcomes, rates, result.checkpoints, result.time_horizon)
             )
-            for name in _RESULT_FIELDS:
-                got = getattr(pol, name)
-                if ref[name] is None:
-                    assert got is None, (kind, name)
-                else:
-                    assert got.shape == ref[name].shape, (kind, name)
-                    assert np.array_equal(got, ref[name]), (kind, name)
             if packets is not None:
                 # The scenario is the one named: the ledger stops where stated.
                 assert np.all(pol.packet_counts.sum(axis=1) == packets)
                 assert packets < result.slots
+
+
+_LEARNERS = (
+    PolicySpec("kl-ucb"),
+    PolicySpec("kl-ucb-u", window=200),
+    PolicySpec("kl-ucb-u", strict=True),
+    PolicySpec("crs-t"),
+)
+
+
+def _learner_configs():
+    """Configs for the learner reference test, with the packet counts at
+    which some lane's time ledger freezes: 511 is the last step of the first
+    block and 512 the first step of the second (budgets found by replaying
+    each lane's plays)."""
+    for name, kw, _ in _baseline_configs():
+        if "accounting" not in kw:
+            yield name, kw, ()
+    rates = RateSet.of([0.55, 0.8, 1.0])
+    theta = np.array([[0.95, 0.6, 0.4], [0.9, 0.75, 0.5]])
+    yield "both-freeze-at-block-edges", dict(
+        rates=rates, theta=theta, horizon=583, seeds=(1, 2, 3), accounting="both"
+    ), (511, 512)
+    yield "original-freeze-at-block-edges", dict(
+        rates=rates, theta=theta, horizon=590, seeds=(1, 2, 3), accounting="original"
+    ), (511, 512)
+
+
+def _learner_plays(spec: PolicySpec, config: ExperimentConfig, outcomes) -> np.ndarray:
+    """``(S, slots)`` picks of ``spec`` replayed alone through
+    ``select_batch``/``update_batch`` on the tape's outcomes."""
+    lanes, slots = outcomes.shape[:2]
+    policy = build_policy(
+        spec.kind, config.rates, config.channels, window=spec.window, batch=lanes, strict=spec.strict
+    )
+    K = config.n_rates
+    plays = np.empty((lanes, slots), dtype=np.int64)
+    for n in range(slots):
+        flats = policy.select_batch()
+        policy.update_batch(flats, outcomes[np.arange(lanes), n, flats // K, flats % K])
+        plays[:, n] = flats
+    return plays
+
+
+class TestLearnersAgainstReference:
+    """Every learner's ledger equals a plain slot-by-slot ledger of its own
+    replayed plays, bit for bit, on every result field."""
+
+    @pytest.mark.parametrize(
+        "kw, edges", [pytest.param(kw, e, id=name) for name, kw, e in _learner_configs()]
+    )
+    def test_every_field_is_bitwise_equal(self, kw, edges):
+        config = ExperimentConfig(policies=_LEARNERS, **kw)
+        result = run_experiment(config)
+        theta, outcomes = _schedule(config, result.slots)
+        rates = config.rates.as_array()
+        for spec in _LEARNERS:
+            plays = _learner_plays(spec, config, outcomes)
+            _assert_matches_reference(
+                result.policy(spec.label),
+                run_reference(plays, theta, outcomes, rates, result.checkpoints, result.time_horizon),
+            )
+        if edges:
+            # The scenario is the one named: some ledgers freeze at a block
+            # edge and others inside a block.
+            packets = {int(n) for p in result.policies for n in p.packet_counts.sum(axis=1)}
+            assert set(edges) <= packets
+            assert any(n % 512 not in (0, 511) for n in packets)
+            assert max(packets) < result.slots
+
+
+class TestLaneIndependence:
+    """A lane's result does not depend on the other lanes in its batch."""
+
+    def test_time_ledger_lane_alone_equals_its_batch_lane(self):
+        model = demo_model()
+        config = ExperimentConfig(
+            rates=model.rates, theta=np.array(model.theta), horizon=40, seeds=tuple(range(1, 21)),
+            accounting="both",
+            policies=(
+                PolicySpec("kl-ucb"), PolicySpec("crs-t"), PolicySpec("kl-ucb-u"),
+                PolicySpec("oracle"), PolicySpec("static"),
+            ),
+        )
+        batch = run_experiment(config)
+        # Lanes 8 and 20 are the ones whose kl-ucb-u airtime a matrix
+        # product over the batch rounded differently from the lane alone.
+        for seed in (8, 20):
+            lane = config.seeds.index(seed)
+            alone = run_experiment(dataclasses.replace(config, seeds=(seed,)))
+            for pol in batch.policies:
+                one = alone.policy(pol.label)
+                for name in _RESULT_FIELDS:
+                    if name == "decisions":
+                        continue  # lane 0's log only
+                    assert_same_bits(getattr(one, name)[0], getattr(pol, name)[lane])
+
+    def test_airtime_of_a_row_does_not_depend_on_its_stack(self):
+        rng = np.random.default_rng(11)
+        rows = rng.integers(0, 300, size=(2000, 40))
+        inv_r = 1.0 / np.tile(demo_model().rates.as_array(), 5)
+        alone = np.array([_flat_sum(row, inv_r) for row in rows])
+        assert_same_bits(alone, [weighted_sum_reference(row, inv_r) for row in rows.tolist()])
+        for size in (2, 3, 7, 64, 333, 2000):
+            for shift in (0, size // 2):
+                stack = np.roll(rows, shift, axis=0)
+                for a in range(0, len(rows), size):
+                    assert_same_bits(
+                        _flat_sum(stack[a : a + size], inv_r), np.roll(alone, shift)[a : a + size]
+                    )
+        wide = np.zeros((2000, 80), dtype=np.int64)
+        wide[:, ::2] = rows
+        assert_same_bits(_flat_sum(wide[:, ::2], inv_r), alone)
+        assert_same_bits(_flat_sum(np.asfortranarray(rows), inv_r), alone)
 
 
 def _lock_step_configs():
