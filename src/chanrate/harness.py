@@ -819,10 +819,6 @@ def accounting_check(result: ExperimentResult) -> AccountingReport:
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) -> dict[str, Path]:
     """Write regret.csv, decisions.csv, summary.json and, when the source
     is stationary, bounds.json.  Returns the paths keyed by artifact name.
@@ -844,12 +840,11 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
         header += [f"seed_{s}" for s in config.seeds]
         fh.write(",".join(header) + "\n")
         for pol in sorted(result.policies, key=lambda p: p.label):
-            means = pol.mean_regret
-            stds = pol.stddev_regret
+            means = pol.mean_regret.tolist()
+            stds = pol.stddev_regret.tolist()
             for i, cp in enumerate(result.checkpoints):
-                row = [str(cp), pol.label, _fmt(means[i]), _fmt(stds[i])]
-                row += [_fmt(v) for v in pol.trajectories[:, i]]
-                fh.write(",".join(row) + "\n")
+                values = [means[i], stds[i], *pol.trajectories[:, i].tolist()]
+                fh.write(f"{cp},{pol.label}," + ",".join(map(repr, values)) + "\n")
     paths["regret"] = regret_path
 
     dec_path = out / "decisions.csv"

@@ -314,6 +314,20 @@ def reference_outcomes(env, seed: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def pcg64_doubles(state_words, count: int) -> np.ndarray:
+    """The first ``count`` doubles of numpy's ``Generator(PCG64(...))``
+    seeded with the four uint64 words ``state_words``, which numpy would
+    otherwise take from ``SeedSequence.generate_state(4, np.uint64)``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            assert (n_words, dtype) == (4, np.uint64)
+            return np.array(state_words, dtype=np.uint64)
+
+    return np.random.Generator(np.random.PCG64(Words())).random(count)
+
+
 def reference_draw(env, seed: int, pair: tuple[int, int], step: int) -> int:
     """Bernoulli outcome (0 or 1) of playing ``pair`` at ``step`` under ``seed``."""
     c, k = pair

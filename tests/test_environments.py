@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,13 @@ from chanrate import (
     accelerate,
     drift_to_trace,
 )
-from chanrate.environments import _EXP_MAX, _expit, _seed_states
+from chanrate import environments
+from chanrate.environments import _EXP_MAX, _expit, _pcg64_random, _seed_states
 
 from _oracles import (
     TAPE_TAG,
     assert_same_bits,
+    pcg64_doubles,
     reference_draw,
     reference_outcomes,
     trace_csv_reference,
@@ -189,6 +193,38 @@ class TestTraceEnvironment:
     def test_rate_width_must_match(self, swap_trace):
         with pytest.raises(ValueError, match="rate count"):
             TraceEnvironment(swap_trace, RateSet.of([1.0]))
+
+    def test_probabilities_are_held_once(self):
+        rates = RateSet.of([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+        spec = SyntheticDriftSpec(rates=rates, channels=5, horizon=20_000, step_std=0.05)
+        trace = drift_to_trace(spec)
+        data = trace.probabilities
+        assert data.shape == (20_000, 5, 8) and not data.flags.writeable
+        assert all(tab.base is data for tab in trace.tables)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            again = TraceTable(trace.starts, data, trace.horizon)
+            table_growth = tracemalloc.get_traced_memory()[0] - before
+            before = tracemalloc.get_traced_memory()[0]
+            env = TraceEnvironment(again, rates)
+            env_growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # A stacked array is taken as it is: only a view per segment is new.
+        assert again.probabilities is data
+        assert table_growth < 20_000 * 150
+        # The environment adds the segment starts as an int64 array and no
+        # copy of the 6.4 MB of probabilities.
+        assert env_growth < 20_000 * 8 + 4096
+        assert env.theta_block(9_990, 10_010).tobytes() == data[9_990:10_010].tobytes()
+
+    def test_tables_are_stacked_into_one_array(self, swap_trace):
+        assert swap_trace.probabilities.shape == (2, 2, 2)
+        assert swap_trace.tables[1].base is swap_trace.probabilities
+        assert swap_trace.tables[1].tolist() == [[0.2, 0.1], [0.9, 0.3]]
+        with pytest.raises(ValueError, match="read-only"):
+            swap_trace.tables[0][0, 0] = 0.5
 
 
 class TestAccelerate:
@@ -376,6 +412,9 @@ class TestOutcomeTape:
 # Seeds whose entropy rows have one, two and three words, and 0 (one word).
 MIXED_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3)
 
+# Rows of the longest chunk prefix of 2 x 3 cells that block emulates.
+EDGE = environments._EMULATE_MAX_DRAWS // 6
+
 
 class TestOutcomeTapeAgainstReference:
     @pytest.fixture()
@@ -423,6 +462,65 @@ class TestOutcomeTapeAgainstReference:
         added = OutcomeTape(env, (*MIXED_SEEDS, 2**40 + 5)).block(500, 530)
         assert added[:-1].tobytes() == full.tobytes()
 
+    @pytest.fixture()
+    def emulated_chunks(self, monkeypatch):
+        """Records (skip, count) of every tile of every emulated chunk."""
+        calls = []
+
+        def spy(states, skip, count):
+            calls.append((skip, count))
+            return _pcg64_random(states, skip, count)
+
+        monkeypatch.setattr(environments, "_pcg64_random", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "start, stop, emulated",
+        [
+            (0, EDGE, [(0, 6 * EDGE)]),  # at the constant
+            (0, EDGE + 1, []),  # one row over it
+            (EDGE - 5, EDGE, [(6 * (EDGE - 5), 30)]),  # unaligned start
+            (10, EDGE + 1, []),
+            (510, 512 + EDGE, [(0, 6 * EDGE)]),  # chunk edge: generator, then emulated
+            (512 + 3, 512 + 9, [(18, 36)]),
+            (2**41 + 3, 2**41 + EDGE, [(18, 6 * (EDGE - 3))]),  # block index 2^32
+            (2**41 - 4, 2**41 + 4, [(0, 24)]),  # block index 2^32 - 1 into 2^32
+        ],
+    )
+    def test_both_draw_paths_match_reference(self, env, emulated_chunks, start, stop, emulated):
+        """A chunk of at most _EMULATE_MAX_DRAWS draws per lane steps PCG64
+        across lanes; a longer one runs numpy's generator per lane."""
+        block = OutcomeTape(env, MIXED_SEEDS).block(start, stop)
+        for i, seed in enumerate(MIXED_SEEDS):
+            np.testing.assert_array_equal(block[i], reference_outcomes(env, seed, start, stop))
+        # MIXED_SEEDS fall in three groups by entropy length, one call each.
+        assert emulated_chunks == [call for call in emulated for _ in range(3)]
+
+    @pytest.mark.parametrize("seeds", [MIXED_SEEDS, (7, 3, 9, 1, 4)])
+    def test_lane_tiles_reassemble(self, env, monkeypatch, seeds):
+        """Tiles narrower than a group, in multi-word groups (a fancy index)
+        and in one group of one-word seeds (a slice)."""
+        want = OutcomeTape(env, seeds).block(505, 520)
+        monkeypatch.setattr(environments, "_PCG_TILE", 2)
+        assert OutcomeTape(env, seeds).block(505, 520).tobytes() == want.tobytes()
+        for i, seed in enumerate(seeds):
+            np.testing.assert_array_equal(want[i], reference_outcomes(env, seed, 505, 520))
+
+    def test_lane_alone_equals_its_lane_in_a_wide_batch(self, env, emulated_chunks):
+        rng = np.random.default_rng(8)
+        seeds = [int(s) for s in rng.choice(2**40, size=9_000, replace=False)]
+        seeds[:3] = [0, 2**32 - 1, 2**64 + 3]  # one-, two- and three-word entropy
+        tape = OutcomeTape(env, seeds)
+        short = tape.block(0, 7)  # 42 draws per lane: emulated, in lane tiles
+        tiles = len(emulated_chunks)
+        assert tiles >= 4  # three groups, the widest in two tiles
+        long = tape.block(0, 3 * EDGE)  # per-lane generator
+        assert len(emulated_chunks) == tiles
+        assert short.tobytes() == long[:, :7].tobytes()
+        for lane in (0, 1, 2, 3, 4_000, environments._PCG_TILE, len(seeds) - 1):
+            alone = OutcomeTape(env, (seeds[lane],)).block(0, 7)
+            assert alone[0].tobytes() == short[lane].tobytes()
+
     def test_hash_matches_seed_sequence(self):
         rng = np.random.default_rng(5)
         for length in range(1, 8):  # below, at and above the 4-word pool
@@ -444,3 +542,41 @@ class TestOutcomeTapeAgainstReference:
                 OutcomeTape(env, seeds=(1, bad, 2))
         tape = OutcomeTape(env, seeds=(np.int64(3), 4))
         assert tape.seeds == (3, 4) and all(type(s) is int for s in tape.seeds)
+
+
+# Edge seed states for the emulated generator, as (s0, s1, s2, s3) words:
+# initstate = s0:s1 and inc = (s2:s3) << 1 | 1.
+ALL_ONES = 2**64 - 1
+PCG_EDGE_STATES = [
+    (0, 0, 0, 0),  # state 0, inc 1
+    (0, ALL_ONES, 0, 0),  # low word all ones: the seeding add carries into the high word
+    (0, ALL_ONES, 0, ALL_ONES),  # low words of state and inc all ones
+    (ALL_ONES, ALL_ONES, ALL_ONES, ALL_ONES),
+    (0, 0, 2**62, 0),  # the top bit of inc set
+    (0, 0, 2**63, 0),  # a bit shifted out of inc
+    (0, 0xFFFFFFFF, 0, 0xFFFFFFFF),  # a low limb all ones
+    (2**63, 2**63, 2**63, 2**63),
+]
+
+
+class TestPcg64Emulation:
+    def test_random_states_match_numpy_bitwise(self):
+        rng = np.random.default_rng(21)
+        states = rng.integers(0, 2**64, size=(1_000, 4), dtype=np.uint64, endpoint=False)
+        got = np.array([d.copy() for d in _pcg64_random(states, 0, 40)]).T
+        assert got.shape == (1_000, 40)
+        for row, draws in zip(states, got):
+            assert_same_bits(draws, pcg64_doubles(row, 40))
+
+    @pytest.mark.parametrize("state", PCG_EDGE_STATES)
+    def test_edge_states_match_numpy_bitwise(self, state):
+        states = np.array([state], dtype=np.uint64)
+        got = [d[0] for d in _pcg64_random(states, 0, 600)]
+        assert_same_bits(got, pcg64_doubles(state, 600))
+
+    @pytest.mark.parametrize("skip, count", [(0, 1), (1, 1), (5, 3), (300, 24)])
+    def test_skip_starts_later_in_the_stream(self, skip, count):
+        states = np.array(PCG_EDGE_STATES, dtype=np.uint64)
+        got = np.array([d.copy() for d in _pcg64_random(states, skip, count)]).T
+        for row, draws in zip(states, got):
+            assert_same_bits(draws, pcg64_doubles(row, skip + count)[skip:])
