@@ -565,7 +565,7 @@ def _totals(run: _Schedule) -> tuple[float, np.ndarray, np.ndarray]:
     pick is the largest) and the best pair of every step."""
     oracle_reward = 0.0
     mu_totals = np.zeros(run.r_flat.size)
-    best_flats = np.empty(run.slots, dtype=np.int64)
+    best_flats = np.empty(run.slots, dtype=np.min_scalar_type(run.r_flat.size - 1))
     for n0, n1, mu_b in run.blocks():
         oracle_reward += float(mu_b.max(axis=1).sum())
         mu_totals += mu_b.sum(axis=0)
@@ -646,7 +646,7 @@ class _Ledger:
         self.realized = np.zeros(len(run.tape.seeds))
         self.pulls = np.zeros((rows, run.r_flat.size), dtype=np.int64)
         self.traj = np.empty((rows, len(self.cps)))
-        self.decisions = np.empty(run.slots, dtype=np.int64)
+        self.decisions = np.empty(run.slots, dtype=np.min_scalar_type(run.r_flat.size - 1))
         self.counts = self.frozen = None
         if run.time_horizon is not None:
             self.inv_r = 1.0 / run.r_flat
@@ -819,6 +819,15 @@ def accounting_check(result: ExperimentResult) -> AccountingReport:
     )
 
 
+def _float_texts(values: np.ndarray) -> str:
+    """``",".join(map(repr, values.tolist()))`` for a 1-D float array, with
+    each distinct value formatted once.  Values are told apart by their
+    bits, so -0.0 keeps its own text beside 0.0."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return ",".join(texts[inverse].tolist())
+
+
 def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) -> dict[str, Path]:
     """Write regret.csv, decisions.csv, summary.json and, when the source
     is stationary, bounds.json.  Returns the paths keyed by artifact name.
@@ -843,8 +852,8 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
             means = pol.mean_regret.tolist()
             stds = pol.stddev_regret.tolist()
             for i, cp in enumerate(result.checkpoints):
-                values = [means[i], stds[i], *pol.trajectories[:, i].tolist()]
-                fh.write(f"{cp},{pol.label}," + ",".join(map(repr, values)) + "\n")
+                lanes = _float_texts(pol.trajectories[:, i])
+                fh.write(f"{cp},{pol.label},{means[i]!r},{stds[i]!r},{lanes}\n")
     paths["regret"] = regret_path
 
     dec_path = out / "decisions.csv"
@@ -899,17 +908,15 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
             entry["time_regret_mean"] = float(pol.time_regret.mean())
             entry["max_time_used"] = float(pol.time_used.max())
         summary["policies"][pol.label] = entry
+    # One dumps and one write: json.dump writes each token on its own.
     sum_path = out / "summary.json"
-    with sum_path.open("w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    sum_path.write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
     paths["summary"] = sum_path
 
     model = config.model()
     if model is not None:
         bounds_path = out / "bounds.json"
-        with bounds_path.open("w") as fh:
-            json.dump(compute_bound_report(model).to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        report = compute_bound_report(model).to_json_dict()
+        bounds_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         paths["bounds"] = bounds_path
     return paths

@@ -29,6 +29,11 @@ two-sided bracket, and stops on its own test:
 No element's result depends on the other elements of the batch, and a
 zero budget returns ``p`` exactly.
 
+A call whose elements all take one direction passes ``upper`` as a bool
+rather than an array.  That is the fast path: the solver then builds no
+direction masks and makes no per-element choice of transform.  Upper-bound
+learners (``kl-ucb``, ``kl-ucb-u``) take it on every slot.
+
 The divergence itself is a port of ``scipy.special.rel_entr`` to Python's
 ``math`` module, which calls the same C library ``log`` and ``log1p``, so
 it returns the same bits without importing scipy.  numpy's own ``np.log``
@@ -134,15 +139,14 @@ def _allowance_vec(n: np.ndarray) -> np.ndarray:
 def _residual(e, c):
     """Fill ``e[1]`` with I(p, q(v)) - f/t and ``e[2]`` with its negated slope.
 
-    ``e[0]`` holds log-space points v; ``c`` stacks w, s and
-    ``k = s*log(s) - f/t`` in the same shape, as set up in
+    ``e[0]`` holds log-space points v; ``c`` stacks -w, w, s and
+    ``k = s*log(s) - f/t``, broadcasting against ``e[0]``, as set up in
     :func:`_solve_log_space`.
     """
     v, r, rho = e
-    w, s, k = c
-    np.expm1(v, rho)
-    np.negative(rho, rho)  # 1 - e^v, the probability opposite the variable
-    np.divide(w, rho, rho)
+    nw, w, s, k = c
+    np.expm1(v, rho)  # e^v - 1, minus the probability opposite the variable
+    np.divide(nw, rho, rho)
     np.log(rho, r)
     r *= w
     r -= s * v
@@ -155,28 +159,30 @@ def _solve_log_space(p, t, target, upper):
     """Solve t * I(p, q) = f for strictly interior p, one element at a time.
 
     ``p``, ``t``, ``target`` (= f/t > 0) are same-shape 1-D float arrays with
-    every p in (0, 1) and every t >= 1; ``upper`` is a bool, or a bool array
-    of that shape, choosing each element's bound.  Returns ``(q, steps)``: q
-    on the probability scale and the number of Newton steps the slowest
-    element took; more than ``_NEWTON_STEPS`` means some element fell back
-    to bisection.  No element's result depends on the other elements.
+    every p in (0, 1) and every t >= 1; ``upper`` is a Python bool, one
+    direction for every element, or a bool array of that shape choosing each
+    element's bound.  Returns ``(q, steps)``: q on the probability scale and
+    the number of Newton steps the slowest element took; more than
+    ``_NEWTON_STEPS`` means some element fell back to bisection.  No
+    element's result depends on the other elements.
     """
     # UCB: v = log(1 - q); LCB: v = log(q).  With s = 1 - p (UCB) or p (LCB)
     # and w = 1 - s, I(p, q(v)) = w*log(w/(1 - e^v)) + s*(log(s) - v), which
     # is zero at the anchor v = log(s) and convex and decreasing left of it.
     # The direction only swaps s and w here and picks the transform back.
     n = p.shape[0]
-    lower = np.logical_not(upper)
-    c = np.empty((3, 2, n))  # w, s, k, repeated for both candidate rows
-    w, s, k = c[:, 0]
+    c = np.empty((4, 1, n))  # -w, w, s, k, shared by both candidate rows
+    nw, w, s, k = c[:, 0]
     np.subtract(1.0, p, s)
     w[:] = p
-    np.copyto(w, s, where=lower)
-    np.copyto(s, p, where=lower)
+    if upper is not True:
+        lower = np.logical_not(upper)
+        np.copyto(w, s, where=lower)
+        np.copyto(s, p, where=lower)
+    np.negative(w, nw)
     anchor = np.log(s)
     np.multiply(s, anchor, k)
     k -= target
-    c[:, 1] = c[:, 0]
     # The certified bound, or where t is too large for float64 to reach it,
     # 4 eps * (2 + 2 f/t + s |log s|): at least twice the residual's rounding
     # error, and above the change of the residual over one float step of v.
@@ -204,9 +210,9 @@ def _solve_log_space(p, t, target, upper):
     np.fmax(lo, np.log(d), lo)
     # Newton steps from the left never pass the root, so the first few need
     # no check; checking each costs more than the rare extra step saves.
-    head, c_head = e[:, :1], c[:, :1]
+    head = e[:, :1]
     for _ in range(_UNCHECKED_STEPS):
-        _residual(head, c_head)
+        _residual(head, c)
         e[1, 0] /= e[2, 0]
         lo += e[1, 0]
 
@@ -254,7 +260,7 @@ def _solve_log_space(p, t, target, upper):
     q = np.expm1(v)
     np.negative(q, q)
     np.maximum(q, p, out=q)
-    if lower.any():
+    if upper is not True:
         np.copyto(q, np.minimum(np.exp(v), p), where=lower)
     return q, steps
 
@@ -265,7 +271,8 @@ def _solve_probability(p_hat, pulls, budget, upper):
     ``upper`` (a bool, or a bool array broadcasting with the others) picks
     the upper or the lower bound of each element, so one call can serve
     both directions; every element's result is what a call on it alone
-    returns.
+    returns.  A bool, or any 0-d ``upper``, takes the single-direction path,
+    which builds no direction masks.
     """
     p = np.asarray(p_hat, dtype=float)
     t = np.asarray(pulls, dtype=float)
@@ -284,6 +291,9 @@ def _solve_probability(p_hat, pulls, budget, upper):
     if not (lowest(f, axis=None, initial=0.0) >= 0.0):
         raise ValueError("budget must be nonnegative")
 
+    if upper.ndim == 0:
+        upper = bool(upper)
+
     with np.errstate(divide="ignore", invalid="ignore"):
         target = f / t
         # Unpulled entries give the extreme value (1 up, 0 down); endpoint
@@ -291,23 +301,34 @@ def _solve_probability(p_hat, pulls, budget, upper):
         # at a zero budget, until solved.  I(1, q) is infinite below 1 and
         # t * (-log(1 - q)) = f at p = 0; I(0, q) is infinite above 0 and
         # t * (-log(q)) = f at p = 1.
-        use_p = p > 0.0
-        out = -np.expm1(-target)
-        if not upper.all():
-            use_p = np.where(upper, use_p, p < 1.0)
-            out = np.where(upper, out, np.exp(-target))
-        out = np.where(use_p, p, out)
+        shape = np.broadcast(p, target, upper).shape
+        out = np.empty(shape)
+        np.negative(target, out)
+        if upper is False:
+            use_p = p < 1.0
+            np.exp(out, out)
+        else:
+            use_p = p > 0.0
+            np.expm1(out, out)
+            np.negative(out, out)
+            if upper is not True:
+                use_p = np.where(upper, use_p, p < 1.0)
+                np.copyto(out, np.exp(-target), where=~upper)
+        np.copyto(out, p, where=use_p)
         np.copyto(out, upper, where=t <= 0.0)
         inner = out != upper  # out lies in [0, 1]: below 1 up, above 0 down
         inner &= use_p
         inner &= target > 0.0
-    if inner.any():
-        p, t, target = (
-            (a if a.shape == out.shape else np.broadcast_to(a, out.shape))[inner] for a in (p, t, target)
-        )
-        if upper.ndim:
-            upper = (upper if upper.shape == out.shape else np.broadcast_to(upper, out.shape))[inner]
-        out[inner] = _solve_log_space(p, t, target, upper)[0]
+    at = np.flatnonzero(inner)
+    if at.size:
+
+        def interior(a):
+            return (a if a.shape == shape else np.broadcast_to(a, shape)).take(at)
+
+        p, t, target = interior(p), interior(t), interior(target)
+        if not isinstance(upper, bool):
+            upper = interior(upper)
+        out.put(at, _solve_log_space(p, t, target, upper)[0])
     if out.ndim == 0:
         return float(out)
     return out

@@ -20,6 +20,13 @@ that advance in lock-step (one per environment seed); the scalar interface
 is the batch=1 special case.  ``select_batch``/``update_batch`` expose the
 vector form.
 
+Each policy keeps its statistics per (lane, pair): pull and success counts
+and, beside them, the empirical success rates ``successes / pulls`` (0.0
+where a pair has no pulls).  ``_record`` and ``_evict`` are the only writers
+of this store, and each touches only the one (lane, pair) element a lane
+pulls or a window drops, so a step costs no full-table recomputation of the
+rates.  Elements are addressed by flat index ``lane * pairs + pair``.
+
 Selection is split in two so that many policies can share one solver call:
 a policy first requests the confidence bounds its next pick needs, as flat
 ``(p, t, f, upper)`` arrays (``f`` and ``upper`` may be scalars), then
@@ -110,6 +117,7 @@ class BasePolicy:
         self._r_flat = np.tile(self._rates.as_array(), channels)
         self._r_row = self._rates.as_array()
         self._lanes = np.arange(batch)
+        self._lane_base = self._lanes * self._n_pairs  # flat index of (lane, pair 0)
         self.reset()
 
     # -- public surface -------------------------------------------------
@@ -147,6 +155,7 @@ class BasePolicy:
         self._pending: np.ndarray | None = None
         self._pulls = np.zeros((S, P), dtype=np.int64)
         self._successes = np.zeros((S, P), dtype=np.int64)
+        self._rate = np.zeros((S, P))  # successes / pulls, 0.0 where unpulled
         if self._window is not None:
             self._ring_pair = np.full((S, self._window), -1, dtype=np.int64)
             self._ring_out = np.zeros((S, self._window), dtype=np.int8)
@@ -208,8 +217,14 @@ class BasePolicy:
             pos = self._ring_pos
             self._ring_pair[:, pos] = flats
             self._ring_out[:, pos] = outcomes
-        self._pulls[self._lanes, flats] += 1
-        self._successes[self._lanes, flats] += outcomes
+        at = self._lane_base + flats
+        pulls = self._pulls.take(at)
+        pulls += 1
+        successes = self._successes.take(at)
+        successes += outcomes
+        self._pulls.put(at, pulls)
+        self._successes.put(at, successes)
+        self._rate.put(at, successes / pulls)
         self._step += 1
         self._pending = None
         self._after_update()
@@ -249,18 +264,19 @@ class BasePolicy:
             raise RuntimeError("scalar select/update require batch=1; use the *_batch forms")
 
     def _evict(self) -> None:
-        old = self._ring_pair[:, self._ring_pos]
-        has = old >= 0
-        if np.any(has):
-            lanes = self._lanes[has]
-            arms = old[has]
-            self._pulls[lanes, arms] -= 1
-            self._successes[lanes, arms] -= self._ring_out[has, self._ring_pos]
-
-    def _success_rates(self) -> np.ndarray:
-        p = np.zeros((self._batch, self._n_pairs), dtype=float)
-        np.divide(self._successes, self._pulls, out=p, where=self._pulls > 0)
-        return p
+        # Lanes step together, so the ring slot is filled on every lane or none.
+        if self._step < self._window:
+            return
+        at = self._lane_base + self._ring_pair[:, self._ring_pos]
+        pulls = self._pulls.take(at)
+        pulls -= 1
+        successes = self._successes.take(at)
+        successes -= self._ring_out[:, self._ring_pos]
+        self._pulls.put(at, pulls)
+        self._successes.put(at, successes)
+        rate = np.zeros(at.shape)
+        np.divide(successes, pulls, out=rate, where=pulls > 0)
+        self._rate.put(at, rate)
 
     def _scalar_budget(self) -> float:
         """Budget for policies whose allowance argument is the step count."""
@@ -283,7 +299,7 @@ class KlUcbPolicy(BasePolicy):
     kind = "kl-ucb"
 
     def _request(self):
-        return self._success_rates().ravel(), self._pulls.ravel(), self._scalar_budget(), True
+        return self._rate.ravel(), self._pulls.ravel(), self._scalar_budget(), True
 
     def _finish(self, q: np.ndarray) -> np.ndarray:
         q = q.reshape(self._batch, self._n_pairs)
@@ -307,65 +323,73 @@ class CrsTPolicy(BasePolicy):
 
     # Bounds one step solves, in this order: lcb on each channel's leader,
     # ucb on its lower and upper rate neighbours, ucb on the leader.
-    _OFFSETS = np.array([0, -1, 1, 0])[:, None, None]
+    _OFFSETS = np.array([0, -1, 1, 0])[:, None]
 
     def _reset_extra(self) -> None:
-        self._upper = np.repeat([False, True, True, True], self._batch * self._channels)
-
-    def _leaders(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         S, C, K = self._batch, self._channels, self._n_rates
-        p = self._success_rates().reshape(S, C, K)
-        t = self._pulls.reshape(S, C, K)
-        mu_hat = p * self._r_row
-        lead = np.argmax(mu_hat, axis=2)  # first max = smallest rate index
-        return p, t, lead
+        self._upper = np.repeat([False, True, True, True], S * C)
+        # Tables by leader rate index k.  Out-of-range neighbours are clamped
+        # into the row here and masked by the validity tables.
+        k = np.arange(K)
+        self._bound_k = np.clip(k + self._OFFSETS, 0, K - 1)  # (4, K): each bound's rate
+        self._bound_r = self._r_row[self._bound_k]
+        self._has_below = k > 0
+        self._has_above = k < K - 1
+        near = k[:, None] + np.array([-1, 0, 1])  # (K, 3): the closed neighbourhood
+        self._near_k = np.clip(near, 0, K - 1)
+        self._near_out = (near < 0) | (near >= K)
+        self._lane_c = self._lanes * C  # flat index of (lane, channel 0) in (S, C)
+        self._chan_base = (self._lane_c[:, None] + np.arange(C)) * K  # of (lane, c, rate 0)
+
+    def _leaders(self) -> np.ndarray:
+        S, C, K = self._batch, self._channels, self._n_rates
+        mu_hat = self._rate.reshape(S, C, K) * self._r_row
+        return np.argmax(mu_hat, axis=2)  # first max = smallest rate index
 
     def _request(self):
-        S, C, K = self._batch, self._channels, self._n_rates
-        p, t, lead = self._leaders()
-        ks = lead + self._OFFSETS  # (4, S, C); out-of-range neighbours masked later
-        kc = np.clip(ks, 0, K - 1)
-        at = (self._lanes[:, None], np.arange(C), kc)
-        self._ctx = t, lead, ks, kc
-        return p[at].ravel(), t[at].ravel(), self._scalar_budget(), self._upper
+        lead = self._leaders()
+        at = (self._chan_base + self._bound_k[:, lead]).ravel()  # (4, S, C) bounds
+        self._ctx = lead
+        return self._rate.take(at), self._pulls.take(at), self._scalar_budget(), self._upper
 
     def _bounds(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rate-scaled ucb of every leader, and which channels are undecided."""
-        S, C, K = self._batch, self._channels, self._n_rates
-        _, _, ks, kc = self._ctx
-        q = q.reshape(4, S, C)
-        q *= self._r_row[kc]
+        lead = self._ctx
+        q = q.reshape(4, self._batch, self._channels)
+        q *= self._bound_r[:, lead]
         lcb, below, above, ucb = q
-        sup = np.maximum(np.where(ks[1] >= 0, below, -np.inf), np.where(ks[2] < K, above, -np.inf))
+        sup = np.maximum(
+            np.where(self._has_below[lead], below, -np.inf),
+            np.where(self._has_above[lead], above, -np.inf),
+        )
         return ucb, lcb < sup  # leader not yet separated from its rate neighbors
 
     def _finish(self, q: np.ndarray) -> np.ndarray:
         K = self._n_rates
         b, undecided = self._bounds(q)
-        t, lead = self._ctx[:2]
+        lead = self._ctx
         explore = undecided.any(axis=1)
 
         # Exploration: lowest undecided channel, least-pulled rate among the
         # leader's closed neighborhood (ties to the smallest rate index).
         ch_ex = np.argmax(undecided, axis=1)
-        lead_ex = lead[self._lanes, ch_ex]
-        cand = lead_ex[:, None] + np.array([-1, 0, 1])
-        valid = (cand >= 0) & (cand < K)
-        cand_c = np.clip(cand, 0, K - 1)
-        pulls_c = t[self._lanes[:, None], ch_ex[:, None], cand_c].astype(float)
-        pulls_c[~valid] = np.inf
-        k_ex = cand_c[self._lanes, np.argmin(pulls_c, axis=1)]
+        row_ex = self._lane_c + ch_ex
+        lead_ex = lead.take(row_ex)
+        cand = self._near_k[lead_ex]
+        pulls_c = self._pulls.take(row_ex[:, None] * K + cand)
+        pulls_c = np.where(self._near_out[lead_ex], np.inf, pulls_c)
+        k_ex = cand.take(self._lanes * 3 + np.argmin(pulls_c, axis=1))
         flat_ex = ch_ex * K + k_ex
 
         # Exploitation: leader with the highest upper index across channels.
         ch_xp = np.argmax(b, axis=1)
-        flat_xp = ch_xp * K + lead[self._lanes, ch_xp]
+        flat_xp = ch_xp * K + lead.take(self._lane_c + ch_xp)
 
         return np.where(explore, flat_ex, flat_xp)
 
     def state(self, lane: int = 0) -> CrsTState:
         base = super().state(lane)
-        lead = self._leaders()[2]
+        lead = self._leaders()
         if self._step >= 1:
             undecided_mask = self._bounds(_solve_probability(*self._request()))[1][lane]
         else:
@@ -412,7 +436,9 @@ class KlUcbUPolicy(BasePolicy):
         self.graph = graph = build_graph(channels, n_rates)
         self._include_leader = include_leader
         self._cand_table = self._build_candidates(graph, include_leader)
+        self._safe_table = np.maximum(self._cand_table, 0)  # padding clamped to pair 0
         super().__init__(rates, channels, window=window, batch=batch, budget=budget)
+        self._r_cand = self._r_flat[self._safe_table]
 
     @staticmethod
     def _build_candidates(graph: NeighborhoodGraph, include_leader: bool) -> np.ndarray:
@@ -446,45 +472,41 @@ class KlUcbUPolicy(BasePolicy):
 
     def _after_update(self) -> None:
         # Leadership counts include the leader after the current step.
-        mu_hat = self._success_rates()
-        np.multiply(mu_hat, self._r_flat, out=mu_hat)
-        self._leader = np.argmax(mu_hat, axis=1)
+        self._leader = np.argmax(self._rate * self._r_flat, axis=1)
+        at = self._lane_base + self._leader
         if self._window is not None:
             pos = self._ring_pos
-            old = self._lead_ring[:, pos]
-            has = old >= 0
-            if np.any(has):
-                self._lead_counts[self._lanes[has], old[has]] -= 1
+            if self._step > self._window:  # the slot is filled on every lane
+                old = self._lane_base + self._lead_ring[:, pos]
+                self._lead_counts.put(old, self._lead_counts.take(old) - 1)
             self._lead_ring[:, pos] = self._leader
-        self._lead_counts[self._lanes, self._leader] += 1
+        self._lead_counts.put(at, self._lead_counts.take(at) + 1)
 
     def _request(self):
         lead = self._leader
         if self.gamma == 0:  # single-vertex graph: the leader is the only pair
             return None
-        v_lead = self._lead_counts[self._lanes, lead]
+        v_lead = self._lead_counts.take(self._lane_base + lead)
         if self._budget_override is not None:
             f = np.array([self._budget_override(int(v)) for v in v_lead])
         else:
             f = _allowance_vec(v_lead.astype(float))
         cands = self._cand_table[lead]
-        safe = np.maximum(cands, 0)
-        self._ctx = v_lead, cands, safe
-        p = np.take_along_axis(self._success_rates(), safe, axis=1)
-        t = np.take_along_axis(self._pulls, safe, axis=1)
-        return p.ravel(), t.ravel(), np.repeat(f, cands.shape[1]), True
+        at = (self._lane_base[:, None] + self._safe_table[lead]).ravel()
+        self._ctx = v_lead, cands
+        return self._rate.take(at), self._pulls.take(at), np.repeat(f, cands.shape[1]), True
 
     def _finish(self, q: np.ndarray | None) -> np.ndarray:
         lead = self._leader
         if q is None:
             return lead.copy()
-        v_lead, cands, safe = self._ctx
+        v_lead, cands = self._ctx
         forced = (v_lead - 1) % self.gamma == 0
         q = q.reshape(cands.shape)
-        np.multiply(q, self._r_flat[safe], out=q)
+        q *= self._r_cand[lead]
         q[cands < 0] = -np.inf
         best_col = np.argmax(q, axis=1)  # candidate rows sorted: first max wins
-        pick = cands[self._lanes, best_col]
+        pick = cands.take(self._lanes * cands.shape[1] + best_col)
         return np.where(forced, lead, pick)
 
     def state(self, lane: int = 0) -> KlUcbUState:
@@ -505,7 +527,8 @@ def select_all(policies: list[BasePolicy]) -> list[np.ndarray]:
     """Every policy's next pick, with one solver call for all their bounds.
 
     The requests are laid end to end, solved together, and each policy gets
-    its slice of the result back; a lone request goes to the solver as it is.
+    its slice of the result back; a lone request goes to the solver as it is,
+    and requests that all ask for the same direction pass it as one bool.
     Each element's bound is the one a call on it alone gives, so the picks
     are those of each policy's own ``select_batch``.
     """
@@ -517,10 +540,14 @@ def select_all(policies: list[BasePolicy]) -> list[np.ndarray]:
     elif live:
         ends = list(itertools.accumulate(r[0].size for r in live))
         p, t, f = np.empty((3, ends[-1]))
-        upper = np.empty(ends[-1], dtype=bool)
+        directions = [r[3] for r in live]
+        one_way = all(type(u) is bool for u in directions) and len(set(directions)) == 1
+        upper = directions[0] if one_way else np.empty(ends[-1], dtype=bool)
         a = 0
         for r, b in zip(live, ends):
-            p[a:b], t[a:b], f[a:b], upper[a:b] = r
+            p[a:b], t[a:b], f[a:b] = r[:3]
+            if not one_way:
+                upper[a:b] = r[3]
             a = b
         q = _solve_probability(p, t, f, upper)
         parts = iter([q[a:b] for a, b in zip([0] + ends, ends)])

@@ -23,7 +23,7 @@ from chanrate import (
     run_experiment,
     save_theta_csv,
 )
-from chanrate.harness import _flat_sum
+from chanrate.harness import _flat_sum, _float_texts
 
 from _oracles import assert_same_bits, baseline_plays, run_reference, weighted_sum_reference
 
@@ -206,6 +206,12 @@ class TestRunExperiment:
         assert np.all(result.policy("oracle").trajectories == 0.0)
         np.testing.assert_array_equal(result.best_flats[:128], 0)
         np.testing.assert_array_equal(result.best_flats[128:], 2)
+
+    def test_decision_logs_hold_one_byte_per_slot(self):
+        # 4 pairs fit in a uint8; the logs are as long as the horizon.
+        result = run_experiment(config_2x2(seeds=(3,)))
+        assert result.best_flats.dtype == np.uint8
+        assert all(pol.decisions.dtype == np.uint8 for pol in result.policies)
 
     def test_decisions_recorded_for_lane_zero(self):
         result = run_experiment(config_2x2(seeds=(3,)))
@@ -614,3 +620,26 @@ class TestEmitOutputs:
         paths = emit_outputs(result, tmp_path)
         bounds = json.loads(paths["bounds"].read_text())
         assert bounds["c_I"]["defined"]
+
+
+_SPREAD = np.random.default_rng(5).normal(size=500) * np.logspace(-250, 250, 500)
+
+
+class TestFloatTexts:
+    """regret.csv's per-seed values: each distinct value is formatted once."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(_SPREAD, id="distinct"),
+            pytest.param(np.full(300, 2.75), id="equal"),
+            pytest.param(np.array([0.0, -0.0, 1.5, -0.0, 0.0, 1.5, -1.5]), id="signed-zeros"),
+            pytest.param(np.array([1e-320, np.inf, -np.inf, np.nan, 1e-320]), id="special"),
+        ],
+    )
+    def test_matches_repr_of_each_value(self, values):
+        assert _float_texts(values) == ",".join(map(repr, values.tolist()))
+
+    def test_strided_column(self):
+        table = np.arange(12.0).reshape(4, 3) / 7.0
+        assert _float_texts(table[:, 1]) == ",".join(map(repr, table[:, 1].tolist()))

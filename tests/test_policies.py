@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanrate import (
     KlUcbPolicy,
@@ -20,7 +22,7 @@ from chanrate import (
     ucb_probability,
 )
 
-from _oracles import crst_pick_reference
+from _oracles import assert_same_bits, crst_pick_reference
 
 RATES2 = RateSet.of([1.0, 2.0])
 
@@ -193,6 +195,51 @@ class TestWindowing:
     def test_window_validation(self):
         with pytest.raises(ValueError, match="window"):
             build_policy("kl-ucb", RATES2, 1, window=-1)
+
+
+class TestRateStore:
+    """The empirical rates a policy keeps beside its counts."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["kl-ucb", "crs-t", "kl-ucb-u", "kl-ucb-u-strict"]),
+        channels=st.integers(1, 3),
+        n_rates=st.integers(1, 3),
+        batch=st.integers(2, 4),
+        window=st.one_of(st.none(), st.integers(1, 6)),
+        data=st.data(),
+    )
+    def test_rates_equal_successes_over_pulls_after_every_step(
+        self, kind, channels, n_rates, batch, window, data
+    ):
+        # Windows of 1 to 6 steps empty pairs again once the round robin ends.
+        strict = kind.endswith("-strict")
+        rates = np.arange(1, n_rates + 1, dtype=float)
+        policy = build_policy(
+            kind.removesuffix("-strict"), rates, channels, window=window, batch=batch, strict=strict
+        )
+        P = channels * n_rates
+        lane_bits = st.lists(st.integers(0, 1), min_size=batch, max_size=batch)
+        bits = data.draw(st.lists(lane_bits, min_size=1, max_size=40))
+        history = []
+        for outcomes in bits:
+            flats = policy.select_batch()
+            policy.update_batch(flats, np.array(outcomes, dtype=np.int64))
+            history.append((flats.copy(), outcomes))
+            kept = history if window is None else history[-window:]
+            pulls = np.zeros((batch, P), dtype=np.int64)
+            wins = np.zeros((batch, P), dtype=np.int64)
+            for f, o in kept:
+                for lane in range(batch):
+                    pulls[lane, f[lane]] += 1
+                    wins[lane, f[lane]] += o[lane]
+            want = [
+                [w / n if n else 0.0 for w, n in zip(w_row, n_row)]
+                for w_row, n_row in zip(wins.tolist(), pulls.tolist())
+            ]
+            np.testing.assert_array_equal(policy._pulls, pulls)
+            np.testing.assert_array_equal(policy._successes, wins)
+            assert_same_bits(policy._rate, want)
 
 
 class TestKlUcbSelection:
