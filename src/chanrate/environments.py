@@ -17,9 +17,13 @@ vectorized over seeds) and draws only the rows a block needs, one of two
 ways chosen per chunk from its draws per lane (rows times cells).  A short
 chunk, of at most ``_EMULATE_MAX_DRAWS`` draws, steps numpy's PCG64 for
 every lane at once in uint64 array arithmetic; a longer one seeds one
-numpy ``PCG64`` per seed, whose C loop draws faster once set up.  Both give
-numpy's bits.  Nothing is cached; a block costs the same whichever blocks
-came before it.
+numpy ``PCG64`` per seed, whose C loop draws faster once set up.  A third
+way, ``OutcomeTape.cells``, computes one cell a step and nothing else: it
+jumps PCG64 straight to the draw of that cell, for every lane at once.  The
+harness uses it when a run holds only the baselines, whose picks are known
+before the run; a learning policy's reads depend on its picks slot by
+slot, so a run with one draws whole blocks.  All three give numpy's bits.
+Nothing is cached; a block costs the same whichever blocks came before it.
 """
 
 from __future__ import annotations
@@ -89,6 +93,10 @@ _PCG_MULT_L1 = np.uint64(_PCG_MULT >> 32 & _MASK32)
 # tiles 0.071 s, 4,096 0.056 s, 8,192 0.045 s, 16,384 0.043 s, untiled
 # 0.048 s.
 _PCG_TILE = 8192
+
+# Lane-steps (lanes x rows of a chunk) OutcomeTape.cells computes in one
+# pass, so that its work arrays stay small however many lanes there are.
+_CELL_TILE = 16384
 
 # Draws per lane (hi * C * K for rows [0, hi) of a chunk) up to which
 # OutcomeTape.block steps PCG64 for all lanes at once in numpy, about 37 ns
@@ -257,6 +265,77 @@ def _pcg64_random(states: np.ndarray, skip: int, count: int):
             t >>= 11
             np.multiply(t, 2.0**-53, out=draw)
             yield draw
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """``(a_hi:a_lo) * (b_hi:b_lo)`` mod 2**128 as a ``(hi, lo)`` pair of
+    uint64 arrays, broadcasting.  The high word of ``a_lo * b_lo`` is built
+    from 32-bit limbs; no partial sum overflows 64 bits."""
+    a0, a1 = a_lo & _MASK32, a_lo >> 32
+    b0, b1 = b_lo & _MASK32, b_lo >> 32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    carry = ((mid & _MASK32) + a0 * b1) >> 32
+    hi = a1 * b1 + (mid >> 32) + carry + a_lo * b_hi + a_hi * b_lo
+    return hi, a_lo * b_lo
+
+
+def _jump_tables(P: int) -> tuple[np.ndarray, np.ndarray]:
+    """The jump constants of draw ``d = r * P + j`` of a chunk of ``P``
+    cells a row, where PCG64's state is ``M**(d+2) * s + A(d+3) * inc``
+    with ``A(k) = M**0 + ... + M**(k-1)`` (see ``OutcomeTape.cells``).
+
+    Returns a ``(4, _CHUNK)`` uint64 table of ``M**(r*P)`` and ``A(r*P)``
+    for each row ``r`` and a ``(4, P)`` one of ``M**(j+2)`` and ``A(j+3)``
+    for each cell ``j``, each constant as its high and low words; a draw's
+    constants are ``M**(r*P) * M**(j+2)`` and ``A(r*P) + M**(r*P) * A(j+3)``.
+    """
+    mask = (1 << 128) - 1
+    powers, sums = [1], [0]
+    for _ in range(P + 2):
+        sums.append(sums[-1] + powers[-1] & mask)
+        powers.append(powers[-1] * _PCG_MULT & mask)
+    rows, m, a = [], 1, 0
+    for _ in range(_CHUNK):
+        rows.append((m, a))
+        m, a = m * powers[P] & mask, a + m * sums[P] & mask
+    cells = [(powers[j + 2], sums[j + 3]) for j in range(P)]
+
+    def words(pairs):  # (n, 2) constants -> (4, n) high and low words
+        flat = [w for pair in pairs for v in pair for w in (v >> 64, v & 2**64 - 1)]
+        return np.array(flat, dtype=np.uint64).reshape(-1, 4).T
+
+    return words(rows), words(cells)
+
+
+def _pcg64_at(states: np.ndarray, jump: np.ndarray) -> np.ndarray:
+    """Doubles of numpy's ``Generator(PCG64(...)).random()`` for every lane
+    and step, seeded from the ``(lanes, 4)`` uint64 states ``_seed_states``
+    gives, at the draws whose jump constants ``jump`` holds: a ``(4,
+    steps)`` uint64 array of ``G`` and ``H`` as high and low words, where
+    the state is ``G * s + H * inc`` (mod 2**128).  Returns ``(lanes,
+    steps)``; output and seeding as in ``_pcg64_random``.
+    """
+    s_hi, s_lo, w2, w3 = (states[:, i, None] for i in range(4))
+    hi, lo = _mul128(jump[0], jump[1], s_hi, s_lo)
+    inc_hi, inc_lo = _mul128(jump[2], jump[3], w2 << 1 | w3 >> 63, w3 << 1 | 1)
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo
+    # XSL-RR: (hi ^ lo) rotated right by hi >> 58
+    xor, rot = hi ^ lo, hi >> 58
+    out = xor >> rot | xor << (64 - rot & 63)
+    return (out >> 11) * 2.0**-53
+
+
+def _lane_tiles(lanes, size: int):
+    """Split a seed group's lanes into tiles of ``size``: yields each tile's
+    slice of the group and its lanes in the tape, as a slice when the group
+    is a ``range`` (one group), so that writing them is not a fancy index."""
+    for a in range(0, len(lanes), size):
+        dst = lanes[a : a + size]
+        if isinstance(dst, range):
+            dst = slice(dst.start, dst.stop)
+        yield slice(a, a + size), dst
 
 
 class _PresetState(ISeedSequence):
@@ -716,6 +795,12 @@ class OutcomeTape:
     drawn by ``_pcg64_random`` for ``_PCG_TILE`` lanes at a time; a longer
     one by numpy's generator, one lane at a time.  The choice depends on
     the chunk, never on the lanes, and both paths give the same bits.
+
+    ``cells(start, stop, flats)`` reads one cell a step of the same
+    outcomes, ``block(start, stop)`` at step ``n``'s cell ``flats[n -
+    start]``, without drawing the rest: each lane's state at that cell's
+    draw comes from a closed form, ``_CELL_TILE`` lane-steps at a time.  It
+    costs two 128-bit products a lane-step, however many cells a row has.
     """
 
     def __init__(self, env: Environment, seeds: tuple[int, ...] | list[int]):
@@ -726,6 +811,7 @@ class OutcomeTape:
             raise ValueError("seeds must be distinct")
         self._env = env
         self._seeds = seeds
+        self._jumps = None  # _jump_tables, built by the first cells call
         # Lanes grouped by the word count of their seed, which sets the
         # entropy length: (lane indices, (lanes, 1 + words) uint32 entropy
         # prefix [tag, *words(seed)]).
@@ -765,10 +851,7 @@ class OutcomeTape:
             pos = b * _CHUNK + lo - start
             rows, seg = buf[:hi], buf[lo:hi]
             th_seg = th[pos : pos + hi - lo]
-            block_words = np.array(_words(b), dtype=np.uint32)
-            for lanes, prefix in self._groups:
-                suffix = np.broadcast_to(block_words, (len(lanes), block_words.size))
-                states = _seed_states(np.hstack([prefix, suffix]))
+            for lanes, states in self._chunk_states(b):
                 if hi * C * K > _EMULATE_MAX_DRAWS:
                     for lane, state in zip(lanes, states):
                         preset.state = state
@@ -779,14 +862,63 @@ class OutcomeTape:
                 # lanes at a time, and compare each draw as it comes.
                 th_draws = th_seg.reshape(-1)
                 tile = np.empty((min(_PCG_TILE, len(lanes)), th_draws.size), dtype=np.uint8)
-                for a in range(0, len(lanes), _PCG_TILE):
-                    tile_states = states[a : a + _PCG_TILE]
+                for src, dst in _lane_tiles(lanes, _PCG_TILE):
+                    tile_states = states[src]
                     part = tile[: len(tile_states)]
                     draws = _pcg64_random(tile_states, lo * C * K, th_draws.size)
                     for j, u in enumerate(draws):
                         np.less(u, th_draws[j], out=part[:, j])
-                    dst = lanes[a : a + _PCG_TILE]
-                    if isinstance(dst, range):  # one group: a slice, not a fancy index
-                        dst = slice(dst.start, dst.stop)
                     out[dst, pos : pos + hi - lo] = part.reshape(-1, hi - lo, C, K)
         return out
+
+    def cells(self, start: int, stop: int, flats) -> np.ndarray:
+        """Outcomes of one cell a step: a ``(seeds, stop-start)`` uint8 array
+        whose entry ``[i, n - start]`` equals ``block(start, stop)[i, n -
+        start]`` at flat cell ``flats[n - start]`` (``c * K + k``).
+
+        Each outcome is computed alone, without the draws before it.  PCG64
+        is an LCG, so the state it outputs at draw ``d`` has a closed form
+        (Brown, Random Number Generation with Arbitrary Strides, 1994):
+        ``M**(d+2) * s + A(d+3) * inc`` (mod 2**128), where numpy starts
+        from ``x0 = s + inc`` (see ``_pcg64_random``) and ``A(k) = M**0 +
+        ... + M**(k-1)``.  The cell at row ``r`` of a chunk is draw ``d = r
+        * C * K + c * K + k``.
+        """
+        flats = np.asarray(flats)
+        B, P = stop - start, self._env.channels * self._env.n_rates
+        if B <= 0:
+            raise ValueError("stop must exceed start")
+        if flats.shape != (B,):
+            raise ValueError(f"need one flat cell a step, {B}, got shape {flats.shape}")
+        if flats.min() < 0 or flats.max() >= P:
+            raise ValueError(f"flat cells must lie in [0, {P})")
+        th = self._env.theta_block(start, stop).reshape(B, P)[np.arange(B), flats]
+        if self._jumps is None:
+            self._jumps = _jump_tables(P)
+        rows, cells = self._jumps
+        rows = rows[:, np.arange(start, stop) % _CHUNK]
+        cells = cells[:, flats]
+        # Step n's constants, at row r and cell j: G = M**(r*P) * M**(j+2)
+        # and H = A(r*P) + M**(r*P) * A(j+3).
+        g = _mul128(rows[0], rows[1], cells[0], cells[1])
+        h_hi, h_lo = _mul128(rows[0], rows[1], cells[2], cells[3])
+        h_lo += rows[3]
+        h_hi += rows[2]
+        h_hi += h_lo < rows[3]
+        jump = np.array([*g, h_hi, h_lo])
+        out = np.empty((len(self._seeds), B), dtype=np.uint8)
+        for b in range(start // _CHUNK, (stop - 1) // _CHUNK + 1):
+            seg = slice(max(start, b * _CHUNK) - start, min(stop, (b + 1) * _CHUNK) - start)
+            tile = max(1, _CELL_TILE // (seg.stop - seg.start))
+            for lanes, states in self._chunk_states(b):
+                for src, dst in _lane_tiles(lanes, tile):
+                    out[dst, seg] = _pcg64_at(states[src], jump[:, seg]) < th[seg]
+        return out
+
+    def _chunk_states(self, b: int):
+        """Yield ``(lanes, states)`` for each seed group: the group's lane
+        indices and the ``_seed_states`` of their streams for chunk ``b``."""
+        block_words = np.array(_words(b), dtype=np.uint32)
+        for lanes, prefix in self._groups:
+            suffix = np.broadcast_to(block_words, (len(lanes), block_words.size))
+            yield lanes, _seed_states(np.hstack([prefix, suffix]))

@@ -5,9 +5,10 @@ random numbers (one replication lane per seed, all lanes advanced in lock
 step) in two passes over the schedule, a block of steps at a time.  The
 totals pass reads only the success probabilities: the oracle's reward, each
 pair's total (hence the static pick) and the best pair of every step.  The
-main pass draws each block's outcomes once; the learning policies step
-through it together, one solver call per slot for all their confidence
-bounds, and one ledger per policy then accounts the block's picks.  Regret
+main pass draws each block's outcomes once (only the cells the baselines
+read when no learning policy runs); the learning policies step through it
+together, one solver call per slot for all their confidence bounds, and one
+ledger per policy then accounts the block's picks.  Regret
 is tracked two ways:
 
 * slot accounting: every transmission costs one slot; the pseudo-regret
@@ -475,12 +476,14 @@ def _require_memory(need: int, what: str) -> None:
 def _check_memory(config: ExperimentConfig, slots: int) -> None:
     """Reject a run whose horizon-length arrays cannot fit in physical memory.
 
-    Counts the per-step best pair, one int64 decision log per policy, each
+    Counts the per-step best pair and one decision log per policy, each
+    entry of the smallest unsigned type that holds a flat pair index, each
     windowed policy's rings (per lane an int64 pair ring and an int8
     outcome ring, and for kl-ucb-u an int64 leader ring) and, for a
     synthetic drift source, its latent path.
     """
-    need = 8 * slots * (1 + len(config.policies))
+    pair = np.min_scalar_type(config.channels * config.n_rates - 1)
+    need = pair.itemsize * slots * (1 + len(config.policies))
     need += len(config.seeds) * sum(
         p.window * (17 if p.kind == "kl-ucb-u" else 9) for p in config.policies if p.window
     )
@@ -576,11 +579,13 @@ def _totals(run: _Schedule) -> tuple[float, np.ndarray, np.ndarray]:
 def _simulate(
     run: _Schedule, config: ExperimentConfig, best_flats: np.ndarray, static_flat: int
 ) -> list["_Ledger"]:
-    """The main pass: one walk over the blocks, drawing each block's
-    outcomes once.  The learning policies step through a block together (one
-    solver call per slot for all their bounds) and store their picks and
-    outcomes; the baselines' picks are known in advance.  Then one ledger per
-    policy, returned in ``config.policies`` order, accounts the block."""
+    """The main pass: one walk over the blocks.  With a learning policy each
+    block's outcomes are drawn once, and the learning policies step through
+    it together (one solver call per slot for all their bounds) and store
+    their picks and outcomes.  The baselines' picks are known in advance;
+    without a learner only the cells they read are drawn, once for the two
+    when they play the same pairs.  Then one ledger per policy, returned in
+    ``config.policies`` order, accounts the block."""
     S, P = len(run.tape.seeds), run.r_flat.size
     policies = [
         build_policy(
@@ -596,18 +601,25 @@ def _simulate(
     lanes = np.arange(S)
     for n0, n1, mu_b in run.blocks():
         B = n1 - n0
-        outs = run.tape.block(n0, n1).reshape(S, B, P)
-        for i in range(B if policies else 0):
-            for policy, flats, pk, won in zip(policies, select_all(policies), picks, wins):
-                won[i] = outs[lanes, i, flats]
-                policy._record(flats, won[i])
-                pk[i] = flats
+        if policies:
+            outs = run.tape.block(n0, n1).reshape(S, B, P)
+            for i in range(B):
+                for policy, flats, pk, won in zip(policies, select_all(policies), picks, wins):
+                    won[i] = outs[lanes, i, flats]
+                    policy._record(flats, won[i])
+                    pk[i] = flats
         mu_star_b = mu_b.max(axis=1)
         learned = zip(picks[:, :B], wins[:, :B])
+        drawn = []  # (flats, wins) of this block's baselines so far
         for spec, led in zip(config.policies, ledgers):
             if spec.is_baseline:
                 flats = best_flats[n0:n1] if spec.kind == "oracle" else np.full(B, static_flat)
-                pk, won = flats[:, None], outs[:, np.arange(B), flats].T
+                won = next((w for f, w in drawn if np.array_equal(f, flats)), None)
+                if won is None:
+                    won = outs[:, np.arange(B), flats] if policies else run.tape.cells(n0, n1, flats)
+                    won = won.T
+                    drawn.append((flats, won))
+                pk = flats[:, None]
             else:
                 pk, won = next(learned)
             led.account(n0, pk, won, mu_b, mu_star_b)
@@ -843,11 +855,10 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
     config = result.config
     K = config.n_rates
 
+    seed_texts = list(map(str, config.seeds))
     regret_path = out / "regret.csv"
     with regret_path.open("w", newline="") as fh:
-        header = ["checkpoint", "policy", "mean", "stddev"]
-        header += [f"seed_{s}" for s in config.seeds]
-        fh.write(",".join(header) + "\n")
+        fh.write("checkpoint,policy,mean,stddev,seed_" + ",seed_".join(seed_texts) + "\n")
         for pol in sorted(result.policies, key=lambda p: p.label):
             means = pol.mean_regret.tolist()
             stds = pol.stddev_regret.tolist()
@@ -879,7 +890,10 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
     # Efficiencies are fractions of the oracle's reward: null when it is 0.
     undefined = result.oracle_reward == 0.0
     summary: dict = {
-        "config": config.to_json_dict(),
+        # The seed list is spliced into the text afterwards, as json.dumps
+        # encodes a list one token at a time.  Quoted, this key and value
+        # match nowhere else: a quote inside a string value is escaped.
+        "config": {**config.to_json_dict(), "seeds": "seeds"},
         "slots": result.slots,
         "checkpoints": list(result.checkpoints),
         "oracle": {"expected_reward": result.oracle_reward, "efficiency": None if undefined else 1.0},
@@ -910,7 +924,10 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
         summary["policies"][pol.label] = entry
     # One dumps and one write: json.dump writes each token on its own.
     sum_path = out / "summary.json"
-    sum_path.write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    seeds = "[\n      " + ",\n      ".join(seed_texts) + "\n    ]"
+    text = text.replace('"seeds": "seeds"', f'"seeds": {seeds}', 1)
+    sum_path.write_text(text + "\n")
     paths["summary"] = sum_path
 
     model = config.model()

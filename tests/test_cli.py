@@ -489,3 +489,107 @@ class TestArbitraryConfigs:
             code = main(["simulate", "--config", str(path)])
         assert code in (0, 2)
         assert (code == 2) == err.getvalue().startswith("error:")
+
+
+# CSV cell texts: numbers in and out of [0, 1], non-finite ones, small
+# integers and stray separators or quotes.
+_CSV_CELL = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-1, 4).map(str),
+    st.text(alphabet=',"\n x1.-e', max_size=4),
+)
+
+
+_RATES = st.lists(st.floats(0.5, 70.0), min_size=1, max_size=3, unique=True).map(sorted)
+
+
+@st.composite
+def _model_csv(draw, n_rates: int) -> bytes:
+    """A theta CSV of ``n_rates`` rate columns, a trace CSV or stray bytes;
+    a table is well formed in half of the draws, and otherwise has one
+    cell, row or header changed."""
+    kind = draw(st.sampled_from(["theta", "theta", "trace", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    n_rows = draw(st.integers(1, 3))
+    if kind == "theta":
+        header = ["channel", *(f"rate{k}" for k in range(1, n_rates + 1))]
+        prob = st.floats(0.0, 1.0).map(repr)
+        rows = [[str(c), *(draw(prob) for _ in range(n_rates))] for c in range(1, n_rows + 1)]
+    else:
+        header = ["start_step", "channel", "rate_index", "theta"]
+        rows = [[draw(_CSV_CELL) for _ in header] for _ in range(n_rows)]
+    table = [header, *rows]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(table) - 1))
+        change = draw(st.sampled_from(["cell", "drop", "short"]))
+        if change == "cell":
+            table[i][draw(st.integers(0, len(table[i]) - 1))] = draw(_CSV_CELL)
+        elif change == "drop":
+            del table[i]
+        else:
+            table[i] = table[i][:-1]
+    return "".join(",".join(row) + "\n" for row in table).encode()
+
+
+def _rates_json(rates: list[float]):
+    """A rates JSON document for ``rates``: a list or an object, with one
+    key removed or wrong-typed in some draws, or a value of a wrong type."""
+    return st.one_of(
+        st.just(rates),
+        _object({"rates": st.just(rates)}, {"occupancy": st.lists(st.floats(0.0, 1.0), max_size=3)}),
+        _WRONG,
+    )
+
+
+def _drift_spec(rates: list[float]):
+    """A drift spec document over ``rates`` (a horizon up to 60), with at
+    most one key removed or wrong-typed."""
+    return _object(
+        {
+            "rates": st.just(rates),
+            "channels": st.integers(1, 3),
+            "horizon": st.integers(1, 60),
+            "step_std": st.floats(0.0, 0.3),
+        },
+        {
+            "seed": st.integers(0, 9),
+            "softness": st.floats(0.001, 1.0),
+            "latent_lo": st.floats(-1.0, 0.5),
+            "latent_hi": st.floats(0.0, 2.0),
+            "thresholds": st.lists(
+                st.floats(-1.0, 1.0), min_size=len(rates) - 1, max_size=len(rates), unique=True
+            ).map(sorted),
+        },
+    )
+
+
+class TestArbitraryModelInputs:
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_bounds_check_gen_env_exit_0_or_2_without_traceback(self, tmp_path, data):
+        command = data.draw(st.sampled_from(["bounds", "check", "gen-env"]))
+        rates = data.draw(_RATES)
+        if command == "gen-env":
+            spec = tmp_path / "spec.json"
+            if data.draw(st.integers(0, 3)):
+                spec.write_text(json.dumps(data.draw(_drift_spec(rates))))
+            else:
+                spec.write_bytes(data.draw(_model_csv(len(rates))))  # not JSON
+            every = data.draw(st.integers(-1, 4))
+            argv = ["--spec", str(spec), "--out", str(tmp_path / "trace.csv"), "--sample-every", str(every)]
+        else:
+            (tmp_path / "theta.csv").write_bytes(data.draw(_model_csv(len(rates))))
+            (tmp_path / "rates.json").write_text(json.dumps(data.draw(_rates_json(rates))))
+            argv = ["--theta", str(tmp_path / "theta.csv"), "--rates", str(tmp_path / "rates.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, *argv])
+        assert code in (0, 2)
+        assert (code == 2) == err.getvalue().startswith("error:")

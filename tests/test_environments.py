@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanrate import (
     DriftEnvironment,
@@ -542,6 +544,100 @@ class TestOutcomeTapeAgainstReference:
                 OutcomeTape(env, seeds=(1, bad, 2))
         tape = OutcomeTape(env, seeds=(np.int64(3), 4))
         assert tape.seeds == (3, 4) and all(type(s) is int for s in tape.seeds)
+
+
+# Seeds of one-, two- and three-word entropy at the word edges.
+CELL_SEEDS = (0, 2**32 - 1, 2**32, 2**40, 2**70 + 3)
+
+
+def _stationary(channels: int, n_rates: int) -> StationaryEnvironment:
+    theta = np.random.default_rng(channels * n_rates).random((channels, n_rates))
+    return StationaryEnvironment(LinkModel(RateSet.of(list(range(1, n_rates + 1))), theta))
+
+
+def _block_cells(tape: OutcomeTape, start: int, stop: int, flats) -> np.ndarray:
+    """``block(start, stop)`` read at one flat cell a step."""
+    block = tape.block(start, stop)
+    steps = np.arange(stop - start)
+    return block.reshape(*block.shape[:2], -1)[:, steps, flats]
+
+
+class TestOutcomeTapeCells:
+    """``cells`` jumps to each cell it reads; the bits are ``block``'s."""
+
+    @pytest.fixture(params=[(1, 1), (5, 8)], ids=["P=1", "P=40"])
+    def env(self, request):
+        return _stationary(*request.param)
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [
+            (0, 1),  # the first draw of a chunk
+            (0, 512),  # one whole chunk
+            (90, 110),  # unaligned inside one chunk
+            (511, 513),  # the last row of one chunk, the first of the next
+            (300, 1100),  # across two edges
+            (2**41 - 9, 2**41 - 1),  # block index 2^32 - 1
+            (2**41, 2**41 + 5),  # block index 2^32: a two-word block entropy
+            (2**41 - 4, 2**41 + 4),  # block index 2^32 - 1 into 2^32
+        ],
+    )
+    @pytest.mark.parametrize("which", ["random", "first", "last"])
+    def test_matches_block_bitwise(self, env, start, stop, which):
+        P = env.channels * env.n_rates
+        flats = {
+            "random": np.random.default_rng(start).integers(0, P, stop - start),
+            "first": np.zeros(stop - start, dtype=int),
+            "last": np.full(stop - start, P - 1),
+        }[which]
+        tape = OutcomeTape(env, CELL_SEEDS)
+        got = tape.cells(start, stop, flats)
+        assert got.dtype == np.uint8 and got.shape == (len(CELL_SEEDS), stop - start)
+        np.testing.assert_array_equal(got, _block_cells(tape, start, stop, flats))
+
+    def test_trace_schedule_respected(self):
+        rng = np.random.default_rng(3)
+        starts = (0, 260, 511, 513)
+        trace = TraceTable(starts, tuple(rng.random((2, 3)) for _ in starts), horizon=700)
+        tape = OutcomeTape(TraceEnvironment(trace, RateSet.of([1.0, 2.0, 3.0])), CELL_SEEDS)
+        flats = rng.integers(0, 6, 450)
+        np.testing.assert_array_equal(tape.cells(250, 700, flats), _block_cells(tape, 250, 700, flats))
+
+    @pytest.mark.parametrize("seeds", [CELL_SEEDS, (7, 3, 9, 1, 4)])
+    def test_lane_tiles_reassemble(self, env, monkeypatch, seeds):
+        """Tiles of one lane and of two, in multi-word groups (a fancy
+        index) and in one group of one-word seeds (a slice)."""
+        flats = np.arange(25) % (env.channels * env.n_rates)
+        want = OutcomeTape(env, seeds).cells(500, 525, flats)
+        for tile in (1, 2 * 25):
+            monkeypatch.setattr(environments, "_CELL_TILE", tile)
+            assert OutcomeTape(env, seeds).cells(500, 525, flats).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(want, _block_cells(OutcomeTape(env, seeds), 500, 525, flats))
+
+    def test_validation(self, env):
+        tape = OutcomeTape(env, (1,))
+        P = env.channels * env.n_rates
+        with pytest.raises(ValueError, match="stop"):
+            tape.cells(10, 10, [])
+        with pytest.raises(ValueError, match="one flat cell a step"):
+            tape.cells(10, 12, [0])
+        for bad in (-1, P):
+            with pytest.raises(ValueError, match=r"flat cells must lie in \[0, "):
+                tape.cells(10, 12, [0, bad])
+
+
+_CELL_ENV = _stationary(2, 3)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cells_match_block_on_random_spans(data):
+    start = data.draw(st.integers(0, 3 * 512) | st.integers(2**41 - 300, 2**41 + 300), "start")
+    stop = start + data.draw(st.integers(1, 200), "steps")
+    flats = data.draw(st.lists(st.integers(0, 5), min_size=stop - start, max_size=stop - start))
+    seeds = data.draw(st.lists(st.sampled_from(CELL_SEEDS), min_size=1, max_size=3, unique=True))
+    tape = OutcomeTape(_CELL_ENV, seeds)
+    np.testing.assert_array_equal(tape.cells(start, stop, flats), _block_cells(tape, start, stop, flats))
 
 
 # Edge seed states for the emulated generator, as (s0, s1, s2, s3) words:

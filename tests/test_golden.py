@@ -42,6 +42,17 @@ _ALL_LEARNERS = [
 
 CONFIGS = {
     # The acceptance suite's criterion-11 config.
+    "baselines-accounting-both": {
+        "regret.csv": "501a71db4bdd3dff623e4a4fb93c588baf36d5fe894b4c0357c207fb52ad812e",
+        "decisions.csv": "6fd42cb3d604ed1a92731d2e1660e8c2b5b746348576e6b54a111c9720df79d7",
+        "summary.json": "fdcaa8c2ef432c1f8b9cb486a76e7a295441a42980f7f51e65fb2047cc61942f",
+        "bounds.json": "02b67b21ff37a9c1f263d0863859e660c383194235c1f95416420028e82aa504",
+    },
+    "baselines-trace": {
+        "regret.csv": "ec4bd0d139e280617f337163c8c27abf0e6b709f778a7b028282afc430af3011",
+        "decisions.csv": "8d556f0889770607344585ebf6fb47d822c2fc1e2ed21e20de00d09135f93997",
+        "summary.json": "e0018c15d4a06750a95a04b9b09c7e63d2b24c38e44349676c67181254a54b8a",
+    },
     "criterion-11": {
         "rates": _DEMO_RATES,
         "theta": _DEMO_THETA,
@@ -78,6 +89,25 @@ CONFIGS = {
         "seeds": 20,
         "accounting": "both",
     },
+    # Baselines alone draw only the cells they read.  The trace's best pair
+    # changes at steps 511, 700 and 1500, so the oracle and the static pick
+    # play the same pair in some blocks and different pairs in others.
+    "baselines-trace": {
+        "rates": [0.5, 1.0, 1.5, 2.0],
+        "trace_csv": "trace.csv",
+        "policies": [{"kind": "oracle"}, {"kind": "static"}],
+        "horizon": 2000,
+        "seeds": [0, 9, 2**32 - 1, 2**32, 2**40 + 7, 2**70 + 3],
+        "checkpoints": [511, 1500],
+    },
+    "baselines-accounting-both": {
+        "rates": _DEMO_RATES,
+        "theta": _DEMO_THETA,
+        "policies": [{"kind": "oracle"}, {"kind": "static"}],
+        "horizon": 48,
+        "seeds": [1, 2, 3, 4, 5, 6, 7, 8, 2**32 + 1, 2**64 + 5],
+        "accounting": "both",
+    },
     # crs-t's leader tables at their edges: one rate (no neighbours) and two,
     # with leaders at both rates and channels that become decided.
     "crs-t-1-rate": {
@@ -99,13 +129,25 @@ CONFIGS = {
 NAMES = ("regret.csv", "decisions.csv", "summary.json", "bounds.json")
 
 # Recorded before the regret-value formatter, the per-policy rate store and
-# the single-direction solver entry went in.
+# the single-direction solver entry went in; the two baselines-only configs
+# before baselines drew their cells by jump-ahead.
 DIGESTS = {
     "accounting-both": {
         "regret.csv": "a6c0ca6e3316aa7b25a5a153e1161ff2e26ff030060964ee76ca9f4ac93c4e0d",
         "decisions.csv": "fb6d4b2541cdab112f91ea485936f131d2852e7e85c2476ae3b695015fb93e91",
         "summary.json": "df4600a3135beba21466871039650ac8bc25ebbdd6851b75fdd281a455adbfca",
         "bounds.json": "02b67b21ff37a9c1f263d0863859e660c383194235c1f95416420028e82aa504",
+    },
+    "baselines-accounting-both": {
+        "regret.csv": "501a71db4bdd3dff623e4a4fb93c588baf36d5fe894b4c0357c207fb52ad812e",
+        "decisions.csv": "6fd42cb3d604ed1a92731d2e1660e8c2b5b746348576e6b54a111c9720df79d7",
+        "summary.json": "fdcaa8c2ef432c1f8b9cb486a76e7a295441a42980f7f51e65fb2047cc61942f",
+        "bounds.json": "02b67b21ff37a9c1f263d0863859e660c383194235c1f95416420028e82aa504",
+    },
+    "baselines-trace": {
+        "regret.csv": "ec4bd0d139e280617f337163c8c27abf0e6b709f778a7b028282afc430af3011",
+        "decisions.csv": "8d556f0889770607344585ebf6fb47d822c2fc1e2ed21e20de00d09135f93997",
+        "summary.json": "e0018c15d4a06750a95a04b9b09c7e63d2b24c38e44349676c67181254a54b8a",
     },
     "criterion-11": {
         "regret.csv": "07c44239660b1a7985cf141ca1eb6027949919beb75b131393d6e0ac2ad8389d",

@@ -23,6 +23,7 @@ from chanrate import (
     run_experiment,
     save_theta_csv,
 )
+from chanrate import harness
 from chanrate.harness import _flat_sum, _float_texts
 
 from _oracles import assert_same_bits, baseline_plays, run_reference, weighted_sum_reference
@@ -213,6 +214,32 @@ class TestRunExperiment:
         assert result.best_flats.dtype == np.uint8
         assert all(pol.decisions.dtype == np.uint8 for pol in result.policies)
 
+    @pytest.mark.parametrize("channels, rates, itemsize", [(2, 2, 1), (2, 128, 1), (3, 100, 2)])
+    def test_memory_check_counts_the_log_entry_size(self, monkeypatch, channels, rates, itemsize):
+        """A decision log entry takes the bytes of the smallest type that
+        holds a flat pair index: 1 up to 256 pairs, 2 above."""
+        asked = []
+
+        class Asked(Exception):
+            pass
+
+        def record(need, what):
+            asked.append(need)
+            raise Asked
+
+        monkeypatch.setattr(harness, "_require_memory", record)
+        config = ExperimentConfig(
+            rates=RateSet.of([float(r) for r in range(1, rates + 1)]),
+            policies=(PolicySpec("oracle"), PolicySpec("kl-ucb-u", window=7), PolicySpec("crs-t")),
+            horizon=1000,
+            seeds=(1, 2, 3),
+            theta=np.full((channels, rates), 0.5),
+        )
+        with pytest.raises(Asked):
+            run_experiment(config)
+        # Best-pair log plus three decision logs; the window's rings.
+        assert asked == [itemsize * 1000 * 4 + 3 * 7 * 17]
+
     def test_decisions_recorded_for_lane_zero(self):
         result = run_experiment(config_2x2(seeds=(3,)))
         learner = result.policy("kl-ucb")
@@ -304,6 +331,22 @@ def _schedule(config: ExperimentConfig, slots: int):
     return env.theta_block(0, slots), OutcomeTape(env, config.seeds).block(0, slots)
 
 
+def _assert_baselines_match_reference(config: ExperimentConfig, packets) -> None:
+    result = run_experiment(config)
+    theta, outcomes = _schedule(config, result.slots)
+    rates = config.rates.as_array()
+    for kind in ("oracle", "static"):
+        pol = result.policy(kind)
+        plays = np.tile(baseline_plays(kind, theta, rates), (len(config.seeds), 1))
+        _assert_matches_reference(
+            pol, run_reference(plays, theta, outcomes, rates, result.checkpoints, result.time_horizon)
+        )
+        if packets is not None:
+            # The scenario is the one named: the ledger stops where stated.
+            assert np.all(pol.packet_counts.sum(axis=1) == packets)
+            assert packets < result.slots
+
+
 class TestBaselinesAgainstReference:
     """The block-vectorized oracle and static baselines reproduce a plain
     slot-by-slot replay bit for bit, on every result field."""
@@ -312,20 +355,36 @@ class TestBaselinesAgainstReference:
         "kw, packets", [pytest.param(kw, n, id=name) for name, kw, n in _baseline_configs()]
     )
     def test_every_field_is_bitwise_equal(self, kw, packets):
-        config = ExperimentConfig(policies=_BASELINES, **kw)
-        result = run_experiment(config)
-        theta, outcomes = _schedule(config, result.slots)
-        rates = config.rates.as_array()
-        for kind in ("oracle", "static"):
-            pol = result.policy(kind)
-            plays = np.tile(baseline_plays(kind, theta, rates), (len(config.seeds), 1))
-            _assert_matches_reference(
-                pol, run_reference(plays, theta, outcomes, rates, result.checkpoints, result.time_horizon)
-            )
-            if packets is not None:
-                # The scenario is the one named: the ledger stops where stated.
-                assert np.all(pol.packet_counts.sum(axis=1) == packets)
-                assert packets < result.slots
+        _assert_baselines_match_reference(ExperimentConfig(policies=_BASELINES, **kw), packets)
+
+    @pytest.mark.parametrize(
+        "kw, packets", [pytest.param(kw, n, id=name) for name, kw, n in _baseline_configs()]
+    )
+    def test_alone_every_field_is_bitwise_equal(self, kw, packets):
+        """Without a learner the run draws only the cells the baselines read
+        (``OutcomeTape.cells``), with the same bits."""
+        _assert_baselines_match_reference(ExperimentConfig(policies=_BASELINES[:2], **kw), packets)
+
+    def test_alone_no_block_is_drawn_and_equal_picks_share_a_draw(self, monkeypatch):
+        calls = []
+        cells = OutcomeTape.cells
+        monkeypatch.setattr(OutcomeTape, "block", lambda *args: pytest.fail("block drawn"))
+        monkeypatch.setattr(
+            OutcomeTape, "cells", lambda tape, *args: calls.append(args[:2]) or cells(tape, *args)
+        )
+        # A stationary table with a unique best pair: oracle and static agree.
+        run_experiment(config_2x2(policies=_BASELINES[:2], horizon=1100))
+        assert calls == [(0, 512), (512, 1024), (1024, 1100)]
+        calls.clear()
+        # The best pair is the static pick until step 700 and another after.
+        t0 = np.array([[0.95, 0.5, 0.2], [0.9, 0.75, 0.3]])
+        trace = TraceTable(starts=(0, 700), tables=(t0, t0[::-1]), horizon=1100)
+        rates = RateSet.of([31 / 32, 1.1, 2.3])
+        result = run_experiment(
+            ExperimentConfig(rates=rates, trace=trace, policies=_BASELINES[:2], horizon=1100, seeds=(1, 2))
+        )
+        assert result.static_flat == 0 and set(result.best_flats[700:]) == {3}
+        assert calls == [(0, 512), (512, 1024), (512, 1024), (1024, 1100), (1024, 1100)]
 
 
 _LEARNERS = (
