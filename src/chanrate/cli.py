@@ -44,12 +44,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"(channel {result.static_pair.channel}, rate {result.static_pair.rate_index})"
     )
     for pol in result.policies:
-        # Undefined when the oracle earns nothing (every pair at zero throughput).
-        eff = (
-            "n/a"
-            if result.oracle_reward == 0.0
-            else f"{pol.expected_reward.mean() / result.oracle_reward:.4f}"
-        )
+        eff = result.efficiency(pol.label)
+        eff = "n/a" if eff is None else f"{eff.mean():.4f}"
         print(
             f"{pol.label}: final regret {pol.final_regret.mean():.6g} "
             f"+/- {pol.stddev_regret[-1]:.6g}, efficiency {eff}"

@@ -33,7 +33,6 @@ import dataclasses
 import json
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +49,6 @@ __all__ = [
     "SyntheticDriftSpec",
     "TraceEnvironment",
     "TraceTable",
-    "accelerate",
     "drift_to_trace",
 ]
 
@@ -351,8 +349,8 @@ class Environment:
     """Base class: a success-probability schedule.  It holds no seed;
     ``OutcomeTape`` draws the outcomes, one stream per seed it is given.
 
-    Subclasses implement ``theta_at`` (effective success probabilities in
-    force at a step) and ``theta_block`` (the same for a run of steps).
+    Subclasses implement ``theta_block``: the effective success
+    probabilities in force over a run of steps.
     """
 
     def __init__(self, rates: RateSet, channels: int, horizon: int | None):
@@ -365,10 +363,6 @@ class Environment:
         self._horizon = None if horizon is None else int(horizon)
 
     @property
-    def rates(self) -> RateSet:
-        return self._rates
-
-    @property
     def channels(self) -> int:
         return self._channels
 
@@ -376,22 +370,12 @@ class Environment:
     def n_rates(self) -> int:
         return len(self._rates)
 
-    @property
-    def horizon(self) -> int | None:
-        """Number of valid steps, or None when the schedule never ends."""
-        return self._horizon
-
-    def _check_step(self, step: int) -> int:
+    def _check_step(self, step: int) -> None:
         step = int(step)
         if step < 0:
             raise ValueError(f"step must be >= 0, got {step}")
         if self._horizon is not None and step >= self._horizon:
             raise ValueError(f"step {step} beyond horizon {self._horizon}")
-        return step
-
-    def theta_at(self, step: int) -> np.ndarray:
-        """Effective success probabilities, shape (channels, n_rates)."""
-        raise NotImplementedError
 
     def theta_block(self, start: int, stop: int) -> np.ndarray:
         """Probabilities for steps [start, stop), shape (stop-start, C, K)."""
@@ -406,10 +390,6 @@ class StationaryEnvironment(Environment):
         th = model.effective_theta().copy()
         th.setflags(write=False)
         self._theta = th
-
-    def theta_at(self, step: int) -> np.ndarray:
-        self._check_step(step)
-        return self._theta
 
     def theta_block(self, start: int, stop: int) -> np.ndarray:
         self._check_step(start)
@@ -473,14 +453,6 @@ class TraceTable:
     @property
     def n_rates(self) -> int:
         return self.tables[0].shape[1]
-
-    def segment_index(self, step: int) -> int:
-        if step < 0:
-            raise ValueError(f"step must be >= 0, got {step}")
-        return bisect_right(self.starts, step) - 1
-
-    def theta_at(self, step: int) -> np.ndarray:
-        return self.tables[self.segment_index(step)]
 
     def to_csv(self, path: str | Path) -> None:
         """Write the sparse CSV form: full first segment, then changed cells.
@@ -558,44 +530,12 @@ class TraceEnvironment(Environment):
         self._trace = trace
         self._starts = np.asarray(trace.starts, dtype=np.int64)
 
-    def theta_at(self, step: int) -> np.ndarray:
-        return self._trace.theta_at(self._check_step(step))
-
     def theta_block(self, start: int, stop: int) -> np.ndarray:
         self._check_step(start)
         if stop > start:
             self._check_step(stop - 1)
         segments = np.searchsorted(self._starts, np.arange(start, stop), side="right") - 1
         return self._trace.probabilities[segments]
-
-
-def accelerate(trace: TraceTable, factor: int) -> TraceTable:
-    """Compress a trace in time: starts and horizon divide by ``factor``.
-
-    Segments whose starts collide after division are merged with the latest
-    one winning, matching what a simulator skipping steps would observe.  A
-    horizon that would shrink to zero is clamped to one step so the result
-    stays a valid single-segment trace.
-    """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    merged: dict[int, np.ndarray] = {}
-    for start, tab in zip(trace.starts, trace.tables):
-        merged[start // factor] = tab
-    starts = tuple(sorted(merged))
-    horizon = trace.horizon
-    if horizon is not None:
-        horizon = max(1, horizon // factor)
-        # Segments pushed past the compressed horizon never activate.
-        for s in starts:
-            if s >= horizon:
-                del merged[s]
-        starts = tuple(s for s in starts if s < horizon)
-    return TraceTable(
-        starts=starts,
-        tables=tuple(merged[s] for s in starts),
-        horizon=horizon,
-    )
 
 
 @dataclass(frozen=True)
@@ -745,14 +685,6 @@ class DriftEnvironment(Environment):
         else:
             self._latent = np.broadcast_to(start, (spec.horizon, spec.channels))
         self._thresholds = spec.threshold_array()
-
-    def latent_at(self, step: int) -> np.ndarray:
-        return self._latent[self._check_step(step)].copy()
-
-    def theta_at(self, step: int) -> np.ndarray:
-        step = self._check_step(step)
-        z = self._latent[step][:, None] - self._thresholds[None, :]
-        return _expit(z / self._softness)
 
     def theta_block(self, start: int, stop: int) -> np.ndarray:
         self._check_step(start)

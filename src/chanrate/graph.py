@@ -47,9 +47,6 @@ class NeighborhoodGraph:
         c, k = pair
         return self.adjacency[(c - 1) * self.n_rates + (k - 1)]
 
-    def degree(self, pair: DecisionPair | tuple[int, int]) -> int:
-        return len(self.neighbors(pair))
-
 
 def build_graph(channels: int, n_rates: int) -> NeighborhoodGraph:
     """Build the neighborhood graph for a channels x rates decision grid."""

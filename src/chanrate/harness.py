@@ -328,10 +328,8 @@ class ExperimentConfig:
         if not isinstance(data["policies"], (list, tuple)):
             raise ValueError(f"policies must be a list, got {data['policies']!r}")
         seeds = data["seeds"]
-        if isinstance(seeds, (list, tuple)):
-            seeds = _json_ints(seeds, "seeds")
-        else:
-            seeds = list(range(1, _json_int(seeds, "seeds") + 1))
+        if not isinstance(seeds, (list, tuple)):
+            seeds = range(1, _json_int(seeds, "seeds") + 1)
         occupancy = data.get("occupancy")
         out_dir = data.get("out_dir", "results")
         if not isinstance(out_dir, str):
@@ -474,22 +472,33 @@ def _require_memory(need: int, what: str) -> None:
 
 
 def _check_memory(config: ExperimentConfig, slots: int) -> None:
-    """Reject a run whose horizon-length arrays cannot fit in physical memory.
+    """Reject a run whose largest arrays cannot fit in physical memory.
 
     Counts the per-step best pair and one decision log per policy, each
-    entry of the smallest unsigned type that holds a flat pair index, each
-    windowed policy's rings (per lane an int64 pair ring and an int8
-    outcome ring, and for kl-ucb-u an int64 leader ring) and, for a
-    synthetic drift source, its latent path.
+    entry of the smallest unsigned type that holds a flat pair index, and,
+    for a synthetic drift source, its latent path.  With a learning policy
+    it adds the buffers of one block: the ``(seeds, steps, C, K)`` uint8
+    outcome tape and each learner's picks and outcome bytes; and per
+    learner and lane, its int64 pulls, int64 successes and float64 rates
+    per pair (and int64 leadership counts for kl-ucb-u) and, when windowed,
+    its rings (an int64 pair ring and an int8 outcome ring, and for
+    kl-ucb-u an int64 leader ring).
     """
-    pair = np.min_scalar_type(config.channels * config.n_rates - 1)
-    need = pair.itemsize * slots * (1 + len(config.policies))
-    need += len(config.seeds) * sum(
-        p.window * (17 if p.kind == "kl-ucb-u" else 9) for p in config.policies if p.window
-    )
+    S, P = len(config.seeds), config.channels * config.n_rates
+    pair = np.min_scalar_type(P - 1).itemsize
+    need = pair * slots * (1 + len(config.policies))
+    learners = [p for p in config.policies if not p.is_baseline]
+    if learners:
+        block = min(_BLOCK, slots)
+        need += S * block * P
+        for p in learners:
+            leader = p.kind == "kl-ucb-u"
+            need += S * (block * (pair + 1) + P * (32 if leader else 24))
+            if p.window:
+                need += S * p.window * (17 if leader else 9)
     if config.drift is not None:
         need += config.drift.nbytes()
-    _require_memory(need, f"the per-slot and window arrays of {slots} slots")
+    _require_memory(need, f"the per-slot, per-lane and block arrays of {slots} slots x {S} seeds")
 
 
 @dataclass(frozen=True)

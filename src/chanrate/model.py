@@ -32,7 +32,6 @@ __all__ = [
     "load_rates_json",
     "load_theta_csv",
     "pair_to_flat",
-    "save_theta_csv",
     "throughput_matrix",
 ]
 
@@ -180,23 +179,11 @@ class LinkModel:
     def n_rates(self) -> int:
         return self.theta.shape[1]
 
-    @property
-    def n_pairs(self) -> int:
-        return self.theta.shape[0] * self.theta.shape[1]
-
     def effective_theta(self) -> np.ndarray:
         """Success probabilities after occupancy scaling (a copy)."""
         if self.occupancy is None:
             return self.theta.copy()
         return (1.0 - self.occupancy)[:, None] * self.theta
-
-    def pairs(self) -> list[DecisionPair]:
-        """All decision pairs in flat (row-major) order."""
-        return [
-            DecisionPair(c, k)
-            for c in range(1, self.channels + 1)
-            for k in range(1, self.n_rates + 1)
-        ]
 
 
 def throughput_matrix(model: LinkModel) -> np.ndarray:
@@ -332,19 +319,6 @@ def load_theta_csv(path: str | Path) -> np.ndarray:
     if np.any((theta < 0.0) | (theta > 1.0)):
         raise ValueError(f"{path}: values must lie in [0, 1]")
     return theta
-
-
-def save_theta_csv(path: str | Path, theta: np.ndarray, rates: Sequence[float] | None = None) -> None:
-    """Write a theta matrix in the format read by :func:`load_theta_csv`."""
-    theta = np.asarray(theta, dtype=float)
-    labels = [repr(float(r)) for r in rates] if rates is not None else [
-        f"rate{k}" for k in range(1, theta.shape[1] + 1)
-    ]
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", *labels])
-        for c in range(theta.shape[0]):
-            writer.writerow([c + 1, *[repr(float(v)) for v in theta[c]]])
 
 
 def load_rates_json(path: str | Path) -> tuple[RateSet, np.ndarray | None]:

@@ -37,10 +37,9 @@ requests of several policies in one call; ``select_batch`` is
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -99,7 +98,6 @@ class BasePolicy:
         *,
         window: int | None = None,
         batch: int = 1,
-        budget: Callable[[int], float] | None = None,
     ) -> None:
         self._rates = rates if isinstance(rates, RateSet) else RateSet.of(rates)
         if channels < 1:
@@ -113,7 +111,6 @@ class BasePolicy:
         self._n_pairs = channels * self._n_rates
         self._batch = batch
         self._window = window
-        self._budget_override = budget
         self._r_flat = np.tile(self._rates.as_array(), channels)
         self._r_row = self._rates.as_array()
         self._lanes = np.arange(batch)
@@ -121,28 +118,6 @@ class BasePolicy:
         self.reset()
 
     # -- public surface -------------------------------------------------
-
-    @property
-    def label(self) -> str:
-        if self._window is None:
-            return self.kind
-        return f"{self.kind}-w{self._window}"
-
-    @property
-    def channels(self) -> int:
-        return self._channels
-
-    @property
-    def n_rates(self) -> int:
-        return self._n_rates
-
-    @property
-    def batch(self) -> int:
-        return self._batch
-
-    @property
-    def window(self) -> int | None:
-        return self._window
 
     @property
     def step(self) -> int:
@@ -231,10 +206,6 @@ class BasePolicy:
         if self._window is not None:
             self._ring_pos = (self._ring_pos + 1) % self._window
 
-    def clone(self) -> "BasePolicy":
-        """Independent deep copy, including any pending selection."""
-        return copy.deepcopy(self)
-
     def state(self, lane: int = 0) -> KlUcbState:
         """Diagnostic snapshot of one replication."""
         return KlUcbState(
@@ -280,11 +251,7 @@ class BasePolicy:
 
     def _scalar_budget(self) -> float:
         """Budget for policies whose allowance argument is the step count."""
-        if self._budget_override is not None:
-            return self._budget_override(self._step)
-        if self._window is not None:
-            return allowance(self._window)
-        return allowance(self._step)
+        return allowance(self._step if self._window is None else self._window)
 
 
 class KlUcbPolicy(BasePolicy):
@@ -429,15 +396,13 @@ class KlUcbUPolicy(BasePolicy):
         *,
         window: int | None = None,
         batch: int = 1,
-        budget: Callable[[int], float] | None = None,
         include_leader: bool = True,
     ) -> None:
         n_rates = len(rates) if isinstance(rates, RateSet) else len(tuple(rates))
         self.graph = graph = build_graph(channels, n_rates)
-        self._include_leader = include_leader
         self._cand_table = self._build_candidates(graph, include_leader)
         self._safe_table = np.maximum(self._cand_table, 0)  # padding clamped to pair 0
-        super().__init__(rates, channels, window=window, batch=batch, budget=budget)
+        super().__init__(rates, channels, window=window, batch=batch)
         self._r_cand = self._r_flat[self._safe_table]
 
     @staticmethod
@@ -458,10 +423,6 @@ class KlUcbUPolicy(BasePolicy):
     @property
     def gamma(self) -> int:
         return self.graph.gamma
-
-    @property
-    def include_leader(self) -> bool:
-        return self._include_leader
 
     def _reset_extra(self) -> None:
         S = self._batch
@@ -487,10 +448,7 @@ class KlUcbUPolicy(BasePolicy):
         if self.gamma == 0:  # single-vertex graph: the leader is the only pair
             return None
         v_lead = self._lead_counts.take(self._lane_base + lead)
-        if self._budget_override is not None:
-            f = np.array([self._budget_override(int(v)) for v in v_lead])
-        else:
-            f = _allowance_vec(v_lead.astype(float))
+        f = _allowance_vec(v_lead.astype(float))
         cands = self._cand_table[lead]
         at = (self._lane_base[:, None] + self._safe_table[lead]).ravel()
         self._ctx = v_lead, cands
@@ -594,7 +552,6 @@ def build_policy(
     window: int | None = None,
     batch: int = 1,
     strict: bool = False,
-    budget: Callable[[int], float] | None = None,
 ) -> BasePolicy:
     """Construct a learning policy by kind name ("kl-ucb", "crs-t", "kl-ucb-u").
 
@@ -606,4 +563,4 @@ def build_policy(
     if cls is None:
         raise ValueError(f"{key} is a baseline, not a learning policy")
     extra = {"include_leader": False} if strict else {}
-    return cls(rates, channels, window=window, batch=batch, budget=budget, **extra)
+    return cls(rates, channels, window=window, batch=batch, **extra)

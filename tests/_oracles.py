@@ -8,9 +8,11 @@ internals beyond plain data types.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -125,7 +127,7 @@ def expected_regret_exhaustive(policy, theta: np.ndarray, rates: np.ndarray,
 
     Recursively forks the policy on both outcomes of each step, weighting
     branches by the selected pair's success probability.  Cost is 2^horizon
-    policy clones, so keep the horizon tiny.
+    policy copies, so keep the horizon tiny.
     """
     mu = theta * rates[None, :]
     mu_star = mu.max()
@@ -139,7 +141,7 @@ def expected_regret_exhaustive(policy, theta: np.ndarray, rates: np.ndarray,
         gap = mu_star - mu[c - 1, k - 1]
         total = gap
         if p_succ > 0.0:
-            branch = pol.clone()
+            branch = copy.deepcopy(pol)
             branch.update((c, k), 1)
             total += p_succ * recurse(branch, depth + 1)
         if p_succ < 1.0:
@@ -147,7 +149,7 @@ def expected_regret_exhaustive(policy, theta: np.ndarray, rates: np.ndarray,
             total += (1.0 - p_succ) * recurse(pol, depth + 1)
         return total
 
-    return recurse(policy.clone(), 0)
+    return recurse(copy.deepcopy(policy), 0)
 
 
 def baseline_plays(kind: str, theta: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -256,6 +258,28 @@ def trace_csv_reference(trace) -> str:
     return buf.getvalue()
 
 
+def trace_theta_reference(trace, step: int) -> np.ndarray:
+    """The ``(C, K)`` table of a ``TraceTable`` in force at ``step``: that
+    of the last segment starting at or before it."""
+    return trace.tables[bisect_right(trace.starts, step) - 1]
+
+
+def write_theta_csv(path, theta, rates=None) -> None:
+    """Write a ``(C, K)`` success-probability table as the theta CSV that
+    ``load_theta_csv`` reads: a ``channel`` column, then one column per rate
+    (labelled by the rate's ``repr``, or ``rate1``...), each value's
+    ``repr``."""
+    theta = np.asarray(theta, dtype=float)
+    labels = [repr(float(r)) for r in rates] if rates is not None else [
+        f"rate{k}" for k in range(1, theta.shape[1] + 1)
+    ]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["channel", *labels])
+        for c, row in enumerate(theta.tolist(), start=1):
+            w.writerow([c, *map(repr, row)])
+
+
 def crst_pick_reference(pulls, successes, rates, budget, ucb, lcb) -> int:
     """Flat pair CRS-T plays next for one lane, after its round-robin pass.
 
@@ -300,17 +324,49 @@ def crst_pick_reference(pulls, successes, rates, budget, ucb, lcb) -> int:
 TAPE_TAG = 0x9E3779B9
 TAPE_CHUNK = 512
 
+# The domain tag of synthetic drift paths, restated likewise.
+DRIFT_TAG = 0x2545F491
+
+
+def drift_latent_reference(spec) -> np.ndarray:
+    """``(horizon, channels)`` latent path of a ``SyntheticDriftSpec``, one
+    value at a time.  Channel ``c`` (0-based) starts at ``lo + span * (c +
+    1/2) / C`` and, when ``step_std`` is 0, stays there.  Otherwise step
+    ``n`` is the start plus the running sum of the normal draws of
+    ``default_rng(SeedSequence([DRIFT_TAG, seed]))`` (a ``(horizon, C)``
+    array, its first row replaced by zeros) up to row ``n``, reflected
+    into ``[lo, hi]``: ``y = (x - lo) mod 2 span`` maps to ``lo + y`` up to
+    ``span`` and to ``lo + 2 span - y`` above it."""
+    lo, hi, C = spec.latent_lo, spec.latent_hi, spec.channels
+    span = hi - lo
+    start = [lo + span * (c + 0.5) / C for c in range(C)]
+    out = np.empty((spec.horizon, C))
+    if spec.step_std == 0.0:
+        out[:] = start
+        return out
+    gen = np.random.default_rng(np.random.SeedSequence([DRIFT_TAG, spec.seed]))
+    steps = gen.normal(0.0, spec.step_std, size=(spec.horizon, C)).tolist()
+    for c in range(C):
+        walked = 0.0
+        for n in range(spec.horizon):
+            if n > 0:
+                walked += steps[n][c]
+            y = (start[c] + walked - lo) % (2.0 * span)
+            out[n, c] = lo + (2.0 * span - y if y > span else y)
+    return out
+
 
 def reference_outcomes(env, seed: int, start: int, stop: int) -> np.ndarray:
     """``(stop - start, C, K)`` uint8 outcomes of ``env`` under ``seed`` over
     steps ``[start, stop)``, the plain way: for each step one
     ``SeedSequence`` and one ``default_rng`` for its chunk, the full
-    ``(512, C, K)`` chunk drawn, its row compared with ``env.theta_at``."""
+    ``(512, C, K)`` chunk drawn, its row compared with the probabilities
+    ``env.theta_block`` gives for that one step."""
     out = np.empty((stop - start, env.channels, env.n_rates), dtype=np.uint8)
     for n in range(start, stop):
         gen = np.random.default_rng(np.random.SeedSequence([TAPE_TAG, seed, n // TAPE_CHUNK]))
         u = gen.random((TAPE_CHUNK, env.channels, env.n_rates))
-        out[n - start] = u[n % TAPE_CHUNK] < env.theta_at(n)
+        out[n - start] = u[n % TAPE_CHUNK] < env.theta_block(n, n + 1)[0]
     return out
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from chanrate import LinkModel, RateSet, demo_model
+from chanrate.model import LinkModel, RateSet, demo_model
 
 
 @pytest.fixture(scope="session")

@@ -13,17 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from chanrate import (
-    LinkModel,
-    RateSet,
-    c_GU,
-    c_I,
-    c_U_prime,
-    check_graphically_unimodal,
-    compute_bound_report,
-    crst_constants,
-    throughput_matrix,
-)
+from chanrate.bounds import c_GU, c_I, c_U_prime, compute_bound_report, crst_constants
+from chanrate.graph import check_graphically_unimodal
+from chanrate.model import LinkModel, RateSet, throughput_matrix
 
 from _oracles import bound_sum_structure_blind, kl_closed_form
 

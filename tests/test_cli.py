@@ -17,13 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chanrate
-from chanrate import save_theta_csv
 from chanrate.cli import main
+
+from _oracles import write_theta_csv
 
 
 @pytest.fixture
 def model_files(tmp_path):
-    save_theta_csv(tmp_path / "theta.csv", np.array([[0.9, 0.6], [0.5, 0.3]]))
+    write_theta_csv(tmp_path / "theta.csv", np.array([[0.9, 0.6], [0.5, 0.3]]))
     (tmp_path / "rates.json").write_text(json.dumps([1.0, 2.0]))
     return tmp_path
 
@@ -330,7 +331,7 @@ class TestGenEnv:
         )
         assert code == 0
         assert "horizon 50" in capsys.readouterr().out
-        from chanrate import TraceTable
+        from chanrate.environments import TraceTable
 
         # The CSV stores segments only; the horizon rides in the config.
         trace = TraceTable.from_csv(out, horizon=50)

@@ -9,28 +9,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanrate import (
+from chanrate import environments
+from chanrate.environments import (
+    _EXP_MAX,
     DriftEnvironment,
-    LinkModel,
     OutcomeTape,
-    RateSet,
     StationaryEnvironment,
     SyntheticDriftSpec,
     TraceEnvironment,
     TraceTable,
-    accelerate,
+    _expit,
+    _pcg64_random,
+    _seed_states,
     drift_to_trace,
 )
-from chanrate import environments
-from chanrate.environments import _EXP_MAX, _expit, _pcg64_random, _seed_states
+from chanrate.model import LinkModel, RateSet
 
 from _oracles import (
     TAPE_TAG,
     assert_same_bits,
+    drift_latent_reference,
     pcg64_doubles,
     reference_draw,
     reference_outcomes,
     trace_csv_reference,
+    trace_theta_reference,
 )
 
 
@@ -45,8 +48,9 @@ def swap_trace():
 class TestStationary:
     def test_schedule_is_constant(self, tiny_model):
         env = StationaryEnvironment(tiny_model)
-        np.testing.assert_array_equal(env.theta_at(0), env.theta_at(999))
-        assert env.horizon is None
+        np.testing.assert_array_equal(env.theta_block(0, 1000), np.stack([tiny_model.theta] * 1000))
+        # No horizon: any step is valid.
+        np.testing.assert_array_equal(env.theta_block(10**12, 10**12 + 1)[0], tiny_model.theta)
 
     def test_theta_block_broadcasts(self, tiny_model):
         env = StationaryEnvironment(tiny_model)
@@ -59,7 +63,7 @@ class TestStationary:
             RateSet.of([1.0]), np.array([[0.8], [0.8]]), occupancy=np.array([0.5, 0.0])
         )
         env = StationaryEnvironment(model)
-        np.testing.assert_allclose(env.theta_at(0), [[0.4], [0.8]])
+        np.testing.assert_allclose(env.theta_block(0, 1)[0], [[0.4], [0.8]])
 
     def test_draw_is_pure(self, tiny_model):
         env = StationaryEnvironment(tiny_model)
@@ -106,11 +110,11 @@ class TestTraceTable:
             TraceTable(starts=(0, 10, 20), tables=(tab, worse, tab))
 
     def test_segment_lookup(self, swap_trace):
-        assert swap_trace.segment_index(0) == 0
-        assert swap_trace.segment_index(99) == 0
-        assert swap_trace.segment_index(100) == 1
-        assert swap_trace.theta_at(99)[0, 0] == 0.9
-        assert swap_trace.theta_at(100)[0, 0] == 0.2
+        block = TraceEnvironment(swap_trace, RateSet.of([1.0, 2.0])).theta_block(0, 200)
+        assert block[99, 0, 0] == 0.9
+        assert block[100, 0, 0] == 0.2
+        for n in range(200):
+            assert_same_bits(block[n], trace_theta_reference(swap_trace, n))
 
     def test_csv_round_trip(self, swap_trace, tmp_path):
         path = tmp_path / "trace.csv"
@@ -177,10 +181,11 @@ class TestTraceEnvironment:
         rng = np.random.default_rng(3)
         starts = (0, 3, 4, 100, 512, 517, 600)
         tables = tuple(rng.random((2, 3)) for _ in starts)
-        env = TraceEnvironment(TraceTable(starts, tables, horizon=1000), RateSet.of([1.0, 2.0, 3.0]))
+        trace = TraceTable(starts, tables, horizon=1000)
+        env = TraceEnvironment(trace, RateSet.of([1.0, 2.0, 3.0]))
         for start, stop in ((0, 512), (2, 5), (3, 4), (99, 101), (500, 700), (599, 1000)):
             block = env.theta_block(start, stop)
-            expected = np.stack([env.theta_at(n) for n in range(start, stop)])
+            expected = np.stack([trace_theta_reference(trace, n) for n in range(start, stop)])
             assert block.shape == expected.shape
             assert block.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="beyond horizon"):
@@ -188,9 +193,9 @@ class TestTraceEnvironment:
 
     def test_horizon_enforced(self, swap_trace):
         env = TraceEnvironment(swap_trace, RateSet.of([1.0, 2.0]))
-        env.theta_at(199)
+        env.theta_block(199, 200)
         with pytest.raises(ValueError, match="step 200 beyond horizon 200"):
-            env.theta_at(200)
+            env.theta_block(200, 201)
 
     def test_rate_width_must_match(self, swap_trace):
         with pytest.raises(ValueError, match="rate count"):
@@ -227,47 +232,6 @@ class TestTraceEnvironment:
         assert swap_trace.tables[1].tolist() == [[0.2, 0.1], [0.9, 0.3]]
         with pytest.raises(ValueError, match="read-only"):
             swap_trace.tables[0][0, 0] = 0.5
-
-
-class TestAccelerate:
-    def make(self):
-        return TraceTable(
-            starts=(0, 7, 20, 33),
-            tables=tuple(np.full((1, 1), v) for v in (0.1, 0.2, 0.3, 0.4)),
-            horizon=40,
-        )
-
-    def test_identity_factor(self):
-        t = self.make()
-        out = accelerate(t, 1)
-        assert out.starts == t.starts
-        assert out.horizon == t.horizon
-
-    def test_divides_starts_and_horizon(self):
-        out = accelerate(self.make(), 2)
-        assert out.starts == (0, 3, 10, 16)
-        assert out.horizon == 20
-
-    def test_colliding_segments_keep_latest(self):
-        out = accelerate(self.make(), 13)
-        assert out.starts == (0, 1, 2)
-        assert [tab[0, 0] for tab in out.tables] == [0.2, 0.3, 0.4]
-        assert out.horizon == 3
-
-    def test_composition(self):
-        t = self.make()
-        ab = accelerate(accelerate(t, 2), 3)
-        direct = accelerate(t, 6)
-        assert ab.starts == direct.starts
-        assert ab.horizon == direct.horizon
-        for x, y in zip(ab.tables, direct.tables):
-            np.testing.assert_array_equal(x, y)
-
-    def test_extreme_factor_clamps_to_one_step(self):
-        out = accelerate(self.make(), 1000)
-        assert out.starts == (0,)
-        assert out.horizon == 1
-        assert out.tables[0][0, 0] == 0.4  # latest segment wins the merge
 
 
 class TestSyntheticDrift:
@@ -310,32 +274,32 @@ class TestSyntheticDrift:
             SyntheticDriftSpec.from_json_dict(data)
 
     def test_rows_nonincreasing_in_rate(self):
-        env = DriftEnvironment(self.spec())
-        for step in (0, 57, 399):
-            th = env.theta_at(step)
-            assert np.all(np.diff(th, axis=1) <= 0)
-            assert np.all((th > 0) & (th < 1))
+        th = DriftEnvironment(self.spec()).theta_block(0, 400)
+        assert np.all(np.diff(th, axis=2) <= 0)
+        assert np.all((th > 0) & (th < 1))
 
     def test_zero_step_std_is_stationary(self):
-        env = DriftEnvironment(self.spec(step_std=0.0))
-        np.testing.assert_array_equal(env.theta_at(0), env.theta_at(399))
+        th = DriftEnvironment(self.spec(step_std=0.0)).theta_block(0, 400)
+        np.testing.assert_array_equal(th, np.broadcast_to(th[0], th.shape))
 
     def test_latent_stays_in_range(self):
-        env = DriftEnvironment(self.spec(step_std=0.3))
-        for step in range(0, 400, 7):
-            lat = env.latent_at(step)
-            assert np.all((lat >= 0.0) & (lat <= 1.0))
+        spec = self.spec(step_std=0.3)
+        latent = drift_latent_reference(spec)
+        assert np.all((latent >= 0.0) & (latent <= 1.0))
+        # The environment walks that same path.
+        z = (latent[:, :, None] - spec.threshold_array()) / spec.softness
+        assert_same_bits(DriftEnvironment(spec).theta_block(0, spec.horizon), _expit(z))
 
     def test_same_spec_same_path(self):
         a = DriftEnvironment(self.spec())
         b = DriftEnvironment(self.spec())
-        np.testing.assert_array_equal(a.theta_at(250), b.theta_at(250))
+        assert a.theta_block(0, 400).tobytes() == b.theta_block(0, 400).tobytes()
 
     def test_theta_block_matches_pointwise(self):
         env = DriftEnvironment(self.spec())
         block = env.theta_block(40, 60)
         for i, step in enumerate(range(40, 60)):
-            np.testing.assert_array_equal(block[i], env.theta_at(step))
+            assert_same_bits(block[i], env.theta_block(step, step + 1)[0])
 
     @pytest.mark.parametrize("softness", [0.08, 1e-4, 1e-300])
     def test_theta_matches_scipy_expit_bitwise(self, softness):
@@ -343,7 +307,7 @@ class TestSyntheticDrift:
         rates = RateSet.of([1.0 + k for k in range(8)])
         spec = self.spec(rates=rates, channels=5, horizon=512, step_std=0.05, softness=softness)
         env = DriftEnvironment(spec)
-        latent = np.stack([env.latent_at(n) for n in range(spec.horizon)])
+        latent = drift_latent_reference(spec)
         z = (latent[:, :, None] - spec.threshold_array()) / softness
         if softness == 1e-4:
             # exp(-z) overflows on some elements and is finite but huge on others.
@@ -351,7 +315,7 @@ class TestSyntheticDrift:
         want = expit(z)
         assert_same_bits(env.theta_block(0, spec.horizon), want)
         for n in (0, 1, 255, 511):
-            assert_same_bits(env.theta_at(n), want[n])
+            assert_same_bits(env.theta_block(n, n + 1)[0], want[n])
 
     def test_expit_port_at_overflow_edges(self):
         expit = pytest.importorskip("scipy.special").expit
@@ -367,18 +331,17 @@ class TestSyntheticDrift:
     def test_drift_to_trace_exact_at_unit_sampling(self):
         spec = self.spec(horizon=1100)
         trace = drift_to_trace(spec, sample_every=1)
-        env = DriftEnvironment(spec)
         assert trace.horizon == 1100
-        for step in range(1100):
-            assert_same_bits(trace.theta_at(step), env.theta_at(step))
+        want = DriftEnvironment(spec).theta_block(0, 1100)
+        assert_same_bits(TraceEnvironment(trace, spec.rates).theta_block(0, 1100), want)
 
     def test_drift_to_trace_holds_between_samples(self):
         spec = self.spec(horizon=1600)
         trace = drift_to_trace(spec, sample_every=3)
-        env = DriftEnvironment(spec)
         assert trace.starts == tuple(range(0, 1600, 3))
-        for step in range(1600):
-            assert_same_bits(trace.theta_at(step), env.theta_at(step - step % 3))
+        steps = np.arange(1600)
+        want = DriftEnvironment(spec).theta_block(0, 1600)[steps - steps % 3]
+        assert_same_bits(TraceEnvironment(trace, spec.rates).theta_block(0, 1600), want)
 
 
 class TestOutcomeTape:

@@ -13,7 +13,8 @@ import hashlib
 
 import pytest
 
-from chanrate import ExperimentConfig, demo_model, emit_outputs, run_experiment
+from chanrate.harness import ExperimentConfig, emit_outputs, run_experiment
+from chanrate.model import demo_model
 
 _DEMO = demo_model()
 _DEMO_RATES = [float(r) for r in _DEMO.rates]

@@ -8,25 +8,47 @@ import json
 import numpy as np
 import pytest
 
-from chanrate import (
+from chanrate import harness
+from chanrate.environments import OutcomeTape, SyntheticDriftSpec, TraceTable
+from chanrate.harness import (
     ExperimentConfig,
-    OutcomeTape,
     PolicySpec,
-    RateSet,
-    SyntheticDriftSpec,
-    TraceTable,
+    _flat_sum,
+    _float_texts,
     accounting_check,
-    build_policy,
     default_checkpoints,
-    demo_model,
     emit_outputs,
     run_experiment,
-    save_theta_csv,
 )
-from chanrate import harness
-from chanrate.harness import _flat_sum, _float_texts
+from chanrate.model import RateSet, demo_model
+from chanrate.policies import build_policy
 
-from _oracles import assert_same_bits, baseline_plays, run_reference, weighted_sum_reference
+from _oracles import (
+    assert_same_bits,
+    baseline_plays,
+    run_reference,
+    weighted_sum_reference,
+    write_theta_csv,
+)
+
+
+def _memory_asked(monkeypatch, config) -> int:
+    """The bytes ``run_experiment(config)`` asks ``_require_memory`` for; the
+    run stops there, before it allocates anything."""
+    asked = []
+
+    class Asked(Exception):
+        pass
+
+    def record(need, what):
+        asked.append(need)
+        raise Asked
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_require_memory", record)
+        with pytest.raises(Asked):
+            run_experiment(config)
+    return asked[0]
 
 
 def config_2x2(**kw):
@@ -152,7 +174,7 @@ class TestExperimentConfig:
             ExperimentConfig.from_json_dict(data)
 
     def test_paths_resolve_relative_to_config(self, tmp_path):
-        save_theta_csv(tmp_path / "theta.csv", np.array([[0.9, 0.6], [0.5, 0.3]]))
+        write_theta_csv(tmp_path / "theta.csv", np.array([[0.9, 0.6], [0.5, 0.3]]))
         cfg = {
             "rates": [1.0, 2.0],
             "theta_csv": "theta.csv",
@@ -218,16 +240,6 @@ class TestRunExperiment:
     def test_memory_check_counts_the_log_entry_size(self, monkeypatch, channels, rates, itemsize):
         """A decision log entry takes the bytes of the smallest type that
         holds a flat pair index: 1 up to 256 pairs, 2 above."""
-        asked = []
-
-        class Asked(Exception):
-            pass
-
-        def record(need, what):
-            asked.append(need)
-            raise Asked
-
-        monkeypatch.setattr(harness, "_require_memory", record)
         config = ExperimentConfig(
             rates=RateSet.of([float(r) for r in range(1, rates + 1)]),
             policies=(PolicySpec("oracle"), PolicySpec("kl-ucb-u", window=7), PolicySpec("crs-t")),
@@ -235,10 +247,35 @@ class TestRunExperiment:
             seeds=(1, 2, 3),
             theta=np.full((channels, rates), 0.5),
         )
-        with pytest.raises(Asked):
+        P = channels * rates
+        logs = itemsize * 1000 * 4  # best-pair log plus three decision logs
+        tape = 3 * 512 * P  # one block of outcomes
+        # Per learner and lane: a block's picks and outcome bytes and the pair
+        # tables (kl-ucb-u adds leadership counts); the window's rings.
+        learners = 3 * (2 * 512 * (itemsize + 1) + P * (32 + 24)) + 3 * 7 * 17
+        assert _memory_asked(monkeypatch, config) == logs + tape + learners
+
+    def test_memory_check_counts_a_learners_block_buffers(self, monkeypatch):
+        """A million seeds on the demo table: one block's outcome tape alone
+        is 20.5 GB, whatever the horizon."""
+        demo = demo_model()
+        config = ExperimentConfig(
+            rates=demo.rates,
+            policies=(PolicySpec("kl-ucb"),),
+            horizon=1000,
+            seeds=tuple(range(10**6)),
+            theta=demo.theta,
+        )
+        S, P = 10**6, 40
+        assert _memory_asked(monkeypatch, config) == 1000 * 2 + S * 512 * P + S * (512 * 2 + P * 24)
+        # A run of baselines alone draws no block and keeps no per-lane table.
+        baselines = dataclasses.replace(config, policies=(PolicySpec("oracle"), PolicySpec("static")))
+        assert _memory_asked(monkeypatch, baselines) == 1000 * 3
+        # On a host of 8 GiB the run stops before it allocates anything.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+        monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
+        with pytest.raises(ValueError, match=r"need about 20\.\d+ GiB, more than the 8 GiB"):
             run_experiment(config)
-        # Best-pair log plus three decision logs; the window's rings.
-        assert asked == [itemsize * 1000 * 4 + 3 * 7 * 17]
 
     def test_decisions_recorded_for_lane_zero(self):
         result = run_experiment(config_2x2(seeds=(3,)))

@@ -13,12 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from chanrate import (
-    allowance,
-    kl_bernoulli,
-    lcb_probability,
-    ucb_probability,
-)
+from chanrate.klstats import allowance, kl_bernoulli, lcb_probability, ucb_probability
 
 import chanrate.klstats as klstats
 from _oracles import assert_same_bits, confidence_root_mp, kl_closed_form, kl_mp
