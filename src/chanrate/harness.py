@@ -471,25 +471,32 @@ def _require_memory(need: int, what: str) -> None:
         )
 
 
-def _check_memory(config: ExperimentConfig, slots: int) -> None:
+def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed: bool) -> None:
     """Reject a run whose largest arrays cannot fit in physical memory.
 
     Counts the per-step best pair and one decision log per policy, each
     entry of the smallest unsigned type that holds a flat pair index, and,
-    for a synthetic drift source, its latent path.  With a learning policy
-    it adds the buffers of one block: the ``(seeds, steps, C, K)`` uint8
-    outcome tape and each learner's picks and outcome bytes; and per
-    learner and lane, its int64 pulls, int64 successes and float64 rates
-    per pair (and int64 leadership counts for kl-ucb-u) and, when windowed,
-    its rings (an int64 pair ring and an int8 outcome ring, and for
-    kl-ucb-u an int64 leader ring).
+    for a synthetic drift source, its latent path.  Per policy and lane it
+    counts the result's int64 pulls per pair and float64 regret at each of
+    the ``checkpoints`` (a baseline's one-row tables are repeated to every
+    lane there) and, when ``timed``, its int64 packet counts per pair.  Per
+    lane and step of a block it counts each baseline's uint8 outcome and
+    the 8-byte temporaries of accounting one ledger: one for a run of
+    baselines alone, three with a learner.  With a learner it adds the
+    block's ``(seeds, steps, C, K)`` uint8 outcome tape and each learner's
+    picks and outcome bytes; and per learner and lane, its int64 pulls,
+    int64 successes and float64 rates per pair (and int64 leadership counts
+    for kl-ucb-u) and, when windowed, its rings (an int64 pair ring and an
+    int8 outcome ring, and for kl-ucb-u an int64 leader ring).
     """
     S, P = len(config.seeds), config.channels * config.n_rates
     pair = np.min_scalar_type(P - 1).itemsize
-    need = pair * slots * (1 + len(config.policies))
+    block = min(_BLOCK, slots)
     learners = [p for p in config.policies if not p.is_baseline]
+    need = pair * slots * (1 + len(config.policies))
+    need += S * len(config.policies) * 8 * (P * (2 if timed else 1) + checkpoints)
+    need += S * block * (len(config.policies) - len(learners) + 8 * (3 if learners else 1))
     if learners:
-        block = min(_BLOCK, slots)
         need += S * block * P
         for p in learners:
             leader = p.kind == "kl-ucb-u"
@@ -534,7 +541,8 @@ def _flat_sum(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     slots, time_horizon = _resolve_slots(config)
-    _check_memory(config, slots)
+    checkpoints = _checkpoint_grid(config, slots, time_horizon)
+    _check_memory(config, slots, len(checkpoints), time_horizon is not None)
     env = config.build_environment()
     th_flat = time_benchmark = None
     if time_horizon is not None:
@@ -549,7 +557,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         env=env,
         tape=OutcomeTape(env, config.seeds),
         slots=slots,
-        checkpoints=_checkpoint_grid(config, slots, time_horizon),
+        checkpoints=checkpoints,
         r_flat=np.tile(config.rates.as_array(), config.channels),
         time_horizon=time_horizon,
         th_flat=th_flat,

@@ -197,10 +197,9 @@ class OptimaSummary:
 
     All rate-index sets are 1-based tuples.  ``viable_rates`` collects the
     rate indices whose raw rate meets or exceeds the best throughput; by rate
-    monotonicity it is always a suffix ``{first_viable, ..., K}`` of the rate
-    list, with ``first_viable == K + 1`` encoding the empty set.
-    ``viable_adjacent`` intersects that set with the two rate indices adjacent
-    to the best pair's rate.  The ``*_by_channel`` fields repeat the same
+    monotonicity it is always a suffix of the rate list.  ``viable_adjacent``
+    intersects that set with the two rate indices adjacent to the best
+    pair's rate, and ``viable_adjacent_by_channel`` repeats that
     construction channel by channel around each channel's own best rate.
 
     Ties are reported through the ``unique_*`` flags and never broken
@@ -213,13 +212,9 @@ class OptimaSummary:
     best: DecisionPair
     unique_global: bool
     best_rate_by_channel: tuple[int, ...]
-    best_mu_by_channel: tuple[float, ...]
     unique_per_channel: tuple[bool, ...]
     viable_rates: tuple[int, ...]
-    first_viable: int
     viable_adjacent: tuple[int, ...]
-    viable_rates_by_channel: tuple[tuple[int, ...], ...] = field(repr=False)
-    first_viable_by_channel: tuple[int, ...] = field(repr=False)
     viable_adjacent_by_channel: tuple[tuple[int, ...], ...] = field(repr=False)
 
 
@@ -249,22 +244,15 @@ def compute_optima(model: LinkModel) -> OptimaSummary:
     unique_global = int(np.count_nonzero(mu == mu_star)) == 1
 
     best_rate_by_channel: list[int] = []
-    best_mu_by_channel: list[float] = []
     unique_per_channel: list[bool] = []
-    viable_by_channel: list[tuple[int, ...]] = []
-    first_viable_by_channel: list[int] = []
     adjacent_by_channel: list[tuple[int, ...]] = []
     for c in range(C):
         row = mu[c]
         k_best = int(np.argmax(row)) + 1
         mu_best = float(row[k_best - 1])
         best_rate_by_channel.append(k_best)
-        best_mu_by_channel.append(mu_best)
         unique_per_channel.append(int(np.count_nonzero(row == mu_best)) == 1)
-        viable_c = _viable_suffix(rates, mu_best)
-        viable_by_channel.append(viable_c)
-        first_viable_by_channel.append(viable_c[0] if viable_c else K + 1)
-        adjacent_by_channel.append(_adjacent(viable_c, k_best, K))
+        adjacent_by_channel.append(_adjacent(_viable_suffix(rates, mu_best), k_best, K))
 
     viable = _viable_suffix(rates, mu_star)
     return OptimaSummary(
@@ -273,13 +261,9 @@ def compute_optima(model: LinkModel) -> OptimaSummary:
         best=best,
         unique_global=unique_global,
         best_rate_by_channel=tuple(best_rate_by_channel),
-        best_mu_by_channel=tuple(best_mu_by_channel),
         unique_per_channel=tuple(unique_per_channel),
         viable_rates=viable,
-        first_viable=viable[0] if viable else K + 1,
         viable_adjacent=_adjacent(viable, best.rate_index, K),
-        viable_rates_by_channel=tuple(viable_by_channel),
-        first_viable_by_channel=tuple(first_viable_by_channel),
         viable_adjacent_by_channel=tuple(adjacent_by_channel),
     )
 

@@ -10,15 +10,14 @@ means, confidence bounds, and for the leader policy its leadership counts)
 for sliding-window versions, which is what tracks drifting environments.
 
 Every policy starts with one round-robin pass over all pairs in row-major
-order, then alternates select/update strictly: ``select()`` proposes the
-pair for the next transmission and ``update(pair, outcome)`` feeds back the
-acknowledgement bit.  All argmax/argmin ties break lexicographically by
-(channel, rate).
+order.  All argmax/argmin ties break lexicographically by (channel, rate).
 
-Policies are internally vectorized over ``batch`` independent replications
-that advance in lock-step (one per environment seed); the scalar interface
-is the batch=1 special case.  ``select_batch``/``update_batch`` expose the
-vector form.
+Policies are vectorized over ``batch`` independent replications that
+advance in lock-step (one per environment seed); a batch of 1 is one run.
+There is one way to step a policy: :func:`select_all` returns the flat pair
+``c * K + k`` (0-based channel and rate indices) each replication uses for
+the next transmission, and ``_record(flats, outcomes)`` then feeds back
+their acknowledgement bits.
 
 Each policy keeps its statistics per (lane, pair): pull and success counts
 and, beside them, the empirical success rates ``successes / pulls`` (0.0
@@ -31,8 +30,7 @@ Selection is split in two so that many policies can share one solver call:
 a policy first requests the confidence bounds its next pick needs, as flat
 ``(p, t, f, upper)`` arrays (``f`` and ``upper`` may be scalars), then
 finishes the pick from the solved bounds.  :func:`select_all` solves the
-requests of several policies in one call; ``select_batch`` is
-``select_all`` on one policy.
+requests of all the policies it steps in one call.
 """
 
 from __future__ import annotations
@@ -89,8 +87,6 @@ class KlUcbUState(KlUcbState):
 class BasePolicy:
     """Shared bookkeeping: counts, round-robin prefix, windowing, batching."""
 
-    kind = "base"
-
     def __init__(
         self,
         rates: RateSet | Iterable[float],
@@ -108,85 +104,25 @@ class BasePolicy:
             raise ValueError(f"window must be >= 1, got {window}")
         self._channels = channels
         self._n_rates = len(self._rates)
-        self._n_pairs = channels * self._n_rates
+        self._n_pairs = P = channels * self._n_rates
         self._batch = batch
         self._window = window
         self._r_flat = np.tile(self._rates.as_array(), channels)
         self._r_row = self._rates.as_array()
         self._lanes = np.arange(batch)
-        self._lane_base = self._lanes * self._n_pairs  # flat index of (lane, pair 0)
-        self.reset()
-
-    # -- public surface -------------------------------------------------
-
-    @property
-    def step(self) -> int:
-        """Completed transmissions (identical across the batch)."""
-        return self._step
-
-    def reset(self) -> None:
-        S, P = self._batch, self._n_pairs
-        self._step = 0
-        self._pending: np.ndarray | None = None
-        self._pulls = np.zeros((S, P), dtype=np.int64)
-        self._successes = np.zeros((S, P), dtype=np.int64)
-        self._rate = np.zeros((S, P))  # successes / pulls, 0.0 where unpulled
-        if self._window is not None:
-            self._ring_pair = np.full((S, self._window), -1, dtype=np.int64)
-            self._ring_out = np.zeros((S, self._window), dtype=np.int8)
+        self._lane_base = self._lanes * P  # flat index of (lane, pair 0)
+        self._step = 0  # completed transmissions, identical across the batch
+        self._pulls = np.zeros((batch, P), dtype=np.int64)
+        self._successes = np.zeros((batch, P), dtype=np.int64)
+        self._rate = np.zeros((batch, P))  # successes / pulls, 0.0 where unpulled
+        if window is not None:
+            self._ring_pair = np.full((batch, window), -1, dtype=np.int64)
+            self._ring_out = np.zeros((batch, window), dtype=np.int8)
             self._ring_pos = 0
-        self._reset_extra()
-
-    def select(self) -> DecisionPair:
-        """Pair to use for the next transmission (scalar interface)."""
-        self._require_scalar()
-        return flat_to_pair(int(self.select_batch()[0]), self._n_rates)
-
-    def update(self, pair: DecisionPair | tuple[int, int], outcome: int) -> None:
-        """Record the outcome bit of the last selected pair."""
-        self._require_scalar()
-        c, k = pair
-        flat = (c - 1) * self._n_rates + (k - 1)
-        self.update_batch(
-            np.array([flat], dtype=np.int64), np.array([outcome], dtype=np.int64)
-        )
-
-    def select_batch(self) -> np.ndarray:
-        """Flat pair ids for the next transmission, one per replication."""
-        return select_all([self])[0]
-
-    def _begin_select(self):
-        """Flat ``(p, t, f, upper)`` of the bounds the next pick needs, or None."""
-        if self._pending is not None:
-            raise RuntimeError("select called twice without an update in between")
-        if self._step < self._n_pairs:
-            return None
-        return self._request()
-
-    def _end_select(self, q: np.ndarray | None) -> np.ndarray:
-        """The pick, from the solved bounds ``q`` of :meth:`_begin_select`."""
-        if self._step < self._n_pairs:
-            flats = np.full(self._batch, self._step, dtype=np.int64)
-        else:
-            flats = self._finish(q)
-        self._pending = flats
-        return flats
-
-    def update_batch(self, flats: np.ndarray, outcomes: np.ndarray) -> None:
-        if self._pending is None:
-            raise RuntimeError("update called before select")
-        flats = np.asarray(flats, dtype=np.int64)
-        outcomes = np.asarray(outcomes, dtype=np.int64)
-        if flats.shape != (self._batch,) or outcomes.shape != (self._batch,):
-            raise ValueError(f"expected arrays of shape ({self._batch},)")
-        if not np.array_equal(flats, self._pending):
-            raise ValueError("updated pair differs from the selected pair")
-        if np.any((outcomes != 0) & (outcomes != 1)):
-            raise ValueError("outcomes must be 0 or 1")
-        self._record(flats, outcomes)
 
     def _record(self, flats: np.ndarray, outcomes: np.ndarray) -> None:
-        """Record the pending pick's 0/1 outcomes, trusted as given."""
+        """Record the 0/1 outcomes of the pick :func:`select_all` just made,
+        trusted as given: one per lane, for the flat pairs ``flats``."""
         if self._window is not None:
             self._evict()
             pos = self._ring_pos
@@ -201,7 +137,6 @@ class BasePolicy:
         self._successes.put(at, successes)
         self._rate.put(at, successes / pulls)
         self._step += 1
-        self._pending = None
         self._after_update()
         if self._window is not None:
             self._ring_pos = (self._ring_pos + 1) % self._window
@@ -216,9 +151,6 @@ class BasePolicy:
 
     # -- subclass hooks ---------------------------------------------------
 
-    def _reset_extra(self) -> None:
-        pass
-
     def _after_update(self) -> None:
         pass
 
@@ -229,10 +161,6 @@ class BasePolicy:
         raise NotImplementedError
 
     # -- shared internals -------------------------------------------------
-
-    def _require_scalar(self) -> None:
-        if self._batch != 1:
-            raise RuntimeError("scalar select/update require batch=1; use the *_batch forms")
 
     def _evict(self) -> None:
         # Lanes step together, so the ring slot is filled on every lane or none.
@@ -263,8 +191,6 @@ class KlUcbPolicy(BasePolicy):
     policy is structure-blind: it never looks at channel or rate adjacency.
     """
 
-    kind = "kl-ucb"
-
     def _request(self):
         return self._rate.ravel(), self._pulls.ravel(), self._scalar_budget(), True
 
@@ -286,13 +212,12 @@ class CrsTPolicy(BasePolicy):
     the highest upper confidence index across channels.
     """
 
-    kind = "crs-t"
-
     # Bounds one step solves, in this order: lcb on each channel's leader,
     # ucb on its lower and upper rate neighbours, ucb on the leader.
     _OFFSETS = np.array([0, -1, 1, 0])[:, None]
 
-    def _reset_extra(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         S, C, K = self._batch, self._channels, self._n_rates
         self._upper = np.repeat([False, True, True, True], S * C)
         # Tables by leader rate index k.  Out-of-range neighbours are clamped
@@ -380,14 +305,12 @@ class KlUcbUPolicy(BasePolicy):
     optimistic index among the leader's out-neighbors, with budget
     allowance(v[leader]).  The candidate set includes the leader itself by
     default so it can be exploited between forced plays; pass
-    ``include_leader=False`` to restrict the non-forced play to the
-    out-neighbors only.
+    ``strict=True`` to restrict the non-forced play to the out-neighbors
+    only.
 
     With a window, sample statistics and leadership counts alike are
     evaluated over the last ``window`` steps.
     """
-
-    kind = "kl-ucb-u"
 
     def __init__(
         self,
@@ -396,22 +319,25 @@ class KlUcbUPolicy(BasePolicy):
         *,
         window: int | None = None,
         batch: int = 1,
-        include_leader: bool = True,
+        strict: bool = False,
     ) -> None:
-        n_rates = len(rates) if isinstance(rates, RateSet) else len(tuple(rates))
-        self.graph = graph = build_graph(channels, n_rates)
-        self._cand_table = self._build_candidates(graph, include_leader)
-        self._safe_table = np.maximum(self._cand_table, 0)  # padding clamped to pair 0
         super().__init__(rates, channels, window=window, batch=batch)
+        self.graph = build_graph(channels, self._n_rates)
+        self._cand_table = self._build_candidates(self.graph, strict)
+        self._safe_table = np.maximum(self._cand_table, 0)  # padding clamped to pair 0
         self._r_cand = self._r_flat[self._safe_table]
+        self._lead_counts = np.zeros((batch, self._n_pairs), dtype=np.int64)
+        self._leader = np.zeros(batch, dtype=np.int64)
+        if window is not None:
+            self._lead_ring = np.full((batch, window), -1, dtype=np.int64)
 
     @staticmethod
-    def _build_candidates(graph: NeighborhoodGraph, include_leader: bool) -> np.ndarray:
+    def _build_candidates(graph: NeighborhoodGraph, strict: bool) -> np.ndarray:
         K = graph.n_rates
         rows = []
         for flat, nbrs in enumerate(graph.adjacency):
             ids = [(c - 1) * K + (k - 1) for c, k in nbrs]
-            if include_leader:
+            if not strict:
                 ids.append(flat)
             rows.append(sorted(ids))
         width = max(len(row) for row in rows)
@@ -423,13 +349,6 @@ class KlUcbUPolicy(BasePolicy):
     @property
     def gamma(self) -> int:
         return self.graph.gamma
-
-    def _reset_extra(self) -> None:
-        S = self._batch
-        self._lead_counts = np.zeros((S, self._n_pairs), dtype=np.int64)
-        self._leader = np.zeros(S, dtype=np.int64)
-        if self._window is not None:
-            self._lead_ring = np.full((S, self._window), -1, dtype=np.int64)
 
     def _after_update(self) -> None:
         # Leadership counts include the leader after the current step.
@@ -484,13 +403,17 @@ class KlUcbUPolicy(BasePolicy):
 def select_all(policies: list[BasePolicy]) -> list[np.ndarray]:
     """Every policy's next pick, with one solver call for all their bounds.
 
-    The requests are laid end to end, solved together, and each policy gets
-    its slice of the result back; a lone request goes to the solver as it is,
-    and requests that all ask for the same direction pass it as one bool.
-    Each element's bound is the one a call on it alone gives, so the picks
-    are those of each policy's own ``select_batch``.
+    A policy in its round-robin prefix asks for no bounds and plays its
+    step number as the flat pair.  The other requests are laid end to end,
+    solved together, and each policy gets its slice of the result back; a
+    lone request goes to the solver as it is, and requests that all ask for
+    the same direction pass it as one bool.  Each element's bound is the one
+    a call on it alone gives, so a policy's picks do not depend on the
+    policies it steps with.  Each policy's ``_record`` of the picks'
+    outcomes completes the step.
     """
-    requests = [policy._begin_select() for policy in policies]
+    warming = [policy._step < policy._n_pairs for policy in policies]
+    requests = [None if w else policy._request() for policy, w in zip(policies, warming)]
     live = [r for r in requests if r is not None]
     if len(live) == 1:
         q = _solve_probability(*live[0])
@@ -512,7 +435,10 @@ def select_all(policies: list[BasePolicy]) -> list[np.ndarray]:
         bounds = [None if r is None else next(parts) for r in requests]
     else:
         bounds = requests
-    return [policy._end_select(q) for policy, q in zip(policies, bounds)]
+    return [
+        np.full(policy._batch, policy._step, dtype=np.int64) if w else policy._finish(q)
+        for policy, w, q in zip(policies, warming, bounds)
+    ]
 
 
 # Every policy kind a run accepts: the class that learns it, or None for a
@@ -562,5 +488,5 @@ def build_policy(
     cls = POLICY_KINDS[key]
     if cls is None:
         raise ValueError(f"{key} is a baseline, not a learning policy")
-    extra = {"include_leader": False} if strict else {}
+    extra = {"strict": True} if strict else {}
     return cls(rates, channels, window=window, batch=batch, **extra)

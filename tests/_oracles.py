@@ -3,7 +3,7 @@
 Everything here is written the straightforward, slow way on purpose: each
 function re-derives its quantity from first principles so the package and
 the tests cannot share a bug.  Keep these free of imports from the package
-internals beyond plain data types.
+internals beyond plain data types and ``select_all``, which steps a policy.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import math
 from bisect import bisect_right
 
 import numpy as np
+
+from chanrate.policies import select_all
 
 
 def kl_closed_form(p: float, q: float) -> float:
@@ -121,13 +123,23 @@ def bound_sum_structure_blind(theta: np.ndarray, rates: np.ndarray) -> float | N
     return math.fsum(terms)
 
 
+def step_policy(policy, outcome) -> np.ndarray:
+    """Step ``policy`` once, as a run does: its picks from
+    ``select_all([policy])``, then ``_record`` of the 0/1 outcomes
+    ``outcome(flats)`` gives, one per lane.  Returns the flat picks."""
+    flats = select_all([policy])[0]
+    policy._record(flats, np.asarray(outcome(flats), dtype=np.int64))
+    return flats
+
+
 def expected_regret_exhaustive(policy, theta: np.ndarray, rates: np.ndarray,
                                horizon: int) -> float:
     """Exact expected slot regret by enumerating every outcome sequence.
 
-    Recursively forks the policy on both outcomes of each step, weighting
-    branches by the selected pair's success probability.  Cost is 2^horizon
-    policy copies, so keep the horizon tiny.
+    Recursively forks the batch-1 policy on both outcomes of each step,
+    weighting branches by the selected pair's success probability: a copy
+    taken before the step records the success, the original the failure.
+    Cost is 2^horizon policy copies, so keep the horizon tiny.
     """
     mu = theta * rates[None, :]
     mu_star = mu.max()
@@ -136,16 +148,14 @@ def expected_regret_exhaustive(policy, theta: np.ndarray, rates: np.ndarray,
     def recurse(pol, depth: int) -> float:
         if depth == horizon:
             return 0.0
-        c, k = pol.select()
-        p_succ = theta[c - 1, k - 1]
-        gap = mu_star - mu[c - 1, k - 1]
-        total = gap
+        won = copy.deepcopy(pol)
+        c, k = divmod(int(step_policy(pol, lambda flats: [0])[0]), n_rates)
+        p_succ = theta[c, k]
+        total = mu_star - mu[c, k]
         if p_succ > 0.0:
-            branch = copy.deepcopy(pol)
-            branch.update((c, k), 1)
-            total += p_succ * recurse(branch, depth + 1)
+            step_policy(won, lambda flats: [1])
+            total += p_succ * recurse(won, depth + 1)
         if p_succ < 1.0:
-            pol.update((c, k), 0)
             total += (1.0 - p_succ) * recurse(pol, depth + 1)
         return total
 

@@ -27,6 +27,7 @@ from _oracles import (
     assert_same_bits,
     baseline_plays,
     run_reference,
+    step_policy,
     weighted_sum_reference,
     write_theta_csv,
 )
@@ -253,7 +254,29 @@ class TestRunExperiment:
         # Per learner and lane: a block's picks and outcome bytes and the pair
         # tables (kl-ucb-u adds leadership counts); the window's rings.
         learners = 3 * (2 * 512 * (itemsize + 1) + P * (32 + 24)) + 3 * 7 * 17
-        assert _memory_asked(monkeypatch, config) == logs + tape + learners
+        # Per policy and lane, the result's int64 pulls and float64 regret at
+        # 11 checkpoints (1, 2, 4, ..., 512 and 1000).
+        results = 3 * 3 * 8 * (P + 11)
+        # Per lane and step of a block: the oracle's outcome byte and three
+        # 8-byte temporaries of accounting a learner's ledger.
+        block = 3 * 512 * (1 + 3 * 8)
+        assert _memory_asked(monkeypatch, config) == logs + tape + learners + results + block
+
+        # Baselines alone on many seeds draw no block of outcomes, but each
+        # result repeats its one-row tables to every lane, and each block
+        # holds a baseline's outcome bytes and one float64 reward per lane
+        # and step.  Time accounting adds the int64 packet counts per pair.
+        S = 2 * 10**5
+        baselines = dataclasses.replace(
+            config, policies=(PolicySpec("oracle"), PolicySpec("static")), horizon=600, seeds=tuple(range(S))
+        )
+        want = itemsize * 600 * 3 + S * 2 * 8 * (P + 11) + S * 512 * (2 + 8)
+        assert _memory_asked(monkeypatch, baselines) == want
+        timed = dataclasses.replace(baselines, accounting="original")
+        slots = 600 * rates  # the time budget at the top rate
+        cps = len({2**i for i in range(slots.bit_length())} | {slots, 600})
+        want = itemsize * slots * 3 + S * 2 * 8 * (2 * P + cps) + S * 512 * (2 + 8)
+        assert _memory_asked(monkeypatch, timed) == want
 
     def test_memory_check_counts_a_learners_block_buffers(self, monkeypatch):
         """A million seeds on the demo table: one block's outcome tape alone
@@ -267,14 +290,18 @@ class TestRunExperiment:
             theta=demo.theta,
         )
         S, P = 10**6, 40
-        assert _memory_asked(monkeypatch, config) == 1000 * 2 + S * 512 * P + S * (512 * 2 + P * 24)
-        # A run of baselines alone draws no block and keeps no per-lane table.
+        tables = S * 8 * (P + 11)  # the result's pulls and regret at 11 checkpoints
+        block = S * 512 * (P + 3 * 8)  # the outcome tape and accounting temporaries
+        want = 1000 * 2 + block + S * (512 * 2 + P * 24) + tables
+        assert _memory_asked(monkeypatch, config) == want
+        # A run of baselines alone draws no block and keeps no policy tables,
+        # but its results repeat the pulls and regret to every lane.
         baselines = dataclasses.replace(config, policies=(PolicySpec("oracle"), PolicySpec("static")))
-        assert _memory_asked(monkeypatch, baselines) == 1000 * 3
+        assert _memory_asked(monkeypatch, baselines) == 1000 * 3 + 2 * tables + S * 512 * (2 + 8)
         # On a host of 8 GiB the run stops before it allocates anything.
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
         monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
-        with pytest.raises(ValueError, match=r"need about 20\.\d+ GiB, more than the 8 GiB"):
+        with pytest.raises(ValueError, match=r"need about 32\.\d+ GiB, more than the 8 GiB"):
             run_experiment(config)
 
     def test_decisions_recorded_for_lane_zero(self):
@@ -451,8 +478,8 @@ def _learner_configs():
 
 
 def _learner_plays(spec: PolicySpec, config: ExperimentConfig, outcomes) -> np.ndarray:
-    """``(S, slots)`` picks of ``spec`` replayed alone through
-    ``select_batch``/``update_batch`` on the tape's outcomes."""
+    """``(S, slots)`` picks of ``spec`` replayed alone through ``step_policy``
+    on the tape's outcomes."""
     lanes, slots = outcomes.shape[:2]
     policy = build_policy(
         spec.kind, config.rates, config.channels, window=spec.window, batch=lanes, strict=spec.strict
@@ -460,9 +487,7 @@ def _learner_plays(spec: PolicySpec, config: ExperimentConfig, outcomes) -> np.n
     K = config.n_rates
     plays = np.empty((lanes, slots), dtype=np.int64)
     for n in range(slots):
-        flats = policy.select_batch()
-        policy.update_batch(flats, outcomes[np.arange(lanes), n, flats // K, flats % K])
-        plays[:, n] = flats
+        plays[:, n] = step_policy(policy, lambda f: outcomes[np.arange(lanes), n, f // K, f % K])
     return plays
 
 

@@ -123,19 +123,17 @@ class TestOptima:
     def test_demo_per_channel(self, demo):
         opt = compute_optima(demo)
         assert opt.best_rate_by_channel == (5, 6, 5, 1, 3)
-        assert opt.best_mu_by_channel == (39.0, 52.0, 39.0, 0.0, 0.8 * 19.5)
+        assert tuple(opt.mu.max(axis=1)) == (39.0, 52.0, 39.0, 0.0, 0.8 * 19.5)
         # Channel 4 is dead: every rate ties at zero throughput.
         assert opt.unique_per_channel == (True, True, True, False, True)
 
     def test_demo_viable_rates(self, demo):
         opt = compute_optima(demo)
         assert opt.viable_rates == (6, 7, 8)
-        assert opt.first_viable == 6
         assert opt.viable_adjacent == (7,)
-        assert opt.viable_rates_by_channel[0] == (5, 6, 7, 8)
+        # Channel 1 peaks at rate 5, so rate 4 is not viable there and 6 is.
         assert opt.viable_adjacent_by_channel[0] == (6,)
         # Dead channel: every rate exceeds its zero peak.
-        assert opt.viable_rates_by_channel[3] == (1, 2, 3, 4, 5, 6, 7, 8)
         assert opt.viable_adjacent_by_channel[3] == (2,)
 
     def test_empty_viable_set_encoding(self):
@@ -143,8 +141,8 @@ class TestOptima:
         # peak can exceed every *other* channel's rates when occupancy bites.
         model = LinkModel(RateSet.of([1.0]), np.array([[1.0], [0.3]]))
         opt = compute_optima(model)
-        assert opt.first_viable == 1
         assert opt.viable_rates == (1,)
+        assert opt.viable_adjacent_by_channel == ((), ())
 
     def test_tie_detection_is_exact(self):
         model = LinkModel(RateSet.of([1.0, 2.0]), np.array([[0.8, 0.4]]))

@@ -1,4 +1,4 @@
-"""Decision policy behavior: initialization, alternation, windows, structure.
+"""Decision policy behavior: initialization, batching, windows, structure.
 
 Outcome bits in these tests come from seeded generators rather than an
 environment; the policies only ever see (pair, outcome) and cannot tell
@@ -15,21 +15,23 @@ from hypothesis import strategies as st
 from chanrate import policies
 from chanrate.klstats import allowance, lcb_probability, ucb_probability
 from chanrate.model import RateSet, flat_to_pair
-from chanrate.policies import KlUcbPolicy, build_policy
+from chanrate.policies import KlUcbPolicy, build_policy, check_policy_kind
 
-from _oracles import assert_same_bits, crst_pick_reference
+from _oracles import assert_same_bits, crst_pick_reference, step_policy
 
 RATES2 = RateSet.of([1.0, 2.0])
 
 
+def step_one(policy, outcome_fn):
+    """Step a batch=1 policy once; outcome_fn(pair) -> 0/1.  Returns the pair."""
+    K = policy._n_rates
+    flat = step_policy(policy, lambda flats: [outcome_fn(flat_to_pair(int(flats[0]), K))])
+    return flat_to_pair(int(flat[0]), K)
+
+
 def run_scalar(policy, n_steps, outcome_fn):
     """Drive a batch=1 policy; outcome_fn(step, pair) -> 0/1."""
-    decisions = []
-    for n in range(n_steps):
-        pair = policy.select()
-        policy.update(pair, outcome_fn(n, pair))
-        decisions.append(tuple(pair))
-    return decisions
+    return [tuple(step_one(policy, lambda pair: outcome_fn(n, pair))) for n in range(n_steps)]
 
 
 class TestRoundRobinAndAlternation:
@@ -41,42 +43,13 @@ class TestRoundRobinAndAlternation:
     def test_round_robin_prefix_in_batch(self):
         policy = build_policy("crs-t", RATES2, channels=2, batch=4)
         for n in range(4):
-            flats = policy.select_batch()
+            flats = step_policy(policy, lambda f: np.zeros(4))
             assert np.all(flats == n)
-            policy.update_batch(flats, np.zeros(4, dtype=np.int64))
-
-    def test_double_select_rejected(self):
-        policy = build_policy("kl-ucb", RATES2, channels=1)
-        policy.select()
-        with pytest.raises(RuntimeError, match="select called twice"):
-            policy.select()
-
-    def test_update_before_select_rejected(self):
-        policy = build_policy("kl-ucb", RATES2, channels=1)
-        with pytest.raises(RuntimeError, match="update called before select"):
-            policy.update((1, 1), 0)
-
-    def test_update_with_wrong_pair_rejected(self):
-        policy = build_policy("kl-ucb", RATES2, channels=1)
-        assert policy.select() == (1, 1)
-        with pytest.raises(ValueError, match="differs from the selected"):
-            policy.update((1, 2), 0)
-
-    def test_outcome_must_be_binary(self):
-        policy = build_policy("kl-ucb", RATES2, channels=1)
-        pair = policy.select()
-        with pytest.raises(ValueError, match="0 or 1"):
-            policy.update(pair, 2)
-
-    def test_scalar_interface_requires_batch_one(self):
-        policy = build_policy("kl-ucb", RATES2, channels=1, batch=2)
-        with pytest.raises(RuntimeError, match="batch=1"):
-            policy.select()
 
 
 class TestBatchSemantics:
     def test_batch_lanes_match_independent_scalar_runs(self):
-        """batch=S is S synchronized replications of the scalar policy."""
+        """batch=S is S synchronized replications of batch=1 policies."""
         rng = np.random.default_rng(31)
         steps, S = 120, 3
         bits = rng.integers(0, 2, size=(steps, S)).astype(np.int64)
@@ -84,12 +57,9 @@ class TestBatchSemantics:
         batched = build_policy("kl-ucb", RATES2, channels=2, batch=S)
         scalars = [build_policy("kl-ucb", RATES2, channels=2) for _ in range(S)]
         for n in range(steps):
-            flats = batched.select_batch()
-            picks = [scalars[i].select() for i in range(S)]
+            flats = step_policy(batched, lambda f: bits[n])
             for i in range(S):
-                assert flat_to_pair(int(flats[i]), 2) == picks[i]
-                scalars[i].update(picks[i], int(bits[n, i]))
-            batched.update_batch(flats, bits[n])
+                assert step_policy(scalars[i], lambda f: bits[n, i : i + 1])[0] == flats[i]
         for i in range(S):
             st_b = batched.state(lane=i)
             st_s = scalars[i].state()
@@ -109,18 +79,10 @@ class TestBatchSemantics:
                 batched = build_policy(kind, rates, channels=channels, batch=S)
                 scalars = [build_policy(kind, rates, channels=channels) for _ in range(S)]
                 for n in range(steps):
-                    flats = batched.select_batch()
+                    flats = step_policy(batched, lambda f: u[n] < theta[f])
                     for i in range(S):
-                        pick = scalars[i].select()
-                        assert flat_to_pair(int(flats[i]), n_rates) == pick, (table, kind, n, i)
-                        scalars[i].update(pick, int(u[n, i] < theta[int(flats[i])]))
-                    batched.update_batch(flats, (u[n] < theta[flats]).astype(np.int64))
-
-    def test_update_batch_shape_check(self):
-        policy = build_policy("kl-ucb", RATES2, channels=1, batch=2)
-        flats = policy.select_batch()
-        with pytest.raises(ValueError, match=r"shape \(2,\)"):
-            policy.update_batch(flats, np.zeros(3, dtype=np.int64))
+                        pick = step_policy(scalars[i], lambda f: u[n, i : i + 1] < theta[f])
+                        assert pick[0] == flats[i], (table, kind, n, i)
 
 
 class TestDeterminism:
@@ -135,21 +97,12 @@ class TestDeterminism:
         b = run_scalar(make(), 200, lambda n, p: int(bits(n, p)))
         assert a == b
 
-    def test_reset_restores_initial_state(self):
-        policy = build_policy("crs-t", RATES2, channels=2, window=16)
-        first = run_scalar(policy, 60, lambda n, p: n % 2)
-        policy.reset()
-        assert policy.step == 0
-        second = run_scalar(policy, 60, lambda n, p: n % 2)
-        assert first == second
-
 
 class TestWindowing:
     def test_window_caps_total_pulls(self):
         policy = build_policy("kl-ucb", RATES2, channels=2, window=8)
         for n in range(1, 41):
-            pair = policy.select()
-            policy.update(pair, n % 2)
+            step_one(policy, lambda pair: n % 2)
             assert policy.state().pulls.sum() == min(n, 8)
 
     def test_wide_window_matches_plain_policy_under_equal_budget(self, monkeypatch):
@@ -195,9 +148,8 @@ class TestRateStore:
         bits = data.draw(st.lists(lane_bits, min_size=1, max_size=40))
         history = []
         for outcomes in bits:
-            flats = policy.select_batch()
-            policy.update_batch(flats, np.array(outcomes, dtype=np.int64))
-            history.append((flats.copy(), outcomes))
+            flats = step_policy(policy, lambda f: outcomes)
+            history.append((flats, outcomes))
             kept = history if window is None else history[-window:]
             pulls = np.zeros((batch, P), dtype=np.int64)
             wins = np.zeros((batch, P), dtype=np.int64)
@@ -218,9 +170,9 @@ class TestKlUcbSelection:
     def test_picks_argmax_of_optimistic_throughput(self):
         policy = KlUcbPolicy(RATES2, channels=2)
         # Round-robin with fixed outcomes: arm order (1,1),(1,2),(2,1),(2,2).
-        for pair, out in zip([(1, 1), (1, 2), (2, 1), (2, 2)], [1, 0, 1, 1]):
-            assert policy.select() == pair
-            policy.update(pair, out)
+        outs = [1, 0, 1, 1]
+        seen = run_scalar(policy, 4, lambda n, p: outs[n])
+        assert seen == [(1, 1), (1, 2), (2, 1), (2, 2)]
         f = allowance(4)
         expect = np.array(
             [
@@ -230,16 +182,14 @@ class TestKlUcbSelection:
                 2.0 * ucb_probability(1.0, 1, f),
             ]
         )
-        assert policy.select() == flat_to_pair(int(np.argmax(expect)), 2)
+        assert step_one(policy, lambda pair: 0) == flat_to_pair(int(np.argmax(expect)), 2)
 
     def test_lexicographic_tie_break(self):
         # Identical histories on every arm tie all indexes; the first
         # (lowest channel, lowest rate-index) flat must win among equal rates.
         policy = KlUcbPolicy(RateSet.of([1.0]), channels=3)
-        for pair in [(1, 1), (2, 1), (3, 1)]:
-            assert policy.select() == pair
-            policy.update(pair, 1)
-        assert policy.select() == (1, 1)
+        assert run_scalar(policy, 3, lambda n, p: 1) == [(1, 1), (2, 1), (3, 1)]
+        assert step_one(policy, lambda pair: 1) == (1, 1)
 
 
 class TestCrsT:
@@ -250,7 +200,7 @@ class TestCrsT:
         n_pairs = 6
         for n in range(250):
             st = policy.state()
-            pair = policy.select()
+            pair = step_one(policy, lambda pair: int(rng.random() < 0.5))
             if n >= n_pairs:
                 leaders = st.leaders
                 if st.undecided:
@@ -259,7 +209,6 @@ class TestCrsT:
                     assert abs(pair.rate_index - leaders[c - 1]) <= 1
                 else:
                     assert pair.rate_index == leaders[pair.channel - 1]
-            policy.update(pair, int(rng.random() < 0.5))
 
     def test_picks_match_the_plain_rule(self, monkeypatch):
         """Every pick equals a lane-by-lane restatement of the rule that
@@ -285,10 +234,8 @@ class TestCrsT:
                         )
                         for st in map(policy.state, range(lanes))
                     ]
-                flats = policy.select_batch()
+                flats = step_policy(policy, lambda f: rng.random(lanes) < theta.ravel()[f])
                 assert want is None or flats.tolist() == want, (window, n)
-                hits = rng.random(lanes) < theta.ravel()[flats]
-                policy.update_batch(flats, hits.astype(np.int64))
 
     def test_converges_to_clear_best_pair(self):
         # Deterministic link: rate 1 always works, rate 2 never does.
@@ -312,11 +259,10 @@ class TestKlUcbU:
         graph = policy.graph
         for n in range(300):
             st = policy.state()
-            pair = policy.select()
+            pair = step_one(policy, lambda pair: int(rng.random() < 0.6))
             if n >= 4:
                 allowed = set(graph.neighbors(st.leader)) | {tuple(st.leader)}
                 assert tuple(pair) in allowed
-            policy.update(pair, int(rng.random() < 0.6))
 
     def test_forced_leader_cadence(self):
         rng = np.random.default_rng(43)
@@ -324,7 +270,7 @@ class TestKlUcbU:
         forced_steps = nonforced_leader_plays = 0
         for n in range(400):
             st = policy.state()
-            pair = policy.select()
+            pair = step_one(policy, lambda pair: int(rng.random() < 0.5))
             if n >= 4:
                 v = st.leadership_counts[st.leader.channel - 1, st.leader.rate_index - 1]
                 if (v - 1) % st.gamma == 0:
@@ -332,7 +278,6 @@ class TestKlUcbU:
                     forced_steps += 1
                 elif tuple(pair) == tuple(st.leader):
                     nonforced_leader_plays += 1
-            policy.update(pair, int(rng.random() < 0.5))
         assert forced_steps > 0
 
     def test_strict_mode_excludes_leader_from_free_plays(self):
@@ -340,12 +285,11 @@ class TestKlUcbU:
         policy = build_policy("kl-ucb-u", RATES2, channels=2, strict=True)
         for n in range(300):
             st = policy.state()
-            pair = policy.select()
+            pair = step_one(policy, lambda pair: int(rng.random() < 0.5))
             if n >= 4:
                 v = st.leadership_counts[st.leader.channel - 1, st.leader.rate_index - 1]
                 if (v - 1) % st.gamma != 0:
                     assert tuple(pair) != tuple(st.leader)
-            policy.update(pair, int(rng.random() < 0.5))
 
     def test_leader_tracks_empirical_best(self):
         policy = build_policy("kl-ucb-u", RATES2, channels=2)
@@ -369,8 +313,7 @@ class TestBuildPolicy:
             build_policy("kl-ucb", RATES2, 1, strict=True)
 
     def test_kind_normalization(self):
-        policy = build_policy(" KL-UCB ", RATES2, 1)
-        assert policy.kind == "kl-ucb"
+        assert check_policy_kind(" KL-UCB ") == "kl-ucb"
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="channel"):
