@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from chanrate import policies
 from chanrate.klstats import allowance, lcb_probability, ucb_probability
 from chanrate.model import RateSet, flat_to_pair
-from chanrate.policies import KlUcbPolicy, build_policy, check_policy_kind
+from chanrate.policies import KlUcbPolicy, build_policy, check_policy_kind, select_all
 
 from _oracles import assert_same_bits, crst_pick_reference, step_policy
 
@@ -85,6 +85,39 @@ class TestBatchSemantics:
                         assert pick[0] == flats[i], (table, kind, n, i)
 
 
+class TestSelectAll:
+    def test_picks_do_not_depend_on_the_policies_stepped_with(self):
+        """Policies of different kinds and batch sizes stepped together make
+        the picks each makes stepped alone, though their bound requests are
+        solved in one call and ask for mixed directions."""
+        rng = np.random.default_rng(53)
+        steps = 150
+        theta = np.array([0.7, 0.4, 0.5, 0.3, 0.6, 0.2])
+        specs = [("kl-ucb", 2), ("crs-t", 3), ("kl-ucb-u", 1), ("kl-ucb-u", 2)]
+        u = [rng.uniform(size=(steps, batch)) for _, batch in specs]
+        together = [build_policy(kind, [1.0, 2.0, 3.0], channels=2, batch=b) for kind, b in specs]
+        alone = [build_policy(kind, [1.0, 2.0, 3.0], channels=2, batch=b) for kind, b in specs]
+        for n in range(steps):
+            picks = select_all(together)
+            for i, (policy, flats) in enumerate(zip(together, picks)):
+                policy._record(flats, (u[i][n] < theta[flats]).astype(np.int64))
+            for i, policy in enumerate(alone):
+                solo = step_policy(policy, lambda f: u[i][n] < theta[f])
+                np.testing.assert_array_equal(picks[i], solo, err_msg=f"{specs[i]} at step {n}")
+
+    def test_a_warming_policy_asks_for_no_bounds(self, monkeypatch):
+        warming = build_policy("crs-t", RATES2, channels=2, batch=2)
+        warmed = build_policy("kl-ucb", RATES2, channels=2, batch=2)
+        step_policy(warming, lambda f: np.ones(2))
+        for _ in range(4):
+            step_policy(warmed, lambda f: f % 2)
+        alone = select_all([warmed])[0]
+        monkeypatch.setattr(warming, "_request", lambda: pytest.fail("asked for bounds"))
+        warming_picks, warmed_picks = select_all([warming, warmed])
+        np.testing.assert_array_equal(warming_picks, [1, 1])  # its step number
+        np.testing.assert_array_equal(warmed_picks, alone)
+
+
 class TestDeterminism:
     def test_same_outcomes_reproduce_decisions(self):
         def make():
@@ -97,6 +130,25 @@ class TestDeterminism:
         b = run_scalar(make(), 200, lambda n, p: int(bits(n, p)))
         assert a == b
 
+
+    @pytest.mark.parametrize("kind", ["kl-ucb", "crs-t", "kl-ucb-u"])
+    def test_a_new_policy_starts_from_empty_statistics(self, kind):
+        """Each constructor sets the whole initial state: two policies built
+        alike step alike, and each starts with no pulls and sweeps pair 0
+        first on every lane."""
+        a, b = (build_policy(kind, RATES2, channels=2, window=3, batch=2) for _ in range(2))
+        st = a.state(lane=1)
+        assert st.step == 0
+        assert not st.pulls.any() and not st.successes.any()
+        if kind == "kl-ucb-u":
+            assert st.leader == (1, 1) and not st.leadership_counts.any()
+        rng = np.random.default_rng(59)
+        for n in range(40):
+            bits = rng.integers(0, 2, size=2)
+            flats = step_policy(a, lambda f: bits)
+            np.testing.assert_array_equal(step_policy(b, lambda f: bits), flats)
+            if n == 0:
+                np.testing.assert_array_equal(flats, [0, 0])
 
 class TestWindowing:
     def test_window_caps_total_pulls(self):
@@ -320,3 +372,15 @@ class TestBuildPolicy:
             build_policy("kl-ucb", RATES2, 0)
         with pytest.raises(ValueError, match="batch"):
             build_policy("kl-ucb", RATES2, 1, batch=0)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_strict_reaches_the_candidate_table(self, strict):
+        policy = build_policy("kl-ucb-u", [1.0, 2.0, 3.0], channels=2, strict=strict)
+        assert policy.graph.n_rates == 3
+        for flat, row in enumerate(policy._cand_table):
+            assert (flat in row) is not strict
+
+    def test_baselines_are_not_learning_policies(self):
+        for kind in ("oracle", "static"):
+            with pytest.raises(ValueError, match="baseline"):
+                build_policy(kind, RATES2, 1)
