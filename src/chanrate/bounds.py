@@ -36,7 +36,7 @@ import numpy as np
 
 from .graph import build_graph, check_graphically_unimodal
 from .klstats import kl_bernoulli
-from .model import DecisionPair, LinkModel, compute_optima
+from .model import DecisionPair, LinkModel, OptimaSummary, compute_optima
 
 __all__ = [
     "BoundOutcome",
@@ -97,6 +97,33 @@ def _undefined(name: str, reason: str) -> BoundOutcome:
     return BoundOutcome(name=name, defined=False, reason=reason)
 
 
+def _defined(name: str, terms: list[BoundTerm]) -> BoundOutcome:
+    return BoundOutcome(
+        name=name,
+        defined=True,
+        value=math.fsum(t.value for t in terms),
+        terms=tuple(terms),
+    )
+
+
+def _optimality_terms(
+    name: str, model: LinkModel, opt: OptimaSummary, pairs
+) -> list[BoundTerm] | BoundOutcome:
+    """The terms ``gap / kl(theta, mu_star / r)`` of the 1-based ``(c, k)``
+    ``pairs``, in order; or, at the first pair whose divergence is zero (a
+    throughput tie), the undefined outcome ``name``."""
+    theta = model.effective_theta()
+    rates = model.rates.as_array()
+    terms: list[BoundTerm] = []
+    for c, k in pairs:
+        gap = opt.mu_star - float(opt.mu[c - 1, k - 1])
+        div = kl_bernoulli(float(theta[c - 1, k - 1]), opt.mu_star / rates[k - 1])
+        if div == 0.0:
+            return _undefined(name, f"throughput tie at channel {c}, rate {k}")
+        terms.append(_term(DecisionPair(c, k), gap, div))
+    return terms
+
+
 def c_I(model: LinkModel) -> BoundOutcome:
     """Structure-blind constant: sum over viable-rate pairs off the optimum.
 
@@ -107,26 +134,11 @@ def c_I(model: LinkModel) -> BoundOutcome:
     opt = compute_optima(model)
     if not opt.unique_global:
         return _undefined("c_I", "best pair not unique")
-    theta = model.effective_theta()
-    rates = model.rates.as_array()
-    c_star, k_star = opt.best
-    terms: list[BoundTerm] = []
+    c_star = opt.best.channel
     channel_order = [c_star] + [c for c in range(1, model.channels + 1) if c != c_star]
-    for c in channel_order:
-        for k in opt.viable_rates:
-            if c == c_star and k == k_star:
-                continue
-            gap = opt.mu_star - float(opt.mu[c - 1, k - 1])
-            div = kl_bernoulli(float(theta[c - 1, k - 1]), opt.mu_star / rates[k - 1])
-            if div == 0.0:
-                return _undefined("c_I", f"throughput tie at channel {c}, rate {k}")
-            terms.append(_term(DecisionPair(c, k), gap, div))
-    return BoundOutcome(
-        name="c_I",
-        defined=True,
-        value=math.fsum(t.value for t in terms),
-        terms=tuple(terms),
-    )
+    pairs = [(c, k) for c in channel_order for k in opt.viable_rates if (c, k) != opt.best]
+    terms = _optimality_terms("c_I", model, opt, pairs)
+    return terms if isinstance(terms, BoundOutcome) else _defined("c_I", terms)
 
 
 def _channel_separation(mu_row: np.ndarray, k_best: int) -> float:
@@ -166,15 +178,11 @@ def c_U_prime(model: LinkModel) -> BoundOutcome:
             return _undefined("c_U_prime", f"degenerate channel {c}")
         seps.append(sep)
 
-    c_star, k_star = opt.best
-    terms: list[BoundTerm] = []
+    c_star = opt.best.channel
     # Rate neighbors of the best pair on the best channel.
-    for k in opt.viable_adjacent:
-        gap = opt.mu_star - float(opt.mu[c_star - 1, k - 1])
-        div = kl_bernoulli(float(theta[c_star - 1, k - 1]), opt.mu_star / rates[k - 1])
-        if div == 0.0:
-            return _undefined("c_U_prime", f"throughput tie at channel {c_star}, rate {k}")
-        terms.append(_term(DecisionPair(c_star, k), gap, div))
+    terms = _optimality_terms("c_U_prime", model, opt, [(c_star, k) for k in opt.viable_adjacent])
+    if isinstance(terms, BoundOutcome):
+        return terms
     # Every other channel: its peak plus the peak's viable rate neighbors.
     for c in range(1, C + 1):
         if c == c_star:
@@ -200,12 +208,7 @@ def c_U_prime(model: LinkModel) -> BoundOutcome:
                 return _undefined("c_U_prime", f"degenerate channel {c}")
             gap_k = opt.mu_star - float(opt.mu[c - 1, k - 1])
             terms.append(_term(DecisionPair(c, k), gap_k, div_k))
-    return BoundOutcome(
-        name="c_U_prime",
-        defined=True,
-        value=math.fsum(t.value for t in terms),
-        terms=tuple(terms),
-    )
+    return _defined("c_U_prime", terms)
 
 
 def c_GU(model: LinkModel) -> BoundOutcome:
@@ -222,24 +225,10 @@ def c_GU(model: LinkModel) -> BoundOutcome:
             f"not graphically unimodal: no strictly better neighbor from "
             f"channel {w.channel}, rate {w.rate_index}",
         )
-    theta = model.effective_theta()
-    rates = model.rates.as_array()
     viable = set(opt.viable_rates)
-    terms: list[BoundTerm] = []
-    for c, k in graph.neighbors(opt.best):
-        if k not in viable:
-            continue
-        gap = opt.mu_star - float(opt.mu[c - 1, k - 1])
-        div = kl_bernoulli(float(theta[c - 1, k - 1]), opt.mu_star / rates[k - 1])
-        if div == 0.0:
-            return _undefined("c_GU", f"throughput tie at channel {c}, rate {k}")
-        terms.append(_term(DecisionPair(c, k), gap, div))
-    return BoundOutcome(
-        name="c_GU",
-        defined=True,
-        value=math.fsum(t.value for t in terms),
-        terms=tuple(terms),
-    )
+    pairs = [(c, k) for c, k in graph.neighbors(opt.best) if k in viable]
+    terms = _optimality_terms("c_GU", model, opt, pairs)
+    return terms if isinstance(terms, BoundOutcome) else _defined("c_GU", terms)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ way, ``OutcomeTape.cells``, computes one cell a step and nothing else: it
 jumps PCG64 straight to the draw of that cell, for every lane at once.  The
 harness uses it when a run holds only the baselines, whose picks are known
 before the run; a learning policy's reads depend on its picks slot by
-slot, so a run with one draws whole blocks.  All three give numpy's bits.
+slot, so a run with one draws whole blocks.  The two ways in numpy step
+or jump the state with one PCG64 kernel.  All three give numpy's bits.
 Nothing is cached; a block costs the same whichever blocks came before it.
 """
 
@@ -77,19 +78,17 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), as its
-# high 64-bit word and the two 32-bit limbs of its low word.
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), and its
+# high and low 64-bit words as one-element arrays, so that splitting them
+# into limbs in _mul128 is array arithmetic.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
-_PCG_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
-_PCG_MULT_L0 = np.uint64(_PCG_MULT & _MASK32)
-_PCG_MULT_L1 = np.uint64(_PCG_MULT >> 32 & _MASK32)
+_PCG_MULT_HI, _PCG_MULT_LO = np.array([[_PCG_MULT >> 64], [_PCG_MULT & 2**64 - 1]], dtype=np.uint64)
 
 # Lanes OutcomeTape.block steps together through _pcg64_random, so that a
-# tile's ten work arrays (73 bytes a lane, 600 KB here) stay in cache.  At
-# 50,000 lanes x 28 draws, median of 15 on a 2-core x86-64 host: 2,048-lane
-# tiles 0.071 s, 4,096 0.056 s, 8,192 0.045 s, 16,384 0.043 s, untiled
-# 0.048 s.
+# draw's temporaries (64 KB an array here) stay in cache.  At 50,000 lanes
+# x 28 draws, median of 15 on a 2-core x86-64 host, over three sweeps:
+# 2,048-lane tiles 0.070-0.091 s, 4,096 0.050-0.068 s, 8,192 0.038-0.049 s,
+# 16,384 0.044-0.054 s, untiled 0.044-0.057 s.
 _PCG_TILE = 8192
 
 # Lane-steps (lanes x rows of a chunk) OutcomeTape.cells computes in one
@@ -194,77 +193,6 @@ def _tagged(seed_words: np.ndarray) -> np.ndarray:
     return np.hstack([tag, seed_words])
 
 
-def _pcg64_random(states: np.ndarray, skip: int, count: int):
-    """Draws ``skip`` to ``skip + count - 1`` of numpy's
-    ``Generator(PCG64(...)).random()`` for every lane, seeded from the
-    ``(lanes, 4)`` uint64 states ``_seed_states`` gives.
-
-    Yields one ``(lanes,)`` float64 array per draw, the same buffer each
-    time, so use each before asking for the next.  PCG64 (O'Neill, PCG,
-    HMC-CS-2014-0905) is the 128-bit LCG ``state = state * M + inc`` (mod
-    2**128) whose output is the XOR of the state's two 64-bit words rotated
-    right by its top six bits; numpy seeds it with ``inc = (s2:s3) << 1 | 1``
-    and ``state = (inc + (s0:s1)) * M + inc``, and a double is
-    ``(output >> 11) * 2**-53``.  Here the state is a high and a low uint64
-    array over the lanes, stepped by in-place ufuncs (uint64 arithmetic
-    wraps mod 2**64); the high word of the low words' 64x64-bit product is
-    built from 32-bit limbs.
-    """
-    hi, lo = states[:, 0].copy(), states[:, 1].copy()
-    inc_hi = states[:, 2] << 1 | states[:, 3] >> 63
-    inc_lo = states[:, 3] << 1 | 1
-    t, u, v, w = (np.empty_like(lo) for _ in range(4))
-    carry = np.empty(lo.shape, dtype=bool)
-    draw = np.empty(lo.shape)
-    # state = inc + initstate; then numpy's seeding step, the skipped draws'
-    # steps, and one step per draw.
-    lo += inc_lo
-    np.less(lo, inc_lo, out=carry)
-    hi += inc_hi
-    hi += carry
-    for i in range(1 + skip + count):
-        # v = high word of lo * MULT_LO: with lo = lo1:lo0 and MULT_LO =
-        # m1:m0, lo1*m1 + (lo1*m0 + (lo0*m0 >> 32)) >> 32 + the carry out
-        # of the middle column; no partial sum overflows 64 bits.
-        np.bitwise_and(lo, _MASK32, out=t)
-        np.multiply(t, _PCG_MULT_L1, out=w)
-        t *= _PCG_MULT_L0
-        t >>= 32
-        np.right_shift(lo, 32, out=u)
-        np.multiply(u, _PCG_MULT_L1, out=v)
-        u *= _PCG_MULT_L0
-        u += t
-        np.bitwise_and(u, _MASK32, out=t)
-        t += w
-        t >>= 32
-        u >>= 32
-        v += u
-        v += t
-        # (hi:lo) * M + inc = (v + lo*MULT_HI + hi*MULT_LO + inc_hi + carry)
-        #                     : (lo*MULT_LO + inc_lo)
-        np.multiply(lo, _PCG_MULT_HI, out=t)
-        v += t
-        hi *= _PCG_MULT_LO
-        hi += v
-        lo *= _PCG_MULT_LO
-        lo += inc_lo
-        np.less(lo, inc_lo, out=carry)
-        hi += inc_hi
-        hi += carry
-        if i > skip:
-            # XSL-RR: (hi ^ lo) rotated right by hi >> 58
-            np.bitwise_xor(hi, lo, out=t)
-            np.right_shift(hi, 58, out=u)
-            np.right_shift(t, u, out=v)
-            np.subtract(64, u, out=u)
-            u &= 63
-            t <<= u
-            t |= v
-            t >>= 11
-            np.multiply(t, 2.0**-53, out=draw)
-            yield draw
-
-
 def _mul128(a_hi, a_lo, b_hi, b_lo):
     """``(a_hi:a_lo) * (b_hi:b_lo)`` mod 2**128 as a ``(hi, lo)`` pair of
     uint64 arrays, broadcasting.  The high word of ``a_lo * b_lo`` is built
@@ -275,6 +203,44 @@ def _mul128(a_hi, a_lo, b_hi, b_lo):
     carry = ((mid & _MASK32) + a0 * b1) >> 32
     hi = a1 * b1 + (mid >> 32) + carry + a_lo * b_hi + a_hi * b_lo
     return hi, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """``(a_hi:a_lo) + (b_hi:b_lo)`` mod 2**128 as a ``(hi, lo)`` pair."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _pcg64_double(hi, lo):
+    """numpy's double from PCG64 state ``(hi:lo)``: the XSL-RR output, the
+    XOR of the two words rotated right by ``hi >> 58``, then ``>> 11`` and
+    times ``2**-53``."""
+    xor, rot = hi ^ lo, hi >> 58
+    out = xor >> rot | xor << (64 - rot & 63)
+    return (out >> 11) * 2.0**-53
+
+
+def _pcg64_random(states: np.ndarray, skip: int, count: int):
+    """Draws ``skip`` to ``skip + count - 1`` of numpy's
+    ``Generator(PCG64(...)).random()`` for every lane, seeded from the
+    ``(lanes, 4)`` uint64 states ``_seed_states`` gives.
+
+    Yields one ``(lanes,)`` float64 array per draw.  PCG64 (O'Neill, PCG,
+    HMC-CS-2014-0905) is the 128-bit LCG ``state = state * M + inc`` (mod
+    2**128) with XSL-RR output (``_pcg64_double``); numpy seeds it with
+    ``inc = (s2:s3) << 1 | 1`` and ``state = (inc + (s0:s1)) * M + inc``.
+    Here the state is a high and a low uint64 array over the lanes (uint64
+    arithmetic wraps mod 2**64), stepped by ``_mul128`` and ``_add128``.
+    """
+    inc_hi = states[:, 2] << 1 | states[:, 3] >> 63
+    inc_lo = states[:, 3] << 1 | 1
+    # state = inc + initstate; then numpy's seeding step, the skipped draws'
+    # steps, and one step per draw.
+    hi, lo = _add128(states[:, 0], states[:, 1], inc_hi, inc_lo)
+    for i in range(1 + skip + count):
+        hi, lo = _add128(*_mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO), inc_hi, inc_lo)
+        if i > skip:
+            yield _pcg64_double(hi, lo)
 
 
 def _jump_tables(P: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,15 +280,9 @@ def _pcg64_at(states: np.ndarray, jump: np.ndarray) -> np.ndarray:
     steps)``; output and seeding as in ``_pcg64_random``.
     """
     s_hi, s_lo, w2, w3 = (states[:, i, None] for i in range(4))
-    hi, lo = _mul128(jump[0], jump[1], s_hi, s_lo)
-    inc_hi, inc_lo = _mul128(jump[2], jump[3], w2 << 1 | w3 >> 63, w3 << 1 | 1)
-    lo += inc_lo
-    hi += inc_hi
-    hi += lo < inc_lo
-    # XSL-RR: (hi ^ lo) rotated right by hi >> 58
-    xor, rot = hi ^ lo, hi >> 58
-    out = xor >> rot | xor << (64 - rot & 63)
-    return (out >> 11) * 2.0**-53
+    state = _mul128(jump[0], jump[1], s_hi, s_lo)
+    inc = _mul128(jump[2], jump[3], w2 << 1 | w3 >> 63, w3 << 1 | 1)
+    return _pcg64_double(*_add128(*state, *inc))
 
 
 def _lane_tiles(lanes, size: int):
@@ -732,7 +692,9 @@ class OutcomeTape:
     outcomes, ``block(start, stop)`` at step ``n``'s cell ``flats[n -
     start]``, without drawing the rest: each lane's state at that cell's
     draw comes from a closed form, ``_CELL_TILE`` lane-steps at a time.  It
-    costs two 128-bit products a lane-step, however many cells a row has.
+    costs two 128-bit products a lane-step, however many cells a row has,
+    and runs the kernel ``_pcg64_random`` steps with (``_mul128``,
+    ``_add128``, ``_pcg64_double``).
     """
 
     def __init__(self, env: Environment, seeds: tuple[int, ...] | list[int]):
@@ -833,11 +795,8 @@ class OutcomeTape:
         # Step n's constants, at row r and cell j: G = M**(r*P) * M**(j+2)
         # and H = A(r*P) + M**(r*P) * A(j+3).
         g = _mul128(rows[0], rows[1], cells[0], cells[1])
-        h_hi, h_lo = _mul128(rows[0], rows[1], cells[2], cells[3])
-        h_lo += rows[3]
-        h_hi += rows[2]
-        h_hi += h_lo < rows[3]
-        jump = np.array([*g, h_hi, h_lo])
+        h = _add128(*_mul128(rows[0], rows[1], cells[2], cells[3]), rows[2], rows[3])
+        jump = np.array([*g, *h])
         out = np.empty((len(self._seeds), B), dtype=np.uint8)
         for b in range(start // _CHUNK, (stop - 1) // _CHUNK + 1):
             seg = slice(max(start, b * _CHUNK) - start, min(stop, (b + 1) * _CHUNK) - start)

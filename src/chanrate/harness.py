@@ -474,37 +474,40 @@ def _require_memory(need: int, what: str) -> None:
 def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed: bool) -> None:
     """Reject a run whose largest arrays cannot fit in physical memory.
 
-    Counts the per-step best pair and one decision log per policy, each
-    entry of the smallest unsigned type that holds a flat pair index, and,
-    for a synthetic drift source, its latent path.  Per policy and lane it
-    counts the result's int64 pulls per pair and float64 regret at each of
-    the ``checkpoints`` (a baseline's one-row tables are repeated to every
-    lane there) and, when ``timed``, its int64 packet counts per pair.  Per
-    lane and step of a block it counts each baseline's uint8 outcome and
-    the 8-byte temporaries of accounting one ledger: one for a run of
-    baselines alone, three with a learner.  With a learner it adds the
-    block's ``(seeds, steps, C, K)`` uint8 outcome tape and each learner's
-    picks and outcome bytes; and per learner and lane, its int64 pulls,
-    int64 successes and float64 rates per pair (and int64 leadership counts
-    for kl-ucb-u) and, when windowed, its rings (an int64 pair ring and an
-    int8 outcome ring, and for kl-ucb-u an int64 leader ring).
+    Counts what the whole run keeps plus the larger of its two phases, which
+    are never alive together.  The run keeps the per-step best pair and one
+    decision log per policy, each entry of the smallest unsigned type that
+    holds a flat pair index; a synthetic drift source's latent path; and per
+    learner and lane its result's int64 pulls per pair, float64 regret at
+    each of the ``checkpoints`` and, when ``timed``, int64 packet counts per
+    pair.  The block phase holds, per lane and step of a block, each
+    baseline's uint8 outcome and the 8-byte temporaries of accounting one
+    ledger: one for a run of baselines alone, three with a learner.  With a
+    learner it adds the block's ``(seeds, steps, C, K)`` uint8 outcome tape
+    and each learner's picks and outcome bytes; and per learner and lane,
+    its int64 pulls, int64 successes and float64 rates per pair (and int64
+    leadership counts for kl-ucb-u) and, when windowed, its rings (an int64
+    pair ring and an int8 outcome ring, and for kl-ucb-u an int64 leader
+    ring).  The result phase repeats each baseline's result tables to every
+    lane.
     """
     S, P = len(config.seeds), config.channels * config.n_rates
     pair = np.min_scalar_type(P - 1).itemsize
     block = min(_BLOCK, slots)
     learners = [p for p in config.policies if not p.is_baseline]
-    need = pair * slots * (1 + len(config.policies))
-    need += S * len(config.policies) * 8 * (P * (2 if timed else 1) + checkpoints)
-    need += S * block * (len(config.policies) - len(learners) + 8 * (3 if learners else 1))
-    if learners:
-        need += S * block * P
-        for p in learners:
-            leader = p.kind == "kl-ucb-u"
-            need += S * (block * (pair + 1) + P * (32 if leader else 24))
-            if p.window:
-                need += S * p.window * (17 if leader else 9)
+    tables = S * 8 * (P * (2 if timed else 1) + checkpoints)  # one policy's result tables
+    need = pair * slots * (1 + len(config.policies)) + len(learners) * tables
     if config.drift is not None:
         need += config.drift.nbytes()
+    blocks = S * block * (len(config.policies) - len(learners) + 8 * (3 if learners else 1))
+    if learners:
+        blocks += S * block * P
+        for p in learners:
+            leader = p.kind == "kl-ucb-u"
+            blocks += S * (block * (pair + 1) + P * (32 if leader else 24))
+            if p.window:
+                blocks += S * p.window * (17 if leader else 9)
+    need += max(blocks, (len(config.policies) - len(learners)) * tables)
     _require_memory(need, f"the per-slot, per-lane and block arrays of {slots} slots x {S} seeds")
 
 

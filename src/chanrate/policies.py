@@ -36,52 +36,22 @@ requests of all the policies it steps in one call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .graph import NeighborhoodGraph, build_graph
 from .klstats import _allowance_vec, _solve_probability, allowance
-from .model import DecisionPair, RateSet, flat_to_pair
+from .model import RateSet
 
 __all__ = [
     "BasePolicy",
     "CrsTPolicy",
-    "CrsTState",
     "KlUcbPolicy",
-    "KlUcbState",
     "KlUcbUPolicy",
-    "KlUcbUState",
     "build_policy",
     "select_all",
 ]
-
-
-@dataclass(frozen=True)
-class KlUcbState:
-    """Snapshot of one replication's statistics."""
-
-    pulls: np.ndarray
-    successes: np.ndarray
-    step: int
-
-
-@dataclass(frozen=True)
-class CrsTState(KlUcbState):
-    """Adds the per-channel leaders and the channels whose leader test fails."""
-
-    leaders: tuple[int, ...]
-    undecided: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class KlUcbUState(KlUcbState):
-    """Adds the global leader and how often each pair has led."""
-
-    leader: DecisionPair
-    leadership_counts: np.ndarray
-    gamma: int
 
 
 class BasePolicy:
@@ -140,14 +110,6 @@ class BasePolicy:
         self._after_update()
         if self._window is not None:
             self._ring_pos = (self._ring_pos + 1) % self._window
-
-    def state(self, lane: int = 0) -> KlUcbState:
-        """Diagnostic snapshot of one replication."""
-        return KlUcbState(
-            pulls=self._pulls[lane].reshape(self._channels, self._n_rates).copy(),
-            successes=self._successes[lane].reshape(self._channels, self._n_rates).copy(),
-            step=self._step,
-        )
 
     # -- subclass hooks ---------------------------------------------------
 
@@ -233,19 +195,16 @@ class CrsTPolicy(BasePolicy):
         self._lane_c = self._lanes * C  # flat index of (lane, channel 0) in (S, C)
         self._chan_base = (self._lane_c[:, None] + np.arange(C)) * K  # of (lane, c, rate 0)
 
-    def _leaders(self) -> np.ndarray:
-        S, C, K = self._batch, self._channels, self._n_rates
-        mu_hat = self._rate.reshape(S, C, K) * self._r_row
-        return np.argmax(mu_hat, axis=2)  # first max = smallest rate index
-
     def _request(self):
-        lead = self._leaders()
+        S, C, K = self._batch, self._channels, self._n_rates
+        # Each channel's leader; the first max is the smallest rate index.
+        lead = np.argmax(self._rate.reshape(S, C, K) * self._r_row, axis=2)
         at = (self._chan_base + self._bound_k[:, lead]).ravel()  # (4, S, C) bounds
         self._ctx = lead
         return self._rate.take(at), self._pulls.take(at), self._scalar_budget(), self._upper
 
-    def _bounds(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rate-scaled ucb of every leader, and which channels are undecided."""
+    def _finish(self, q: np.ndarray) -> np.ndarray:
+        K = self._n_rates
         lead = self._ctx
         q = q.reshape(4, self._batch, self._channels)
         q *= self._bound_r[:, lead]
@@ -254,12 +213,7 @@ class CrsTPolicy(BasePolicy):
             np.where(self._has_below[lead], below, -np.inf),
             np.where(self._has_above[lead], above, -np.inf),
         )
-        return ucb, lcb < sup  # leader not yet separated from its rate neighbors
-
-    def _finish(self, q: np.ndarray) -> np.ndarray:
-        K = self._n_rates
-        b, undecided = self._bounds(q)
-        lead = self._ctx
+        undecided = lcb < sup  # leader not yet separated from its rate neighbors
         explore = undecided.any(axis=1)
 
         # Exploration: lowest undecided channel, least-pulled rate among the
@@ -274,25 +228,10 @@ class CrsTPolicy(BasePolicy):
         flat_ex = ch_ex * K + k_ex
 
         # Exploitation: leader with the highest upper index across channels.
-        ch_xp = np.argmax(b, axis=1)
+        ch_xp = np.argmax(ucb, axis=1)
         flat_xp = ch_xp * K + lead.take(self._lane_c + ch_xp)
 
         return np.where(explore, flat_ex, flat_xp)
-
-    def state(self, lane: int = 0) -> CrsTState:
-        base = super().state(lane)
-        lead = self._leaders()
-        if self._step >= 1:
-            undecided_mask = self._bounds(_solve_probability(*self._request()))[1][lane]
-        else:
-            undecided_mask = np.ones(self._channels, dtype=bool)
-        return CrsTState(
-            pulls=base.pulls,
-            successes=base.successes,
-            step=base.step,
-            leaders=tuple(int(k) + 1 for k in lead[lane]),
-            undecided=tuple(int(c) + 1 for c in np.nonzero(undecided_mask)[0]),
-        )
 
 
 class KlUcbUPolicy(BasePolicy):
@@ -385,19 +324,6 @@ class KlUcbUPolicy(BasePolicy):
         best_col = np.argmax(q, axis=1)  # candidate rows sorted: first max wins
         pick = cands.take(self._lanes * cands.shape[1] + best_col)
         return np.where(forced, lead, pick)
-
-    def state(self, lane: int = 0) -> KlUcbUState:
-        base = super().state(lane)
-        return KlUcbUState(
-            pulls=base.pulls,
-            successes=base.successes,
-            step=base.step,
-            leader=flat_to_pair(int(self._leader[lane]), self._n_rates),
-            leadership_counts=self._lead_counts[lane]
-            .reshape(self._channels, self._n_rates)
-            .copy(),
-            gamma=self.gamma,
-        )
 
 
 def select_all(policies: list[BasePolicy]) -> list[np.ndarray]:

@@ -290,6 +290,34 @@ def write_theta_csv(path, theta, rates=None) -> None:
             w.writerow([c, *map(repr, row)])
 
 
+def _crst_index(pulls, successes, rates, budget):
+    """``index(bound, c, k)``: ``bound(p_hat, pulls, budget)`` of pair ``(c,
+    k)`` times its rate, with ``p_hat`` 0.0 for a pair never pulled."""
+
+    def index(bound, c, k):
+        p_hat = successes[c][k] / pulls[c][k] if pulls[c][k] > 0 else 0.0
+        return bound(p_hat, pulls[c][k], budget) * rates[k]
+
+    return index
+
+
+def crst_leaders_reference(pulls, successes, rates, budget, ucb, lcb):
+    """``(leaders, undecided)`` of one lane: each channel's leader and the
+    undecided channels, 0-based, by the rule ``crst_pick_reference`` states;
+    the arguments are as there."""
+    channels, n_rates = len(pulls), len(rates)
+    index = _crst_index(pulls, successes, rates, budget)
+    leaders, undecided = [], []
+    for c in range(channels):
+        mu = [index(lambda p_hat, n, f: p_hat, c, k) for k in range(n_rates)]
+        lead = mu.index(max(mu))
+        leaders.append(lead)
+        near = [index(ucb, c, k) for k in (lead - 1, lead + 1) if 0 <= k < n_rates]
+        if near and index(lcb, c, lead) < max(near):
+            undecided.append(c)
+    return leaders, undecided
+
+
 def crst_pick_reference(pulls, successes, rates, budget, ucb, lcb) -> int:
     """Flat pair CRS-T plays next for one lane, after its round-robin pass.
 
@@ -303,28 +331,15 @@ def crst_pick_reference(pulls, successes, rates, budget, ucb, lcb) -> int:
     with every channel decided, the leader of highest upper index plays
     (the lowest channel on ties).
     """
-    channels, n_rates = len(pulls), len(rates)
-
-    def rate_hat(c, k):
-        return successes[c][k] / pulls[c][k] if pulls[c][k] > 0 else 0.0
-
-    def index(bound, c, k):
-        return bound(rate_hat(c, k), pulls[c][k], budget) * rates[k]
-
-    leaders, undecided = [], []
-    for c in range(channels):
-        mu = [rate_hat(c, k) * rates[k] for k in range(n_rates)]
-        lead = mu.index(max(mu))
-        leaders.append(lead)
-        near = [index(ucb, c, k) for k in (lead - 1, lead + 1) if 0 <= k < n_rates]
-        if near and index(lcb, c, lead) < max(near):
-            undecided.append(c)
+    n_rates = len(rates)
+    leaders, undecided = crst_leaders_reference(pulls, successes, rates, budget, ucb, lcb)
     if undecided:
         c = undecided[0]
         near = [k for k in (leaders[c] - 1, leaders[c], leaders[c] + 1) if 0 <= k < n_rates]
         k = min(near, key=lambda k: (pulls[c][k], k))
         return c * n_rates + k
-    upper = [index(ucb, c, leaders[c]) for c in range(channels)]
+    index = _crst_index(pulls, successes, rates, budget)
+    upper = [index(ucb, c, lead) for c, lead in enumerate(leaders)]
     c = upper.index(max(upper))
     return c * n_rates + leaders[c]
 

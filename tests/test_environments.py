@@ -18,7 +18,9 @@ from chanrate.environments import (
     SyntheticDriftSpec,
     TraceEnvironment,
     TraceTable,
+    _add128,
     _expit,
+    _mul128,
     _pcg64_random,
     _seed_states,
     drift_to_trace,
@@ -616,6 +618,63 @@ PCG_EDGE_STATES = [
     (0, 0xFFFFFFFF, 0, 0xFFFFFFFF),  # a low limb all ones
     (2**63, 2**63, 2**63, 2**63),
 ]
+
+
+# Edge 64-bit words for the 128-bit kernel: limbs all ones or zero, single
+# bits at the limb boundary and the top, and PCG64's multiplier words.
+EDGE_WORDS = [
+    0,
+    1,
+    2**32 - 1,  # low limb all ones: a carry into the high limb
+    2**32,
+    2**64 - 2**32,  # high limb all ones
+    2**63,
+    ALL_ONES,
+    0xFFFFFFFF00000001,
+    environments._PCG_MULT >> 64,
+    environments._PCG_MULT & ALL_ONES,
+]
+
+
+def _words128(values, shape):
+    """The high and low uint64 words of 128-bit ``values``, each reshaped."""
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64).reshape(shape)
+    lo = np.array([v & ALL_ONES for v in values], dtype=np.uint64).reshape(shape)
+    return hi, lo
+
+
+def _assert_words_equal(hi, lo, want):
+    got = [int(h) << 64 | int(w) for h, w in zip(hi.ravel().tolist(), lo.ravel().tolist())]
+    assert got == [v % 2**128 for v in want]
+
+
+class TestKernel128:
+    """The 128-bit product and sum both PCG64 paths run, against Python
+    ints mod 2**128.  Only arrays go in: numpy warns on uint64 scalar
+    overflow."""
+
+    EDGE_VALUES = [hi << 64 | lo for hi in EDGE_WORDS for lo in EDGE_WORDS]
+
+    def test_edge_words(self):
+        n = len(self.EDGE_VALUES)
+        a, b = _words128(self.EDGE_VALUES, (n, 1)), _words128(self.EDGE_VALUES, (1, n))
+        pairs = [(x, y) for x in self.EDGE_VALUES for y in self.EDGE_VALUES]
+        _assert_words_equal(*_mul128(*a, *b), [x * y for x, y in pairs])
+        _assert_words_equal(*_add128(*a, *b), [x + y for x, y in pairs])
+
+    def test_a_one_element_factor_broadcasts(self):
+        a = _words128(self.EDGE_VALUES, -1)
+        _assert_words_equal(
+            *_mul128(*a, environments._PCG_MULT_HI, environments._PCG_MULT_LO),
+            [x * environments._PCG_MULT for x in self.EDGE_VALUES],
+        )
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 2**128 - 1)] * 2), min_size=1, max_size=8))
+    def test_random_values(self, pairs):
+        a, b = (_words128(side, -1) for side in zip(*pairs))
+        _assert_words_equal(*_mul128(*a, *b), [x * y for x, y in pairs])
+        _assert_words_equal(*_add128(*a, *b), [x + y for x, y in pairs])
 
 
 class TestPcg64Emulation:

@@ -255,12 +255,14 @@ class TestRunExperiment:
         # tables (kl-ucb-u adds leadership counts); the window's rings.
         learners = 3 * (2 * 512 * (itemsize + 1) + P * (32 + 24)) + 3 * 7 * 17
         # Per policy and lane, the result's int64 pulls and float64 regret at
-        # 11 checkpoints (1, 2, 4, ..., 512 and 1000).
-        results = 3 * 3 * 8 * (P + 11)
+        # 11 checkpoints (1, 2, 4, ..., 512 and 1000): a learner's for the
+        # whole run, the oracle's repeated only after the block phase.
+        table = 3 * 8 * (P + 11)
         # Per lane and step of a block: the oracle's outcome byte and three
         # 8-byte temporaries of accounting a learner's ledger.
         block = 3 * 512 * (1 + 3 * 8)
-        assert _memory_asked(monkeypatch, config) == logs + tape + learners + results + block
+        want = logs + 2 * table + max(tape + learners + block, table)
+        assert _memory_asked(monkeypatch, config) == want
 
         # Baselines alone on many seeds draw no block of outcomes, but each
         # result repeats its one-row tables to every lane, and each block
@@ -270,12 +272,12 @@ class TestRunExperiment:
         baselines = dataclasses.replace(
             config, policies=(PolicySpec("oracle"), PolicySpec("static")), horizon=600, seeds=tuple(range(S))
         )
-        want = itemsize * 600 * 3 + S * 2 * 8 * (P + 11) + S * 512 * (2 + 8)
+        want = itemsize * 600 * 3 + max(S * 2 * 8 * (P + 11), S * 512 * (2 + 8))
         assert _memory_asked(monkeypatch, baselines) == want
         timed = dataclasses.replace(baselines, accounting="original")
         slots = 600 * rates  # the time budget at the top rate
         cps = len({2**i for i in range(slots.bit_length())} | {slots, 600})
-        want = itemsize * slots * 3 + S * 2 * 8 * (2 * P + cps) + S * 512 * (2 + 8)
+        want = itemsize * slots * 3 + max(S * 2 * 8 * (2 * P + cps), S * 512 * (2 + 8))
         assert _memory_asked(monkeypatch, timed) == want
 
     def test_memory_check_counts_a_learners_block_buffers(self, monkeypatch):
@@ -294,15 +296,41 @@ class TestRunExperiment:
         block = S * 512 * (P + 3 * 8)  # the outcome tape and accounting temporaries
         want = 1000 * 2 + block + S * (512 * 2 + P * 24) + tables
         assert _memory_asked(monkeypatch, config) == want
-        # A run of baselines alone draws no block and keeps no policy tables,
-        # but its results repeat the pulls and regret to every lane.
+        # A run of baselines alone draws no block and keeps no policy tables;
+        # its results repeat the pulls and regret to every lane once the
+        # block phase is over, and take less than that phase here.
         baselines = dataclasses.replace(config, policies=(PolicySpec("oracle"), PolicySpec("static")))
-        assert _memory_asked(monkeypatch, baselines) == 1000 * 3 + 2 * tables + S * 512 * (2 + 8)
+        assert 2 * tables < S * 512 * (2 + 8)
+        assert _memory_asked(monkeypatch, baselines) == 1000 * 3 + S * 512 * (2 + 8)
         # On a host of 8 GiB the run stops before it allocates anything.
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
         monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
         with pytest.raises(ValueError, match=r"need about 32\.\d+ GiB, more than the 8 GiB"):
             run_experiment(config)
+
+    def test_memory_check_takes_the_larger_phase_not_their_sum(self, monkeypatch):
+        """The baselines' repeated result tables are built after the block
+        arrays are freed, so a run that fits each phase but not both at
+        once is accepted, and one byte less memory rejects it."""
+        config = ExperimentConfig(
+            rates=RateSet.of([float(r) for r in range(1, 129)]),
+            policies=(PolicySpec("oracle"), PolicySpec("static")),
+            horizon=512,
+            seeds=(1, 2, 3, 4),
+            theta=np.full((2, 128), 0.5),
+        )
+        logs = 1 * 512 * 3  # uint8 best-pair log plus two decision logs
+        block = 4 * 512 * (2 + 8)  # two outcome bytes and one float64 a lane-step
+        results = 4 * 2 * 8 * (256 + 10)  # pulls and regret at 1, 2, ..., 512
+        assert results < block  # each phase fits in logs + block; both at once do not
+        for have, fits in ((logs + block, True), (logs + block - 1, False)):
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
+            monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
+            if fits:
+                assert run_experiment(config).policy("oracle").trajectories.shape == (4, 10)
+            else:
+                with pytest.raises(ValueError, match="physical memory"):
+                    run_experiment(config)
 
     def test_decisions_recorded_for_lane_zero(self):
         result = run_experiment(config_2x2(seeds=(3,)))

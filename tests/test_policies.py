@@ -17,7 +17,7 @@ from chanrate.klstats import allowance, lcb_probability, ucb_probability
 from chanrate.model import RateSet, flat_to_pair
 from chanrate.policies import KlUcbPolicy, build_policy, check_policy_kind, select_all
 
-from _oracles import assert_same_bits, crst_pick_reference, step_policy
+from _oracles import assert_same_bits, crst_leaders_reference, crst_pick_reference, step_policy
 
 RATES2 = RateSet.of([1.0, 2.0])
 
@@ -61,10 +61,8 @@ class TestBatchSemantics:
             for i in range(S):
                 assert step_policy(scalars[i], lambda f: bits[n, i : i + 1])[0] == flats[i]
         for i in range(S):
-            st_b = batched.state(lane=i)
-            st_s = scalars[i].state()
-            np.testing.assert_array_equal(st_b.pulls, st_s.pulls)
-            np.testing.assert_array_equal(st_b.successes, st_s.successes)
+            np.testing.assert_array_equal(batched._pulls[i], scalars[i]._pulls[0])
+            np.testing.assert_array_equal(batched._successes[i], scalars[i]._successes[0])
 
         # Near-tie tables, where index values differing in the last bits
         # decide the argmax: every pair's rate * theta lies within 1e-3 of
@@ -137,11 +135,10 @@ class TestDeterminism:
         alike step alike, and each starts with no pulls and sweeps pair 0
         first on every lane."""
         a, b = (build_policy(kind, RATES2, channels=2, window=3, batch=2) for _ in range(2))
-        st = a.state(lane=1)
-        assert st.step == 0
-        assert not st.pulls.any() and not st.successes.any()
+        assert a._step == 0
+        assert not a._pulls.any() and not a._successes.any()
         if kind == "kl-ucb-u":
-            assert st.leader == (1, 1) and not st.leadership_counts.any()
+            assert not a._leader.any() and not a._lead_counts.any()  # leader (1, 1)
         rng = np.random.default_rng(59)
         for n in range(40):
             bits = rng.integers(0, 2, size=2)
@@ -155,7 +152,7 @@ class TestWindowing:
         policy = build_policy("kl-ucb", RATES2, channels=2, window=8)
         for n in range(1, 41):
             step_one(policy, lambda pair: n % 2)
-            assert policy.state().pulls.sum() == min(n, 8)
+            assert policy._pulls.sum() == min(n, 8)
 
     def test_wide_window_matches_plain_policy_under_equal_budget(self, monkeypatch):
         """With the budget pinned and the window longer than the run, the
@@ -251,16 +248,19 @@ class TestCrsT:
         policy = build_policy("crs-t", rates, channels=2)
         n_pairs = 6
         for n in range(250):
-            st = policy.state()
+            if n >= n_pairs:
+                pulls, wins = (x.reshape(2, 3) for x in (policy._pulls, policy._successes))
+                leaders, undecided = crst_leaders_reference(
+                    pulls, wins, rates.values, allowance(n), ucb_probability, lcb_probability
+                )
             pair = step_one(policy, lambda pair: int(rng.random() < 0.5))
             if n >= n_pairs:
-                leaders = st.leaders
-                if st.undecided:
-                    c = st.undecided[0]  # lowest undecided channel
-                    assert pair.channel == c
-                    assert abs(pair.rate_index - leaders[c - 1]) <= 1
+                c, k = pair.channel - 1, pair.rate_index - 1
+                if undecided:
+                    assert c == undecided[0]  # lowest undecided channel
+                    assert abs(k - leaders[c]) <= 1
                 else:
-                    assert pair.rate_index == leaders[pair.channel - 1]
+                    assert k == leaders[c]
 
     def test_picks_match_the_plain_rule(self, monkeypatch):
         """Every pick equals a lane-by-lane restatement of the rule that
@@ -280,11 +280,10 @@ class TestCrsT:
                 want = None
                 if n >= channels * n_rates:
                     f = allowance(window or n) if budget is None else budget
+                    shape = (lanes, channels, n_rates)
                     want = [
-                        crst_pick_reference(
-                            st.pulls, st.successes, rates, f, ucb_probability, lcb_probability
-                        )
-                        for st in map(policy.state, range(lanes))
+                        crst_pick_reference(pulls, wins, rates, f, ucb_probability, lcb_probability)
+                        for pulls, wins in zip(policy._pulls.reshape(shape), policy._successes.reshape(shape))
                     ]
                 flats = step_policy(policy, lambda f: rng.random(lanes) < theta.ravel()[f])
                 assert want is None or flats.tolist() == want, (window, n)
@@ -294,14 +293,11 @@ class TestCrsT:
         policy = build_policy("crs-t", RATES2, channels=1)
         decisions = run_scalar(policy, 400, lambda n, p: int(p[1] == 1))
         assert decisions[-50:] == [(1, 1)] * 50
-        assert policy.state().undecided == ()
-
-    def test_state_reports_leaders(self):
-        policy = build_policy("crs-t", RATES2, channels=2)
-        run_scalar(policy, 4, lambda n, p: int(p == (2, 1)))
-        st = policy.state()
-        assert st.leaders == (1, 1)  # channel 1 all failed: ties break low
-        assert st.leaders[1] == 1
+        pulls, wins = (x.reshape(1, 2) for x in (policy._pulls, policy._successes))
+        leaders, undecided = crst_leaders_reference(
+            pulls, wins, RATES2.values, allowance(400), ucb_probability, lcb_probability
+        )
+        assert leaders == [0] and undecided == []
 
 
 class TestKlUcbU:
@@ -310,10 +306,10 @@ class TestKlUcbU:
         policy = build_policy("kl-ucb-u", RATES2, channels=2)
         graph = policy.graph
         for n in range(300):
-            st = policy.state()
+            leader = flat_to_pair(int(policy._leader[0]), 2)
             pair = step_one(policy, lambda pair: int(rng.random() < 0.6))
             if n >= 4:
-                allowed = set(graph.neighbors(st.leader)) | {tuple(st.leader)}
+                allowed = set(graph.neighbors(leader)) | {tuple(leader)}
                 assert tuple(pair) in allowed
 
     def test_forced_leader_cadence(self):
@@ -321,14 +317,14 @@ class TestKlUcbU:
         policy = build_policy("kl-ucb-u", RATES2, channels=2)
         forced_steps = nonforced_leader_plays = 0
         for n in range(400):
-            st = policy.state()
+            leader = int(policy._leader[0])
+            v = policy._lead_counts[0, leader]
             pair = step_one(policy, lambda pair: int(rng.random() < 0.5))
             if n >= 4:
-                v = st.leadership_counts[st.leader.channel - 1, st.leader.rate_index - 1]
-                if (v - 1) % st.gamma == 0:
-                    assert tuple(pair) == tuple(st.leader)
+                if (v - 1) % policy.gamma == 0:
+                    assert pair == flat_to_pair(leader, 2)
                     forced_steps += 1
-                elif tuple(pair) == tuple(st.leader):
+                elif pair == flat_to_pair(leader, 2):
                     nonforced_leader_plays += 1
         assert forced_steps > 0
 
@@ -336,17 +332,17 @@ class TestKlUcbU:
         rng = np.random.default_rng(47)
         policy = build_policy("kl-ucb-u", RATES2, channels=2, strict=True)
         for n in range(300):
-            st = policy.state()
+            leader = int(policy._leader[0])
+            v = policy._lead_counts[0, leader]
             pair = step_one(policy, lambda pair: int(rng.random() < 0.5))
             if n >= 4:
-                v = st.leadership_counts[st.leader.channel - 1, st.leader.rate_index - 1]
-                if (v - 1) % st.gamma != 0:
-                    assert tuple(pair) != tuple(st.leader)
+                if (v - 1) % policy.gamma != 0:
+                    assert pair != flat_to_pair(leader, 2)
 
     def test_leader_tracks_empirical_best(self):
         policy = build_policy("kl-ucb-u", RATES2, channels=2)
         run_scalar(policy, 4, lambda n, p: int(p == (2, 2)))
-        assert policy.state().leader == (2, 2)
+        assert flat_to_pair(int(policy._leader[0]), 2) == (2, 2)
 
     def test_single_pair_grid(self):
         policy = build_policy("kl-ucb-u", RateSet.of([1.0]), channels=1)
