@@ -24,7 +24,10 @@ harness uses it when a run holds only the baselines, whose picks are known
 before the run; a learning policy's reads depend on its picks slot by
 slot, so a run with one draws whole blocks.  The two ways in numpy step
 or jump the state with one PCG64 kernel.  All three give numpy's bits.
-Nothing is cached; a block costs the same whichever blocks came before it.
+A tape keeps two bounded caches, which change no bit: the seed states of a
+run of chunks, hashed in one batch as the tape moves forward, and the jump
+constants of its last ``cells`` call, which the next one reuses when it
+reads the same cells at the same rows.
 """
 
 from __future__ import annotations
@@ -79,10 +82,9 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), and its
-# high and low 64-bit words as one-element arrays, so that splitting them
-# into limbs in _mul128 is array arithmetic.
+# high and low 64-bit words.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_HI, _PCG_MULT_LO = np.array([[_PCG_MULT >> 64], [_PCG_MULT & 2**64 - 1]], dtype=np.uint64)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
 
 # Lanes OutcomeTape.block steps together through _pcg64_random, so that a
 # draw's temporaries (64 KB an array here) stay in cache.  At 50,000 lanes
@@ -94,6 +96,11 @@ _PCG_TILE = 8192
 # Lane-steps (lanes x rows of a chunk) OutcomeTape.cells computes in one
 # pass, so that its work arrays stay small however many lanes there are.
 _CELL_TILE = 16384
+
+# Lane-chunks of seed states (32 bytes each) an OutcomeTape hashes in one
+# batch and keeps: 512 KB.  A tape of more than half as many lanes keeps
+# none, since its batch is a single chunk.
+_STATE_BATCH = 16384
 
 # Draws per lane (hi * C * K for rows [0, hi) of a chunk) up to which
 # OutcomeTape.block steps PCG64 for all lanes at once in numpy, about 37 ns
@@ -193,31 +200,65 @@ def _tagged(seed_words: np.ndarray) -> np.ndarray:
     return np.hstack([tag, seed_words])
 
 
-def _mul128(a_hi, a_lo, b_hi, b_lo):
-    """``(a_hi:a_lo) * (b_hi:b_lo)`` mod 2**128 as a ``(hi, lo)`` pair of
-    uint64 arrays, broadcasting.  The high word of ``a_lo * b_lo`` is built
-    from 32-bit limbs; no partial sum overflows 64 bits."""
-    a0, a1 = a_lo & _MASK32, a_lo >> 32
+def _mul128(a_hi, a_lo, b_hi, b_lo, out):
+    """``(a_hi:a_lo) * (b_hi:b_lo)`` mod 2**128, broadcasting, into ``out``:
+    five uint64 arrays of the result's shape, the high and low words and
+    three of scratch.  Returns the first two.  They may be ``a_hi`` and
+    ``a_lo`` themselves; ``b`` must not share memory with ``out``, and is
+    best the smaller operand (a scalar, or a column), since its 32-bit limbs
+    are new arrays.  The high word of ``a_lo * b_lo`` is built from 32-bit
+    limbs; no partial sum overflows 64 bits."""
+    hi, lo, t1, t2, t3 = out
     b0, b1 = b_lo & _MASK32, b_lo >> 32
-    mid = a1 * b0 + (a0 * b0 >> 32)
-    carry = ((mid & _MASK32) + a0 * b1) >> 32
-    hi = a1 * b1 + (mid >> 32) + carry + a_lo * b_hi + a_hi * b_lo
-    return hi, a_lo * b_lo
+    np.multiply(a_hi, b_lo, out=t1)
+    np.multiply(a_lo, b_hi, out=t2)
+    np.add(t1, t2, out=t1)  # the cross products, high word only
+    np.bitwise_and(a_lo, _MASK32, out=t2)  # a0
+    np.right_shift(a_lo, 32, out=t3)  # a1
+    np.multiply(t3, b1, out=hi)
+    np.add(hi, t1, out=hi)
+    np.multiply(t2, b0, out=t1)
+    np.multiply(a_lo, b_lo, out=lo)
+    np.right_shift(t1, 32, out=t1)
+    np.multiply(t3, b0, out=t3)
+    np.add(t3, t1, out=t3)  # mid = a1 * b0 + (a0 * b0 >> 32)
+    np.multiply(t2, b1, out=t2)
+    np.bitwise_and(t3, _MASK32, out=t1)
+    np.add(t1, t2, out=t1)
+    np.right_shift(t1, 32, out=t1)  # carry = ((mid & MASK32) + a0 * b1) >> 32
+    np.add(hi, t1, out=hi)
+    np.right_shift(t3, 32, out=t3)
+    np.add(hi, t3, out=hi)
+    return hi, lo
 
 
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    """``(a_hi:a_lo) + (b_hi:b_lo)`` mod 2**128 as a ``(hi, lo)`` pair."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < b_lo), lo
+def _add128(a_hi, a_lo, b_hi, b_lo, out):
+    """``(a_hi:a_lo) + (b_hi:b_lo)`` mod 2**128 into ``out``, three uint64
+    arrays: the high and low words, which may be ``a_hi`` and ``a_lo``, and
+    one of scratch.  Returns the first two."""
+    hi, lo, carry = out
+    np.add(a_lo, b_lo, out=lo)
+    np.less(lo, b_lo, out=carry)
+    np.add(a_hi, b_hi, out=hi)
+    np.add(hi, carry, out=hi)
+    return hi, lo
 
 
-def _pcg64_double(hi, lo):
+def _pcg64_double(hi, lo, out):
     """numpy's double from PCG64 state ``(hi:lo)``: the XSL-RR output, the
     XOR of the two words rotated right by ``hi >> 58``, then ``>> 11`` and
-    times ``2**-53``."""
-    xor, rot = hi ^ lo, hi >> 58
-    out = xor >> rot | xor << (64 - rot & 63)
-    return (out >> 11) * 2.0**-53
+    times ``2**-53``.  ``out`` is three uint64 scratch arrays; the doubles
+    are written over the last, which is returned viewed as float64."""
+    xor, rot, right = out
+    np.bitwise_xor(hi, lo, out=xor)
+    np.right_shift(hi, 58, out=rot)
+    np.right_shift(xor, rot, out=right)
+    np.subtract(64, rot, out=rot)
+    np.bitwise_and(rot, 63, out=rot)
+    np.left_shift(xor, rot, out=xor)
+    np.bitwise_or(xor, right, out=xor)
+    np.right_shift(xor, 11, out=xor)
+    return np.multiply(xor, 2.0**-53, out=right.view(np.float64))
 
 
 def _pcg64_random(states: np.ndarray, skip: int, count: int):
@@ -225,22 +266,29 @@ def _pcg64_random(states: np.ndarray, skip: int, count: int):
     ``Generator(PCG64(...)).random()`` for every lane, seeded from the
     ``(lanes, 4)`` uint64 states ``_seed_states`` gives.
 
-    Yields one ``(lanes,)`` float64 array per draw.  PCG64 (O'Neill, PCG,
-    HMC-CS-2014-0905) is the 128-bit LCG ``state = state * M + inc`` (mod
-    2**128) with XSL-RR output (``_pcg64_double``); numpy seeds it with
-    ``inc = (s2:s3) << 1 | 1`` and ``state = (inc + (s0:s1)) * M + inc``.
-    Here the state is a high and a low uint64 array over the lanes (uint64
-    arithmetic wraps mod 2**64), stepped by ``_mul128`` and ``_add128``.
+    Yields one ``(lanes,)`` float64 array per draw, the same buffer each
+    time: a draw must be used before the next is asked for.  PCG64
+    (O'Neill, PCG, HMC-CS-2014-0905) is the 128-bit LCG ``state = state * M
+    + inc`` (mod 2**128) with XSL-RR output (``_pcg64_double``); numpy seeds
+    it with ``inc = (s2:s3) << 1 | 1`` and ``state = (inc + (s0:s1)) * M +
+    inc``.  Here the state is a high and a low uint64 array over the lanes
+    (uint64 arithmetic wraps mod 2**64), stepped in place by ``_mul128`` and
+    ``_add128``.
     """
-    inc_hi = states[:, 2] << 1 | states[:, 3] >> 63
-    inc_lo = states[:, 3] << 1 | 1
+    work = np.empty((7, len(states)), dtype=np.uint64)
+    hi, lo, inc_hi, inc_lo = work[:4]
+    np.left_shift(states[:, 2], 1, out=inc_hi)
+    inc_hi |= states[:, 3] >> 63
+    np.left_shift(states[:, 3], 1, out=inc_lo)
+    inc_lo |= 1
     # state = inc + initstate; then numpy's seeding step, the skipped draws'
     # steps, and one step per draw.
-    hi, lo = _add128(states[:, 0], states[:, 1], inc_hi, inc_lo)
+    _add128(states[:, 0], states[:, 1], inc_hi, inc_lo, (hi, lo, work[4]))
     for i in range(1 + skip + count):
-        hi, lo = _add128(*_mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO), inc_hi, inc_lo)
+        _mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO, (hi, lo, *work[4:]))
+        _add128(hi, lo, inc_hi, inc_lo, (hi, lo, work[4]))
         if i > skip:
-            yield _pcg64_double(hi, lo)
+            yield _pcg64_double(hi, lo, work[4:])
 
 
 def _jump_tables(P: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,18 +319,21 @@ def _jump_tables(P: int) -> tuple[np.ndarray, np.ndarray]:
     return words(rows), words(cells)
 
 
-def _pcg64_at(states: np.ndarray, jump: np.ndarray) -> np.ndarray:
+def _pcg64_at(states: np.ndarray, jump: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Doubles of numpy's ``Generator(PCG64(...)).random()`` for every lane
     and step, seeded from the ``(lanes, 4)`` uint64 states ``_seed_states``
     gives, at the draws whose jump constants ``jump`` holds: a ``(4,
     steps)`` uint64 array of ``G`` and ``H`` as high and low words, where
-    the state is ``G * s + H * inc`` (mod 2**128).  Returns ``(lanes,
-    steps)``; output and seeding as in ``_pcg64_random``.
+    the state is ``G * s + H * inc`` (mod 2**128).  ``work`` is a ``(7,
+    lanes, steps)`` uint64 scratch array; the ``(lanes, steps)`` result is a
+    float64 view of one of its rows.  Output and seeding as in
+    ``_pcg64_random``.
     """
     s_hi, s_lo, w2, w3 = (states[:, i, None] for i in range(4))
-    state = _mul128(jump[0], jump[1], s_hi, s_lo)
-    inc = _mul128(jump[2], jump[3], w2 << 1 | w3 >> 63, w3 << 1 | 1)
-    return _pcg64_double(*_add128(*state, *inc))
+    g_hi, g_lo = _mul128(jump[0], jump[1], s_hi, s_lo, work[:5])
+    h_hi, h_lo = _mul128(jump[2], jump[3], w2 << 1 | w3 >> 63, w3 << 1 | 1, work[2:])
+    _add128(g_hi, g_lo, h_hi, h_lo, (g_hi, g_lo, work[4]))
+    return _pcg64_double(g_hi, g_lo, work[2:5])
 
 
 def _lane_tiles(lanes, size: int):
@@ -688,13 +739,23 @@ class OutcomeTape:
     one by numpy's generator, one lane at a time.  The choice depends on
     the chunk, never on the lanes, and both paths give the same bits.
 
-    ``cells(start, stop, flats)`` reads one cell a step of the same
+    ``cells(start, stop, flats, theta)`` reads one cell a step of the same
     outcomes, ``block(start, stop)`` at step ``n``'s cell ``flats[n -
     start]``, without drawing the rest: each lane's state at that cell's
     draw comes from a closed form, ``_CELL_TILE`` lane-steps at a time.  It
     costs two 128-bit products a lane-step, however many cells a row has,
     and runs the kernel ``_pcg64_random`` steps with (``_mul128``,
-    ``_add128``, ``_pcg64_double``).
+    ``_add128``, ``_pcg64_double``).  The closed form's jump constants
+    depend only on the cells read and their rows in the chunk, so a call
+    that repeats the last call's ``flats`` from the same row reuses its
+    constants: baselines that keep to one pair repeat them every full block.
+
+    Seed states are hashed a batch of chunks at a time.  Asked for a chunk
+    it does not hold, the tape drops what it holds and hashes that chunk
+    and the ones after it, twice as many as at its previous miss, up to
+    ``_STATE_BATCH`` lane-chunks.  A walk forward over ``n`` chunks so
+    hashes them in about ``log2(n)`` batches.  A tape of more than
+    ``_STATE_BATCH // 2`` lanes, whose batch is one chunk, keeps nothing.
     """
 
     def __init__(self, env: Environment, seeds: tuple[int, ...] | list[int]):
@@ -706,6 +767,9 @@ class OutcomeTape:
         self._env = env
         self._seeds = seeds
         self._jumps = None  # _jump_tables, built by the first cells call
+        self._last_jump = None  # (row offset, flats, jump) of the last cells call
+        self._held = None  # (first chunk, states per group) of the last state batch
+        self._batch = 1  # chunks the next state batch hashes
         # Lanes grouped by the word count of their seed, which sets the
         # entropy length: (lane indices, (lanes, 1 + words) uint32 entropy
         # prefix [tag, *words(seed)]).
@@ -765,10 +829,13 @@ class OutcomeTape:
                     out[dst, pos : pos + hi - lo] = part.reshape(-1, hi - lo, C, K)
         return out
 
-    def cells(self, start: int, stop: int, flats) -> np.ndarray:
+    def cells(self, start: int, stop: int, flats, theta) -> np.ndarray:
         """Outcomes of one cell a step: a ``(seeds, stop-start)`` uint8 array
         whose entry ``[i, n - start]`` equals ``block(start, stop)[i, n -
         start]`` at flat cell ``flats[n - start]`` (``c * K + k``).
+        ``theta`` holds the block's success probabilities, the environment's
+        ``theta_block(start, stop)`` in any shape of ``stop-start`` rows of
+        ``C * K``, which a caller walking the schedule already has.
 
         Each outcome is computed alone, without the draws before it.  PCG64
         is an LCG, so the state it outputs at draw ``d`` has a closed form
@@ -786,30 +853,77 @@ class OutcomeTape:
             raise ValueError(f"need one flat cell a step, {B}, got shape {flats.shape}")
         if flats.min() < 0 or flats.max() >= P:
             raise ValueError(f"flat cells must lie in [0, {P})")
-        th = self._env.theta_block(start, stop).reshape(B, P)[np.arange(B), flats]
-        if self._jumps is None:
-            self._jumps = _jump_tables(P)
-        rows, cells = self._jumps
-        rows = rows[:, np.arange(start, stop) % _CHUNK]
-        cells = cells[:, flats]
-        # Step n's constants, at row r and cell j: G = M**(r*P) * M**(j+2)
-        # and H = A(r*P) + M**(r*P) * A(j+3).
-        g = _mul128(rows[0], rows[1], cells[0], cells[1])
-        h = _add128(*_mul128(rows[0], rows[1], cells[2], cells[3]), rows[2], rows[3])
-        jump = np.array([*g, *h])
+        theta = np.asarray(theta)
+        if theta.size != B * P:
+            raise ValueError(f"need {B} x {P} probabilities, got shape {theta.shape}")
+        th = theta.reshape(B, P)[np.arange(B), flats]
+        jump = self._jump(start % _CHUNK, flats)
         out = np.empty((len(self._seeds), B), dtype=np.uint8)
         for b in range(start // _CHUNK, (stop - 1) // _CHUNK + 1):
             seg = slice(max(start, b * _CHUNK) - start, min(stop, (b + 1) * _CHUNK) - start)
             tile = max(1, _CELL_TILE // (seg.stop - seg.start))
+            work = np.empty((7, min(tile, len(self._seeds)), seg.stop - seg.start), dtype=np.uint64)
             for lanes, states in self._chunk_states(b):
                 for src, dst in _lane_tiles(lanes, tile):
-                    out[dst, seg] = _pcg64_at(states[src], jump[:, seg]) < th[seg]
+                    part = states[src]
+                    draws = _pcg64_at(part, jump[:, seg], work[:, : len(part)])
+                    out[dst, seg] = draws < th[seg]
         return out
 
-    def _chunk_states(self, b: int):
-        """Yield ``(lanes, states)`` for each seed group: the group's lane
-        indices and the ``_seed_states`` of their streams for chunk ``b``."""
-        block_words = np.array(_words(b), dtype=np.uint32)
+    def _jump(self, offset: int, flats: np.ndarray) -> np.ndarray:
+        """The ``(4, steps)`` jump constants ``_pcg64_at`` takes for cells
+        ``flats`` read from row ``offset`` of a chunk on: the last call's
+        when it read the same cells from the same row."""
+        last = self._last_jump
+        if last is not None and last[0] == offset and np.array_equal(last[1], flats):
+            return last[2]
+        if self._jumps is None:
+            self._jumps = _jump_tables(self._env.channels * self._env.n_rates)
+        rows, cells = self._jumps
+        rows = rows[:, np.arange(offset, offset + len(flats)) % _CHUNK]
+        cells = cells[:, flats]
+        # Step n's constants, at row r and cell j: G = M**(r*P) * M**(j+2)
+        # and H = A(r*P) + M**(r*P) * A(j+3).
+        work = np.empty((7, len(flats)), dtype=np.uint64)
+        _mul128(rows[0], rows[1], cells[0], cells[1], work[:5])
+        _mul128(rows[0], rows[1], cells[2], cells[3], work[2:])
+        _add128(work[2], work[3], rows[2], rows[3], (work[2], work[3], work[4]))
+        self._last_jump = (offset, flats.copy(), work[:4])
+        return work[:4]
+
+    def _chunk_states(self, b: int) -> list:
+        """``(lanes, states)`` for each seed group: the group's lane indices
+        and the ``_seed_states`` of their streams for chunk ``b``, from the
+        held batch or a new one (see the class docstring)."""
+        held = self._held
+        if held is None or not 0 <= b - held[0] < len(held[1][0]):
+            cap = max(1, _STATE_BATCH // len(self._seeds))
+            n = min(self._batch, cap)
+            held = (b, self._hash_chunks(b, n))
+            self._batch = min(2 * n, cap)
+            self._held = held if cap > 1 else None
+        i = b - held[0]
+        return [(lanes, states[i]) for (lanes, _), states in zip(self._groups, held[1])]
+
+    def _hash_chunks(self, b: int, n: int) -> list[np.ndarray]:
+        """The seed states of chunks ``b`` to ``b + n - 1`` for each seed
+        group, as a ``(n, lanes, 4)`` uint64 array: one ``_seed_states``
+        call per group and run of chunks that differ only in their low
+        32-bit word, so share their entropy's length."""
+        runs, c = [], b
+        while c < b + n:
+            runs.append((c, min(b + n, ((c >> 32) + 1) << 32)))
+            c = runs[-1][1]
+        batches = []
         for lanes, prefix in self._groups:
-            suffix = np.broadcast_to(block_words, (len(lanes), block_words.size))
-            yield lanes, _seed_states(np.hstack([prefix, suffix]))
+            parts, width = [], prefix.shape[1]
+            for c0, c1 in runs:
+                low, *high = _words(c0)
+                entropy = np.empty((c1 - c0, len(lanes), width + 1 + len(high)), dtype=np.uint32)
+                entropy[:, :, :width] = prefix
+                entropy[:, :, width] = np.arange(low, low + c1 - c0)[:, None]
+                entropy[:, :, width + 1 :] = high
+                states = _seed_states(entropy.reshape(-1, entropy.shape[2]))
+                parts.append(states.reshape(c1 - c0, len(lanes), 4))
+            batches.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+        return batches

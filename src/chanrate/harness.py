@@ -489,7 +489,8 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
     leadership counts for kl-ucb-u) and, when windowed, its rings (an int64
     pair ring and an int8 outcome ring, and for kl-ucb-u an int64 leader
     ring).  The result phase repeats each baseline's result tables to every
-    lane.
+    lane.  The outcome tape's batch of seed states is not counted: it has a
+    fixed bound, ``environments._STATE_BATCH`` lane-chunks (512 KB).
     """
     S, P = len(config.seeds), config.channels * config.n_rates
     pair = np.min_scalar_type(P - 1).itemsize
@@ -527,12 +528,14 @@ class _Schedule:
     time_benchmark: float | None
 
     def blocks(self):
-        """Yield ``(n0, n1, mu_b)`` block by block: the throughputs ``(B, P)``
-        of steps ``[n0, n1)``."""
+        """Yield ``(n0, n1, th_b, mu_b)`` block by block: the success
+        probabilities ``(B, P)`` of steps ``[n0, n1)`` and their
+        throughputs."""
         P = self.r_flat.size
         for n0 in range(0, self.slots, _BLOCK):
             n1 = min(n0 + _BLOCK, self.slots)
-            yield n0, n1, self.env.theta_block(n0, n1).reshape(n1 - n0, P) * self.r_flat
+            th_b = self.env.theta_block(n0, n1).reshape(n1 - n0, P)
+            yield n0, n1, th_b, th_b * self.r_flat
 
 
 def _flat_sum(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -589,7 +592,7 @@ def _totals(run: _Schedule) -> tuple[float, np.ndarray, np.ndarray]:
     oracle_reward = 0.0
     mu_totals = np.zeros(run.r_flat.size)
     best_flats = np.empty(run.slots, dtype=np.min_scalar_type(run.r_flat.size - 1))
-    for n0, n1, mu_b in run.blocks():
+    for n0, n1, _, mu_b in run.blocks():
         oracle_reward += float(mu_b.max(axis=1).sum())
         mu_totals += mu_b.sum(axis=0)
         best_flats[n0:n1] = np.argmax(mu_b, axis=1)
@@ -619,7 +622,7 @@ def _simulate(
     picks = np.empty(shape, dtype=np.min_scalar_type(P - 1))
     wins = np.empty(shape, dtype=np.uint8)
     lanes = np.arange(S)
-    for n0, n1, mu_b in run.blocks():
+    for n0, n1, th_b, mu_b in run.blocks():
         B = n1 - n0
         if policies:
             outs = run.tape.block(n0, n1).reshape(S, B, P)
@@ -636,8 +639,10 @@ def _simulate(
                 flats = best_flats[n0:n1] if spec.kind == "oracle" else np.full(B, static_flat)
                 won = next((w for f, w in drawn if np.array_equal(f, flats)), None)
                 if won is None:
-                    won = outs[:, np.arange(B), flats] if policies else run.tape.cells(n0, n1, flats)
-                    won = won.T
+                    if policies:
+                        won = outs[:, np.arange(B), flats].T
+                    else:
+                        won = run.tape.cells(n0, n1, flats, th_b).T
                     drawn.append((flats, won))
                 pk = flats[:, None]
             else:

@@ -556,7 +556,7 @@ class TestOutcomeTapeCells:
             "last": np.full(stop - start, P - 1),
         }[which]
         tape = OutcomeTape(env, CELL_SEEDS)
-        got = tape.cells(start, stop, flats)
+        got = tape.cells(start, stop, flats, env.theta_block(start, stop))
         assert got.dtype == np.uint8 and got.shape == (len(CELL_SEEDS), stop - start)
         np.testing.assert_array_equal(got, _block_cells(tape, start, stop, flats))
 
@@ -564,31 +564,140 @@ class TestOutcomeTapeCells:
         rng = np.random.default_rng(3)
         starts = (0, 260, 511, 513)
         trace = TraceTable(starts, tuple(rng.random((2, 3)) for _ in starts), horizon=700)
-        tape = OutcomeTape(TraceEnvironment(trace, RateSet.of([1.0, 2.0, 3.0])), CELL_SEEDS)
+        env = TraceEnvironment(trace, RateSet.of([1.0, 2.0, 3.0]))
+        tape = OutcomeTape(env, CELL_SEEDS)
         flats = rng.integers(0, 6, 450)
-        np.testing.assert_array_equal(tape.cells(250, 700, flats), _block_cells(tape, 250, 700, flats))
+        got = tape.cells(250, 700, flats, env.theta_block(250, 700))
+        np.testing.assert_array_equal(got, _block_cells(tape, 250, 700, flats))
 
     @pytest.mark.parametrize("seeds", [CELL_SEEDS, (7, 3, 9, 1, 4)])
     def test_lane_tiles_reassemble(self, env, monkeypatch, seeds):
         """Tiles of one lane and of two, in multi-word groups (a fancy
         index) and in one group of one-word seeds (a slice)."""
         flats = np.arange(25) % (env.channels * env.n_rates)
-        want = OutcomeTape(env, seeds).cells(500, 525, flats)
+        theta = env.theta_block(500, 525)
+        want = OutcomeTape(env, seeds).cells(500, 525, flats, theta)
         for tile in (1, 2 * 25):
             monkeypatch.setattr(environments, "_CELL_TILE", tile)
-            assert OutcomeTape(env, seeds).cells(500, 525, flats).tobytes() == want.tobytes()
+            assert OutcomeTape(env, seeds).cells(500, 525, flats, theta).tobytes() == want.tobytes()
         np.testing.assert_array_equal(want, _block_cells(OutcomeTape(env, seeds), 500, 525, flats))
 
     def test_validation(self, env):
         tape = OutcomeTape(env, (1,))
         P = env.channels * env.n_rates
         with pytest.raises(ValueError, match="stop"):
-            tape.cells(10, 10, [])
+            tape.cells(10, 10, [], env.theta_block(10, 10))
         with pytest.raises(ValueError, match="one flat cell a step"):
-            tape.cells(10, 12, [0])
+            tape.cells(10, 12, [0], env.theta_block(10, 12))
         for bad in (-1, P):
             with pytest.raises(ValueError, match=r"flat cells must lie in \[0, "):
-                tape.cells(10, 12, [0, bad])
+                tape.cells(10, 12, [0, bad], env.theta_block(10, 12))
+        with pytest.raises(ValueError, match=rf"need 2 x {P} probabilities"):
+            tape.cells(10, 12, [0, 0], env.theta_block(10, 13))
+
+
+class TestOutcomeTapeCaches:
+    """The seed-state batches and the reused jump constants change no bit:
+    whatever a tape was asked before, it answers as a fresh tape does."""
+
+    @pytest.fixture()
+    def env(self):
+        return _stationary(2, 3)
+
+    @staticmethod
+    def _cells_args(env, start, stop, flats):
+        return start, stop, flats, env.theta_block(start, stop)
+
+    def test_out_of_order_and_repeated_calls_match_a_fresh_tape(self, env):
+        tape = OutcomeTape(env, CELL_SEEDS)
+        rng = np.random.default_rng(4)
+        spans = [(0, 512), (1100, 1300), (500, 530), (0, 7), (2000, 2600), (600, 1030), (500, 530)]
+        spans += [(2**41 - 3, 2**41 + 3), (5, 9), (2**41 - 600, 2**41 - 1), (1023, 1025)]
+        for start, stop in spans:
+            fresh = OutcomeTape(env, CELL_SEEDS)
+            assert tape.block(start, stop).tobytes() == fresh.block(start, stop).tobytes()
+            flats = rng.integers(0, 6, stop - start)
+            args = self._cells_args(env, start, stop, flats)
+            want = OutcomeTape(env, CELL_SEEDS).cells(*args)
+            assert tape.cells(*args).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seeds", [CELL_SEEDS, (7, 3, 9, 1, 4)], ids=["mixed", "one-word"])
+    @pytest.mark.parametrize("first", [0, 2**32 - 3, 2**32 - 1, 2**64 - 2])
+    def test_a_batch_hashes_each_chunk_as_seed_sequence(self, env, seeds, first):
+        """A batch across chunk index 2**32 (and 2**64), where the chunk's
+        entropy gains a word, in groups of one-, two- and three-word seeds."""
+        tape = OutcomeTape(env, seeds)
+        batches = tape._hash_chunks(first, 5)
+        assert len(batches) == len(tape._groups)
+        for (lanes, _), states in zip(tape._groups, batches):
+            assert states.shape == (5, len(lanes), 4)
+            for i, chunk in enumerate(range(first, first + 5)):
+                for lane, state in zip(lanes, states[i]):
+                    entropy = [TAPE_TAG, seeds[lane], chunk]
+                    want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+                    np.testing.assert_array_equal(state, want)
+
+    def test_one_hash_a_group_per_word_count(self, env, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            environments, "_seed_states", lambda e: calls.append(e.shape) or _seed_states(e)
+        )
+        # Groups of two one-word seeds, two two-word seeds and one three-word
+        # seed; entropy [tag, *seed, chunk] with a one-word chunk below 2**32.
+        tape = OutcomeTape(env, CELL_SEEDS)
+        tape._hash_chunks(7, 4)
+        assert calls == [(8, 3), (8, 4), (4, 5)]
+        calls.clear()
+        tape._hash_chunks(2**32 - 2, 4)
+        assert calls == [(4, 3), (4, 4), (4, 4), (4, 5), (2, 5), (2, 6)]
+
+    def test_a_forward_walk_hashes_doubling_batches(self, env, monkeypatch):
+        rows = []
+        monkeypatch.setattr(
+            environments, "_seed_states", lambda e: rows.append(len(e)) or _seed_states(e)
+        )
+        tape = OutcomeTape(env, (7, 3, 9, 1, 4))
+        for b in range(20):
+            tape.block(512 * b, 512 * b + 3)
+        assert rows == [5 * n for n in (1, 2, 4, 8, 16)]
+
+    @pytest.mark.parametrize("bound", [5 * 3, 5 * 2, 5 * 2 - 1, 1])
+    def test_held_states_stay_within_the_bound(self, env, monkeypatch, bound):
+        """At most ``_STATE_BATCH`` lane-chunks are hashed or held; at a
+        bound of one chunk (under two chunks' lanes) nothing is held."""
+        rows = []
+        monkeypatch.setattr(environments, "_STATE_BATCH", bound)
+        monkeypatch.setattr(
+            environments, "_seed_states", lambda e: rows.append(len(e)) or _seed_states(e)
+        )
+        seeds = (7, 3, 9, 1, 4)
+        tape = OutcomeTape(env, seeds)
+        chunks = max(1, bound // len(seeds))
+        for start, stop in [(0, 9), (512, 530), (1030, 1600), (2100, 2103), (0, 2)] * 2:
+            args = self._cells_args(env, start, stop, np.arange(stop - start) % 6)
+            assert tape.cells(*args).tobytes() == OutcomeTape(env, seeds).cells(*args).tobytes()
+            if chunks == 1:
+                assert tape._held is None
+            else:
+                assert tape._held[1][0].shape[0] <= chunks
+        assert max(rows) == len(seeds) * chunks
+
+    def test_jump_constants_are_reused_only_for_the_same_cells(self, env):
+        tape = OutcomeTape(env, CELL_SEEDS)
+        one, other = np.full(512, 4), np.arange(512) % 6
+        calls = [(0, 512, one), (512, 1024, one), (1024, 1536, other), (1536, 2048, one)]
+        calls += [(2048, 2100, one[:52]), (2100, 2152, one[:52]), (2560, 2612, one[:52])]
+        jumps = []
+        for start, stop, flats in calls:
+            args = self._cells_args(env, start, stop, flats)
+            want = OutcomeTape(env, CELL_SEEDS).cells(*args)
+            assert tape.cells(*args).tobytes() == want.tobytes()
+            jumps.append(tape._last_jump[2])
+        reused = [a is b for a, b in zip(jumps, jumps[1:])]
+        # Same cells from row 0, new cells, back to the first, a short block,
+        # the same cells from another row, then from row 0 again.
+        assert reused == [True, False, False, False, False, False]
+        assert jumps[6] is not jumps[4] and np.array_equal(jumps[6], jumps[4])
 
 
 _CELL_ENV = _stationary(2, 3)
@@ -602,7 +711,8 @@ def test_cells_match_block_on_random_spans(data):
     flats = data.draw(st.lists(st.integers(0, 5), min_size=stop - start, max_size=stop - start))
     seeds = data.draw(st.lists(st.sampled_from(CELL_SEEDS), min_size=1, max_size=3, unique=True))
     tape = OutcomeTape(_CELL_ENV, seeds)
-    np.testing.assert_array_equal(tape.cells(start, stop, flats), _block_cells(tape, start, stop, flats))
+    got = tape.cells(start, stop, flats, _CELL_ENV.theta_block(start, stop))
+    np.testing.assert_array_equal(got, _block_cells(tape, start, stop, flats))
 
 
 # Edge seed states for the emulated generator, as (s0, s1, s2, s3) words:
@@ -648,9 +758,15 @@ def _assert_words_equal(hi, lo, want):
     assert got == [v % 2**128 for v in want]
 
 
+def _out(rows: int, *operands) -> tuple[np.ndarray, ...]:
+    """``rows`` fresh uint64 arrays of the operands' broadcast shape."""
+    return tuple(np.empty((rows, *np.broadcast_shapes(*map(np.shape, operands))), np.uint64))
+
+
 class TestKernel128:
     """The 128-bit product and sum both PCG64 paths run, against Python
-    ints mod 2**128.  Only arrays go in: numpy warns on uint64 scalar
+    ints mod 2**128.  The multiplier may be a pair of uint64 scalars; every
+    other operand is an array, since numpy warns on uint64 scalar
     overflow."""
 
     EDGE_VALUES = [hi << 64 | lo for hi in EDGE_WORDS for lo in EDGE_WORDS]
@@ -659,22 +775,35 @@ class TestKernel128:
         n = len(self.EDGE_VALUES)
         a, b = _words128(self.EDGE_VALUES, (n, 1)), _words128(self.EDGE_VALUES, (1, n))
         pairs = [(x, y) for x in self.EDGE_VALUES for y in self.EDGE_VALUES]
-        _assert_words_equal(*_mul128(*a, *b), [x * y for x, y in pairs])
-        _assert_words_equal(*_add128(*a, *b), [x + y for x, y in pairs])
+        _assert_words_equal(*_mul128(*a, *b, _out(5, *a, *b)), [x * y for x, y in pairs])
+        _assert_words_equal(*_add128(*a, *b, _out(3, *a, *b)), [x + y for x, y in pairs])
 
-    def test_a_one_element_factor_broadcasts(self):
+    def test_a_scalar_factor_broadcasts(self):
         a = _words128(self.EDGE_VALUES, -1)
+        mult = environments._PCG_MULT_HI, environments._PCG_MULT_LO
+        assert all(type(w) is np.uint64 for w in mult)
         _assert_words_equal(
-            *_mul128(*a, environments._PCG_MULT_HI, environments._PCG_MULT_LO),
-            [x * environments._PCG_MULT for x in self.EDGE_VALUES],
+            *_mul128(*a, *mult, _out(5, *a)), [x * environments._PCG_MULT for x in self.EDGE_VALUES]
         )
+
+    def test_results_may_overwrite_the_first_operand(self):
+        n = len(self.EDGE_VALUES)
+        a, b = _words128(self.EDGE_VALUES, -1), _words128(self.EDGE_VALUES[::-1], -1)
+        want = [x * y for x, y in zip(self.EDGE_VALUES, self.EDGE_VALUES[::-1])]
+        hi, lo = (w.copy() for w in a)
+        got = _mul128(hi, lo, *b, (hi, lo, *_out(3, lo)))
+        assert got[0] is hi and got[1] is lo
+        _assert_words_equal(hi, lo, want)
+        got = _add128(hi, lo, *b, (hi, lo, np.empty(n, np.uint64)))
+        assert got[0] is hi and got[1] is lo
+        _assert_words_equal(hi, lo, [x + y for x, y in zip(want, self.EDGE_VALUES[::-1])])
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.lists(st.tuples(*[st.integers(0, 2**128 - 1)] * 2), min_size=1, max_size=8))
     def test_random_values(self, pairs):
         a, b = (_words128(side, -1) for side in zip(*pairs))
-        _assert_words_equal(*_mul128(*a, *b), [x * y for x, y in pairs])
-        _assert_words_equal(*_add128(*a, *b), [x + y for x, y in pairs])
+        _assert_words_equal(*_mul128(*a, *b, _out(5, *a)), [x * y for x, y in pairs])
+        _assert_words_equal(*_add128(*a, *b, _out(3, *a)), [x + y for x, y in pairs])
 
 
 class TestPcg64Emulation:

@@ -8,8 +8,13 @@ import json
 import numpy as np
 import pytest
 
-from chanrate import harness
-from chanrate.environments import OutcomeTape, SyntheticDriftSpec, TraceTable
+from chanrate import environments, harness
+from chanrate.environments import (
+    OutcomeTape,
+    StationaryEnvironment,
+    SyntheticDriftSpec,
+    TraceTable,
+)
 from chanrate.harness import (
     ExperimentConfig,
     PolicySpec,
@@ -477,6 +482,32 @@ class TestBaselinesAgainstReference:
         )
         assert result.static_flat == 0 and set(result.best_flats[700:]) == {3}
         assert calls == [(0, 512), (512, 1024), (512, 1024), (1024, 1100), (1024, 1100)]
+
+    def test_alone_hashes_seed_states_in_few_batches_and_reads_theta_twice_a_block(
+        self, monkeypatch
+    ):
+        """Demo table, 20 seeds, time budget 300 (19,500 slots in 39 blocks):
+        the chunks' seed states come in batches of 1, 2, 4, ... chunks, and
+        each pass computes a block's probabilities once."""
+        counts = {"_seed_states": 0, "theta_block": 0}
+        seed_states, theta_block = environments._seed_states, StationaryEnvironment.theta_block
+
+        def count(name, fn):
+            return lambda *args: counts.__setitem__(name, counts[name] + 1) or fn(*args)
+
+        monkeypatch.setattr(environments, "_seed_states", count("_seed_states", seed_states))
+        monkeypatch.setattr(StationaryEnvironment, "theta_block", count("theta_block", theta_block))
+        demo = demo_model()
+        config = ExperimentConfig(
+            rates=demo.rates,
+            theta=demo.theta,
+            policies=_BASELINES[:2],
+            horizon=300,
+            seeds=tuple(range(1, 21)),
+            accounting="both",
+        )
+        assert run_experiment(config).slots == 19_500
+        assert counts == {"_seed_states": 6, "theta_block": 2 * 39}
 
 
 _LEARNERS = (
