@@ -29,10 +29,12 @@ two-sided bracket, and stops on its own test:
 No element's result depends on the other elements of the batch, and a
 zero budget returns ``p`` exactly.
 
-A call whose elements all take one direction passes ``upper`` as a bool
-rather than an array.  That is the fast path: the solver then builds no
-direction masks and makes no per-element choice of transform.  Upper-bound
-learners (``kl-ucb``, ``kl-ucb-u``) take it on every slot.
+A call whose elements all take one direction passes ``upper`` as a bool, the
+fast path with no direction masks that the upper-bound learners (``kl-ucb``,
+``kl-ucb-u``) take on every slot.  ``_solve_probability``, behind
+``ucb_probability`` and ``lcb_probability``, validates and broadcasts its
+arguments; ``_solve_trusted``, which ``select_all`` calls, checks nothing,
+since its flat arrays are valid by construction.
 
 The divergence itself is a port of ``scipy.special.rel_entr`` to Python's
 ``math`` module, which calls the same C library ``log`` and ``log1p``, so
@@ -136,15 +138,10 @@ def _allowance_vec(n: np.ndarray) -> np.ndarray:
     return ln + 3.0 * np.log(np.maximum(ln, 1.0))
 
 
-def _residual(e, c):
-    """Fill ``e[1]`` with I(p, q(v)) - f/t and ``e[2]`` with its negated slope.
-
-    ``e[0]`` holds log-space points v; ``c`` stacks -w, w, s and
-    ``k = s*log(s) - f/t``, broadcasting against ``e[0]``, as set up in
-    :func:`_solve_log_space`.
-    """
-    v, r, rho = e
-    nw, w, s, k = c
+def _residual(v, r, rho, nw, w, s, k):
+    """Fill ``r`` with I(p, q(v)) - f/t and ``rho`` with its negated slope at
+    log-space points ``v``; -w, w, s and k = s*log(s) - f/t broadcast against
+    ``v``, as set up in :func:`_solve_log_space`."""
     np.expm1(v, rho)  # e^v - 1, minus the probability opposite the variable
     np.divide(nw, rho, rho)
     np.log(rho, r)
@@ -158,7 +155,7 @@ def _residual(e, c):
 def _solve_log_space(p, t, target, upper):
     """Solve t * I(p, q) = f for strictly interior p, one element at a time.
 
-    ``p``, ``t``, ``target`` (= f/t > 0) are same-shape 1-D float arrays with
+    ``p``, ``t``, ``target`` (= f/t > 0) are same-shape 1-D arrays with
     every p in (0, 1) and every t >= 1; ``upper`` is a Python bool, one
     direction for every element, or a bool array of that shape choosing each
     element's bound.  Returns ``(q, steps)``: q on the probability scale and
@@ -170,93 +167,112 @@ def _solve_log_space(p, t, target, upper):
     # and w = 1 - s, I(p, q(v)) = w*log(w/(1 - e^v)) + s*(log(s) - v), which
     # is zero at the anchor v = log(s) and convex and decreasing left of it.
     # The direction only swaps s and w here and picks the transform back.
+    # Every row is a contiguous 1-D array, so each transcendental takes
+    # numpy's contiguous SIMD loop, whose bits do not depend on position.
     n = p.shape[0]
-    c = np.empty((4, 1, n))  # -w, w, s, k, shared by both candidate rows
-    nw, w, s, k = c[:, 0]
+    nw, s, k, anchor, tol, x, d = np.empty((7, n))
     np.subtract(1.0, p, s)
-    w[:] = p
+    w = p
     if upper is not True:
         lower = np.logical_not(upper)
-        np.copyto(w, s, where=lower)
+        w = np.where(lower, s, p)
         np.copyto(s, p, where=lower)
     np.negative(w, nw)
-    anchor = np.log(s)
+    np.log(s, anchor)
     np.multiply(s, anchor, k)
     k -= target
     # The certified bound, or where t is too large for float64 to reach it,
     # 4 eps * (2 + 2 f/t + s |log s|): at least twice the residual's rounding
     # error, and above the change of the residual over one float step of v.
-    tol = target - k
+    np.subtract(target, k, tol)
     tol += 2.0
     tol *= _EPS4
-    np.maximum(tol, _RESIDUAL_BOUND / t, out=tol)
+    np.maximum(tol, np.divide(_RESIDUAL_BOUND, t, x), out=tol)
 
     e = np.empty((3, 2, n))  # point, residual, negated slope of two candidates
-    lo, hi = e[0]
+    ev, er, erho = e
+    lo, hi = ev
+    r_lo, r_hi = er
     # The bracket starts at points that are provably infeasible (lo) and
     # feasible (hi).  Since w/(1 - e^v) <= 1 left of the anchor, I lies below
     # s*(log(s) - v) and above w*log(w) + s*(log(s) - v).
     np.divide(target, s, hi)
     np.subtract(anchor, hi, hi)
-    np.subtract(anchor, (target - w * np.log(w)) / s, lo)
+    np.log(w, x)
+    x *= w
+    np.subtract(target, x, x)
+    x /= s
+    np.subtract(anchor, x, lo)
     # I(p, q) >= (q - p)^2 / (2 max x(1 - x) over [p, q]) and that maximum is
     # at most min(1/4, s, q on the UCB side), so the distance d solving the
     # bound's equality is infeasible too; it is tight when the root nears p.
     # Past d = s/2 the rounding of s - d could spoil that, and lo is better.
-    d = np.sqrt(np.minimum(s, 0.25) * (2.0 * target))
-    np.minimum(d, target + np.sqrt(target * (target + 2.0 * w)), out=d)
+    np.minimum(s, 0.25, out=d)
+    np.multiply(target, 2.0, x)
+    d *= x
+    np.sqrt(d, d)
+    np.multiply(w, 2.0, x)
+    x += target
+    x *= target
+    np.sqrt(x, x)
+    x += target
+    np.minimum(d, x, out=d)
     np.subtract(s, d, d)
-    np.copyto(d, 0.0, where=d < 0.5 * s)
-    np.fmax(lo, np.log(d), lo)
+    np.multiply(s, 0.5, x)
+    np.copyto(d, 0.0, where=d < x)
+    np.log(d, d)
+    np.fmax(lo, d, lo)
     # Newton steps from the left never pass the root, so the first few need
     # no check; checking each costs more than the rare extra step saves.
-    head = e[:, :1]
+    rho_lo = erho[0]
     for _ in range(_UNCHECKED_STEPS):
-        _residual(head, c)
-        e[1, 0] /= e[2, 0]
-        lo += e[1, 0]
+        _residual(lo, r_lo, rho_lo, nw, w, s, k)
+        r_lo /= rho_lo
+        lo += r_lo
 
-    _residual(e, c)
-    lo_state = e[:, 0].copy()  # lo, r(lo) > 0, -r'(lo) > 0
-    hi_state = e[:2, 1].copy()  # hi, r(hi) <= 0
-    lo, r_lo, n_lo = lo_state
-    hi, r_hi = hi_state
-    ntol = -tol
+    _residual(ev, er, erho, nw, w, s, k)
     # An end whose residual exceeds tol has an exact sign and a Newton step
     # of at least one float spacing, so each element moves until certified.
     # A sign against the bracket can only be rounding within tol, which
     # certifies that end; the same tests stop the element either way.
+    np.negative(r_hi, x)
     active = r_lo > tol
-    active &= r_hi < ntol
+    active &= x > tol
     steps = _UNCHECKED_STEPS
-    while active.any():
-        steps += 1
-        if steps <= _NEWTON_STEPS:
-            # Newton from the infeasible end stays left of the root; the chord
-            # through both ends lands right of it (I is convex in v).
-            np.divide(r_lo, n_lo, e[0, 0])
-            np.subtract(hi, lo, e[0, 1])
-            e[0, 1] *= r_lo
-            e[0, 1] /= r_lo - r_hi
-            e[0] += lo
-            _residual(e, c)
-            np.copyto(lo_state, e[:, 0], where=active)
-            np.copyto(hi_state, e[:2, 1], where=active)
-        else:
-            # Hard cap reached: bisect until the float bracket collapses.
-            mid = lo + hi
-            mid *= 0.5
-            active &= (lo < mid) & (mid < hi)
-            e[0] = mid
-            _residual(e, c)
-            move = e[1, 0] <= 0.0
-            move &= active
-            np.copyto(hi_state, e[:2, 0], where=move)
-            np.copyto(lo_state, e[:, 0], where=move ^ active)
-        active &= r_lo > tol
-        active &= r_hi < ntol
+    if active.any():
+        lo_state = e[:, 0].copy()  # lo, r(lo) > 0, -r'(lo) > 0
+        hi_state = e[:2, 1].copy()  # hi, r(hi) <= 0
+        lo, r_lo, rho_lo = lo_state
+        hi, r_hi = hi_state
+        while active.any():
+            steps += 1
+            if steps <= _NEWTON_STEPS:
+                # Newton from the infeasible end stays left of the root; the chord
+                # through both ends lands right of it (I is convex in v).
+                np.divide(r_lo, rho_lo, ev[0])
+                np.subtract(hi, lo, ev[1])
+                ev[1] *= r_lo
+                ev[1] /= r_lo - r_hi
+                ev += lo
+                _residual(ev, er, erho, nw, w, s, k)
+                np.copyto(lo_state, e[:, 0], where=active)
+                np.copyto(hi_state, e[:2, 1], where=active)
+            else:
+                # Hard cap reached: bisect until the float bracket collapses.
+                mid = lo + hi
+                mid *= 0.5
+                active &= (lo < mid) & (mid < hi)
+                ev[:] = mid
+                _residual(ev, er, erho, nw, w, s, k)
+                move = er[0] <= 0.0
+                move &= active
+                np.copyto(hi_state, e[:2, 0], where=move)
+                np.copyto(lo_state, e[:, 0], where=move ^ active)
+            np.negative(r_hi, x)
+            active &= r_lo > tol
+            active &= x > tol
 
-    v = np.where(r_lo <= -r_hi, lo, hi)
+    v = np.where(r_lo <= x, lo, hi)
     q = np.expm1(v)
     np.negative(q, q)
     np.maximum(q, p, out=q)
@@ -268,11 +284,12 @@ def _solve_log_space(p, t, target, upper):
 def _solve_probability(p_hat, pulls, budget, upper):
     """Confidence bounds on the success probability, elementwise.
 
-    ``upper`` (a bool, or a bool array broadcasting with the others) picks
-    the upper or the lower bound of each element, so one call can serve
-    both directions; every element's result is what a call on it alone
-    returns.  A bool, or any 0-d ``upper``, takes the single-direction path,
-    which builds no direction masks.
+    The validating entry: it checks its arguments, broadcasts them together
+    and hands them flat to :func:`_solve_trusted`, the core that trusts its
+    caller, which ``select_all`` calls directly.  ``upper`` (a bool, or a
+    bool array broadcasting with the others) picks the upper or the lower
+    bound of each element; every element's result is what a call on it alone
+    returns.  A 0-d ``upper`` takes the single-direction path.
     """
     p = np.asarray(p_hat, dtype=float)
     t = np.asarray(pulls, dtype=float)
@@ -291,9 +308,18 @@ def _solve_probability(p_hat, pulls, budget, upper):
     if not (lowest(f, axis=None, initial=0.0) >= 0.0):
         raise ValueError("budget must be nonnegative")
 
-    if upper.ndim == 0:
-        upper = bool(upper)
+    shape = np.broadcast(p, t, f, upper).shape
+    p, t = (np.broadcast_to(a, shape).ravel() for a in (p, t))
+    f, upper = (a.item() if a.ndim == 0 else np.broadcast_to(a, shape).ravel() for a in (f, upper))
+    out = _solve_trusted(p, t, f, upper)
+    return float(out[0]) if shape == () else out.reshape(shape)
 
+
+def _solve_trusted(p, t, f, upper):
+    """:func:`_solve_probability` with nothing checked, for a caller whose
+    arguments are valid by construction: ``p`` and ``t`` (possibly integer)
+    1-D arrays of one shape, ``f`` a float or such an array, ``upper`` a bool
+    or such a bool array; p in [0, 1], t >= 0, f >= 0 and no NaN."""
     with np.errstate(divide="ignore", invalid="ignore"):
         target = f / t
         # Unpulled entries give the extreme value (1 up, 0 down); endpoint
@@ -301,9 +327,7 @@ def _solve_probability(p_hat, pulls, budget, upper):
         # at a zero budget, until solved.  I(1, q) is infinite below 1 and
         # t * (-log(1 - q)) = f at p = 0; I(0, q) is infinite above 0 and
         # t * (-log(q)) = f at p = 1.
-        shape = np.broadcast(p, target, upper).shape
-        out = np.empty(shape)
-        np.negative(target, out)
+        out = np.negative(target)
         if upper is False:
             use_p = p < 1.0
             np.exp(out, out)
@@ -321,16 +345,9 @@ def _solve_probability(p_hat, pulls, budget, upper):
         inner &= target > 0.0
     at = np.flatnonzero(inner)
     if at.size:
-
-        def interior(a):
-            return (a if a.shape == shape else np.broadcast_to(a, shape)).take(at)
-
-        p, t, target = interior(p), interior(t), interior(target)
         if not isinstance(upper, bool):
-            upper = interior(upper)
-        out.put(at, _solve_log_space(p, t, target, upper)[0])
-    if out.ndim == 0:
-        return float(out)
+            upper = upper.take(at)
+        out.put(at, _solve_log_space(p.take(at), t.take(at), target.take(at), upper)[0])
     return out
 
 

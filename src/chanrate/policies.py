@@ -41,7 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from .graph import NeighborhoodGraph, build_graph
-from .klstats import _allowance_vec, _solve_probability, allowance
+from .klstats import _allowance_vec, _solve_trusted, allowance
 from .model import RateSet
 
 __all__ = [
@@ -183,15 +183,17 @@ class CrsTPolicy(BasePolicy):
         S, C, K = self._batch, self._channels, self._n_rates
         self._upper = np.repeat([False, True, True, True], S * C)
         # Tables by leader rate index k.  Out-of-range neighbours are clamped
-        # into the row here and masked by the validity tables.
+        # into the row, onto the leader itself.
         k = np.arange(K)
         self._bound_k = np.clip(k + self._OFFSETS, 0, K - 1)  # (4, K): each bound's rate
-        self._bound_r = self._r_row[self._bound_k]
-        self._has_below = k > 0
-        self._has_above = k < K - 1
-        near = k[:, None] + np.array([-1, 0, 1])  # (K, 3): the closed neighbourhood
-        self._near_k = np.clip(near, 0, K - 1)
-        self._near_out = (near < 0) | (near >= K)
+        # Each bound's rate, and what to add to its index: -inf for a missing
+        # neighbour, which then never beats the leader's lower index, else 0.
+        missing = self._bound_k != k + self._OFFSETS
+        self._bound_scale = np.stack([self._r_row[self._bound_k], np.where(missing, -np.inf, 0.0)])
+        # (K, 3): the closed neighbourhood, where a clamped neighbour is the
+        # leader again and so picks what the leader would.
+        self._near_k = np.clip(k[:, None] + np.array([-1, 0, 1]), 0, K - 1)
+        self._lanes3 = self._lanes * 3
         self._lane_c = self._lanes * C  # flat index of (lane, channel 0) in (S, C)
         self._chan_base = (self._lane_c[:, None] + np.arange(C)) * K  # of (lane, c, rate 0)
 
@@ -199,39 +201,30 @@ class CrsTPolicy(BasePolicy):
         S, C, K = self._batch, self._channels, self._n_rates
         # Each channel's leader; the first max is the smallest rate index.
         lead = np.argmax(self._rate.reshape(S, C, K) * self._r_row, axis=2)
-        at = (self._chan_base + self._bound_k[:, lead]).ravel()  # (4, S, C) bounds
+        at = (self._chan_base + self._bound_k.take(lead, axis=1)).ravel()  # (4, S, C) bounds
         self._ctx = lead
         return self._rate.take(at), self._pulls.take(at), self._scalar_budget(), self._upper
 
     def _finish(self, q: np.ndarray) -> np.ndarray:
         K = self._n_rates
         lead = self._ctx
+        scale = self._bound_scale.take(lead, axis=2)
         q = q.reshape(4, self._batch, self._channels)
-        q *= self._bound_r[:, lead]
+        q *= scale[0]
+        q += scale[1]
         lcb, below, above, ucb = q
-        sup = np.maximum(
-            np.where(self._has_below[lead], below, -np.inf),
-            np.where(self._has_above[lead], above, -np.inf),
-        )
-        undecided = lcb < sup  # leader not yet separated from its rate neighbors
+        undecided = lcb < np.maximum(below, above)  # leader not yet separated
         explore = undecided.any(axis=1)
-
-        # Exploration: lowest undecided channel, least-pulled rate among the
-        # leader's closed neighborhood (ties to the smallest rate index).
-        ch_ex = np.argmax(undecided, axis=1)
-        row_ex = self._lane_c + ch_ex
-        lead_ex = lead.take(row_ex)
-        cand = self._near_k[lead_ex]
-        pulls_c = self._pulls.take(row_ex[:, None] * K + cand)
-        pulls_c = np.where(self._near_out[lead_ex], np.inf, pulls_c)
-        k_ex = cand.take(self._lanes * 3 + np.argmin(pulls_c, axis=1))
-        flat_ex = ch_ex * K + k_ex
-
-        # Exploitation: leader with the highest upper index across channels.
-        ch_xp = np.argmax(ucb, axis=1)
-        flat_xp = ch_xp * K + lead.take(self._lane_c + ch_xp)
-
-        return np.where(explore, flat_ex, flat_xp)
+        # Exploration probes the lowest undecided channel at the least-pulled
+        # rate of its leader's closed neighbourhood (ties to the smallest rate
+        # index); exploitation plays the leader of highest upper index.
+        ch = np.where(explore, np.argmax(undecided, axis=1), np.argmax(ucb, axis=1))
+        row = self._lane_c + ch
+        lead_ch = lead.take(row)
+        cand = self._near_k.take(lead_ch, axis=0)
+        pulls = self._pulls.take(row[:, None] * K + cand)
+        k_ex = cand.take(self._lanes3 + np.argmin(pulls, axis=1))
+        return ch * K + np.where(explore, k_ex, lead_ch)
 
 
 class KlUcbUPolicy(BasePolicy):
@@ -263,10 +256,15 @@ class KlUcbUPolicy(BasePolicy):
         super().__init__(rates, channels, window=window, batch=batch)
         self.graph = build_graph(channels, self._n_rates)
         self._cand_table = self._build_candidates(self.graph, strict)
+        self._width = self._cand_table.shape[1]
         self._safe_table = np.maximum(self._cand_table, 0)  # padding clamped to pair 0
-        self._r_cand = self._r_flat[self._safe_table]
+        # Each candidate's rate, and what to add to its index: -inf for padding, else 0.
+        pad = np.where(self._cand_table < 0, -np.inf, 0.0)
+        self._cand_scale = np.stack([self._r_flat[self._safe_table], pad])
+        self._lane_rows = self._lane_base[:, None]
         self._lead_counts = np.zeros((batch, self._n_pairs), dtype=np.int64)
         self._leader = np.zeros(batch, dtype=np.int64)
+        self._v_lead = np.zeros(batch, dtype=np.int64)  # the leader's count
         if window is not None:
             self._lead_ring = np.full((batch, window), -1, dtype=np.int64)
 
@@ -299,30 +297,27 @@ class KlUcbUPolicy(BasePolicy):
                 old = self._lane_base + self._lead_ring[:, pos]
                 self._lead_counts.put(old, self._lead_counts.take(old) - 1)
             self._lead_ring[:, pos] = self._leader
-        self._lead_counts.put(at, self._lead_counts.take(at) + 1)
+        self._v_lead = self._lead_counts.take(at) + 1
+        self._lead_counts.put(at, self._v_lead)
 
     def _request(self):
-        lead = self._leader
         if self.gamma == 0:  # single-vertex graph: the leader is the only pair
             return None
-        v_lead = self._lead_counts.take(self._lane_base + lead)
-        f = _allowance_vec(v_lead.astype(float))
-        cands = self._cand_table[lead]
-        at = (self._lane_base[:, None] + self._safe_table[lead]).ravel()
-        self._ctx = v_lead, cands
-        return self._rate.take(at), self._pulls.take(at), np.repeat(f, cands.shape[1]), True
+        f = _allowance_vec(self._v_lead.astype(float))
+        at = (self._lane_rows + self._safe_table.take(self._leader, axis=0)).ravel()
+        return self._rate.take(at), self._pulls.take(at), np.repeat(f, self._width), True
 
     def _finish(self, q: np.ndarray | None) -> np.ndarray:
         lead = self._leader
         if q is None:
             return lead.copy()
-        v_lead, cands = self._ctx
-        forced = (v_lead - 1) % self.gamma == 0
-        q = q.reshape(cands.shape)
-        q *= self._r_cand[lead]
-        q[cands < 0] = -np.inf
+        forced = (self._v_lead - 1) % self.gamma == 0
+        scale = self._cand_scale.take(lead, axis=1)
+        q = q.reshape(self._batch, self._width)
+        q *= scale[0]
+        q += scale[1]
         best_col = np.argmax(q, axis=1)  # candidate rows sorted: first max wins
-        pick = cands.take(self._lanes * cands.shape[1] + best_col)
+        pick = self._cand_table.take(lead * self._width + best_col)
         return np.where(forced, lead, pick)
 
 
@@ -342,7 +337,7 @@ def select_all(policies: list[BasePolicy]) -> list[np.ndarray]:
     requests = [None if w else policy._request() for policy, w in zip(policies, warming)]
     live = [r for r in requests if r is not None]
     if len(live) == 1:
-        q = _solve_probability(*live[0])
+        q = _solve_trusted(*live[0])
         bounds = [None if r is None else q for r in requests]
     elif live:
         ends = list(itertools.accumulate(r[0].size for r in live))
@@ -350,13 +345,11 @@ def select_all(policies: list[BasePolicy]) -> list[np.ndarray]:
         directions = [r[3] for r in live]
         one_way = all(type(u) is bool for u in directions) and len(set(directions)) == 1
         upper = directions[0] if one_way else np.empty(ends[-1], dtype=bool)
-        a = 0
-        for r, b in zip(live, ends):
+        for r, a, b in zip(live, [0] + ends, ends):
             p[a:b], t[a:b], f[a:b] = r[:3]
             if not one_way:
                 upper[a:b] = r[3]
-            a = b
-        q = _solve_probability(p, t, f, upper)
+        q = _solve_trusted(p, t, f, upper)
         parts = iter([q[a:b] for a, b in zip([0] + ends, ends)])
         bounds = [None if r is None else next(parts) for r in requests]
     else:

@@ -301,6 +301,16 @@ def _crst_index(pulls, successes, rates, budget):
     return index
 
 
+def klucb_pick_reference(pulls, successes, rates, budget, ucb) -> int:
+    """Flat pair KL-UCB plays next for one lane, after its round-robin pass:
+    the highest ``ucb(p_hat, pulls, budget)`` times the rate over the ``(C,
+    K)`` pairs, the lowest flat index on ties.  The arguments are as in
+    ``crst_pick_reference``."""
+    index = _crst_index(pulls, successes, rates, budget)
+    values = [index(ucb, c, k) for c in range(len(pulls)) for k in range(len(rates))]
+    return values.index(max(values))
+
+
 def crst_leaders_reference(pulls, successes, rates, budget, ucb, lcb):
     """``(leaders, undecided)`` of one lane: each channel's leader and the
     undecided channels, 0-based, by the rule ``crst_pick_reference`` states;

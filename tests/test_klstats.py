@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanrate.klstats import allowance, kl_bernoulli, lcb_probability, ucb_probability
 
@@ -298,6 +300,73 @@ class TestSolverIndependence:
             np.testing.assert_array_equal(
                 klstats._solve_probability(p, t, f, np.full(p.size, u)), bound(p, t, f)
             )
+
+
+# One element of a solver call: a rate (often an endpoint, else successes
+# over pulls or any float in [0, 1]), a pull count (often 0), a budget (often
+# 0) and a direction.
+_PULLS = st.sampled_from([0, 1]) | st.integers(0, 10**6)
+_ELEMENT = st.tuples(
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | st.fractions(0, 1, max_denominator=500),
+    _PULLS,
+    st.sampled_from([0.0]) | st.floats(0.0, 30.0),
+    st.booleans(),
+)
+
+
+class TestTrustedEntry:
+    """``_solve_trusted``, which ``select_all`` calls without validation,
+    gives the validating entry's bits on every element."""
+
+    @staticmethod
+    def _call(solve, p, t, f, upper, at):
+        def part(a):
+            return a if np.ndim(a) == 0 else a[at]
+
+        return solve(p[at], t[at], part(f), part(upper))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(_ELEMENT, min_size=1, max_size=40),
+        direction=st.sampled_from([True, False, "mixed"]),
+        one_budget=st.booleans(),
+        float_pulls=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_the_validating_entry_bit_for_bit(
+        self, rows, direction, one_budget, float_pulls, data
+    ):
+        p, t, f, u = (np.array(column) for column in zip(*rows))
+        p = p.astype(float)
+        t = t.astype(float if float_pulls else np.int64)  # select_all passes either
+        f = float(f[0]) if one_budget else f
+        upper = u if direction == "mixed" else direction
+        got = klstats._solve_trusted(p, t, f, upper)
+        want = klstats._solve_probability(p, t, f, upper)
+        assert got.dtype == np.float64 and got.shape == p.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        # Neither the order of the batch nor the rest of it changes an element.
+        n = p.size
+        order = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+        some = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        alone = [np.array([i]) for i in range(n)]
+        for at in [order, some, *alone]:
+            again = self._call(klstats._solve_trusted, p, t, f, upper, at)
+            np.testing.assert_array_equal(again.view(np.int64), got[at].view(np.int64))
+
+    @pytest.mark.parametrize("upper", [True, False, "mixed"])
+    def test_a_call_with_no_interior_element(self, upper):
+        # Endpoint rates, unpulled pairs and zero budgets have closed forms.
+        p = np.array([0.0, 1.0, 0.0, 1.0, 0.3, 0.3, 0.0, 1.0, 0.5])
+        t = np.array([4, 7, 0, 0, 0, 9, 0, 3, 0])
+        f = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0])
+        directions = np.arange(p.size) % 2 == 0 if upper == "mixed" else upper
+        got = klstats._solve_trusted(p, t, f, directions)
+        want = klstats._solve_probability(p, t, f, directions)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        up = np.broadcast_to(directions, p.shape)
+        np.testing.assert_array_equal(got[t == 0], up[t == 0].astype(float))
+        np.testing.assert_array_equal(got[(f == 0) & (t > 0)], p[(f == 0) & (t > 0)])
 
 
 class TestSolverAgainstHighPrecision:

@@ -17,7 +17,13 @@ from chanrate.klstats import allowance, lcb_probability, ucb_probability
 from chanrate.model import RateSet, flat_to_pair
 from chanrate.policies import KlUcbPolicy, build_policy, check_policy_kind, select_all
 
-from _oracles import assert_same_bits, crst_leaders_reference, crst_pick_reference, step_policy
+from _oracles import (
+    assert_same_bits,
+    crst_leaders_reference,
+    crst_pick_reference,
+    klucb_pick_reference,
+    step_policy,
+)
 
 RATES2 = RateSet.of([1.0, 2.0])
 
@@ -169,6 +175,42 @@ class TestWindowing:
     def test_window_validation(self):
         with pytest.raises(ValueError, match="window"):
             build_policy("kl-ucb", RATES2, 1, window=-1)
+
+
+class TestWindowShorterThanThePairs:
+    """A window of 1 on a 2x3 table keeps only the last pick: after the
+    round robin every other pair is back to 0 pulls, and the budget
+    allowance(1) is 0, so each slot solves bounds at t = 0 and at f = 0."""
+
+    @pytest.mark.parametrize("kinds", [("kl-ucb",), ("crs-t",), ("kl-ucb", "crs-t")])
+    def test_picks_match_the_scalar_bounds(self, kinds):
+        rates = np.array([1.0, 2.0, 3.0])
+        theta = np.array([[0.9, 0.6, 0.2], [0.8, 0.7, 0.5]]).ravel()
+        lanes, shape = 4, (4, 2, 3)
+        group = [build_policy(kind, rates, channels=2, batch=lanes, window=1) for kind in kinds]
+        rng = np.random.default_rng(29)
+        budget = allowance(1)
+        assert budget == 0.0
+        for n in range(80):
+            wants = []
+            for kind, policy in zip(kinds, group):
+                if n < theta.size:
+                    wants.append(np.full(lanes, n))
+                    continue
+                assert (policy._pulls.sum(axis=1) == 1).all()  # the rest went back to 0
+                counts = zip(policy._pulls.reshape(shape), policy._successes.reshape(shape))
+                if kind == "kl-ucb":
+                    want = [klucb_pick_reference(*c, rates, budget, ucb_probability) for c in counts]
+                else:
+                    want = [
+                        crst_pick_reference(*c, rates, budget, ucb_probability, lcb_probability)
+                        for c in counts
+                    ]
+                wants.append(want)
+            outcomes = rng.random(lanes)
+            for policy, flats, want in zip(group, select_all(group), wants):
+                assert flats.tolist() == list(want)
+                policy._record(flats, (outcomes < theta[flats]).astype(np.int64))
 
 
 class TestRateStore:
