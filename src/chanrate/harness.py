@@ -7,9 +7,12 @@ totals pass reads only the success probabilities: the oracle's reward, each
 pair's total (hence the static pick) and the best pair of every step.  The
 main pass draws each block's outcomes once (only the cells the baselines
 read when no learning policy runs); the learning policies step through it
-together, one solver call per slot for all their confidence bounds, and one
-ledger per policy then accounts the block's picks.  Regret
-is tracked two ways:
+together, with one solver call per slot for all their confidence bounds and
+one statistics store that a single record step updates for all of them.
+Then one ledger per policy accounts the block's picks, except that
+``static`` shares the oracle's ledger when the best pair is the static pick
+at every step, as in every stationary environment.  Regret is tracked two
+ways:
 
 * slot accounting: every transmission costs one slot; the pseudo-regret
   trajectory ``sum(mu_star(n) - mu_chosen(n))`` is sampled at checkpoints.
@@ -60,7 +63,7 @@ from .model import (
     load_theta_csv,
     pair_to_flat,
 )
-from .policies import POLICY_KINDS, build_policy, check_policy_kind, select_all
+from .policies import POLICY_KINDS, _Store, build_policy, check_policy_kind, record, select_all
 
 __all__ = [
     "AccountingReport",
@@ -329,7 +332,7 @@ class ExperimentConfig:
             raise ValueError(f"policies must be a list, got {data['policies']!r}")
         seeds = data["seeds"]
         if not isinstance(seeds, (list, tuple)):
-            seeds = range(1, _json_int(seeds, "seeds") + 1)
+            seeds = _seed_range(_json_int(seeds, "seeds"))
         occupancy = data.get("occupancy")
         out_dir = data.get("out_dir", "results")
         if not isinstance(out_dir, str):
@@ -359,7 +362,20 @@ class ExperimentConfig:
         """Replace the seed list with 1..n (CLI --seeds override)."""
         if n < 1:
             raise ValueError("need at least one seed")
-        return dataclasses.replace(self, seeds=tuple(range(1, n + 1)))
+        return dataclasses.replace(self, seeds=tuple(_seed_range(n)))
+
+
+# Bytes a seed takes while a config is built and checked: its int, its
+# slots in the seed tuples and its entry in the distinctness set (90
+# measured at 10^6 seeds).
+_SEED_BYTES = 128
+
+
+def _seed_range(n: int) -> range:
+    """Seeds 1..n, once their config fits in physical memory: a count too
+    large is rejected before its seed list is built."""
+    _require_memory(n * _SEED_BYTES, f"{n} seeds")
+    return range(1, n + 1)
 
 
 def default_checkpoints(slots: int) -> tuple[int, ...]:
@@ -491,6 +507,10 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
     ring).  The result phase repeats each baseline's result tables to every
     lane.  The outcome tape's batch of seed states is not counted: it has a
     fixed bound, ``environments._STATE_BATCH`` lane-chunks (512 KB).
+
+    The check runs before the totals pass, so it cannot know whether
+    ``static`` will share the oracle's ledger (see ``_simulate``); it counts
+    a decision log and outcome bytes for each, which errs on the safe side.
     """
     S, P = len(config.seeds), config.channels * config.n_rates
     pair = np.min_scalar_type(P - 1).itemsize
@@ -604,51 +624,67 @@ def _simulate(
 ) -> list["_Ledger"]:
     """The main pass: one walk over the blocks.  With a learning policy each
     block's outcomes are drawn once, and the learning policies step through
-    it together (one solver call per slot for all their bounds) and store
+    it together (one solver call per slot for all their bounds, one
+    statistics store and one record of every learner's outcomes) and store
     their picks and outcomes.  The baselines' picks are known in advance;
     without a learner only the cells they read are drawn, once for the two
-    when they play the same pairs.  Then one ledger per policy, returned in
-    ``config.policies`` order, accounts the block."""
+    when they play the same pairs.  Then each ledger accounts the block.
+    The ledgers are returned in ``config.policies`` order; when the best
+    pair is the static pick at every step, ``static`` and ``oracle`` play
+    the same pairs and share one ledger."""
     S, P = len(run.tape.seeds), run.r_flat.size
+    learners = [spec for spec in config.policies if not spec.is_baseline]
+    store = _Store(len(learners), S, P)
     policies = [
         build_policy(
-            spec.kind, config.rates, config.channels, window=spec.window, batch=S, strict=spec.strict
+            spec.kind, config.rates, config.channels, window=spec.window, batch=S,
+            strict=spec.strict, store=store,
         )
-        for spec in config.policies
-        if not spec.is_baseline
+        for spec in learners
     ]
-    ledgers = [_Ledger(run, 1 if spec.is_baseline else S) for spec in config.policies]
-    shape = (len(policies), min(_BLOCK, run.slots), S)
+    learned = [_Ledger(run, S) for _ in policies]
+    same = best_flats.min() == static_flat == best_flats.max()  # no slots-long temporary
+
+    def plays(spec: PolicySpec) -> str:
+        """The baseline kind whose pairs ``spec`` plays."""
+        return "oracle" if same else spec.kind
+
+    kinds = dict.fromkeys(plays(spec) for spec in config.policies if spec.is_baseline)
+    baselines = {kind: _Ledger(run, 1) for kind in kinds}
+    shape = (min(_BLOCK, run.slots), len(policies), S)
     picks = np.empty(shape, dtype=np.min_scalar_type(P - 1))
     wins = np.empty(shape, dtype=np.uint8)
-    lanes = np.arange(S)
     for n0, n1, th_b, mu_b in run.blocks():
         B = n1 - n0
         if policies:
-            outs = run.tape.block(n0, n1).reshape(S, B, P)
+            outs = run.tape.block(n0, n1).reshape(-1)  # (S, B, P), flat
+            cells = np.arange(0, S * B * P, B * P)  # each lane's cell of pair 0 at the step
             for i in range(B):
-                for policy, flats, pk, won in zip(policies, select_all(policies), picks, wins):
-                    won[i] = outs[lanes, i, flats]
-                    policy._record(flats, won[i])
-                    pk[i] = flats
+                pk, won = picks[i], wins[i]
+                for row, flats in zip(pk, select_all(policies)):
+                    row[...] = flats
+                # The cells are in range; "clip" writes to ``won`` unbuffered.
+                outs.take(pk + cells, out=won, mode="clip")
+                record(policies, pk, won)
+                cells += P
         mu_star_b = mu_b.max(axis=1)
-        learned = zip(picks[:, :B], wins[:, :B])
+        for l, led in enumerate(learned):
+            led.account(n0, picks[:B, l], wins[:B, l], mu_b, mu_star_b)
         drawn = []  # (flats, wins) of this block's baselines so far
-        for spec, led in zip(config.policies, ledgers):
-            if spec.is_baseline:
-                flats = best_flats[n0:n1] if spec.kind == "oracle" else np.full(B, static_flat)
-                won = next((w for f, w in drawn if np.array_equal(f, flats)), None)
-                if won is None:
-                    if policies:
-                        won = outs[:, np.arange(B), flats].T
-                    else:
-                        won = run.tape.cells(n0, n1, flats, th_b).T
-                    drawn.append((flats, won))
-                pk = flats[:, None]
-            else:
-                pk, won = next(learned)
-            led.account(n0, pk, won, mu_b, mu_star_b)
-    return ledgers
+        for kind, led in baselines.items():
+            flats = best_flats[n0:n1] if kind == "oracle" else np.full(B, static_flat)
+            won = next((w for f, w in drawn if np.array_equal(f, flats)), None)
+            if won is None:
+                if policies:
+                    won = outs.reshape(S, B, P)[:, np.arange(B), flats].T
+                else:
+                    won = run.tape.cells(n0, n1, flats, th_b).T
+                drawn.append((flats, won))
+            led.account(n0, flats[:, None], won, mu_b, mu_star_b)
+    learned = iter(learned)
+    return [
+        baselines[plays(spec)] if spec.is_baseline else next(learned) for spec in config.policies
+    ]
 
 
 def _tally(picks: np.ndarray, pairs: int) -> np.ndarray:
@@ -685,6 +721,7 @@ class _Ledger:
         self.traj = np.empty((rows, len(self.cps)))
         self.decisions = np.empty(run.slots, dtype=np.min_scalar_type(run.r_flat.size - 1))
         self.counts = self.frozen = None
+        self.handed_out = False  # whether result() has given out the arrays
         if run.time_horizon is not None:
             self.inv_r = 1.0 / run.r_flat
             self.counts = np.zeros_like(self.pulls)
@@ -724,31 +761,30 @@ class _Ledger:
             self.frozen[row] = True
 
     def result(self, spec: PolicySpec) -> PolicyRunResult:
+        """``spec``'s result.  A ledger that two baselines share hands the
+        second its own copies, so no two results share an array."""
         run = self.run
         S = len(run.tape.seeds)
 
         def lanes(x):
             return x if len(x) == S else np.repeat(x, S, axis=0)
 
-        kwargs = {}
+        arrays = {
+            "trajectories": lanes(self.traj),
+            "pulls": lanes(self.pulls),
+            "expected_reward": lanes(self.expected),
+            "realized_reward": self.realized,
+            "decisions": self.decisions,
+        }
         if run.time_horizon is not None:
             counts = lanes(self.counts)
-            kwargs = {
-                "packet_counts": counts,
-                "time_used": _flat_sum(counts, self.inv_r),
-                "time_regret": run.time_benchmark - _flat_sum(counts, run.th_flat),
-            }
-        return PolicyRunResult(
-            spec=spec,
-            label=spec.label,
-            checkpoints=run.checkpoints,
-            trajectories=lanes(self.traj),
-            pulls=lanes(self.pulls),
-            expected_reward=lanes(self.expected),
-            realized_reward=self.realized,
-            decisions=self.decisions,
-            **kwargs,
-        )
+            arrays["packet_counts"] = counts
+            arrays["time_used"] = _flat_sum(counts, self.inv_r)
+            arrays["time_regret"] = run.time_benchmark - _flat_sum(counts, run.th_flat)
+        if self.handed_out:
+            arrays = {name: x.copy() for name, x in arrays.items()}
+        self.handed_out = True
+        return PolicyRunResult(spec=spec, label=spec.label, checkpoints=run.checkpoints, **arrays)
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,18 @@ Policies are vectorized over ``batch`` independent replications that
 advance in lock-step (one per environment seed); a batch of 1 is one run.
 There is one way to step a policy: :func:`select_all` returns the flat pair
 ``c * K + k`` (0-based channel and rate indices) each replication uses for
-the next transmission, and ``_record(flats, outcomes)`` then feeds back
-their acknowledgement bits.
+the next transmission, and :func:`record` then feeds back their
+acknowledgement bits.
 
-Each policy keeps its statistics per (lane, pair): pull and success counts
-and, beside them, the empirical success rates ``successes / pulls`` (0.0
-where a pair has no pulls).  ``_record`` and ``_evict`` are the only writers
-of this store, and each touches only the one (lane, pair) element a lane
-pulls or a window drops, so a step costs no full-table recomputation of the
-rates.  Elements are addressed by flat index ``lane * pairs + pair``.
+The learners of a run keep their statistics in one store (``_Store``):
+pull and success counts and, beside them, the empirical success rates
+``successes / pulls`` (0.0 where a pair has no pulls), per (learner, lane,
+pair).  A policy's ``_pulls``, ``_successes`` and ``_rate`` are its row
+views; a policy built alone has a store of its own.  :func:`record` and
+``_evict`` are the only writers of the store, and each touches only the
+one (lane, pair) element a lane pulls or a window drops, so a step costs no
+full-table recomputation of the rates.  :func:`record` steps every policy
+of a store with one gather and one scatter.
 
 Selection is split in two so that many policies can share one solver call:
 a policy first requests the confidence bounds its next pick needs, as flat
@@ -50,12 +53,34 @@ __all__ = [
     "KlUcbPolicy",
     "KlUcbUPolicy",
     "build_policy",
+    "record",
     "select_all",
 ]
 
 
+class _Store:
+    """The statistics of the learners that step together, one row each:
+    pull and success counts and the empirical rates ``successes / pulls``
+    (0.0 where a pair has no pulls), ``(learners, lanes, pairs)`` arrays.
+    Element ``(l, lane, pair)`` has flat index ``base[l, lane] + pair``."""
+
+    def __init__(self, learners: int, batch: int, pairs: int) -> None:
+        shape = (learners, batch, pairs)
+        self.pulls = np.zeros(shape, dtype=np.int64)
+        self.successes = np.zeros(shape, dtype=np.int64)
+        self.rate = np.zeros(shape)
+        self.base = np.arange(0, learners * batch * pairs, pairs).reshape(learners, batch)
+        # Rows given to policies so far.  The store holds no reference to
+        # them, so a run's store and policies form no cycle and are freed as
+        # soon as the run drops them.
+        self.taken = 0
+
+
 class BasePolicy:
-    """Shared bookkeeping: counts, round-robin prefix, windowing, batching."""
+    """Shared bookkeeping: counts, round-robin prefix, windowing, batching.
+
+    A policy takes the next free row of ``store``, or a store of its own
+    when none is given."""
 
     def __init__(
         self,
@@ -64,6 +89,7 @@ class BasePolicy:
         *,
         window: int | None = None,
         batch: int = 1,
+        store: _Store | None = None,
     ) -> None:
         self._rates = rates if isinstance(rates, RateSet) else RateSet.of(rates)
         if channels < 1:
@@ -79,37 +105,28 @@ class BasePolicy:
         self._window = window
         self._r_flat = np.tile(self._rates.as_array(), channels)
         self._r_row = self._rates.as_array()
-        self._lanes = np.arange(batch)
-        self._lane_base = self._lanes * P  # flat index of (lane, pair 0)
         self._step = 0  # completed transmissions, identical across the batch
-        self._pulls = np.zeros((batch, P), dtype=np.int64)
-        self._successes = np.zeros((batch, P), dtype=np.int64)
-        self._rate = np.zeros((batch, P))  # successes / pulls, 0.0 where unpulled
+        if store is None:
+            store = _Store(1, batch, P)
+        if store.pulls.shape[1:] != (batch, P) or store.taken == len(store.pulls):
+            raise ValueError(f"no free ({batch}, {P}) row in the store")
+        self._store, self._row = store, store.taken
+        store.taken += 1
+        self._lane_base = store.base[0]  # flat index of (lane, pair 0) in a row
+        self._view_row()
         if window is not None:
             self._ring_pair = np.full((batch, window), -1, dtype=np.int64)
             self._ring_out = np.zeros((batch, window), dtype=np.int8)
             self._ring_pos = 0
 
-    def _record(self, flats: np.ndarray, outcomes: np.ndarray) -> None:
-        """Record the 0/1 outcomes of the pick :func:`select_all` just made,
-        trusted as given: one per lane, for the flat pairs ``flats``."""
-        if self._window is not None:
-            self._evict()
-            pos = self._ring_pos
-            self._ring_pair[:, pos] = flats
-            self._ring_out[:, pos] = outcomes
-        at = self._lane_base + flats
-        pulls = self._pulls.take(at)
-        pulls += 1
-        successes = self._successes.take(at)
-        successes += outcomes
-        self._pulls.put(at, pulls)
-        self._successes.put(at, successes)
-        self._rate.put(at, successes / pulls)
-        self._step += 1
-        self._after_update()
-        if self._window is not None:
-            self._ring_pos = (self._ring_pos + 1) % self._window
+    def _view_row(self) -> None:
+        store, row = self._store, self._row
+        self._pulls, self._successes = store.pulls[row], store.successes[row]
+        self._rate = store.rate[row]
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._view_row()  # a copy's row views view the copy's store
 
     # -- subclass hooks ---------------------------------------------------
 
@@ -193,8 +210,9 @@ class CrsTPolicy(BasePolicy):
         # (K, 3): the closed neighbourhood, where a clamped neighbour is the
         # leader again and so picks what the leader would.
         self._near_k = np.clip(k[:, None] + np.array([-1, 0, 1]), 0, K - 1)
-        self._lanes3 = self._lanes * 3
-        self._lane_c = self._lanes * C  # flat index of (lane, channel 0) in (S, C)
+        lanes = np.arange(S)
+        self._lanes3 = lanes * 3
+        self._lane_c = lanes * C  # flat index of (lane, channel 0) in (S, C)
         self._chan_base = (self._lane_c[:, None] + np.arange(C)) * K  # of (lane, c, rate 0)
 
     def _request(self):
@@ -252,8 +270,9 @@ class KlUcbUPolicy(BasePolicy):
         window: int | None = None,
         batch: int = 1,
         strict: bool = False,
+        store: _Store | None = None,
     ) -> None:
-        super().__init__(rates, channels, window=window, batch=batch)
+        super().__init__(rates, channels, window=window, batch=batch, store=store)
         self.graph = build_graph(channels, self._n_rates)
         self._cand_table = self._build_candidates(self.graph, strict)
         self._width = self._cand_table.shape[1]
@@ -330,8 +349,8 @@ def select_all(policies: list[BasePolicy]) -> list[np.ndarray]:
     lone request goes to the solver as it is, and requests that all ask for
     the same direction pass it as one bool.  Each element's bound is the one
     a call on it alone gives, so a policy's picks do not depend on the
-    policies it steps with.  Each policy's ``_record`` of the picks'
-    outcomes completes the step.
+    policies it steps with.  :func:`record` of the picks' outcomes
+    completes the step.
     """
     warming = [policy._step < policy._n_pairs for policy in policies]
     requests = [None if w else policy._request() for policy, w in zip(policies, warming)]
@@ -358,6 +377,38 @@ def select_all(policies: list[BasePolicy]) -> list[np.ndarray]:
         np.full(policy._batch, policy._step, dtype=np.int64) if w else policy._finish(q)
         for policy, w, q in zip(policies, warming, bounds)
     ]
+
+
+def record(policies: list[BasePolicy], flats: np.ndarray, outcomes: np.ndarray) -> None:
+    """Record the 0/1 outcomes of the picks :func:`select_all` just made for
+    ``policies``, every policy of one store in row order, trusted as given:
+    ``flats`` and ``outcomes`` hold one row per policy and one column per
+    lane.  Each windowed policy first drops its oldest step; then one
+    gather and scatter updates every policy's counts and rates, and each
+    policy's ``_after_update`` runs."""
+    store = policies[0]._store
+    if len(policies) != len(store.pulls) or any(
+        policy._store is not store or policy._row != row for row, policy in enumerate(policies)
+    ):
+        raise ValueError("record steps every policy of one store, in row order")
+    for policy, f, o in zip(policies, flats, outcomes):
+        if policy._window is not None:
+            policy._evict()
+            policy._ring_pair[:, policy._ring_pos] = f
+            policy._ring_out[:, policy._ring_pos] = o
+    at = store.base + flats
+    pulls = store.pulls.take(at)
+    pulls += 1
+    successes = store.successes.take(at)
+    successes += outcomes
+    store.pulls.put(at, pulls)
+    store.successes.put(at, successes)
+    store.rate.put(at, successes / pulls)
+    for policy in policies:
+        policy._step += 1
+        policy._after_update()
+        if policy._window is not None:
+            policy._ring_pos = (policy._ring_pos + 1) % policy._window
 
 
 # Every policy kind a run accepts: the class that learns it, or None for a
@@ -397,15 +448,17 @@ def build_policy(
     window: int | None = None,
     batch: int = 1,
     strict: bool = False,
+    store: _Store | None = None,
 ) -> BasePolicy:
     """Construct a learning policy by kind name ("kl-ucb", "crs-t", "kl-ucb-u").
 
     ``strict`` only applies to "kl-ucb-u" and removes the leader from the
-    non-forced candidate set.
+    non-forced candidate set.  The policy takes the next row of ``store``,
+    or a store of its own.
     """
     key = check_policy_kind(kind, window=window, strict=strict)
     cls = POLICY_KINDS[key]
     if cls is None:
         raise ValueError(f"{key} is a baseline, not a learning policy")
     extra = {"strict": True} if strict else {}
-    return cls(rates, channels, window=window, batch=batch, **extra)
+    return cls(rates, channels, window=window, batch=batch, store=store, **extra)

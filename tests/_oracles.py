@@ -3,7 +3,8 @@
 Everything here is written the straightforward, slow way on purpose: each
 function re-derives its quantity from first principles so the package and
 the tests cannot share a bug.  Keep these free of imports from the package
-internals beyond plain data types and ``select_all``, which steps a policy.
+internals beyond plain data types and ``select_all`` and ``record``, which
+step a policy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from chanrate.policies import select_all
+from chanrate.policies import record, select_all
 
 
 def kl_closed_form(p: float, q: float) -> float:
@@ -125,10 +126,10 @@ def bound_sum_structure_blind(theta: np.ndarray, rates: np.ndarray) -> float | N
 
 def step_policy(policy, outcome) -> np.ndarray:
     """Step ``policy`` once, as a run does: its picks from
-    ``select_all([policy])``, then ``_record`` of the 0/1 outcomes
+    ``select_all([policy])``, then ``record`` of the 0/1 outcomes
     ``outcome(flats)`` gives, one per lane.  Returns the flat picks."""
     flats = select_all([policy])[0]
-    policy._record(flats, np.asarray(outcome(flats), dtype=np.int64))
+    record([policy], flats[None], np.asarray(outcome(flats), dtype=np.int64)[None])
     return flats
 
 

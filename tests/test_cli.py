@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chanrate
+from chanrate import harness
 from chanrate.cli import main
 
 from _oracles import write_theta_csv
@@ -128,6 +129,19 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "physical memory" in err
             assert not (tmp_path / "results").exists()
+
+    def test_seed_count_beyond_memory_is_rejected_up_front(self, config_file, monkeypatch, capsys):
+        """10^5 seeds on a host of 4 MiB, from the config and from --seeds."""
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+        monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
+        big = config_file.with_name("big.json")
+        big.write_text(json.dumps(dict(json.loads(config_file.read_text()), seeds=10**5)))
+        for argv in (["--config", str(big)], ["--config", str(config_file), "--seeds", "100000"]):
+            assert main(["simulate", *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: 100000 seeds need about") and "physical memory" in err
+            assert err.count("\n") == 1
+            assert not (config_file.parent / "results").exists()
 
     @pytest.mark.parametrize(
         "command, patch",

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from chanrate.harness import (
     run_experiment,
 )
 from chanrate.model import RateSet, demo_model
-from chanrate.policies import build_policy
+from chanrate.policies import _Store, build_policy
 
 from _oracles import (
     assert_same_bits,
@@ -96,6 +98,18 @@ class TestExperimentConfig:
             config_2x2(trace=TraceTable(starts=(0,), tables=(np.full((2, 2), 0.5),)))
         with pytest.raises(ValueError, match="exactly one"):
             config_2x2(theta=None)
+
+    def test_a_seed_count_beyond_memory_is_rejected_before_its_list_is_built(self, monkeypatch):
+        """On a host of 4 MiB, 10^5 seeds (12.8 MB at 128 bytes a seed) are
+        rejected by ``from_json_dict`` and by ``with_seeds``."""
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+        monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
+        data = {"rates": [1.0, 2.0], "theta": [[0.9, 0.6], [0.5, 0.3]], "policies": [{"kind": "oracle"}]}
+        with pytest.raises(ValueError, match="100000 seeds need about .* physical memory"):
+            ExperimentConfig.from_json_dict({**data, "horizon": 16, "seeds": 10**5})
+        config = ExperimentConfig.from_json_dict({**data, "horizon": 16, "seeds": 10**4})
+        with pytest.raises(ValueError, match="100000 seeds need about .* physical memory"):
+            config.with_seeds(10**5)
 
     def test_occupancy_needs_theta(self):
         trace = TraceTable(starts=(0,), tables=(np.full((2, 2), 0.5),))
@@ -205,6 +219,24 @@ class TestDefaultCheckpoints:
 
 
 class TestRunExperiment:
+    def test_a_run_frees_its_learners_without_the_cycle_collector(self, monkeypatch):
+        """A run's store and policies form no reference cycle, so they are
+        freed when the run returns: a repeated run holds one run's arrays."""
+        stores = []
+
+        class Tracked(_Store):
+            def __init__(self, *args):
+                super().__init__(*args)
+                stores.append(weakref.ref(self))
+
+        monkeypatch.setattr(harness, "_Store", Tracked)
+        gc.disable()
+        try:
+            run_experiment(config_2x2(horizon=64, policies=_LEARNERS))
+        finally:
+            gc.enable()
+        assert len(stores) == 1 and stores[0]() is None
+
     def test_stationary_invariants(self):
         config = config_2x2()
         result = run_experiment(config)
@@ -510,6 +542,52 @@ class TestBaselinesAgainstReference:
         assert counts == {"_seed_states": 6, "theta_block": 2 * 39}
 
 
+def _count_accounts(monkeypatch) -> list:
+    """The ``n0`` of every ``_Ledger.account`` call from now on."""
+    calls = []
+    account = harness._Ledger.account
+    monkeypatch.setattr(
+        harness._Ledger, "account", lambda led, n0, *args: calls.append(n0) or account(led, n0, *args)
+    )
+    return calls
+
+
+class TestSharedBaselineLedger:
+    """``static`` and ``oracle`` share one ledger when the best pair is the
+    static pick at every step, and keep one each when it moves."""
+
+    @pytest.mark.parametrize("seeds", [(1,), (1, 2, 3)])
+    def test_a_fixed_best_pair_accounts_each_block_once(self, monkeypatch, seeds):
+        calls = _count_accounts(monkeypatch)
+        result = run_experiment(
+            config_2x2(policies=_BASELINES[:2], horizon=600, seeds=seeds, accounting="both")
+        )
+        assert set(result.best_flats) == {result.static_flat}
+        assert calls == [0, 512, 1024]  # 1200 slots: the budget at the top rate
+        oracle, static = result.policy("oracle"), result.policy("static")
+        for name in _RESULT_FIELDS:
+            assert_same_bits(getattr(static, name), getattr(oracle, name))
+        # Each result owns its arrays: editing one leaves the other as it was.
+        for name in _RESULT_FIELDS:
+            got, want = getattr(oracle, name), getattr(static, name).copy()
+            got += 1
+            assert_same_bits(getattr(static, name), want)
+
+    def test_a_moving_best_pair_accounts_each_block_twice(self, monkeypatch):
+        calls = _count_accounts(monkeypatch)
+        t0 = np.array([[0.95, 0.5, 0.2], [0.9, 0.75, 0.3]])
+        trace = TraceTable(starts=(0, 700), tables=(t0, t0[::-1]), horizon=1100)
+        result = run_experiment(
+            ExperimentConfig(
+                rates=RateSet.of([31 / 32, 1.1, 2.3]), trace=trace, policies=_BASELINES[:2],
+                horizon=1100, seeds=(1, 2),
+            )
+        )
+        assert calls == [0, 0, 512, 512, 1024, 1024]
+        assert (result.policy("static").final_regret > 0).all()
+        assert (result.policy("oracle").final_regret == 0).all()
+
+
 _LEARNERS = (
     PolicySpec("kl-ucb"),
     PolicySpec("kl-ucb-u", window=200),
@@ -643,6 +721,15 @@ def _lock_step_configs():
         policies=(
             PolicySpec("oracle"), PolicySpec("kl-ucb"), PolicySpec("crs-t"),
             PolicySpec("static"), PolicySpec("kl-ucb-u"),
+        ),
+    )
+    # Windows shorter than the horizon, so each windowed learner drops its
+    # oldest step from step 60, 90 or 150 on, beside learners that never do.
+    yield "windowed-beside-unwindowed", dict(
+        rates=model.rates, theta=np.array(model.theta), horizon=400, seeds=(3, 5),
+        policies=(
+            PolicySpec("kl-ucb", window=90), PolicySpec("kl-ucb-u"), PolicySpec("crs-t", window=60),
+            PolicySpec("kl-ucb"), PolicySpec("kl-ucb-u", window=150), PolicySpec("oracle"),
         ),
     )
 

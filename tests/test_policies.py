@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from chanrate import policies
 from chanrate.klstats import allowance, lcb_probability, ucb_probability
 from chanrate.model import RateSet, flat_to_pair
-from chanrate.policies import KlUcbPolicy, build_policy, check_policy_kind, select_all
+from chanrate.policies import KlUcbPolicy, build_policy, check_policy_kind, record, select_all
 
 from _oracles import (
     assert_same_bits,
@@ -104,7 +104,7 @@ class TestSelectAll:
         for n in range(steps):
             picks = select_all(together)
             for i, (policy, flats) in enumerate(zip(together, picks)):
-                policy._record(flats, (u[i][n] < theta[flats]).astype(np.int64))
+                record([policy], flats[None], (u[i][n] < theta[flats]).astype(np.int64)[None])
             for i, policy in enumerate(alone):
                 solo = step_policy(policy, lambda f: u[i][n] < theta[f])
                 np.testing.assert_array_equal(picks[i], solo, err_msg=f"{specs[i]} at step {n}")
@@ -210,7 +210,7 @@ class TestWindowShorterThanThePairs:
             outcomes = rng.random(lanes)
             for policy, flats, want in zip(group, select_all(group), wants):
                 assert flats.tolist() == list(want)
-                policy._record(flats, (outcomes < theta[flats]).astype(np.int64))
+                record([policy], flats[None], (outcomes < theta[flats]).astype(np.int64)[None])
 
 
 class TestRateStore:
