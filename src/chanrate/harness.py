@@ -696,9 +696,15 @@ def _tally(picks: np.ndarray, pairs: int) -> np.ndarray:
 
 def _running(values: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Running sums down each column of ``values``, in place, with ``start``
-    added to the first row: the order of adding one step at a time."""
+    added to the first row: the order of adding one step at a time.  A
+    block of fewer steps than columns adds row by row, which spares
+    ``cumsum`` one short inner loop per column."""
     values[0] += start
-    return np.cumsum(values, axis=0, out=values)
+    if len(values) >= values.shape[1]:
+        return np.cumsum(values, axis=0, out=values)
+    for i in range(1, len(values)):
+        np.add(values[i - 1], values[i], out=values[i])
+    return values
 
 
 class _Ledger:

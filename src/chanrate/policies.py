@@ -33,7 +33,10 @@ Selection is split in two so that many policies can share one solver call:
 a policy first requests the confidence bounds its next pick needs, as flat
 ``(p, t, f, upper)`` arrays (``f`` and ``upper`` may be scalars), then
 finishes the pick from the solved bounds.  :func:`select_all` solves the
-requests of all the policies it steps in one call.
+requests of all the policies it steps in one call.  A ``KlUcbPolicy``
+request is the grid of its distinct (successes, pulls) pairs when that is
+smaller than its lanes x pairs table; elements are solved independently, so
+the bits do not change.
 """
 
 from __future__ import annotations
@@ -168,12 +171,33 @@ class KlUcbPolicy(BasePolicy):
     with its samples at budget allowance(n), where n counts completed
     transmissions (or allowance(window) for the windowed variant).  The
     policy is structure-blind: it never looks at channel or rate adjacency.
+
+    An index depends only on a pair's (successes s, pulls t) and the slot's
+    budget.  When the grid of every s <= t <= top (top being the most pulls
+    a pair can have) is smaller than the lanes x pairs table, the request is
+    that grid and each pair gathers its bound at ``t * (t + 1) // 2 + s``;
+    the solver treats elements independently and the grid's rates are the
+    store's ``s / t``, so the bits are the same.
     """
 
     def _request(self):
-        return self._rate.ravel(), self._pulls.ravel(), self._scalar_budget(), True
+        top = self._step if self._window is None else min(self._step, self._window)
+        size = (top + 1) * (top + 2) // 2
+        if size >= self._pulls.size:
+            return self._rate.ravel(), self._pulls.ravel(), self._scalar_budget(), True
+        t = np.repeat(np.arange(top + 1), np.arange(1, top + 2))
+        s = np.arange(size) - t * (t + 1) // 2
+        p = np.zeros(size)
+        np.divide(s, t, out=p, where=t > 0)
+        return p, t, self._scalar_budget(), True
 
     def _finish(self, q: np.ndarray) -> np.ndarray:
+        if q.size < self._pulls.size:  # the (successes, pulls) grid
+            key = self._pulls + 1
+            key *= self._pulls
+            key >>= 1
+            key += self._successes
+            q = q.take(key)
         q = q.reshape(self._batch, self._n_pairs)
         np.multiply(q, self._r_flat, out=q)
         return np.argmax(q, axis=1)

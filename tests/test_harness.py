@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from chanrate import environments, harness
+from chanrate import environments, harness, policies
 from chanrate.environments import (
     OutcomeTape,
     StationaryEnvironment,
@@ -681,6 +681,43 @@ class TestLaneIndependence:
                         continue  # lane 0's log only
                     assert_same_bits(getattr(one, name)[0], getattr(pol, name)[lane])
 
+    def test_kl_ucb_grid_lane_alone_equals_its_batch_lane(self, monkeypatch):
+        # Criterion 10's 2x2 table at 30 lanes: a kl-ucb request is its
+        # (successes, pulls) grid while that has fewer than 30 x 4 elements,
+        # up to step 13 unwindowed and always with a window.  Window 3 is
+        # shorter than the pairs, so evicted pairs fall back to 0 pulls.
+        config = ExperimentConfig(
+            rates=RateSet.of([1.0, 2.0]), theta=np.array([[0.85, 0.5], [0.6, 0.25]]),
+            horizon=40, seeds=tuple(range(1, 31)),
+            policies=(PolicySpec("kl-ucb"), PolicySpec("kl-ucb", window=8),
+                      PolicySpec("kl-ucb", window=3)),
+        )
+        sizes = []
+        solve = policies._solve_trusted
+
+        def spy(p, t, f, upper):
+            sizes.append(p.size)
+            return solve(p, t, f, upper)
+
+        monkeypatch.setattr(policies, "_solve_trusted", spy)
+        batch = run_experiment(config)
+
+        def request(top):
+            return min((top + 1) * (top + 2) // 2, 30 * 4)
+
+        assert sizes == [
+            request(n) + request(min(n, 8)) + request(min(n, 3)) for n in range(4, 40)
+        ]
+        for seed in (1, 7, 30):
+            lane = config.seeds.index(seed)
+            alone = run_experiment(dataclasses.replace(config, seeds=(seed,)))
+            for pol in batch.policies:
+                one = alone.policy(pol.label)
+                for name in _RESULT_FIELDS:
+                    if name == "decisions" or getattr(pol, name) is None:
+                        continue  # lane 0's log only; no time accounting
+                    assert_same_bits(getattr(one, name)[0], getattr(pol, name)[lane])
+
     def test_airtime_of_a_row_does_not_depend_on_its_stack(self):
         rng = np.random.default_rng(11)
         rows = rng.integers(0, 300, size=(2000, 40))
@@ -730,6 +767,16 @@ def _lock_step_configs():
         policies=(
             PolicySpec("kl-ucb", window=90), PolicySpec("kl-ucb-u"), PolicySpec("crs-t", window=60),
             PolicySpec("kl-ucb"), PolicySpec("kl-ucb-u", window=150), PolicySpec("oracle"),
+        ),
+    )
+    # Criterion 10's 2x2 table at 40 lanes: the kl-ucb requests are their
+    # (successes, pulls) grids, laid end to end with element requests.
+    yield "wide-kl-ucb-beside-others", dict(
+        rates=RateSet.of([1.0, 2.0]), theta=np.array([[0.85, 0.5], [0.6, 0.25]]),
+        horizon=30, seeds=tuple(range(1, 41)),
+        policies=(
+            PolicySpec("kl-ucb"), PolicySpec("crs-t"), PolicySpec("kl-ucb", window=5),
+            PolicySpec("kl-ucb-u"),
         ),
     )
 
