@@ -490,19 +490,22 @@ class TraceTable:
     def from_csv(cls, path: str | Path, horizon: int | None = None) -> "TraceTable":
         rows: list[tuple[int, int, int, float]] = []
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            required = {"start_step", "channel", "rate_index", "theta"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            required = ("start_step", "channel", "rate_index", "theta")
+            if not set(required).issubset(header):
                 raise ValueError(f"trace CSV must have columns {sorted(required)}")
+            column = {name: i for i, name in enumerate(header)}
+            cols = [column[name] for name in required]
             for row in reader:
-                rows.append(
-                    (
-                        int(row["start_step"]),
-                        int(row["channel"]),
-                        int(row["rate_index"]),
-                        float(row["theta"]),
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
                     )
-                )
+                s, c, k, th = (row[i] for i in cols)
+                rows.append((int(s), int(c), int(k), float(th)))
         if not rows:
             raise ValueError("trace CSV has no data rows")
         channels = max(r[1] for r in rows)
@@ -513,12 +516,13 @@ class TraceTable:
         by_start: dict[int, list[tuple[int, int, float]]] = {s: [] for s in starts}
         for s, c, k, th in rows:
             by_start[s].append((c, k, th))
-        unset = np.ones((channels, n_rates), dtype=bool)
-        for c, k, _ in by_start[starts[0]]:
-            unset[c - 1, k - 1] = False
-        if unset.any():
-            c, k = np.argwhere(unset)[0]
-            raise ValueError(f"first segment leaves channel {c + 1}, rate {k + 1} unspecified")
+        # Every cell must be named, so a set of the named ones is enough to
+        # find the first one missing: memory follows the file, not the indices.
+        named = {(c, k) for c, k, _ in by_start[starts[0]]}
+        if len(named) < channels * n_rates:
+            cells = ((c, k) for c in range(1, channels + 1) for k in range(1, n_rates + 1))
+            c, k = next(cell for cell in cells if cell not in named)
+            raise ValueError(f"first segment leaves channel {c}, rate {k} unspecified")
         tables: list[np.ndarray] = []
         current = np.empty((channels, n_rates))
         for s in starts:

@@ -7,8 +7,7 @@ totals pass reads only the success probabilities: the oracle's reward, each
 pair's total (hence the static pick) and the best pair of every step.  The
 main pass draws each block's outcomes once (only the cells the baselines
 read when no learning policy runs); the learning policies step through it
-together, with one solver call per slot for all their confidence bounds and
-one statistics store that a single record step updates for all of them.
+together, with one solver call per slot for all their confidence bounds.
 Then one ledger per policy accounts the block's picks, except that
 ``static`` shares the oracle's ledger when the best pair is the static pick
 at every step, as in every stationary environment.  Regret is tracked two
@@ -63,7 +62,7 @@ from .model import (
     load_theta_csv,
     pair_to_flat,
 )
-from .policies import POLICY_KINDS, _Store, build_policy, check_policy_kind, record, select_all
+from .policies import POLICY_KINDS, build_policy, check_policy_kind, record, select_all
 
 __all__ = [
     "AccountingReport",
@@ -624,8 +623,7 @@ def _simulate(
 ) -> list["_Ledger"]:
     """The main pass: one walk over the blocks.  With a learning policy each
     block's outcomes are drawn once, and the learning policies step through
-    it together (one solver call per slot for all their bounds, one
-    statistics store and one record of every learner's outcomes) and store
+    it together (one solver call per slot for all their bounds) and store
     their picks and outcomes.  The baselines' picks are known in advance;
     without a learner only the cells they read are drawn, once for the two
     when they play the same pairs.  Then each ledger accounts the block.
@@ -633,14 +631,13 @@ def _simulate(
     pair is the static pick at every step, ``static`` and ``oracle`` play
     the same pairs and share one ledger."""
     S, P = len(run.tape.seeds), run.r_flat.size
-    learners = [spec for spec in config.policies if not spec.is_baseline]
-    store = _Store(len(learners), S, P)
     policies = [
         build_policy(
-            spec.kind, config.rates, config.channels, window=spec.window, batch=S,
-            strict=spec.strict, store=store,
+            spec.kind, config.rates, config.channels,
+            window=spec.window, batch=S, strict=spec.strict,
         )
-        for spec in learners
+        for spec in config.policies
+        if not spec.is_baseline
     ]
     learned = [_Ledger(run, S) for _ in policies]
     same = best_flats.min() == static_flat == best_flats.max()  # no slots-long temporary

@@ -19,15 +19,11 @@ There is one way to step a policy: :func:`select_all` returns the flat pair
 the next transmission, and :func:`record` then feeds back their
 acknowledgement bits.
 
-The learners of a run keep their statistics in one store (``_Store``):
-pull and success counts and, beside them, the empirical success rates
-``successes / pulls`` (0.0 where a pair has no pulls), per (learner, lane,
-pair).  A policy's ``_pulls``, ``_successes`` and ``_rate`` are its row
-views; a policy built alone has a store of its own.  :func:`record` and
-``_evict`` are the only writers of the store, and each touches only the
-one (lane, pair) element a lane pulls or a window drops, so a step costs no
-full-table recomputation of the rates.  :func:`record` steps every policy
-of a store with one gather and one scatter.
+Each policy keeps its statistics per (lane, pair): pull and success counts
+and, beside them, the empirical success rates ``successes / pulls`` (0.0
+where a pair has no pulls).  :func:`record` and ``_evict`` are the only
+writers, and each touches only the one (lane, pair) element a lane pulls or
+a window drops, so a step costs no full-table recomputation of the rates.
 
 Selection is split in two so that many policies can share one solver call:
 a policy first requests the confidence bounds its next pick needs, as flat
@@ -61,29 +57,8 @@ __all__ = [
 ]
 
 
-class _Store:
-    """The statistics of the learners that step together, one row each:
-    pull and success counts and the empirical rates ``successes / pulls``
-    (0.0 where a pair has no pulls), ``(learners, lanes, pairs)`` arrays.
-    Element ``(l, lane, pair)`` has flat index ``base[l, lane] + pair``."""
-
-    def __init__(self, learners: int, batch: int, pairs: int) -> None:
-        shape = (learners, batch, pairs)
-        self.pulls = np.zeros(shape, dtype=np.int64)
-        self.successes = np.zeros(shape, dtype=np.int64)
-        self.rate = np.zeros(shape)
-        self.base = np.arange(0, learners * batch * pairs, pairs).reshape(learners, batch)
-        # Rows given to policies so far.  The store holds no reference to
-        # them, so a run's store and policies form no cycle and are freed as
-        # soon as the run drops them.
-        self.taken = 0
-
-
 class BasePolicy:
-    """Shared bookkeeping: counts, round-robin prefix, windowing, batching.
-
-    A policy takes the next free row of ``store``, or a store of its own
-    when none is given."""
+    """Shared bookkeeping: counts, round-robin prefix, windowing, batching."""
 
     def __init__(
         self,
@@ -92,7 +67,6 @@ class BasePolicy:
         *,
         window: int | None = None,
         batch: int = 1,
-        store: _Store | None = None,
     ) -> None:
         self._rates = rates if isinstance(rates, RateSet) else RateSet.of(rates)
         if channels < 1:
@@ -109,27 +83,14 @@ class BasePolicy:
         self._r_flat = np.tile(self._rates.as_array(), channels)
         self._r_row = self._rates.as_array()
         self._step = 0  # completed transmissions, identical across the batch
-        if store is None:
-            store = _Store(1, batch, P)
-        if store.pulls.shape[1:] != (batch, P) or store.taken == len(store.pulls):
-            raise ValueError(f"no free ({batch}, {P}) row in the store")
-        self._store, self._row = store, store.taken
-        store.taken += 1
-        self._lane_base = store.base[0]  # flat index of (lane, pair 0) in a row
-        self._view_row()
+        self._lane_base = np.arange(0, batch * P, P)  # flat index of (lane, pair 0)
+        self._pulls = np.zeros((batch, P), dtype=np.int64)
+        self._successes = np.zeros((batch, P), dtype=np.int64)
+        self._rate = np.zeros((batch, P))  # successes / pulls, 0.0 where unpulled
         if window is not None:
             self._ring_pair = np.full((batch, window), -1, dtype=np.int64)
             self._ring_out = np.zeros((batch, window), dtype=np.int8)
             self._ring_pos = 0
-
-    def _view_row(self) -> None:
-        store, row = self._store, self._row
-        self._pulls, self._successes = store.pulls[row], store.successes[row]
-        self._rate = store.rate[row]
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._view_row()  # a copy's row views view the copy's store
 
     # -- subclass hooks ---------------------------------------------------
 
@@ -176,8 +137,8 @@ class KlUcbPolicy(BasePolicy):
     budget.  When the grid of every s <= t <= top (top being the most pulls
     a pair can have) is smaller than the lanes x pairs table, the request is
     that grid and each pair gathers its bound at ``t * (t + 1) // 2 + s``;
-    the solver treats elements independently and the grid's rates are the
-    store's ``s / t``, so the bits are the same.
+    the solver treats elements independently and the grid's rates are
+    ``s / t`` as :func:`record` divides them, so the bits are the same.
     """
 
     def _request(self):
@@ -294,9 +255,8 @@ class KlUcbUPolicy(BasePolicy):
         window: int | None = None,
         batch: int = 1,
         strict: bool = False,
-        store: _Store | None = None,
     ) -> None:
-        super().__init__(rates, channels, window=window, batch=batch, store=store)
+        super().__init__(rates, channels, window=window, batch=batch)
         self.graph = build_graph(channels, self._n_rates)
         self._cand_table = self._build_candidates(self.graph, strict)
         self._width = self._cand_table.shape[1]
@@ -369,20 +329,17 @@ def select_all(policies: list[BasePolicy]) -> list[np.ndarray]:
 
     A policy in its round-robin prefix asks for no bounds and plays its
     step number as the flat pair.  The other requests are laid end to end,
-    solved together, and each policy gets its slice of the result back; a
-    lone request goes to the solver as it is, and requests that all ask for
-    the same direction pass it as one bool.  Each element's bound is the one
-    a call on it alone gives, so a policy's picks do not depend on the
-    policies it steps with.  :func:`record` of the picks' outcomes
-    completes the step.
+    solved together, and each policy gets its slice of the result back;
+    requests that all ask for the same direction pass it as one bool.  Each
+    element's bound is the one a call on it alone gives, so a policy's picks
+    do not depend on the policies it steps with.  :func:`record` of the
+    picks' outcomes completes the step.
     """
     warming = [policy._step < policy._n_pairs for policy in policies]
     requests = [None if w else policy._request() for policy, w in zip(policies, warming)]
     live = [r for r in requests if r is not None]
-    if len(live) == 1:
-        q = _solve_trusted(*live[0])
-        bounds = [None if r is None else q for r in requests]
-    elif live:
+    bounds = requests
+    if live:
         ends = list(itertools.accumulate(r[0].size for r in live))
         p, t, f = np.empty((3, ends[-1]))
         directions = [r[3] for r in live]
@@ -395,40 +352,33 @@ def select_all(policies: list[BasePolicy]) -> list[np.ndarray]:
         q = _solve_trusted(p, t, f, upper)
         parts = iter([q[a:b] for a, b in zip([0] + ends, ends)])
         bounds = [None if r is None else next(parts) for r in requests]
-    else:
-        bounds = requests
     return [
         np.full(policy._batch, policy._step, dtype=np.int64) if w else policy._finish(q)
         for policy, w, q in zip(policies, warming, bounds)
     ]
 
 
-def record(policies: list[BasePolicy], flats: np.ndarray, outcomes: np.ndarray) -> None:
+def record(
+    policies: list[BasePolicy], flats: Iterable[np.ndarray], outcomes: Iterable[np.ndarray]
+) -> None:
     """Record the 0/1 outcomes of the picks :func:`select_all` just made for
-    ``policies``, every policy of one store in row order, trusted as given:
-    ``flats`` and ``outcomes`` hold one row per policy and one column per
-    lane.  Each windowed policy first drops its oldest step; then one
-    gather and scatter updates every policy's counts and rates, and each
-    policy's ``_after_update`` runs."""
-    store = policies[0]._store
-    if len(policies) != len(store.pulls) or any(
-        policy._store is not store or policy._row != row for row, policy in enumerate(policies)
-    ):
-        raise ValueError("record steps every policy of one store, in row order")
+    ``policies``, trusted as given: ``flats`` and ``outcomes`` hold one row
+    per policy and one column per lane.  A windowed policy first drops its
+    oldest step; then each policy updates the counts and rate of the pair
+    each lane pulled and runs its ``_after_update``."""
     for policy, f, o in zip(policies, flats, outcomes):
         if policy._window is not None:
             policy._evict()
             policy._ring_pair[:, policy._ring_pos] = f
             policy._ring_out[:, policy._ring_pos] = o
-    at = store.base + flats
-    pulls = store.pulls.take(at)
-    pulls += 1
-    successes = store.successes.take(at)
-    successes += outcomes
-    store.pulls.put(at, pulls)
-    store.successes.put(at, successes)
-    store.rate.put(at, successes / pulls)
-    for policy in policies:
+        at = policy._lane_base + f
+        pulls = policy._pulls.take(at)
+        pulls += 1
+        successes = policy._successes.take(at)
+        successes += o
+        policy._pulls.put(at, pulls)
+        policy._successes.put(at, successes)
+        policy._rate.put(at, successes / pulls)
         policy._step += 1
         policy._after_update()
         if policy._window is not None:
@@ -472,17 +422,15 @@ def build_policy(
     window: int | None = None,
     batch: int = 1,
     strict: bool = False,
-    store: _Store | None = None,
 ) -> BasePolicy:
     """Construct a learning policy by kind name ("kl-ucb", "crs-t", "kl-ucb-u").
 
     ``strict`` only applies to "kl-ucb-u" and removes the leader from the
-    non-forced candidate set.  The policy takes the next row of ``store``,
-    or a store of its own.
+    non-forced candidate set.
     """
     key = check_policy_kind(kind, window=window, strict=strict)
     cls = POLICY_KINDS[key]
     if cls is None:
         raise ValueError(f"{key} is a baseline, not a learning policy")
     extra = {"strict": True} if strict else {}
-    return cls(rates, channels, window=window, batch=batch, store=store, **extra)
+    return cls(rates, channels, window=window, batch=batch, **extra)

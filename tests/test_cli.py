@@ -60,6 +60,19 @@ class TestErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, got", [pytest.param("0,1,2", 3, id="short"), pytest.param("0,1,2,0.5,9", 5, id="long")]
+    )
+    def test_trace_row_of_the_wrong_width(self, tmp_path, capsys, row, got):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"start_step,channel,rate_index,theta\n0,1,1,0.9\n{row}\n")
+        cfg = {"rates": [1.0, 2.0], "trace_csv": str(trace), "policies": [{"kind": "static"}],
+               "horizon": 16, "seeds": 1, "out_dir": str(tmp_path / "results")}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {trace}:3: expected 4 fields, got {got}\n"
+
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -148,6 +148,19 @@ class TestTraceTable:
         with pytest.raises(ValueError, match="leaves channel 1, rate 2 unspecified"):
             TraceTable.from_csv(path)
 
+    def test_csv_with_a_huge_index_is_rejected_in_memory_of_the_file_size(self, tmp_path):
+        # A table of 10^7 channels would take 10 MB even as one byte a cell.
+        path = tmp_path / "bad.csv"
+        path.write_text("start_step,channel,rate_index,theta\n0,1,1,0.5\n0,10000000,1,0.5\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="leaves channel 2, rate 1 unspecified"):
+                TraceTable.from_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_csv_rejects_nan_in_a_later_segment(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(

@@ -28,7 +28,7 @@ from chanrate.harness import (
     run_experiment,
 )
 from chanrate.model import RateSet, demo_model
-from chanrate.policies import _Store, build_policy
+from chanrate.policies import build_policy
 
 from _oracles import (
     assert_same_bits,
@@ -220,22 +220,22 @@ class TestDefaultCheckpoints:
 
 class TestRunExperiment:
     def test_a_run_frees_its_learners_without_the_cycle_collector(self, monkeypatch):
-        """A run's store and policies form no reference cycle, so they are
-        freed when the run returns: a repeated run holds one run's arrays."""
-        stores = []
+        """A run's policies form no reference cycle, so they are freed when
+        the run returns: a repeated run holds one run's arrays."""
+        built = []
 
-        class Tracked(_Store):
-            def __init__(self, *args):
-                super().__init__(*args)
-                stores.append(weakref.ref(self))
+        def tracked(*args, **kwargs):
+            policy = build_policy(*args, **kwargs)
+            built.append(weakref.ref(policy))
+            return policy
 
-        monkeypatch.setattr(harness, "_Store", Tracked)
+        monkeypatch.setattr(harness, "build_policy", tracked)
         gc.disable()
         try:
             run_experiment(config_2x2(horizon=64, policies=_LEARNERS))
         finally:
             gc.enable()
-        assert len(stores) == 1 and stores[0]() is None
+        assert len(built) == len(_LEARNERS) and all(ref() is None for ref in built)
 
     def test_stationary_invariants(self):
         config = config_2x2()

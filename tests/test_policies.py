@@ -90,10 +90,10 @@ class TestBatchSemantics:
 
 
 class TestSelectAll:
-    def test_picks_do_not_depend_on_the_policies_stepped_with(self):
-        """Policies of different kinds and batch sizes stepped together make
-        the picks each makes stepped alone, though their bound requests are
-        solved in one call and ask for mixed directions."""
+    @staticmethod
+    def _assert_picks_as_alone(record_step):
+        """Policies of different kinds and batch sizes, stepped together by
+        ``select_all`` and ``record_step``, make the picks each makes alone."""
         rng = np.random.default_rng(53)
         steps = 150
         theta = np.array([0.7, 0.4, 0.5, 0.3, 0.6, 0.2])
@@ -103,11 +103,24 @@ class TestSelectAll:
         alone = [build_policy(kind, [1.0, 2.0, 3.0], channels=2, batch=b) for kind, b in specs]
         for n in range(steps):
             picks = select_all(together)
-            for i, (policy, flats) in enumerate(zip(together, picks)):
-                record([policy], flats[None], (u[i][n] < theta[flats]).astype(np.int64)[None])
+            outcomes = [(u[i][n] < theta[f]).astype(np.int64) for i, f in enumerate(picks)]
+            record_step(together, picks, outcomes)
             for i, policy in enumerate(alone):
                 solo = step_policy(policy, lambda f: u[i][n] < theta[f])
                 np.testing.assert_array_equal(picks[i], solo, err_msg=f"{specs[i]} at step {n}")
+
+    def test_picks_do_not_depend_on_the_policies_stepped_with(self):
+        """Their bound requests are solved in one call and ask for mixed
+        directions; each policy is recorded alone."""
+
+        def each_alone(policies, picks, outcomes):
+            for policy, flats, won in zip(policies, picks, outcomes):
+                record([policy], flats[None], won[None])
+
+        self._assert_picks_as_alone(each_alone)
+
+    def test_record_steps_any_policies_in_one_call(self):
+        self._assert_picks_as_alone(record)
 
     def test_a_warming_policy_asks_for_no_bounds(self, monkeypatch):
         warming = build_policy("crs-t", RATES2, channels=2, batch=2)
