@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -43,7 +42,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .model import LinkModel, RateSet, _json_int, _json_real
+from .model import LinkModel, RateSet, _csv_rows, _json_int, _json_real, _load_json
 
 __all__ = [
     "DriftEnvironment",
@@ -491,13 +490,14 @@ class TraceTable:
         rows: list[tuple[int, int, int, float]] = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
+            rows_in = _csv_rows(reader, path)
+            header = next(rows_in, [])
             required = ("start_step", "channel", "rate_index", "theta")
             if not set(required).issubset(header):
                 raise ValueError(f"trace CSV must have columns {sorted(required)}")
             column = {name: i for i, name in enumerate(header)}
             cols = [column[name] for name in required]
-            for row in reader:
+            for row in rows_in:
                 if not row:
                     continue
                 if len(row) != len(header):
@@ -651,8 +651,7 @@ class SyntheticDriftSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticDriftSpec":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(_load_json(path))
 
 
 def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -37,6 +37,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,7 @@ from .model import (
     RateSet,
     _json_array,
     _json_int,
+    _load_json,
     compute_optima,
     flat_to_pair,
     load_theta_csv,
@@ -78,6 +80,9 @@ __all__ = [
 ]
 
 _BLOCK = 512
+# Rows of decisions.csv encoded at a time (see _write_decisions).  It
+# divides 10**4, so the steps of one chunk share all digits above the last four.
+_EMIT_ROWS = 2_500
 
 
 def _json_ints(values, what: str) -> list[int] | tuple[int, ...]:
@@ -353,9 +358,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
-        with path.open() as fh:
-            data = json.load(fh)
-        return cls.from_json_dict(data, base_dir=path.parent)
+        return cls.from_json_dict(_load_json(path), base_dir=path.parent)
 
     def with_seeds(self, n: int) -> "ExperimentConfig":
         """Replace the seed list with 1..n (CLI --seeds override)."""
@@ -480,8 +483,10 @@ def _require_memory(need: int, what: str) -> None:
     except (AttributeError, ValueError, OSError):  # no sysconf figures here
         return
     if need > have:
+        # A count past float range (a 10^400 horizon) still gets its size.
+        gib = need / 2**30 if need < 2**1000 else Decimal(need) / 2**30
         raise ValueError(
-            f"{what} need about {need / 2**30:.3g} GiB, "
+            f"{what} need about {gib:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
@@ -904,6 +909,64 @@ def _float_texts(values: np.ndarray) -> str:
     return ",".join(texts[inverse].tolist())
 
 
+def _words(texts: list[str], words: int, right: bool = False) -> np.ndarray:
+    """Each text NUL-padded to ``words`` uint32 words (on the left when
+    ``right``), as a ``(len(texts), words)`` array of its bytes."""
+    pad = str.rjust if right else str.ljust
+    data = "".join(pad(t, 4 * words, "\0") for t in texts).encode()
+    return np.frombuffer(data, dtype=np.uint32).reshape(len(texts), words)
+
+
+def _write_decisions(
+    fh, logs: list[tuple[str, np.ndarray]], best_flats: np.ndarray, channels: int, n_rates: int
+) -> None:
+    """Write the rows ``step,label,c,k,best_c,best_k`` of each ``(label,
+    decisions)`` log to the binary file ``fh``, steps counting from 0.
+
+    A chunk of ``_EMIT_ROWS`` rows is laid out in one ``(rows, W)`` uint32
+    matrix, each field NUL-padded to whole words: the step's digits above
+    its last four (one text per chunk), its last four digits (from a table
+    of 0..9999 made by ``divmod`` by 10, leading zeros as NUL), ``,label,``,
+    then the decision's ``c,k,`` and the best pair's ``c,k\\n`` (from tables
+    of the flat pairs).  The matrix's bytes without their NULs are the
+    chunk's rows, as no field holds a NUL byte: labels are policy kinds with
+    ``-w<int>``/``-strict``, the rest is digits, commas and a newline.
+    """
+    slots = len(best_flats)
+    if slots == 0:
+        return
+    steps = np.arange(min(slots, 10_000))
+    full = np.empty((len(steps), 4), dtype=np.uint8)  # "0007"
+    q = steps
+    for col in (3, 2, 1, 0):
+        q, r = np.divmod(q, 10)
+        full[:, col] = r + ord("0")
+    lead = full.copy()  # leading zeros as NUL: the text of a step below 10^4
+    for col in (0, 1, 2):
+        lead[steps < 10 ** (3 - col), col] = 0
+    full, lead = full.view(np.uint32).reshape(-1), lead.view(np.uint32).reshape(-1)
+    pairs = [f"{c},{k}" for c in range(1, channels + 1) for k in range(1, n_rates + 1)]
+    pw = -(-(max(map(len, pairs)) + 1) // 4)  # words per pair field
+    dec_words = _words([p + "," for p in pairs], pw)
+    best_words = _words([p + "\n" for p in pairs], pw)
+    hw = -(-max(len(str(slots - 1)) - 4, 0) // 4)  # words of digits above the last four
+    for label, decisions in logs:
+        head = _words([f",{label},"], -(-(len(label) + 2) // 4))
+        a = hw + 1 + head.shape[1]  # the decision's field starts here
+        m = np.empty((min(_EMIT_ROWS, slots), a + 2 * pw), dtype=np.uint32)
+        m[:, hw + 1 : a] = head
+        for n0 in range(0, slots, _EMIT_ROWS):
+            n1 = min(n0 + _EMIT_ROWS, slots)
+            rows = m[: n1 - n0]
+            high, r0 = divmod(n0, 10_000)
+            rows[:, :hw] = _words([str(high) if high else ""], hw, right=True)
+            rows[:, hw] = (full if high else lead)[r0 : r0 + n1 - n0]
+            rows[:, a : a + pw] = np.take(dec_words, decisions[n0:n1], axis=0)
+            rows[:, a + pw :] = np.take(best_words, best_flats[n0:n1], axis=0)
+            text = rows.view(np.uint8).reshape(-1)
+            fh.write(text[text != 0])
+
+
 def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) -> dict[str, Path]:
     """Write regret.csv, decisions.csv, summary.json and, when the source
     is stationary, bounds.json.  Returns the paths keyed by artifact name.
@@ -911,7 +974,10 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
     regret.csv: one row per (policy, checkpoint), columns ``checkpoint,
     policy, mean, stddev, seed_<id>...`` with per-seed trajectory values.
     decisions.csv: lane-0 decision log, ``step, policy, channel,
-    rate_index, best_channel, best_rate_index``.
+    rate_index, best_channel, best_rate_index``, one row per policy and
+    slot.  It is encoded as bytes, ``_EMIT_ROWS`` rows at a time, by
+    :func:`_write_decisions`, so emission holds no array as long as the
+    horizon beyond the decision logs themselves.
     """
     out = Path(out_dir if out_dir is not None else result.config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -932,23 +998,15 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
     paths["regret"] = regret_path
 
     dec_path = out / "decisions.csv"
-    # "channel,rate_index" text of each flat pair index, built once.
-    pair_text = ["{},{}".format(*flat_to_pair(j, K)) for j in range(config.channels * K)]
-    with dec_path.open("w", newline="") as fh:
-        fh.write("step,policy,channel,rate_index,best_channel,best_rate_index\n")
-        for pol in sorted(result.policies, key=lambda p: p.label):
-            for n0 in range(0, result.slots, _BLOCK):
-                n1 = min(n0 + _BLOCK, result.slots)
-                rows = zip(
-                    range(n0, n1),
-                    pol.decisions[n0:n1].tolist(),
-                    result.best_flats[n0:n1].tolist(),
-                )
-                fh.write(
-                    "".join(
-                        f"{n},{pol.label},{pair_text[d]},{pair_text[b]}\n" for n, d, b in rows
-                    )
-                )
+    with dec_path.open("wb") as fh:
+        fh.write(b"step,policy,channel,rate_index,best_channel,best_rate_index\n")
+        _write_decisions(
+            fh,
+            [(pol.label, pol.decisions) for pol in sorted(result.policies, key=lambda p: p.label)],
+            result.best_flats,
+            config.channels,
+            K,
+        )
     paths["decisions"] = dec_path
 
     # Efficiencies are fractions of the oracle's reward: null when it is 0.

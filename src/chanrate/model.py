@@ -51,11 +51,12 @@ class DecisionPair(NamedTuple):
 
 
 def _json_int(value, what: str) -> int:
-    """``value`` as an int if it is an integral number (not a bool)."""
+    """``value`` as an int if it is an integral number (not a bool).  An
+    integer goes straight through ``int``: ``float`` overflows past 1e308."""
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Real)
-        or not float(value).is_integer()
+        or not (isinstance(value, numbers.Integral) or float(value).is_integer())
     ):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
@@ -268,6 +269,27 @@ def compute_optima(model: LinkModel) -> OptimaSummary:
     )
 
 
+def _load_json(path: str | Path):
+    """``json.load`` of the file at ``path``.  JSON nested deeper than the
+    parser's recursion limit raises ValueError naming the file, where it
+    would raise RecursionError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _csv_rows(reader, path: str | Path):
+    """The rows of a ``csv.reader``.  A line the csv module rejects, such as
+    one with a field over its size limit, raises ValueError naming the file
+    and line, where it would raise ``csv.Error``."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def load_theta_csv(path: str | Path) -> np.ndarray:
     """Load a success-probability table from CSV.
 
@@ -277,7 +299,7 @@ def load_theta_csv(path: str | Path) -> np.ndarray:
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(csv.reader(fh), path)
         try:
             header = next(reader)
         except StopIteration:
@@ -312,8 +334,7 @@ def load_rates_json(path: str | Path) -> tuple[RateSet, np.ndarray | None]:
     key and an optional ``occupancy`` key.
     """
     path = Path(path)
-    with path.open() as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     if isinstance(data, list):
         return RateSet.of(data), None
     if isinstance(data, dict):

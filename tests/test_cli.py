@@ -157,6 +157,62 @@ class TestErrors:
             assert not (config_file.parent / "results").exists()
 
     @pytest.mark.parametrize(
+        "patch",
+        [
+            pytest.param({"horizon": 10**400}, id="horizon"),
+            pytest.param({"seeds": 10**400}, id="seed-count"),
+            pytest.param({"policies": [{"kind": "kl-ucb", "window": 10**400}]}, id="window"),
+        ],
+    )
+    def test_integer_past_float_range_meets_the_memory_check(self, tmp_path, capsys, patch):
+        cfg = {"rates": [1.0, 2.0], "theta": [[0.9, 0.6], [0.5, 0.3]], "policies": [{"kind": "static"}],
+               "horizon": 16, "seeds": 2, "out_dir": str(tmp_path / "results")}
+        (tmp_path / "config.json").write_text(json.dumps({**cfg, **patch}))
+        assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "physical memory" in err and err.count("\n") == 1
+        assert not (tmp_path / "results").exists()
+
+    def test_seed_past_float_range_is_read_exactly(self, tmp_path, capsys):
+        seeds = [2.0, 10**400]  # a float sends the list down the per-entry check
+        cfg = {"rates": [1.0, 2.0], "theta": [[0.9, 0.6], [0.5, 0.3]], "policies": [{"kind": "static"}],
+               "horizon": 16, "seeds": seeds, "out_dir": str(tmp_path / "results")}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 0
+        summary = json.loads((tmp_path / "results" / "summary.json").read_text())
+        assert summary["config"]["seeds"] == [2, 10**400]
+
+    @pytest.mark.parametrize("source", ["theta_csv", "trace_csv"])
+    def test_csv_field_over_the_size_limit(self, tmp_path, capsys, source):
+        theta = "0." + "1" * 200_000  # the csv module's field limit is 131,072
+        path = tmp_path / "input.csv"
+        path.write_text(
+            f"channel,rate_1\n1,{theta}\n"
+            if source == "theta_csv"
+            else f"start_step,channel,rate_index,theta\n0,1,1,{theta}\n"
+        )
+        cfg = {"rates": [1.0], source: str(path), "policies": [{"kind": "static"}], "horizon": 16,
+               "seeds": 1, "out_dir": str(tmp_path / "results")}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: field larger than field limit")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "bounds", "check", "gen-env"])
+    def test_json_nested_too_deeply(self, model_files, capsys, command):
+        path = model_files / "input.json"
+        path.write_text("[" * 3000 + "]" * 3000)
+        argv = {
+            "simulate": ["--config", str(path), "--out", str(model_files / "results")],
+            "bounds": ["--theta", str(model_files / "theta.csv"), "--rates", str(path)],
+            "check": ["--theta", str(model_files / "theta.csv"), "--rates", str(path)],
+            "gen-env": ["--spec", str(path), "--out", str(model_files / "trace.csv")],
+        }[command]
+        assert main([command, *argv]) == 2
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize(
         "command, patch",
         [
             pytest.param("simulate", {"rates": 5}, id="simulate-rates-number"),

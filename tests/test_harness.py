@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import io
 import json
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanrate import environments, harness, policies
 from chanrate.environments import (
@@ -934,6 +938,67 @@ class TestEmitOutputs:
         paths = emit_outputs(result, tmp_path)
         bounds = json.loads(paths["bounds"].read_text())
         assert bounds["c_I"]["defined"]
+
+
+# Slot counts on either side of a change in the step's digit count, of a
+# chunk edge and of the encoder's table of four-digit endings (10^4).
+_SLOT_EDGES = (
+    1, 2, 9, 10, 11, 99, 100, 101, 2499, 2500, 2501, 5001, 9999, 10000, 10001, 12501, 100_001
+)
+
+
+def _decisions_reference(logs, best_flats, channels: int, n_rates: int) -> bytes:
+    """decisions.csv's rows written one f-string per row, as emit_outputs
+    wrote them before the byte encoder."""
+    pair_text = [f"{c},{k}" for c in range(1, channels + 1) for k in range(1, n_rates + 1)]
+    rows = (
+        f"{n},{label},{pair_text[d]},{pair_text[b]}\n"
+        for label, decisions in logs
+        for n, d, b in zip(range(len(best_flats)), decisions.tolist(), best_flats.tolist())
+    )
+    return "".join(rows).encode()
+
+
+@st.composite
+def _policy_labels(draw):
+    kind = draw(st.sampled_from(sorted(policies.POLICY_KINDS)))
+    learner = policies.POLICY_KINDS[kind] is not None
+    window = draw(st.none() | st.integers(1, 10**6)) if learner else None
+    strict = kind == "kl-ucb-u" and draw(st.booleans())
+    return PolicySpec(kind, window, strict).label
+
+
+class TestDecisionsEncoder:
+    """decisions.csv's chunked byte encoder against per-row formatting."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_row_formatting(self, data):
+        rows = data.draw(st.sampled_from([1, 2, 16, 625, harness._EMIT_ROWS]), "chunk rows")
+        # One- and two-row chunks stop at 10^4 + 1 slots, to keep the test short.
+        edges = [s for s in _SLOT_EDGES if rows >= 16 or s <= 10_001]
+        slots = data.draw(st.sampled_from(edges) | st.integers(1, 400), "slots")
+        channels, n_rates = data.draw(st.integers(1, 12), "channels"), data.draw(st.integers(1, 12))
+        labels = data.draw(st.lists(_policy_labels(), min_size=1, max_size=3, unique=True))
+        pairs = channels * n_rates
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "array seed"))
+        dtype = np.min_scalar_type(pairs - 1)
+        best = rng.integers(0, pairs, slots).astype(dtype)
+        best[-1] = pairs - 1  # the widest pair text
+        logs = [(label, rng.integers(0, pairs, slots).astype(dtype)) for label in labels]
+        fh = io.BytesIO()
+        with mock.patch.object(harness, "_EMIT_ROWS", rows):
+            harness._write_decisions(fh, logs, best, channels, n_rates)
+        assert fh.getvalue() == _decisions_reference(logs, best, channels, n_rates)
+
+    def test_emitted_file_matches_per_row_formatting(self, tmp_path):
+        learner = PolicySpec("kl-ucb-u", window=50, strict=True)
+        specs = (learner, PolicySpec("static"), PolicySpec("oracle"))
+        result = run_experiment(config_2x2(seeds=(1,), horizon=2_600, policies=specs))
+        logs = [(p.label, p.decisions) for p in sorted(result.policies, key=lambda p: p.label)]
+        text = emit_outputs(result, tmp_path)["decisions"].read_bytes()
+        head = b"step,policy,channel,rate_index,best_channel,best_rate_index\n"
+        assert text == head + _decisions_reference(logs, result.best_flats, 2, 2)
 
 
 _SPREAD = np.random.default_rng(5).normal(size=500) * np.logspace(-250, 250, 500)
