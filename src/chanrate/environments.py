@@ -1,6 +1,9 @@
-"""Reward environments: stationary, trace-driven, and synthetic drift.
+"""Reward environments: trace-driven and synthetic drift.
 
-Environments are seedless probability schedules.  The outcomes drawn over
+Environments are seedless probability schedules.  A trace
+(``TraceTable``) is piecewise constant and held as two read-only arrays,
+its segment starts and its ``(segments, C, K)`` tables; a stationary table
+runs as a trace of one segment with no horizon.  The outcomes drawn over
 one honor *common random numbers*: the Bernoulli outcome of playing pair
 ``(c, k)`` at step ``n`` under seed ``s`` is a pure function of
 ``(s, n, c, k)``.  Two policies evaluated on the same
@@ -36,19 +39,19 @@ import csv
 import dataclasses
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .model import LinkModel, RateSet, _csv_rows, _json_int, _json_real, _load_json
+from .model import RateSet, _csv_rows, _json_int, _json_real, _load_json
 
 __all__ = [
     "DriftEnvironment",
     "Environment",
     "OutcomeTape",
-    "StationaryEnvironment",
     "SyntheticDriftSpec",
     "TraceEnvironment",
     "TraceTable",
@@ -109,12 +112,6 @@ _STATE_BATCH = 16384
 # against 0.40 s at 224 draws per lane, 0.47 against 0.47 s at 256, 0.50
 # against 0.50 s at 320 and 0.96 against 0.54 s at 512.
 _EMULATE_MAX_DRAWS = 256
-
-# Bytes of Python objects per drift_to_trace segment besides its table's
-# data: an array header (the table is a view of the trace's probabilities),
-# the start step and two tuple slots; about 176 under tracemalloc on
-# 64-bit CPython 3.11, so 300 is an upper bound.
-_SEGMENT_OBJECT_BYTES = 300
 
 # The largest double whose exp is finite; math.exp raises above it, where
 # the C library's exp returns inf.
@@ -392,20 +389,6 @@ class Environment:
         raise NotImplementedError
 
 
-class StationaryEnvironment(Environment):
-    """Fixed success probabilities given by a link model."""
-
-    def __init__(self, model: LinkModel):
-        super().__init__(model.rates, model.channels, None)
-        th = model.effective_theta().copy()
-        th.setflags(write=False)
-        self._theta = th
-
-    def theta_block(self, start: int, stop: int) -> np.ndarray:
-        self._check_step(start)
-        return np.broadcast_to(self._theta, (stop - start, *self._theta.shape))
-
-
 @dataclass(frozen=True)
 class TraceTable:
     """Piecewise-constant success-probability schedule.
@@ -413,56 +396,63 @@ class TraceTable:
     ``starts`` are strictly increasing segment start steps beginning at 0;
     ``tables[i]`` holds the full (channels, n_rates) probabilities in force
     from ``starts[i]`` until the next start.  ``horizon`` bounds the valid
-    step range when set.  The probabilities are held once, as the read-only
-    ``(segments, channels, n_rates)`` float array ``probabilities``; the
-    ``tables`` given (a sequence of tables, or that array itself) are
-    stacked into it, and ``tables`` becomes the tuple of its rows.
+    step range when set.  Each is held once, as a read-only array: ``starts``
+    of int64, ``tables`` of floats shaped ``(segments, channels, n_rates)``.
+    An array of the right type is taken as it is and made read-only; a
+    sequence is stacked into a new one.
 
     The CSV form has columns ``start_step, channel, rate_index, theta``,
     one row per cell; rows sharing a start form a segment, and cells a
     segment leaves unspecified inherit the previous segment's values.  The
-    first segment must therefore specify every cell.
+    first segment must therefore specify every cell.  A cell named twice in
+    one segment takes the later row's value.
     """
 
-    starts: tuple[int, ...]
-    tables: tuple[np.ndarray, ...]
+    starts: np.ndarray
+    tables: np.ndarray
     horizon: int | None = None
-    probabilities: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.starts:
+        try:
+            starts = np.asarray(self.starts, dtype=np.int64)
+        except OverflowError:
+            i, s = next((i, s) for i, s in enumerate(self.starts) if not -(2**63) <= s < 2**63)
+            raise ValueError(f"segment {i + 1} starts at step {s}, beyond int64") from None
+        if not len(starts):
             raise ValueError("trace needs at least one segment")
-        if self.starts[0] != 0:
+        if starts[0] != 0:
             raise ValueError("first segment must start at step 0")
-        if any(b <= a for a, b in zip(self.starts, self.starts[1:])):
+        if np.any(starts[1:] <= starts[:-1]):
             raise ValueError("segment starts must be strictly increasing")
-        if len(self.tables) != len(self.starts):
+        if len(self.tables) != len(starts):
             raise ValueError("one probability table per segment required")
-        shape = np.shape(self.tables[0])
-        if len(shape) != 2 or any(np.shape(tab) != shape for tab in self.tables):
+        if not isinstance(self.tables, np.ndarray) and len(set(map(np.shape, self.tables))) > 1:
             raise ValueError("all segment tables must share one (C, K) shape")
         tables = np.asarray(self.tables, dtype=float)
+        if tables.ndim != 3:
+            raise ValueError("all segment tables must share one (C, K) shape")
         bad = ~((tables >= 0.0) & (tables <= 1.0))  # NaN is bad too
         if bad.any():
             i, c, k = np.argwhere(bad)[0]
             raise ValueError(
                 f"trace probabilities must lie in [0, 1]: segment {i + 1} (from step "
-                f"{self.starts[i]}) has {float(tables[i, c, k])!r} at channel {c + 1}, "
+                f"{starts[i]}) has {float(tables[i, c, k])!r} at channel {c + 1}, "
                 f"rate {k + 1}"
             )
-        if self.horizon is not None and self.horizon <= self.starts[-1]:
+        if self.horizon is not None and self.horizon <= starts[-1]:
             raise ValueError("horizon must exceed the last segment start")
+        starts.setflags(write=False)
         tables.setflags(write=False)
-        object.__setattr__(self, "probabilities", tables)
-        object.__setattr__(self, "tables", tuple(tables))
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "tables", tables)
 
     @property
     def channels(self) -> int:
-        return self.tables[0].shape[0]
+        return self.tables.shape[1]
 
     @property
     def n_rates(self) -> int:
-        return self.tables[0].shape[1]
+        return self.tables.shape[2]
 
     def to_csv(self, path: str | Path) -> None:
         """Write the sparse CSV form: full first segment, then changed cells.
@@ -477,10 +467,10 @@ class TraceTable:
         with open(path, "w", newline="") as fh:
             fh.write("start_step,channel,rate_index,theta\r\n")
             prev = np.full((1, C * K), np.nan)
-            for a in range(0, len(self.tables), _ROWS):
-                tabs = np.concatenate([prev, self.probabilities[a : a + _ROWS].reshape(-1, C * K)])
+            for a in range(0, len(self.starts), _ROWS):
+                tabs = np.concatenate([prev, self.tables[a : a + _ROWS].reshape(-1, C * K)])
                 seg, cell = np.nonzero(tabs[1:] != tabs[:-1])
-                start_text = np.array([f"{s}," for s in self.starts[a : a + _ROWS]], dtype=object)
+                start_text = np.array([f"{s}," for s in self.starts[a : a + _ROWS].tolist()], object)
                 theta_text = np.array(list(map(repr, tabs[seg + 1, cell].tolist())), dtype=object)
                 fh.write("".join((start_text[seg] + cell_text[cell] + theta_text + "\r\n").tolist()))
                 prev = tabs[-1:]
@@ -523,18 +513,20 @@ class TraceTable:
             cells = ((c, k) for c in range(1, channels + 1) for k in range(1, n_rates + 1))
             c, k = next(cell for cell in cells if cell not in named)
             raise ValueError(f"first segment leaves channel {c}, rate {k} unspecified")
-        tables: list[np.ndarray] = []
-        current = np.empty((channels, n_rates))
-        for s in starts:
-            current = current.copy()
+        # Each segment starts as a copy of the one before, then takes its
+        # rows in file order, so a later row for a cell wins.
+        tables = np.empty((len(starts), channels, n_rates))
+        for i, s in enumerate(starts):
+            if i:
+                tables[i] = tables[i - 1]
             for c, k, th in by_start[s]:
-                current[c - 1, k - 1] = th
-            tables.append(current)
-        return cls(starts=tuple(starts), tables=tuple(tables), horizon=horizon)
+                tables[i, c - 1, k - 1] = th
+        return cls(starts=starts, tables=tables, horizon=horizon)
 
 
 class TraceEnvironment(Environment):
-    """Replays a trace table; steps at or past the horizon are rejected."""
+    """Replays a trace table; steps at or past the horizon are rejected.
+    Steps inside one segment read a broadcast view of its table."""
 
     def __init__(self, trace: TraceTable, rates: RateSet):
         if len(rates) != trace.n_rates:
@@ -543,14 +535,16 @@ class TraceEnvironment(Environment):
             )
         super().__init__(rates, trace.channels, trace.horizon)
         self._trace = trace
-        self._starts = np.asarray(trace.starts, dtype=np.int64)
 
     def theta_block(self, start: int, stop: int) -> np.ndarray:
         self._check_step(start)
         if stop > start:
             self._check_step(stop - 1)
-        segments = np.searchsorted(self._starts, np.arange(start, stop), side="right") - 1
-        return self._trace.probabilities[segments]
+        starts, tables = self._trace.starts, self._trace.tables
+        i = bisect_right(starts, start) - 1
+        if i + 1 == len(starts) or stop <= starts[i + 1]:
+            return np.broadcast_to(tables[i], (stop - start, *tables.shape[1:]))
+        return tables[np.searchsorted(starts, np.arange(start, stop), side="right") - 1]
 
 
 @dataclass(frozen=True)
@@ -602,15 +596,16 @@ class SyntheticDriftSpec:
         return self.latent_lo + span * (np.arange(1, K + 1) / (K + 1))
 
     def nbytes(self, sample_every: int | None = None) -> int:
-        """Estimated bytes this process holds in memory: its latent path
-        (``horizon x channels`` float64, unless ``step_std`` is 0) and, when
-        ``sample_every`` is given, the tables ``drift_to_trace`` builds."""
+        """Bytes this process holds in memory: its latent path (``horizon x
+        channels`` float64, unless ``step_std`` is 0) and, when
+        ``sample_every`` is given, the trace ``drift_to_trace`` builds, one
+        int64 start and ``channels x n_rates`` float64 a segment."""
         need = 8 * self.horizon * self.channels if self.step_std > 0.0 else 0
         if sample_every is not None:
             if sample_every < 1:
                 raise ValueError("sample_every must be >= 1")
             segments = -(-self.horizon // sample_every)
-            need += segments * (8 * self.channels * len(self.rates) + _SEGMENT_OBJECT_BYTES)
+            need += 8 * segments * (1 + self.channels * len(self.rates))
         return need
 
     def to_json_dict(self) -> dict:
@@ -704,7 +699,12 @@ class DriftEnvironment(Environment):
         self._check_step(start)
         if stop > start:
             self._check_step(stop - 1)
-        z = self._latent[start:stop, :, None] - self._thresholds[None, None, :]
+        return self._theta(slice(start, stop))
+
+    def _theta(self, steps) -> np.ndarray:
+        """Probabilities ``(steps, C, K)`` at ``steps``, a slice or an index
+        array of steps of the latent path."""
+        z = self._latent[steps, :, None] - self._thresholds
         return _expit(z / self._softness)
 
 
@@ -717,12 +717,10 @@ def drift_to_trace(spec: SyntheticDriftSpec, sample_every: int = 1) -> TraceTabl
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     env = DriftEnvironment(spec)
-    latent = env._latent[::sample_every]
-    tables = np.empty((len(latent), spec.channels, len(spec.rates)))
-    for a in range(0, len(latent), _ROWS):
-        z = latent[a : a + _ROWS, :, None] - env._thresholds
-        tables[a : a + _ROWS] = _expit(z / env._softness)
-    starts = tuple(range(0, spec.horizon, sample_every))
+    starts = np.arange(0, spec.horizon, sample_every)
+    tables = np.empty((len(starts), spec.channels, len(spec.rates)))
+    for a in range(0, len(starts), _ROWS):
+        tables[a : a + _ROWS] = env._theta(starts[a : a + _ROWS])
     return TraceTable(starts=starts, tables=tables, horizon=spec.horizon)
 
 

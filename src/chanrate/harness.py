@@ -47,7 +47,6 @@ from .environments import (
     DriftEnvironment,
     Environment,
     OutcomeTape,
-    StationaryEnvironment,
     SyntheticDriftSpec,
     TraceEnvironment,
     TraceTable,
@@ -248,7 +247,9 @@ class ExperimentConfig:
 
     def build_environment(self) -> Environment:
         if self.theta is not None:
-            return StationaryEnvironment(self.model())
+            # A stationary table is a trace of one segment with no horizon.
+            trace = TraceTable(starts=(0,), tables=self.model().effective_theta()[None])
+            return TraceEnvironment(trace, self.rates)
         if self.trace is not None:
             return TraceEnvironment(self.trace, self.rates)
         return DriftEnvironment(self.drift)
@@ -270,11 +271,9 @@ class ExperimentConfig:
                 out["occupancy"] = [float(v) for v in self.occupancy]
         elif self.trace is not None:
             out["trace"] = {
-                "starts": list(self.trace.starts),
+                "starts": self.trace.starts.tolist(),
                 "horizon": self.trace.horizon,
-                "tables": [
-                    [[float(v) for v in row] for row in tab] for tab in self.trace.tables
-                ],
+                "tables": self.trace.tables.tolist(),
             }
         else:
             out["synth"] = self.drift.to_json_dict()

@@ -73,6 +73,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"error: {trace}:3: expected 4 fields, got {got}\n"
 
+    @pytest.mark.parametrize("start", [2**63, 10**30])
+    def test_trace_start_beyond_int64(self, tmp_path, capsys, start):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"start_step,channel,rate_index,theta\n0,1,1,0.9\n{start},1,1,0.5\n")
+        cfg = {"rates": [1.0], "trace_csv": str(trace), "policies": [{"kind": "static"}],
+               "horizon": 16, "seeds": 1, "out_dir": str(tmp_path / "results")}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: segment 2 starts at step {start}, beyond int64\n"
+
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -418,7 +429,7 @@ class TestGenEnv:
 
         # The CSV stores segments only; the horizon rides in the config.
         trace = TraceTable.from_csv(out, horizon=50)
-        assert trace.starts == (0, 10, 20, 30, 40)
+        assert trace.starts.tolist() == [0, 10, 20, 30, 40]
         assert trace.channels == 2 and trace.n_rates == 2
         assert np.all((trace.tables[0] > 0) & (trace.tables[0] < 1))
 
@@ -677,3 +688,76 @@ class TestArbitraryModelInputs:
             code = main([command, *argv])
         assert code in (0, 2)
         assert (code == 2) == err.getvalue().startswith("error:")
+
+
+# Cell texts a table file's fuzzer puts in place of well-formed ones:
+# integers past int64 or negative, non-finite numbers, and fields past the
+# csv module's 131,072-character limit.
+_EXTREMES = st.sampled_from(
+    [str(2**63), "1" * 131_073, "nan", "-1", str(10**30), "inf", "0." + "5" * 131_071,
+     str(-(2**63) - 1), "-inf", str(2**63 - 1), "1e400", "0"]
+)
+
+
+@st.composite
+def _table_file(draw, source: str, n_rates: int) -> bytes:
+    """The bytes of a theta CSV or a trace CSV over ``n_rates`` rates,
+    well formed or with one flaw: a row added with an extreme first field
+    (start step or channel), an extreme cell, a row one field wider or
+    narrower, a row repeated, or a non-UTF-8 or NUL byte."""
+    channels = draw(st.integers(1, 3))
+    prob = st.floats(0.0, 1.0).map(repr)
+    if source == "theta_csv":
+        header = ["channel", *(f"rate{k}" for k in range(1, n_rates + 1))]
+        rows = [[str(c), *(draw(prob) for _ in range(n_rates))] for c in range(1, channels + 1)]
+    else:
+        header = ["start_step", "channel", "rate_index", "theta"]
+        cells = [(c, k) for c in range(1, channels + 1) for k in range(1, n_rates + 1)]
+        rows = [["0", str(c), str(k), draw(prob)] for c, k in cells]
+        for _ in range(draw(st.integers(0, 4))):
+            c, k = draw(st.sampled_from(cells))
+            rows.append([str(draw(st.integers(0, 20))), str(c), str(k), draw(prob)])
+    table = [header, *rows]
+    flaw = draw(st.sampled_from(["none", "first", "cell", "wide", "narrow", "repeat", "bytes"]))
+    i = draw(st.integers(flaw != "wide", len(table) - 1))  # only "wide" reaches the header
+    if flaw == "first":
+        table.append([draw(_EXTREMES), *table[i][1:]])
+    elif flaw == "cell":
+        table[i][draw(st.integers(0, len(table[i]) - 1))] = draw(_EXTREMES | _CSV_CELL)
+    elif flaw == "wide":
+        table[i] = [*table[i], draw(prob)]
+    elif flaw == "narrow":
+        table[i] = table[i][:-1]
+    elif flaw == "repeat":
+        table.insert(i, list(table[i]))
+    data = "".join(",".join(row) + "\n" for row in table).encode()
+    if flaw == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\x00", b"\x80\x00"])) + data[at:]
+    return data
+
+
+class TestArbitraryTableFiles:
+    @settings(
+        derandomize=True,
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_simulate_exits_0_or_2_with_one_error_line(self, tmp_path, data):
+        source = data.draw(st.sampled_from(["theta_csv", "trace_csv"]))
+        rates = data.draw(_RATES)
+        (tmp_path / "table.csv").write_bytes(data.draw(_table_file(source, len(rates))))
+        cfg = {"rates": rates, source: "table.csv", "horizon": 16, "seeds": 2,
+               "policies": [{"kind": "static"}, {"kind": "kl-ucb"}],
+               "out_dir": str(tmp_path / "results")}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(tmp_path / "config.json")])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""

@@ -14,7 +14,6 @@ from chanrate.environments import (
     _EXP_MAX,
     DriftEnvironment,
     OutcomeTape,
-    StationaryEnvironment,
     SyntheticDriftSpec,
     TraceEnvironment,
     TraceTable,
@@ -39,6 +38,12 @@ from _oracles import (
 )
 
 
+def stationary(model: LinkModel) -> TraceEnvironment:
+    """A link model's table as runs read it: a trace of one segment with
+    no horizon."""
+    return TraceEnvironment(TraceTable((0,), model.effective_theta()[None]), model.rates)
+
+
 @pytest.fixture()
 def swap_trace():
     # Two segments; the better channel flips at step 100.
@@ -49,13 +54,13 @@ def swap_trace():
 
 class TestStationary:
     def test_schedule_is_constant(self, tiny_model):
-        env = StationaryEnvironment(tiny_model)
+        env = stationary(tiny_model)
         np.testing.assert_array_equal(env.theta_block(0, 1000), np.stack([tiny_model.theta] * 1000))
         # No horizon: any step is valid.
         np.testing.assert_array_equal(env.theta_block(10**12, 10**12 + 1)[0], tiny_model.theta)
 
     def test_theta_block_broadcasts(self, tiny_model):
-        env = StationaryEnvironment(tiny_model)
+        env = stationary(tiny_model)
         block = env.theta_block(10, 20)
         assert block.shape == (10, 2, 2)
         np.testing.assert_array_equal(block[3], tiny_model.theta)
@@ -64,24 +69,24 @@ class TestStationary:
         model = LinkModel(
             RateSet.of([1.0]), np.array([[0.8], [0.8]]), occupancy=np.array([0.5, 0.0])
         )
-        env = StationaryEnvironment(model)
+        env = stationary(model)
         np.testing.assert_allclose(env.theta_block(0, 1)[0], [[0.4], [0.8]])
 
     def test_draw_is_pure(self, tiny_model):
-        env = StationaryEnvironment(tiny_model)
+        env = stationary(tiny_model)
         first = [reference_draw(env, 3, (1, 1), n) for n in range(100)]
         second = [reference_draw(env, 3, (1, 1), n) for n in range(100)]
         assert first == second
 
     def test_draw_mean_tracks_probability(self, tiny_model):
-        env = StationaryEnvironment(tiny_model)
+        env = stationary(tiny_model)
         n = 4096
         mean = sum(reference_draw(env, 70, (2, 1), i) for i in range(n)) / n
         # theta = 0.5; a 6-sigma band at this sample size is +-0.047.
         assert abs(mean - 0.5) < 0.05
 
     def test_with_seed_changes_outcomes_not_schedule(self, tiny_model):
-        env = StationaryEnvironment(tiny_model)
+        env = stationary(tiny_model)
         draws_1 = [reference_draw(env, 1, (1, 1), n) for n in range(200)]
         draws_2 = [reference_draw(env, 2, (1, 1), n) for n in range(200)]
         assert draws_1 != draws_2
@@ -111,6 +116,21 @@ class TestTraceTable:
         ):
             TraceTable(starts=(0, 10, 20), tables=(tab, worse, tab))
 
+    @pytest.mark.parametrize("start", [2**63, 10**30, -(2**63) - 1])
+    def test_start_beyond_int64_names_its_segment(self, start):
+        tab = np.full((1, 2), 0.5)
+        with pytest.raises(ValueError, match=rf"segment 2 starts at step {start}, beyond int64"):
+            TraceTable(starts=(0, start), tables=(tab, tab))
+
+    def test_csv_cell_named_twice_keeps_the_later_row(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text(
+            "start_step,channel,rate_index,theta\n"
+            "0,1,1,0.5\n0,1,2,0.25\n0,1,1,0.75\n5,1,2,0.1\n5,1,2,0.2\n"
+        )
+        trace = TraceTable.from_csv(path)
+        assert trace.tables.tolist() == [[[0.75, 0.25]], [[0.75, 0.2]]]
+
     def test_segment_lookup(self, swap_trace):
         block = TraceEnvironment(swap_trace, RateSet.of([1.0, 2.0])).theta_block(0, 200)
         assert block[99, 0, 0] == 0.9
@@ -122,7 +142,7 @@ class TestTraceTable:
         path = tmp_path / "trace.csv"
         swap_trace.to_csv(path)
         loaded = TraceTable.from_csv(path, horizon=200)
-        assert loaded.starts == swap_trace.starts
+        assert loaded.starts.tolist() == swap_trace.starts.tolist()
         assert loaded.horizon == 200
         for a, b in zip(loaded.tables, swap_trace.tables):
             np.testing.assert_array_equal(a, b)
@@ -181,8 +201,8 @@ class TestTraceTable:
         trace.to_csv(path)
         assert path.read_bytes() == trace_csv_reference(trace).encode()
         again = TraceTable.from_csv(path)
-        assert again.starts == starts
-        assert np.array_equal(np.stack(again.tables), np.stack(tables))
+        assert again.starts.tolist() == list(starts)
+        assert np.array_equal(again.tables, np.stack(tables))
 
     def test_csv_rejects_missing_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -216,37 +236,58 @@ class TestTraceEnvironment:
         with pytest.raises(ValueError, match="rate count"):
             TraceEnvironment(swap_trace, RateSet.of([1.0]))
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        gaps=st.lists(st.integers(1, 40), max_size=6),
+        span=st.tuples(st.integers(0, 300), st.integers(0, 300)),
+    )
+    def test_theta_block_matches_reference_and_views_one_segment(self, gaps, span):
+        starts = np.cumsum([0, *gaps])
+        tables = np.random.default_rng(len(gaps)).random((len(starts), 2, 3))
+        trace = TraceTable(starts, tables)
+        env = TraceEnvironment(trace, RateSet.of([1.0, 2.0, 3.0]))
+        start, stop = min(span), max(span)
+        block = env.theta_block(start, stop)
+        assert block.shape == (stop - start, 2, 3)
+        for n in range(start, stop):
+            assert_same_bits(block[n - start], trace_theta_reference(trace, n))
+        segment = np.searchsorted(starts, start, side="right") - 1
+        if start < stop <= np.append(starts, np.inf)[segment + 1]:
+            # Inside one segment: a read-only view of its table, no copy.
+            assert np.shares_memory(block, trace.tables) and not block.flags.writeable
+
     def test_probabilities_are_held_once(self):
-        rates = RateSet.of([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
-        spec = SyntheticDriftSpec(rates=rates, channels=5, horizon=20_000, step_std=0.05)
-        trace = drift_to_trace(spec)
-        data = trace.probabilities
-        assert data.shape == (20_000, 5, 8) and not data.flags.writeable
-        assert all(tab.base is data for tab in trace.tables)
+        # Two arrays are taken as they are: 10^5 segments add no object per
+        # segment and no copy of the 3.2 MB of probabilities.
+        starts = np.arange(0, 300_000, 3)
+        tables = np.random.default_rng(2).random((100_000, 2, 2))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            again = TraceTable(trace.starts, data, trace.horizon)
+            trace = TraceTable(starts, tables, horizon=300_000)
             table_growth = tracemalloc.get_traced_memory()[0] - before
             before = tracemalloc.get_traced_memory()[0]
-            env = TraceEnvironment(again, rates)
+            env = TraceEnvironment(trace, RateSet.of([1.0, 2.0]))
             env_growth = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # A stacked array is taken as it is: only a view per segment is new.
-        assert again.probabilities is data
-        assert table_growth < 20_000 * 150
-        # The environment adds the segment starts as an int64 array and no
-        # copy of the 6.4 MB of probabilities.
-        assert env_growth < 20_000 * 8 + 4096
-        assert env.theta_block(9_990, 10_010).tobytes() == data[9_990:10_010].tobytes()
+        assert trace.starts is starts and trace.tables is tables
+        assert table_growth < 64 << 10
+        assert env_growth < 4096
+        block = env.theta_block(149_990, 150_010)
+        want = np.stack([trace_theta_reference(trace, n) for n in range(149_990, 150_010)])
+        assert block.tobytes() == want.tobytes()
 
     def test_tables_are_stacked_into_one_array(self, swap_trace):
-        assert swap_trace.probabilities.shape == (2, 2, 2)
-        assert swap_trace.tables[1].base is swap_trace.probabilities
+        assert swap_trace.starts.dtype == np.int64 and swap_trace.starts.tolist() == [0, 100]
+        assert swap_trace.tables.dtype == float and swap_trace.tables.shape == (2, 2, 2)
         assert swap_trace.tables[1].tolist() == [[0.2, 0.1], [0.9, 0.3]]
-        with pytest.raises(ValueError, match="read-only"):
-            swap_trace.tables[0][0, 0] = 0.5
+        for field in (swap_trace.starts, swap_trace.tables):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0
+        # An array of the right type is taken as it is, and made read-only.
+        tables = np.full((1, 2, 2), 0.5)
+        assert TraceTable([0], tables).tables is tables and not tables.flags.writeable
 
 
 class TestSyntheticDrift:
@@ -350,10 +391,21 @@ class TestSyntheticDrift:
         want = DriftEnvironment(spec).theta_block(0, 1100)
         assert_same_bits(TraceEnvironment(trace, spec.rates).theta_block(0, 1100), want)
 
+    @pytest.mark.parametrize("step_std", [0.02, 0.0])
+    @pytest.mark.parametrize("sample_every", [1, 3, 1600])
+    def test_nbytes_counts_the_latent_path_and_the_trace_arrays(self, step_std, sample_every):
+        spec = self.spec(horizon=1600, step_std=step_std)
+        latent = 8 * 1600 * 3 if step_std else 0
+        assert spec.nbytes() == latent
+        segments = -(-1600 // sample_every)
+        assert spec.nbytes(sample_every) == latent + 8 * segments * (1 + 3 * 3)
+        trace = drift_to_trace(spec, sample_every)
+        assert trace.starts.nbytes + trace.tables.nbytes == 8 * segments * (1 + 3 * 3)
+
     def test_drift_to_trace_holds_between_samples(self):
         spec = self.spec(horizon=1600)
         trace = drift_to_trace(spec, sample_every=3)
-        assert trace.starts == tuple(range(0, 1600, 3))
+        assert trace.starts.tolist() == list(range(0, 1600, 3))
         steps = np.arange(1600)
         want = DriftEnvironment(spec).theta_block(0, 1600)[steps - steps % 3]
         assert_same_bits(TraceEnvironment(trace, spec.rates).theta_block(0, 1600), want)
@@ -361,7 +413,7 @@ class TestSyntheticDrift:
 
 class TestOutcomeTape:
     def test_matches_scalar_draws_across_chunk_boundary(self, tiny_model):
-        env = StationaryEnvironment(tiny_model)
+        env = stationary(tiny_model)
         tape = OutcomeTape(env, seeds=(1, 2))
         block = tape.block(500, 530)  # spans the 512-step chunk edge
         for si, seed in enumerate((1, 2)):
@@ -379,7 +431,7 @@ class TestOutcomeTape:
             assert block[0, n - 90, 0, 0] == reference_draw(env, 4, (1, 1), n)
 
     def test_validation(self, tiny_model):
-        env = StationaryEnvironment(tiny_model)
+        env = stationary(tiny_model)
         with pytest.raises(ValueError, match="distinct"):
             OutcomeTape(env, seeds=(1, 1))
         with pytest.raises(ValueError, match="at least one seed"):
@@ -400,7 +452,7 @@ class TestOutcomeTapeAgainstReference:
     @pytest.fixture()
     def env(self):
         theta = np.array([[0.9, 0.55, 0.2], [0.6, 0.4, 0.05]])
-        return StationaryEnvironment(LinkModel(RateSet.of([1.0, 2.0, 3.0]), theta))
+        return stationary(LinkModel(RateSet.of([1.0, 2.0, 3.0]), theta))
 
     @pytest.mark.parametrize(
         "start, stop",
@@ -528,9 +580,9 @@ class TestOutcomeTapeAgainstReference:
 CELL_SEEDS = (0, 2**32 - 1, 2**32, 2**40, 2**70 + 3)
 
 
-def _stationary(channels: int, n_rates: int) -> StationaryEnvironment:
+def _stationary(channels: int, n_rates: int) -> TraceEnvironment:
     theta = np.random.default_rng(channels * n_rates).random((channels, n_rates))
-    return StationaryEnvironment(LinkModel(RateSet.of(list(range(1, n_rates + 1))), theta))
+    return stationary(LinkModel(RateSet.of(list(range(1, n_rates + 1))), theta))
 
 
 def _block_cells(tape: OutcomeTape, start: int, stop: int, flats) -> np.ndarray:

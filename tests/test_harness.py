@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from chanrate import environments, harness, policies
 from chanrate.environments import (
     OutcomeTape,
-    StationaryEnvironment,
     SyntheticDriftSpec,
+    TraceEnvironment,
     TraceTable,
 )
 from chanrate.harness import (
@@ -526,13 +526,13 @@ class TestBaselinesAgainstReference:
         the chunks' seed states come in batches of 1, 2, 4, ... chunks, and
         each pass computes a block's probabilities once."""
         counts = {"_seed_states": 0, "theta_block": 0}
-        seed_states, theta_block = environments._seed_states, StationaryEnvironment.theta_block
+        seed_states, theta_block = environments._seed_states, TraceEnvironment.theta_block
 
         def count(name, fn):
             return lambda *args: counts.__setitem__(name, counts[name] + 1) or fn(*args)
 
         monkeypatch.setattr(environments, "_seed_states", count("_seed_states", seed_states))
-        monkeypatch.setattr(StationaryEnvironment, "theta_block", count("theta_block", theta_block))
+        monkeypatch.setattr(TraceEnvironment, "theta_block", count("theta_block", theta_block))
         demo = demo_model()
         config = ExperimentConfig(
             rates=demo.rates,
@@ -932,6 +932,22 @@ class TestEmitOutputs:
         paths = emit_outputs(run_experiment(config), tmp_path)
         assert "bounds" not in paths
         assert not (tmp_path / "bounds.json").exists()
+
+    @pytest.mark.parametrize("occupancy", [None, [0.25, 0.0]])
+    def test_a_theta_table_and_its_one_segment_trace_write_the_same_bytes(self, tmp_path, occupancy):
+        theta = [[0.9, 0.6], [0.5, 0.3]]
+        kinds = ("oracle", "static", "kl-ucb", "kl-ucb-u", "crs-t")
+        doc = {"rates": [1.0, 2.0], "policies": [{"kind": k} for k in kinds], "horizon": 600,
+               "seeds": [1, 2, 3]}
+        table = ExperimentConfig.from_json_dict(
+            {**doc, "theta": theta, **({"occupancy": occupancy} if occupancy else {})}
+        )
+        TraceTable((0,), table.model().effective_theta()[None]).to_csv(tmp_path / "trace.csv")
+        trace = ExperimentConfig.from_json_dict({**doc, "trace_csv": "trace.csv"}, tmp_path)
+        want = emit_outputs(run_experiment(table), tmp_path / "table")
+        got = emit_outputs(run_experiment(trace), tmp_path / "trace")
+        for name in ("regret", "decisions"):
+            assert got[name].read_bytes() == want[name].read_bytes()
 
     def test_bounds_file_parses(self, tmp_path):
         result = run_experiment(config_2x2(seeds=(1,), horizon=64))
