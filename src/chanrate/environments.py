@@ -30,7 +30,9 @@ or jump the state with one PCG64 kernel.  All three give numpy's bits.
 A tape keeps two bounded caches, which change no bit: the seed states of a
 run of chunks, hashed in one batch as the tape moves forward, and the jump
 constants of its last ``cells`` call, which the next one reuses when it
-reads the same cells at the same rows.
+draws the same cells at the same rows.  A cell of probability 0 or 1 is
+never drawn by ``cells``: every draw lies in [0, 1), so its outcome is
+known.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .model import RateSet, _csv_rows, _json_int, _json_real, _load_json
+from .model import RateSet, _csv_rows, _json_int, _json_real, _load_json, _parse
 
 __all__ = [
     "DriftEnvironment",
@@ -484,9 +486,8 @@ class TraceTable:
             header = next(rows_in, [])
             required = ("start_step", "channel", "rate_index", "theta")
             if not set(required).issubset(header):
-                raise ValueError(f"trace CSV must have columns {sorted(required)}")
+                raise ValueError(f"{path}: trace CSV must have columns {sorted(required)}")
             column = {name: i for i, name in enumerate(header)}
-            cols = [column[name] for name in required]
             for row in rows_in:
                 if not row:
                     continue
@@ -494,14 +495,15 @@ class TraceTable:
                     raise ValueError(
                         f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
                     )
-                s, c, k, th = (row[i] for i in cols)
-                rows.append((int(s), int(c), int(k), float(th)))
+                line = reader.line_num
+                s, c, k = (_parse(int, row[column[n]], n, path, line) for n in required[:3])
+                rows.append((s, c, k, _parse(float, row[column["theta"]], "theta", path, line)))
         if not rows:
-            raise ValueError("trace CSV has no data rows")
+            raise ValueError(f"{path}: trace CSV has no data rows")
         channels = max(r[1] for r in rows)
         n_rates = max(r[2] for r in rows)
         if min(r[1] for r in rows) < 1 or min(r[2] for r in rows) < 1:
-            raise ValueError("channel and rate_index are 1-based")
+            raise ValueError(f"{path}: channel and rate_index are 1-based")
         starts = sorted({r[0] for r in rows})
         by_start: dict[int, list[tuple[int, int, float]]] = {s: [] for s in starts}
         for s, c, k, th in rows:
@@ -746,10 +748,13 @@ class OutcomeTape:
     draw comes from a closed form, ``_CELL_TILE`` lane-steps at a time.  It
     costs two 128-bit products a lane-step, however many cells a row has,
     and runs the kernel ``_pcg64_random`` steps with (``_mul128``,
-    ``_add128``, ``_pcg64_double``).  The closed form's jump constants
-    depend only on the cells read and their rows in the chunk, so a call
-    that repeats the last call's ``flats`` from the same row reuses its
-    constants: baselines that keep to one pair repeat them every full block.
+    ``_add128``, ``_pcg64_double``).  A step whose cell has probability 0
+    or 1 costs nothing: every draw lies in [0, 1), so its outcome is known
+    without it, and a chunk whose steps are all known hashes no seed
+    state.  The closed form's jump constants depend only on the drawn cells
+    and their rows in the chunk, so a call that draws the last call's cells
+    at the same rows reuses its constants: baselines that keep to one pair
+    repeat them every full block.
 
     Seed states are hashed a batch of chunks at a time.  Asked for a chunk
     it does not hold, the tape drops what it holds and hashes that chunk
@@ -845,6 +850,11 @@ class OutcomeTape:
         from ``x0 = s + inc`` (see ``_pcg64_random``) and ``A(k) = M**0 +
         ... + M**(k-1)``.  The cell at row ``r`` of a chunk is draw ``d = r
         * C * K + c * K + k``.
+
+        Only steps whose probability lies strictly between 0 and 1 are
+        drawn.  A draw is ``k * 2**-53`` with ``k < 2**53``, below 1 always
+        and below 0 (or -0.0) never, so the outcome at probability 1 is 1
+        and at 0 is 0 whatever the draw, exactly as ``block`` compares it.
         """
         flats = np.asarray(flats)
         B, P = stop - start, self._env.channels * self._env.n_rates
@@ -858,38 +868,53 @@ class OutcomeTape:
         if theta.size != B * P:
             raise ValueError(f"need {B} x {P} probabilities, got shape {theta.shape}")
         th = theta.reshape(B, P)[np.arange(B), flats]
-        jump = self._jump(start % _CHUNK, flats)
-        out = np.empty((len(self._seeds), B), dtype=np.uint8)
-        for b in range(start // _CHUNK, (stop - 1) // _CHUNK + 1):
-            seg = slice(max(start, b * _CHUNK) - start, min(stop, (b + 1) * _CHUNK) - start)
-            tile = max(1, _CELL_TILE // (seg.stop - seg.start))
-            work = np.empty((7, min(tile, len(self._seeds)), seg.stop - seg.start), dtype=np.uint64)
+        # A draw is k * 2**-53 with k < 2**53: below 1 always, below 0 never.
+        known = (th == 0.0) | (th == 1.0)
+        steps = np.flatnonzero(~known)  # the steps drawn, in order
+        jump = self._jump((start + steps) % _CHUNK, flats[steps])
+        th_u = th[steps]
+        won = np.empty((len(self._seeds), len(steps)), dtype=np.uint8)
+        # Chunk b's drawn steps are steps[i0:i1], between two edges.
+        b_lo, b_hi = start // _CHUNK, (stop - 1) // _CHUNK
+        edges = np.searchsorted(steps, np.arange(b_lo, b_hi + 2) * _CHUNK - start).tolist()
+        for b, i0, i1 in zip(range(b_lo, b_hi + 1), edges, edges[1:]):
+            if i0 == i1:
+                continue  # every cell known: no seed state to hash
+            seg = slice(i0, i1)
+            tile = max(1, _CELL_TILE // (i1 - i0))
+            work = np.empty((7, min(tile, len(self._seeds)), i1 - i0), dtype=np.uint64)
             for lanes, states in self._chunk_states(b):
                 for src, dst in _lane_tiles(lanes, tile):
                     part = states[src]
                     draws = _pcg64_at(part, jump[:, seg], work[:, : len(part)])
-                    out[dst, seg] = draws < th[seg]
+                    won[dst, seg] = draws < th_u[seg]
+        if len(steps) == B:
+            return won
+        out = np.empty((len(self._seeds), B), dtype=np.uint8)
+        out[:, known] = th[known] == 1.0
+        out[:, steps] = won
         return out
 
-    def _jump(self, offset: int, flats: np.ndarray) -> np.ndarray:
+    def _jump(self, rows: np.ndarray, flats: np.ndarray) -> np.ndarray:
         """The ``(4, steps)`` jump constants ``_pcg64_at`` takes for cells
-        ``flats`` read from row ``offset`` of a chunk on: the last call's
-        when it read the same cells from the same row."""
+        ``flats`` read at rows ``rows`` of their chunks: the last call's
+        when it read the same cells at the same rows."""
         last = self._last_jump
-        if last is not None and last[0] == offset and np.array_equal(last[1], flats):
+        if last is not None and np.array_equal(last[0], rows) and np.array_equal(last[1], flats):
             return last[2]
+        if not len(flats):  # nothing to draw: no tables to build
+            return np.empty((4, 0), dtype=np.uint64)
         if self._jumps is None:
             self._jumps = _jump_tables(self._env.channels * self._env.n_rates)
-        rows, cells = self._jumps
-        rows = rows[:, np.arange(offset, offset + len(flats)) % _CHUNK]
-        cells = cells[:, flats]
+        row_jumps, cell_jumps = self._jumps
+        r, c = row_jumps[:, rows], cell_jumps[:, flats]
         # Step n's constants, at row r and cell j: G = M**(r*P) * M**(j+2)
         # and H = A(r*P) + M**(r*P) * A(j+3).
         work = np.empty((7, len(flats)), dtype=np.uint64)
-        _mul128(rows[0], rows[1], cells[0], cells[1], work[:5])
-        _mul128(rows[0], rows[1], cells[2], cells[3], work[2:])
-        _add128(work[2], work[3], rows[2], rows[3], (work[2], work[3], work[4]))
-        self._last_jump = (offset, flats.copy(), work[:4])
+        _mul128(r[0], r[1], c[0], c[1], work[:5])
+        _mul128(r[0], r[1], c[2], c[3], work[2:])
+        _add128(work[2], work[3], r[2], r[3], (work[2], work[3], work[4]))
+        self._last_jump = (rows, flats, work[:4])
         return work[:4]
 
     def _chunk_states(self, b: int) -> list:

@@ -290,6 +290,16 @@ def _csv_rows(reader, path: str | Path):
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
+def _parse(convert, text: str, what: str, path: str | Path, line: int):
+    """``convert(text)``, int or float, raising ValueError naming the file
+    and line where the text is not such a number."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"{path}:{line}: {what} must be {kind}, got {text!r}") from None
+
+
 def load_theta_csv(path: str | Path) -> np.ndarray:
     """Load a success-probability table from CSV.
 
@@ -315,14 +325,14 @@ def load_theta_csv(path: str | Path) -> np.ndarray:
                 continue
             if len(row) != n_rates + 1:
                 raise ValueError(f"{path}:{lineno}: expected {n_rates + 1} columns, got {len(row)}")
-            cid = int(row[0])
+            cid = _parse(int, row[0], "channel", path, lineno)
             if cid != len(rows) + 1:
                 raise ValueError(f"{path}:{lineno}: channel ids must run 1..C in order, got {cid}")
-            rows.append([float(cell) for cell in row[1:]])
+            rows.append([_parse(float, cell, "theta", path, lineno) for cell in row[1:]])
     if not rows:
         raise ValueError(f"{path}: no channel rows")
     theta = np.asarray(rows, dtype=float)
-    if np.any((theta < 0.0) | (theta > 1.0)):
+    if not np.all((theta >= 0.0) & (theta <= 1.0)):  # NaN fails too
         raise ValueError(f"{path}: values must lie in [0, 1]")
     return theta
 

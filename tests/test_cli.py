@@ -84,6 +84,68 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"error: segment 2 starts at step {start}, beyond int64\n"
 
+    @staticmethod
+    def _simulate_table(tmp_path, capsys, source, text, rates=(1.0, 2.0)) -> str:
+        """The stderr of ``simulate`` on a config naming ``table.csv``, with
+        ``text`` in it, as its ``source``; the run must exit 2."""
+        (tmp_path / "table.csv").write_text(text)
+        cfg = {"rates": list(rates), source: str(tmp_path / "table.csv"),
+               "policies": [{"kind": "static"}], "horizon": 16, "seeds": 1,
+               "out_dir": str(tmp_path / "results")}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 2
+        return capsys.readouterr().err
+
+    @staticmethod
+    def _check_theta(tmp_path, capsys, text) -> str:
+        """The stderr of ``check`` on ``text`` as its theta CSV; exit 2."""
+        (tmp_path / "theta.csv").write_text(text)
+        (tmp_path / "rates.json").write_text("[1.0, 2.0]")
+        argv = ["check", "--theta", str(tmp_path / "theta.csv"), "--rates", str(tmp_path / "rates.json")]
+        assert main(argv) == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            pytest.param("1,0.9,0.5\nx,0.4,0.2\n", ":3: channel must be an integer, got 'x'", id="channel"),
+            pytest.param("1,0.9,0.5\n2,0.4,0..2\n", ":3: theta must be a number, got '0..2'", id="theta"),
+            pytest.param("1,0.9,\n", ":2: theta must be a number, got ''", id="empty-cell"),
+            pytest.param("1,0.9,nan\n2,0.4,0.2\n", ": values must lie in [0, 1]", id="nan"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_theta_csv_error_names_the_file(self, tmp_path, capsys, command, rows, message):
+        text = "channel,r1,r2\n" + rows
+        if command == "simulate":
+            err = self._simulate_table(tmp_path, capsys, "theta_csv", text)
+            path = tmp_path / "table.csv"
+        else:
+            err = self._check_theta(tmp_path, capsys, text)
+            path = tmp_path / "theta.csv"
+        assert err == f"error: {path}{message}\n"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            pytest.param("0,1,1,0.9\n1.5,1,2,0.4\n", ":3: start_step must be an integer, got '1.5'", id="start"),
+            pytest.param("0,one,1,0.9\n", ":2: channel must be an integer, got 'one'", id="channel"),
+            pytest.param("0,1,,0.9\n", ":2: rate_index must be an integer, got ''", id="rate"),
+            pytest.param("0,1,1,high\n", ":2: theta must be a number, got 'high'", id="theta"),
+            pytest.param("", ": trace CSV has no data rows", id="no-rows"),
+            pytest.param("0,0,1,0.9\n", ": channel and rate_index are 1-based", id="zero-based"),
+        ],
+    )
+    def test_trace_csv_error_names_the_file(self, tmp_path, capsys, body, message):
+        text = "start_step,channel,rate_index,theta\n" + body
+        err = self._simulate_table(tmp_path, capsys, "trace_csv", text, rates=(1.0,))
+        assert err == f"error: {tmp_path / 'table.csv'}{message}\n"
+
+    def test_trace_csv_without_its_columns_names_the_file(self, tmp_path, capsys):
+        err = self._simulate_table(tmp_path, capsys, "trace_csv", "step,channel,rate,theta\n0,1,1,0.9\n")
+        want = "trace CSV must have columns ['channel', 'rate_index', 'start_step', 'theta']"
+        assert err == f"error: {tmp_path / 'table.csv'}: {want}\n"
+
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

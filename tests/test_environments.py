@@ -765,6 +765,111 @@ class TestOutcomeTapeCaches:
         assert jumps[6] is not jumps[4] and np.array_equal(jumps[6], jumps[4])
 
 
+# Probabilities whose outcome is known (1.0, 0.0 and -0.0) and drawn ones.
+_KNOWN_MIX = (0.0, -0.0, 1.0, 0.3, 0.999)
+
+
+def _mixed_trace(tables) -> TraceEnvironment:
+    """A trace of the ``(segments, 2, 3)`` tables, a segment per 300 steps
+    from 0 and from step 2**41 - 450 on, so spans near either edge cross
+    segments."""
+    tables = np.asarray(tables, dtype=float)
+    half = len(tables) // 2
+    starts = [300 * i for i in range(half)]
+    starts += [2**41 - 450 + 300 * i for i in range(len(tables) - half)]
+    return TraceEnvironment(TraceTable(starts, tables), RateSet.of([1.0, 2.0, 3.0]))
+
+
+class TestOutcomeTapeKnownCells:
+    """A cell of probability 0 or 1 has a known outcome, since a draw lies
+    in [0, 1): ``cells`` writes it without a draw, and draws the rest."""
+
+    @pytest.fixture()
+    def env(self):
+        # Cells 0-2 known (1, 0, -0), 3-5 drawn, in every segment.
+        return _mixed_trace([[[1.0, 0.0, -0.0], [0.3, 0.5, 0.999]]] * 4)
+
+    @staticmethod
+    def _spy(monkeypatch, name) -> list:
+        calls, fn = [], getattr(environments, name)
+        monkeypatch.setattr(environments, name, lambda *a: calls.append(a) or fn(*a))
+        return calls
+
+    def test_an_all_known_call_draws_nothing(self, env, monkeypatch):
+        hashed, drawn = self._spy(monkeypatch, "_seed_states"), self._spy(monkeypatch, "_pcg64_at")
+        tape = OutcomeTape(env, CELL_SEEDS)
+        flats = np.arange(1100) % 3
+        got = tape.cells(300, 1400, flats, env.theta_block(300, 1400))
+        assert hashed == [] and drawn == []
+        np.testing.assert_array_equal(got, np.broadcast_to(flats == 0, got.shape))
+        assert got.dtype == np.uint8
+
+    def test_a_mixed_call_draws_only_its_unknown_steps(self, env, monkeypatch):
+        drawn = self._spy(monkeypatch, "_pcg64_at")
+        monkeypatch.setattr(environments, "_CELL_TILE", 10**6)  # one call per chunk
+        tape = OutcomeTape(env, (7, 3, 9))
+        start, stop = 400, 1700
+        flats = np.random.default_rng(5).integers(0, 6, stop - start)
+        flats[512 - start : 1024 - start] %= 3  # chunk 1 all known
+        got = tape.cells(start, stop, flats, env.theta_block(start, stop))
+        unknown = np.flatnonzero(flats >= 3)
+        per_chunk = np.bincount((start + unknown) // 512).tolist()
+        assert per_chunk[1] == 0 and len(per_chunk) == 4
+        assert [a[1].shape[1] for a in drawn] == [n for n in per_chunk if n]
+        # Each draw's jump constants are those of its own step.
+        jump = np.concatenate([a[1] for a in drawn], axis=1)
+        full = OutcomeTape(env, (7, 3, 9))._jump((start + unknown) % 512, flats[unknown])
+        np.testing.assert_array_equal(jump, full)
+        np.testing.assert_array_equal(got, _block_cells(tape, start, stop, flats))
+
+    def test_jump_constants_are_reused_only_at_the_same_rows(self, env):
+        """The drawn cells of two calls can agree while their rows differ."""
+        tape = OutcomeTape(env, CELL_SEEDS)
+        calls = [(0, [3, 0, 1]), (512, [3, 0, 1]), (1024, [0, 3, 1]), (1536, [3, 1, 2])]
+        jumps = []
+        for start, flats in calls:
+            args = (start, start + 3, np.array(flats), env.theta_block(start, start + 3))
+            want = OutcomeTape(env, CELL_SEEDS).cells(*args)
+            assert tape.cells(*args).tobytes() == want.tobytes()
+            jumps.append(tape._last_jump[2])
+        assert [a is b for a, b in zip(jumps, jumps[1:])] == [True, False, False]
+        assert np.array_equal(jumps[3], jumps[0])
+
+    def test_out_of_order_and_repeated_calls_match_a_fresh_tape(self, env):
+        tape = OutcomeTape(env, CELL_SEEDS)
+        rng = np.random.default_rng(6)
+        spans = [(0, 512), (1100, 1300), (500, 530), (0, 7), (500, 530), (600, 1030)]
+        spans += [(2**41 - 3, 2**41 + 3), (5, 9), (2**41 - 600, 2**41 - 1), (1023, 1025)]
+        for start, stop in spans:
+            for flats in (rng.integers(0, 6, stop - start), rng.integers(0, 3, stop - start)):
+                args = (start, stop, flats, env.theta_block(start, stop))
+                want = OutcomeTape(env, CELL_SEEDS).cells(*args)
+                assert tape.cells(*args).tobytes() == want.tobytes()
+                np.testing.assert_array_equal(want, _block_cells(tape, start, stop, flats))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cells_of_known_and_drawn_cells_match_block(data):
+    """Tables mixing 0.0, -0.0, 1.0 and interior values, over spans across
+    the chunk edges at 512 and at 2**41."""
+    tables = data.draw(
+        st.lists(st.sampled_from(_KNOWN_MIX), min_size=4 * 6, max_size=4 * 6), "tables"
+    )
+    env = _mixed_trace(np.reshape(tables, (4, 2, 3)))
+    start = data.draw(
+        st.integers(0, 3 * 512) | st.integers(509, 515) | st.integers(2**41 - 300, 2**41 + 300),
+        "start",
+    )
+    stop = start + data.draw(st.integers(1, 200), "steps")
+    flats = data.draw(st.lists(st.integers(0, 5), min_size=stop - start, max_size=stop - start))
+    seeds = data.draw(st.lists(st.sampled_from(CELL_SEEDS), min_size=1, max_size=3, unique=True))
+    tape = OutcomeTape(env, seeds)
+    got = tape.cells(start, stop, flats, env.theta_block(start, stop))
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, _block_cells(tape, start, stop, flats))
+
+
 _CELL_ENV = _stationary(2, 3)
 
 

@@ -519,12 +519,18 @@ class TestBaselinesAgainstReference:
         assert result.static_flat == 0 and set(result.best_flats[700:]) == {3}
         assert calls == [(0, 512), (512, 1024), (512, 1024), (1024, 1100), (1024, 1100)]
 
+    @pytest.mark.parametrize(
+        "best_theta, hashes",
+        [pytest.param(0.99, 6, id="interior-best"), pytest.param(1.0, 0, id="demo")],
+    )
     def test_alone_hashes_seed_states_in_few_batches_and_reads_theta_twice_a_block(
-        self, monkeypatch
+        self, monkeypatch, best_theta, hashes
     ):
         """Demo table, 20 seeds, time budget 300 (19,500 slots in 39 blocks):
-        the chunks' seed states come in batches of 1, 2, 4, ... chunks, and
-        each pass computes a block's probabilities once."""
+        each pass computes a block's probabilities once.  With the best
+        cell (channel 2, 52 Mbit/s) at 0.99 the chunks' seed states come in
+        batches of 1, 2, 4, ... chunks; at the demo's 1.0 every outcome the
+        baselines read is known, so no seed state is hashed."""
         counts = {"_seed_states": 0, "theta_block": 0}
         seed_states, theta_block = environments._seed_states, TraceEnvironment.theta_block
 
@@ -534,16 +540,38 @@ class TestBaselinesAgainstReference:
         monkeypatch.setattr(environments, "_seed_states", count("_seed_states", seed_states))
         monkeypatch.setattr(TraceEnvironment, "theta_block", count("theta_block", theta_block))
         demo = demo_model()
+        theta = demo.theta.copy()
+        theta[1, 5] = best_theta
         config = ExperimentConfig(
             rates=demo.rates,
-            theta=demo.theta,
+            theta=theta,
             policies=_BASELINES[:2],
             horizon=300,
             seeds=tuple(range(1, 21)),
             accounting="both",
         )
-        assert run_experiment(config).slots == 19_500
-        assert counts == {"_seed_states": 6, "theta_block": 2 * 39}
+        result = run_experiment(config)
+        assert result.slots == 19_500 and set(result.best_flats) == {1 * 8 + 5}
+        assert counts == {"_seed_states": hashes, "theta_block": 2 * 39}
+
+    @pytest.mark.parametrize(
+        "rates, theta",
+        [
+            pytest.param(demo_model().rates, demo_model().theta, id="demo"),
+            pytest.param(RateSet.of([1.0, 2.0]), np.array([[1.0, 0.0], [0.0, -0.0]]), id="2x2"),
+        ],
+    )
+    def test_alone_on_known_cells_the_realized_reward_is_the_expected(self, rates, theta):
+        """Where every cell the baselines play is 0 or 1, each outcome is
+        its probability, so each lane's realized reward is its expected
+        reward, bit for bit."""
+        for policy in _BASELINES[:2]:
+            config = ExperimentConfig(
+                rates=rates, theta=theta, policies=(policy,), horizon=1100, seeds=(1, 2, 2**40)
+            )
+            result = run_experiment(config).policy(policy.kind)
+            assert result.realized_reward.shape == (3,)
+            assert_same_bits(result.realized_reward, result.expected_reward)
 
 
 def _count_accounts(monkeypatch) -> list:
