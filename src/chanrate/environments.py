@@ -577,7 +577,9 @@ class SyntheticDriftSpec:
             raise ValueError("channels must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if not self.step_std >= 0.0:  # NaN fails too
+        for name in ("step_std", "softness", "latent_lo", "latent_hi"):
+            _check_finite(getattr(self, name), name)
+        if not self.step_std >= 0.0:
             raise ValueError("step_std must be >= 0")
         if not self.softness > 0.0:
             raise ValueError("softness must be > 0")
@@ -587,7 +589,9 @@ class SyntheticDriftSpec:
         if self.thresholds is not None:
             if len(self.thresholds) != len(self.rates):
                 raise ValueError("need one threshold per rate")
-            if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
+            for value in self.thresholds:
+                _check_finite(value, "each threshold")
+            if not all(b > a for a, b in zip(self.thresholds, self.thresholds[1:])):
                 raise ValueError("thresholds must be strictly increasing")
 
     def threshold_array(self) -> np.ndarray:
@@ -651,6 +655,16 @@ class SyntheticDriftSpec:
         return cls.from_json_dict(_load_json(path))
 
 
+def _check_finite(value, what: str) -> None:
+    """Raise ValueError unless the real ``value`` is finite as a float."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{what} is beyond float range") from None
+    if not finite:
+        raise ValueError(f"{what} must be finite, got {value}")
+
+
 def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     span = hi - lo
     y = np.mod(x - lo, 2.0 * span)
@@ -680,34 +694,47 @@ class DriftEnvironment(Environment):
     the logistic function of ``(latent[n, c] - threshold[k]) / softness``,
     computed through the C library's exp (see ``_expit``) so that it has the
     bits of ``scipy.special.expit`` without importing scipy.
+
+    ``theta_block`` returns a read-only array and hands the last one back
+    when asked for the same steps again, as a run's outcome tape does right
+    after its main pass: θ is computed twice a block, once for one block.
     """
 
     def __init__(self, spec: SyntheticDriftSpec):
         super().__init__(spec.rates, spec.channels, spec.horizon)
         self._softness = spec.softness
         span = spec.latent_hi - spec.latent_lo
-        start = spec.latent_lo + span * (np.arange(spec.channels) + 0.5) / spec.channels
-        if spec.step_std > 0.0:
-            gen = np.random.default_rng(np.random.SeedSequence([_DRIFT_TAG, spec.seed]))
-            steps = gen.normal(0.0, spec.step_std, size=(spec.horizon, spec.channels))
-            steps[0] = 0.0
-            raw = start[None, :] + np.cumsum(steps, axis=0)
-            self._latent = _reflect(raw, spec.latent_lo, spec.latent_hi)
-        else:
-            self._latent = np.broadcast_to(start, (spec.horizon, spec.channels))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            latent = spec.latent_lo + span * (np.arange(spec.channels) + 0.5) / spec.channels
+            if spec.step_std > 0.0:
+                gen = np.random.default_rng(np.random.SeedSequence([_DRIFT_TAG, spec.seed]))
+                steps = gen.normal(0.0, spec.step_std, size=(spec.horizon, spec.channels))
+                steps[0] = 0.0
+                raw = latent[None, :] + np.cumsum(steps, axis=0)
+                latent = _reflect(raw, spec.latent_lo, spec.latent_hi)
+        if not np.isfinite(latent).all():
+            raise ValueError("the drift's latent path leaves float range")
+        self._latent = np.broadcast_to(latent, (spec.horizon, spec.channels))
         self._thresholds = spec.threshold_array()
+        self._last = (None, None)  # (start, stop) and the block of the last theta_block
 
     def theta_block(self, start: int, stop: int) -> np.ndarray:
         self._check_step(start)
         if stop > start:
             self._check_step(stop - 1)
-        return self._theta(slice(start, stop))
+        if self._last[0] != (start, stop):
+            block = self._theta(slice(start, stop))
+            block.flags.writeable = False
+            self._last = ((start, stop), block)
+        return self._last[1]
 
     def _theta(self, steps) -> np.ndarray:
         """Probabilities ``(steps, C, K)`` at ``steps``, a slice or an index
         array of steps of the latent path."""
-        z = self._latent[steps, :, None] - self._thresholds
-        return _expit(z / self._softness)
+        # A z past float range is +-inf, which expit maps to 0 or 1 as scipy does.
+        with np.errstate(over="ignore"):
+            z = self._latent[steps, :, None] - self._thresholds
+            return _expit(z / self._softness)
 
 
 def drift_to_trace(spec: SyntheticDriftSpec, sample_every: int = 1) -> TraceTable:

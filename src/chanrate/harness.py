@@ -661,12 +661,12 @@ def _simulate(
             outs = run.tape.block(n0, n1).reshape(-1)  # (S, B, P), flat
             cells = np.arange(0, S * B * P, B * P)  # each lane's cell of pair 0 at the step
             for i in range(B):
-                pk, won = picks[i], wins[i]
-                for row, flats in zip(pk, select_all(policies)):
-                    row[...] = flats
+                flats = select_all(policies)
+                picks[i] = flats
+                won = wins[i]
                 # The cells are in range; "clip" writes to ``won`` unbuffered.
-                outs.take(pk + cells, out=won, mode="clip")
-                record(policies, pk, won)
+                outs.take(picks[i] + cells, out=won, mode="clip")
+                record(policies, flats, won)
                 cells += P
         mu_star_b = mu_b.max(axis=1)
         for l, led in enumerate(learned):

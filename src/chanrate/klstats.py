@@ -34,7 +34,11 @@ fast path with no direction masks that the upper-bound learners (``kl-ucb``,
 ``kl-ucb-u``) take on every slot.  ``_solve_probability``, behind
 ``ucb_probability`` and ``lcb_probability``, validates and broadcasts its
 arguments; ``_solve_trusted``, which ``select_all`` calls, checks nothing,
-since its flat arrays are valid by construction.
+since its flat arrays are valid by construction.  ``_solve_trusted`` is
+also the one place that sets numpy's error state: its decorator ignores
+floating-point errors for its closed forms and for the log-space core,
+which takes logs of zero and may overflow by design, and restores the
+caller's state on return.
 
 The divergence itself is a port of ``scipy.special.rel_entr`` to Python's
 ``math`` module, which calls the same C library ``log`` and ``log1p``, so
@@ -151,7 +155,6 @@ def _residual(v, r, rho, nw, w, s, k):
     np.subtract(1.0, rho, rho)  # -dr/dv = 1 - w/(1 - e^v) > 0 left of the anchor
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _solve_log_space(p, t, target, upper):
     """Solve t * I(p, q) = f for strictly interior p, one element at a time.
 
@@ -161,7 +164,8 @@ def _solve_log_space(p, t, target, upper):
     element's bound.  Returns ``(q, steps)``: q on the probability scale and
     the number of Newton steps the slowest element took; more than
     ``_NEWTON_STEPS`` means some element fell back to bisection.  No
-    element's result depends on the other elements.
+    element's result depends on the other elements.  Its logs of zero and
+    overflows are expected, so the caller ignores floating-point errors.
     """
     # UCB: v = log(1 - q); LCB: v = log(q).  With s = 1 - p (UCB) or p (LCB)
     # and w = 1 - s, I(p, q(v)) = w*log(w/(1 - e^v)) + s*(log(s) - v), which
@@ -236,8 +240,7 @@ def _solve_log_space(p, t, target, upper):
     # A sign against the bracket can only be rounding within tol, which
     # certifies that end; the same tests stop the element either way.
     np.negative(r_hi, x)
-    active = r_lo > tol
-    active &= x > tol
+    active = np.minimum(r_lo, x) > tol
     steps = _UNCHECKED_STEPS
     if active.any():
         lo_state = e[:, 0].copy()  # lo, r(lo) > 0, -r'(lo) > 0
@@ -269,8 +272,7 @@ def _solve_log_space(p, t, target, upper):
                 np.copyto(hi_state, e[:2, 0], where=move)
                 np.copyto(lo_state, e[:, 0], where=move ^ active)
             np.negative(r_hi, x)
-            active &= r_lo > tol
-            active &= x > tol
+            active &= np.minimum(r_lo, x) > tol
 
     v = np.where(r_lo <= x, lo, hi)
     q = np.expm1(v)
@@ -315,35 +317,35 @@ def _solve_probability(p_hat, pulls, budget, upper):
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
+@np.errstate(all="ignore")
 def _solve_trusted(p, t, f, upper):
     """:func:`_solve_probability` with nothing checked, for a caller whose
     arguments are valid by construction: ``p`` and ``t`` (possibly integer)
     1-D arrays of one shape, ``f`` a float or such an array, ``upper`` a bool
     or such a bool array; p in [0, 1], t >= 0, f >= 0 and no NaN."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        target = f / t
-        # Unpulled entries give the extreme value (1 up, 0 down); endpoint
-        # rates have closed forms; interior entries hold p, the exact answer
-        # at a zero budget, until solved.  I(1, q) is infinite below 1 and
-        # t * (-log(1 - q)) = f at p = 0; I(0, q) is infinite above 0 and
-        # t * (-log(q)) = f at p = 1.
-        out = np.negative(target)
-        if upper is False:
-            use_p = p < 1.0
-            np.exp(out, out)
-        else:
-            use_p = p > 0.0
-            np.expm1(out, out)
-            np.negative(out, out)
-            if upper is not True:
-                use_p = np.where(upper, use_p, p < 1.0)
-                np.copyto(out, np.exp(-target), where=~upper)
-        np.copyto(out, p, where=use_p)
-        np.copyto(out, upper, where=t <= 0.0)
-        inner = out != upper  # out lies in [0, 1]: below 1 up, above 0 down
-        inner &= use_p
-        inner &= target > 0.0
-    at = np.flatnonzero(inner)
+    target = f / t
+    # Unpulled entries give the extreme value (1 up, 0 down); endpoint
+    # rates have closed forms; interior entries hold p, the exact answer
+    # at a zero budget, until solved.  I(1, q) is infinite below 1 and
+    # t * (-log(1 - q)) = f at p = 0; I(0, q) is infinite above 0 and
+    # t * (-log(q)) = f at p = 1.
+    out = np.negative(target)
+    if upper is False:
+        use_p = p < 1.0
+        np.exp(out, out)
+    else:
+        use_p = p > 0.0
+        np.expm1(out, out)
+        np.negative(out, out)
+        if upper is not True:
+            use_p = np.where(upper, use_p, p < 1.0)
+            np.copyto(out, np.exp(-target), where=~upper)
+    np.copyto(out, p, where=use_p)
+    np.copyto(out, upper, where=t <= 0.0)
+    inner = out != upper  # out lies in [0, 1]: below 1 up, above 0 down
+    inner &= use_p
+    inner &= target > 0.0
+    at = inner.nonzero()[0]
     if at.size:
         if not isinstance(upper, bool):
             upper = upper.take(at)

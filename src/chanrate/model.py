@@ -76,6 +76,8 @@ def _json_array(value, what: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except TypeError:
         raise ValueError(f"{what} must hold numbers, got {value!r}") from None
+    except OverflowError:  # an int past float range
+        raise ValueError(f"{what} holds a number beyond float range") from None
 
 
 def pair_to_flat(pair: DecisionPair | tuple[int, int], n_rates: int) -> int:
@@ -103,7 +105,10 @@ class RateSet:
     def __post_init__(self) -> None:
         if len(self.values) == 0:
             raise ValueError("rate set must contain at least one rate")
-        vals = tuple(float(v) for v in self.values)
+        try:
+            vals = tuple(float(v) for v in self.values)
+        except OverflowError:  # an int past float range
+            raise ValueError("rates must be positive and finite") from None
         if not all(0 < v < math.inf for v in vals):
             raise ValueError("rates must be positive and finite")
         if any(b <= a for a, b in zip(vals, vals[1:])):

@@ -37,7 +37,6 @@ the bits do not change.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 import numpy as np
@@ -88,8 +87,9 @@ class BasePolicy:
         self._successes = np.zeros((batch, P), dtype=np.int64)
         self._rate = np.zeros((batch, P))  # successes / pulls, 0.0 where unpulled
         if window is not None:
-            self._ring_pair = np.full((batch, window), -1, dtype=np.int64)
-            self._ring_out = np.zeros((batch, window), dtype=np.int8)
+            # Step by step, each lane's flat (lane, pair) index and outcome.
+            self._ring_at = np.full((window, batch), -1, dtype=np.int64)
+            self._ring_out = np.zeros((window, batch), dtype=np.int8)
             self._ring_pos = 0
 
     # -- subclass hooks ---------------------------------------------------
@@ -109,16 +109,13 @@ class BasePolicy:
         # Lanes step together, so the ring slot is filled on every lane or none.
         if self._step < self._window:
             return
-        at = self._lane_base + self._ring_pair[:, self._ring_pos]
-        pulls = self._pulls.take(at)
-        pulls -= 1
-        successes = self._successes.take(at)
-        successes -= self._ring_out[:, self._ring_pos]
+        at = self._ring_at[self._ring_pos]
+        pulls = self._pulls.take(at) - 1
+        successes = self._successes.take(at) - self._ring_out[self._ring_pos]
         self._pulls.put(at, pulls)
         self._successes.put(at, successes)
-        rate = np.zeros(at.shape)
-        np.divide(successes, pulls, out=rate, where=pulls > 0)
-        self._rate.put(at, rate)
+        # A pair left with no pulls has no successes either: its rate is 0/1.
+        self._rate.put(at, successes / np.maximum(pulls, 1))
 
     def _scalar_budget(self) -> float:
         """Budget for policies whose allowance argument is the step count."""
@@ -146,7 +143,7 @@ class KlUcbPolicy(BasePolicy):
         size = (top + 1) * (top + 2) // 2
         if size >= self._pulls.size:
             return self._rate.ravel(), self._pulls.ravel(), self._scalar_budget(), True
-        t = np.repeat(np.arange(top + 1), np.arange(1, top + 2))
+        t = np.arange(top + 1).repeat(np.arange(1, top + 2))
         s = np.arange(size) - t * (t + 1) // 2
         p = np.zeros(size)
         np.divide(s, t, out=p, where=t > 0)
@@ -160,8 +157,8 @@ class KlUcbPolicy(BasePolicy):
             key += self._successes
             q = q.take(key)
         q = q.reshape(self._batch, self._n_pairs)
-        np.multiply(q, self._r_flat, out=q)
-        return np.argmax(q, axis=1)
+        q *= self._r_flat
+        return q.argmax(axis=1)
 
 
 class CrsTPolicy(BasePolicy):
@@ -203,7 +200,7 @@ class CrsTPolicy(BasePolicy):
     def _request(self):
         S, C, K = self._batch, self._channels, self._n_rates
         # Each channel's leader; the first max is the smallest rate index.
-        lead = np.argmax(self._rate.reshape(S, C, K) * self._r_row, axis=2)
+        lead = (self._rate.reshape(S, C, K) * self._r_row).argmax(axis=2)
         at = (self._chan_base + self._bound_k.take(lead, axis=1)).ravel()  # (4, S, C) bounds
         self._ctx = lead
         return self._rate.take(at), self._pulls.take(at), self._scalar_budget(), self._upper
@@ -221,12 +218,12 @@ class CrsTPolicy(BasePolicy):
         # Exploration probes the lowest undecided channel at the least-pulled
         # rate of its leader's closed neighbourhood (ties to the smallest rate
         # index); exploitation plays the leader of highest upper index.
-        ch = np.where(explore, np.argmax(undecided, axis=1), np.argmax(ucb, axis=1))
+        ch = np.where(explore, undecided.argmax(axis=1), ucb.argmax(axis=1))
         row = self._lane_c + ch
         lead_ch = lead.take(row)
         cand = self._near_k.take(lead_ch, axis=0)
         pulls = self._pulls.take(row[:, None] * K + cand)
-        k_ex = cand.take(self._lanes3 + np.argmin(pulls, axis=1))
+        k_ex = cand.take(self._lanes3 + pulls.argmin(axis=1))
         return ch * K + np.where(explore, k_ex, lead_ch)
 
 
@@ -265,11 +262,12 @@ class KlUcbUPolicy(BasePolicy):
         pad = np.where(self._cand_table < 0, -np.inf, 0.0)
         self._cand_scale = np.stack([self._r_flat[self._safe_table], pad])
         self._lane_rows = self._lane_base[:, None]
+        self._lane_cols = np.arange(batch) * self._width  # flat index of (lane, column 0)
         self._lead_counts = np.zeros((batch, self._n_pairs), dtype=np.int64)
         self._leader = np.zeros(batch, dtype=np.int64)
         self._v_lead = np.zeros(batch, dtype=np.int64)  # the leader's count
         if window is not None:
-            self._lead_ring = np.full((batch, window), -1, dtype=np.int64)
+            self._lead_ring = np.full((window, batch), -1, dtype=np.int64)  # flat leaders
 
     @staticmethod
     def _build_candidates(graph: NeighborhoodGraph, strict: bool) -> np.ndarray:
@@ -292,35 +290,37 @@ class KlUcbUPolicy(BasePolicy):
 
     def _after_update(self) -> None:
         # Leadership counts include the leader after the current step.
-        self._leader = np.argmax(self._rate * self._r_flat, axis=1)
+        self._leader = (self._rate * self._r_flat).argmax(axis=1)
         at = self._lane_base + self._leader
         if self._window is not None:
             pos = self._ring_pos
             if self._step > self._window:  # the slot is filled on every lane
-                old = self._lane_base + self._lead_ring[:, pos]
+                old = self._lead_ring[pos]
                 self._lead_counts.put(old, self._lead_counts.take(old) - 1)
-            self._lead_ring[:, pos] = self._leader
+            self._lead_ring[pos] = at
         self._v_lead = self._lead_counts.take(at) + 1
         self._lead_counts.put(at, self._v_lead)
 
     def _request(self):
         if self.gamma == 0:  # single-vertex graph: the leader is the only pair
             return None
-        f = _allowance_vec(self._v_lead.astype(float))
-        at = (self._lane_rows + self._safe_table.take(self._leader, axis=0)).ravel()
-        return self._rate.take(at), self._pulls.take(at), np.repeat(f, self._width), True
+        f = _allowance_vec(self._v_lead)  # int64 counts: the bits of their floats
+        self._cand = self._safe_table.take(self._leader, axis=0)
+        at = (self._lane_rows + self._cand).ravel()
+        return self._rate.take(at), self._pulls.take(at), f.repeat(self._width), True
 
     def _finish(self, q: np.ndarray | None) -> np.ndarray:
         lead = self._leader
         if q is None:
             return lead.copy()
-        forced = (self._v_lead - 1) % self.gamma == 0
+        gamma = self.graph.gamma
+        forced = self._v_lead % gamma == 1 % gamma  # (v - 1) is a multiple of gamma
         scale = self._cand_scale.take(lead, axis=1)
         q = q.reshape(self._batch, self._width)
         q *= scale[0]
         q += scale[1]
-        best_col = np.argmax(q, axis=1)  # candidate rows sorted: first max wins
-        pick = self._cand_table.take(lead * self._width + best_col)
+        # Candidate rows are sorted, so the first max wins; padding (-inf) never does.
+        pick = self._cand.take(self._lane_cols + q.argmax(axis=1))
         return np.where(forced, lead, pick)
 
 
@@ -330,32 +330,36 @@ def select_all(policies: list[BasePolicy]) -> list[np.ndarray]:
     A policy in its round-robin prefix asks for no bounds and plays its
     step number as the flat pair.  The other requests are laid end to end,
     solved together, and each policy gets its slice of the result back;
-    requests that all ask for the same direction pass it as one bool.  Each
-    element's bound is the one a call on it alone gives, so a policy's picks
-    do not depend on the policies it steps with.  :func:`record` of the
-    picks' outcomes completes the step.
+    requests that all ask for upper bounds pass the direction as one bool.
+    Each element's bound is the one a call on it alone gives, so a policy's
+    picks do not depend on the policies it steps with.  :func:`record` of
+    the picks' outcomes completes the step.
     """
-    warming = [policy._step < policy._n_pairs for policy in policies]
-    requests = [None if w else policy._request() for policy, w in zip(policies, warming)]
+    requests = [None if policy._step < policy._n_pairs else policy._request() for policy in policies]
     live = [r for r in requests if r is not None]
-    bounds = requests
     if live:
-        ends = list(itertools.accumulate(r[0].size for r in live))
-        p, t, f = np.empty((3, ends[-1]))
-        directions = [r[3] for r in live]
-        one_way = all(type(u) is bool for u in directions) and len(set(directions)) == 1
-        upper = directions[0] if one_way else np.empty(ends[-1], dtype=bool)
-        for r, a, b in zip(live, [0] + ends, ends):
-            p[a:b], t[a:b], f[a:b] = r[:3]
-            if not one_way:
-                upper[a:b] = r[3]
+        n = sum(r[0].size for r in live)
+        p, t, f = np.empty(n), np.empty(n), np.empty(n)
+        upper = True if all(r[3] is True for r in live) else np.empty(n, dtype=bool)
+        a = 0
+        for rp, rt, rf, ru in live:
+            b = a + rp.size
+            p[a:b], t[a:b], f[a:b] = rp, rt, rf
+            if upper is not True:
+                upper[a:b] = ru
+            a = b
         q = _solve_trusted(p, t, f, upper)
-        parts = iter([q[a:b] for a, b in zip([0] + ends, ends)])
-        bounds = [None if r is None else next(parts) for r in requests]
-    return [
-        np.full(policy._batch, policy._step, dtype=np.int64) if w else policy._finish(q)
-        for policy, w, q in zip(policies, warming, bounds)
-    ]
+    picks, a = [], 0
+    for policy, r in zip(policies, requests):
+        if r is not None:
+            b = a + r[0].size
+            picks.append(policy._finish(q[a:b]))
+            a = b
+        elif policy._step < policy._n_pairs:
+            picks.append(np.full(policy._batch, policy._step, dtype=np.int64))
+        else:
+            picks.append(policy._finish(None))
+    return picks
 
 
 def record(
@@ -367,15 +371,13 @@ def record(
     oldest step; then each policy updates the counts and rate of the pair
     each lane pulled and runs its ``_after_update``."""
     for policy, f, o in zip(policies, flats, outcomes):
+        at = policy._lane_base + f
         if policy._window is not None:
             policy._evict()
-            policy._ring_pair[:, policy._ring_pos] = f
-            policy._ring_out[:, policy._ring_pos] = o
-        at = policy._lane_base + f
-        pulls = policy._pulls.take(at)
-        pulls += 1
-        successes = policy._successes.take(at)
-        successes += o
+            policy._ring_at[policy._ring_pos] = at
+            policy._ring_out[policy._ring_pos] = o
+        pulls = policy._pulls.take(at) + 1
+        successes = policy._successes.take(at) + o
         policy._pulls.put(at, pulls)
         policy._successes.put(at, successes)
         policy._rate.put(at, successes / pulls)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -83,6 +85,48 @@ class TestErrors:
         assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 2
         err = capsys.readouterr().err
         assert err == f"error: segment 2 starts at step {start}, beyond int64\n"
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            pytest.param({"step_std": math.inf}, "step_std must be finite, got inf", id="step-inf"),
+            pytest.param({"step_std": math.nan}, "step_std must be finite, got nan", id="step-nan"),
+            pytest.param({"softness": math.inf}, "softness must be finite, got inf", id="softness-inf"),
+            pytest.param({"latent_lo": -math.inf}, "latent_lo must be finite, got -inf", id="lo-inf"),
+            pytest.param({"latent_hi": math.inf}, "latent_hi must be finite, got inf", id="hi-inf"),
+            pytest.param({"latent_hi": math.nan}, "latent_hi must be finite, got nan", id="hi-nan"),
+            pytest.param(
+                {"thresholds": [math.nan, 0.5]}, "each threshold must be finite, got nan", id="threshold-nan"
+            ),
+            pytest.param(
+                {"thresholds": [0.2, math.inf]}, "each threshold must be finite, got inf", id="threshold-inf"
+            ),
+            pytest.param({"step_std": 10**400}, "step_std is beyond float range", id="step-huge-int"),
+            pytest.param({"step_std": 1e308}, "the drift's latent path leaves float range", id="walk"),
+            pytest.param(
+                {"latent_lo": -1e308, "latent_hi": 1e308},
+                "the drift's latent path leaves float range",
+                id="span",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "gen-env"])
+    def test_drift_spec_past_float_range(self, tmp_path, capsys, command, patch, message):
+        spec = {"channels": 2, "step_std": 0.01, **patch}
+        path = tmp_path / "input.json"
+        if command == "simulate":
+            out = tmp_path / "results"
+            data = {"rates": [1.0, 2.0], "synth": spec, "policies": [{"kind": "kl-ucb"}],
+                    "horizon": 50, "seeds": 2, "out_dir": str(out)}
+            argv = ["simulate", "--config", str(path)]
+        else:
+            out = tmp_path / "trace.csv"
+            data = {"rates": [1.0, 2.0], "horizon": 50, **spec}
+            argv = ["gen-env", "--spec", str(path), "--out", str(out)]
+        path.write_text(json.dumps(data))  # NaN and Infinity literals, as Python's json reads them
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @staticmethod
     def _simulate_table(tmp_path, capsys, source, text, rates=(1.0, 2.0)) -> str:
@@ -175,6 +219,19 @@ class TestErrors:
                 {"checkpoints": [10.5]}, "each of checkpoints must be an integer", id="checkpoint-fraction"
             ),
             pytest.param({"checkpoints": 7}, "checkpoints must be a list", id="checkpoints-number"),
+            pytest.param(
+                {"rates": [1.0, 10**400]}, "rates must be positive and finite", id="rate-past-float-range"
+            ),
+            pytest.param(
+                {"occupancy": [0.5, 10**400]},
+                "occupancy holds a number beyond float range",
+                id="occupancy-past-float-range",
+            ),
+            pytest.param(
+                {"theta": [[0.9, 10**400], [0.5, 0.3]]},
+                "theta holds a number beyond float range",
+                id="theta-past-float-range",
+            ),
         ],
     )
     def test_malformed_config_values(self, tmp_path, capsys, patch, message):
@@ -818,6 +875,87 @@ class TestArbitraryTableFiles:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["simulate", "--config", str(tmp_path / "config.json")])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
+
+
+# Texts a JSON file's fuzzer puts in place of a number: non-finite
+# literals, which Python's json reads, and integers past int64, float
+# range and the interpreter's 4,300-digit limit.
+_JSON_EXTREMES = st.sampled_from(
+    ["NaN", "Infinity", "-Infinity", str(2**63), str(-(2**63) - 1), str(10**30),
+     "1" + "0" * 400, "1e400", "-1e400", "9" * 5_000]
+)
+_JSON_NUMBER = re.compile(rb"-?\d+(\.\d+)?([eE][-+]?\d+)?")
+
+
+@st.composite
+def _json_file(draw, documents) -> bytes:
+    """The bytes of a document from ``documents`` as JSON, as written or
+    with one flaw: a number replaced by an extreme, a value (or the whole)
+    nested deeply, the text cut short, a key given again with another
+    value (the later one wins), or a non-UTF-8 or NUL byte."""
+    document = draw(documents)
+    data = json.dumps(document).encode()
+    flaw = draw(st.sampled_from(["none", "number", "number", "deep", "truncate", "duplicate", "bytes"]))
+    if flaw == "number" and _JSON_NUMBER.search(data):
+        found = draw(st.sampled_from(list(_JSON_NUMBER.finditer(data))))
+        data = data[: found.start()] + draw(_JSON_EXTREMES).encode() + data[found.end() :]
+    elif flaw == "deep":
+        depth = draw(st.sampled_from([50, 3_000, 100_000]))
+        if isinstance(document, dict) and document:
+            key = draw(st.sampled_from(sorted(document)))
+            inner = json.dumps(document[key]).encode()
+            data = json.dumps({**document, key: "@"}).encode().replace(
+                b'"@"', b"[" * depth + inner + b"]" * depth
+            )
+        else:
+            data = b"[" * depth + data + b"]" * depth
+    elif flaw == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif flaw == "duplicate" and isinstance(document, dict) and document:
+        key = draw(st.sampled_from(sorted(document)))
+        again = json.dumps({key: draw(_WRONG | st.just(document[key]))}).encode()
+        data = data[:-1] + b", " + again[1:]
+    elif flaw == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\x00", b"\x80\x00"])) + data[at:]
+    return data
+
+
+class TestArbitraryJsonFiles:
+    """The file-content fuzzer for the JSON inputs: the config
+    (``simulate``), the rates file (``bounds``, ``check``) and the drift
+    spec (``gen-env``)."""
+
+    @settings(
+        derandomize=True,
+        max_examples=500,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_each_command_exits_0_or_2_with_one_error_line(self, tmp_path, monkeypatch, data):
+        monkeypatch.chdir(tmp_path)  # the default out_dir is relative
+        command = data.draw(st.sampled_from(["simulate", "bounds", "check", "gen-env"]))
+        rates = data.draw(_RATES)
+        if command == "simulate":
+            documents = _configs(str(tmp_path / "results"))
+            argv = ["--config", "input.json"]
+        elif command == "gen-env":
+            documents = _drift_spec(rates)
+            argv = ["--spec", "input.json", "--out", "trace.csv"]
+        else:
+            documents = _rates_json(rates)
+            write_theta_csv(tmp_path / "theta.csv", np.full((2, len(rates)), 0.5))
+            argv = ["--theta", "theta.csv", "--rates", "input.json"]
+        (tmp_path / "input.json").write_bytes(data.draw(_json_file(documents)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, *argv])
         assert code in (0, 2)
         if code == 2:
             assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

@@ -24,6 +24,7 @@ from chanrate.environments import (
     _seed_states,
     drift_to_trace,
 )
+from chanrate.harness import ExperimentConfig, PolicySpec, run_experiment
 from chanrate.model import LinkModel, RateSet
 
 from _oracles import (
@@ -350,6 +351,36 @@ class TestSyntheticDrift:
         a = DriftEnvironment(self.spec())
         b = DriftEnvironment(self.spec())
         assert a.theta_block(0, 400).tobytes() == b.theta_block(0, 400).tobytes()
+
+    def test_last_block_is_handed_back_read_only(self):
+        env = DriftEnvironment(self.spec())
+        block = env.theta_block(40, 60)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0, 0] = 0.5
+        assert env.theta_block(40, 60) is block
+        assert_same_bits(env.theta_block(40, 61)[:20], block)
+        assert env.theta_block(40, 60) is not block  # only the last block is kept
+
+    @pytest.mark.parametrize("horizon, computed", [(500, 1), (1100, 6)])
+    def test_a_learning_run_computes_theta_once_a_pass(self, monkeypatch, horizon, computed):
+        # The totals pass, the main pass and the outcome tape each read a
+        # block: one computation for a run of one block, two a block else.
+        calls = []
+        theta = DriftEnvironment._theta
+
+        def counted(env, steps):
+            calls.append(steps)
+            return theta(env, steps)
+
+        monkeypatch.setattr(DriftEnvironment, "_theta", counted)
+        spec = self.spec(horizon=horizon)
+        config = ExperimentConfig(
+            rates=spec.rates, drift=spec, horizon=horizon, seeds=(1, 2),
+            policies=(PolicySpec("kl-ucb-u", window=50), PolicySpec("crs-t")),
+        )
+        run_experiment(config)
+        assert len(calls) == computed
 
     def test_theta_block_matches_pointwise(self):
         env = DriftEnvironment(self.spec())

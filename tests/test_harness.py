@@ -954,6 +954,19 @@ class TestEmitOutputs:
         assert entry["final_regret_mean"] >= 0
         assert 0 < entry["efficiency_mean"] <= 1
 
+    @pytest.mark.parametrize(
+        "accounting, horizon, slots",
+        [("alternative", 5, 5), ("both", 4, 8)],  # time budget 4 at rate 2: ceil(4 * 2) slots
+    )
+    def test_a_checkpoint_past_the_last_slot_is_dropped(self, tmp_path, accounting, horizon, slots):
+        config = config_2x2(seeds=(1, 2), horizon=horizon, accounting=accounting, checkpoints=(3, 9))
+        paths = emit_outputs(run_experiment(config), tmp_path)
+        rows = paths["regret"].read_text().splitlines()[1:]
+        assert {int(row.split(",")[0]) for row in rows} == {1, 2, 3, 4, slots}
+        summary = json.loads(paths["summary"].read_text())
+        assert summary["slots"] == slots and summary["checkpoints"] == [1, 2, 3, 4, slots]
+        assert summary["config"]["checkpoints"] == [3, 9]  # the echo keeps what was asked
+
     def test_no_bounds_file_for_trace_source(self, tmp_path):
         trace = TraceTable(starts=(0,), tables=(np.full((2, 2), 0.5),), horizon=64)
         config = config_2x2(theta=None, trace=trace, horizon=64, seeds=(1,))

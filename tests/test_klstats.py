@@ -369,8 +369,32 @@ class TestTrustedEntry:
         np.testing.assert_array_equal(got[(f == 0) & (t > 0)], p[(f == 0) & (t > 0)])
 
 
+def test_the_callers_error_state_is_kept():
+    """Bounds at t = 0, f = 0, p = 0 and 1, interior p and roots near 0 and
+    1 come out inside ``np.errstate(all="raise")`` with the bits they have
+    outside it, and leave the caller's state as it was."""
+    p = np.array([0.0, 1.0, 0.0, 0.3, 0.3, 0.5, 1e-300, 1.0 - 2**-52, 0.25])
+    t = np.array([4, 7, 0, 0, 9, 10**6, 3, 50, 1])
+    f = np.array([2.0, 2.0, 2.0, 0.0, 0.0, 25.0, 30.0, 1e-8, 800.0])
+    want = ucb_probability(p, t, f), lcb_probability(p, t, f)
+    before = np.geterr()
+    with np.errstate(all="raise"):
+        raising = np.geterr()
+        got = ucb_probability(p, t, f), lcb_probability(p, t, f)
+        assert np.geterr() == raising
+    assert np.geterr() == before
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+
 class TestSolverAgainstHighPrecision:
     """Roots checked against a 30-digit bisection that shares no code with the solver."""
+
+    @pytest.fixture(autouse=True)
+    def _callers_error_state(self):
+        # The core runs under the error state its caller, _solve_trusted, sets.
+        with np.errstate(all="ignore"):
+            yield
 
     @staticmethod
     def _cases(kind, rng, n=60):

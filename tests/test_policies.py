@@ -134,6 +134,42 @@ class TestSelectAll:
         np.testing.assert_array_equal(warming_picks, [1, 1])  # its step number
         np.testing.assert_array_equal(warmed_picks, alone)
 
+    def test_an_outer_error_state_is_kept(self, monkeypatch):
+        """Steps whose one solver call holds bounds at t = 0, at f = 0, at
+        p = 0 and 1 and at interior p in both directions run inside
+        ``np.errstate(all="raise")`` and leave the caller's state as it was."""
+        seen = set()
+        solve = policies._solve_trusted
+
+        def spy(p, t, f, upper):
+            up, f = np.broadcast_to(upper, p.shape), np.broadcast_to(f, p.shape)
+            pulled, interior = t > 0, (0 < p) & (p < 1) & (t > 0) & (f > 0)
+            cases = {
+                "t=0": t == 0, "f=0": (f == 0) & pulled, "p=0": (p == 0) & pulled,
+                "p=1": (p == 1) & pulled, "interior up": interior & up, "interior down": interior & ~up,
+            }
+            seen.update(name for name, hit in cases.items() if hit.any())
+            return solve(p, t, f, upper)
+
+        monkeypatch.setattr(policies, "_solve_trusted", spy)
+        theta = np.array([1.0, 0.6, 0.0, 0.8, 0.5, 0.0])
+        group = [
+            build_policy("kl-ucb", [1.0, 2.0, 3.0], channels=2, batch=3, window=4),
+            build_policy("crs-t", [1.0, 2.0, 3.0], channels=2, batch=3, window=5),
+            build_policy("kl-ucb-u", [1.0, 2.0, 3.0], channels=2, batch=3),
+            build_policy("kl-ucb", [1.0, 2.0, 3.0], channels=2, batch=3),
+        ]
+        rng = np.random.default_rng(61)
+        before = np.geterr()
+        with np.errstate(all="raise"):
+            raising = np.geterr()
+            for _ in range(80):
+                picks = select_all(group)
+                record(group, picks, [(rng.random(3) < theta[f]).astype(np.int64) for f in picks])
+                assert np.geterr() == raising
+        assert np.geterr() == before
+        assert seen == {"t=0", "f=0", "p=0", "p=1", "interior up", "interior down"}
+
 
 class TestDeterminism:
     def test_same_outcomes_reproduce_decisions(self):
@@ -399,8 +435,9 @@ class TestKlUcbU:
         run_scalar(policy, 4, lambda n, p: int(p == (2, 2)))
         assert flat_to_pair(int(policy._leader[0]), 2) == (2, 2)
 
-    def test_single_pair_grid(self):
-        policy = build_policy("kl-ucb-u", RateSet.of([1.0]), channels=1)
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_single_pair_grid(self, strict):
+        policy = build_policy("kl-ucb-u", RateSet.of([1.0]), channels=1, strict=strict)
         assert policy.gamma == 0
         decisions = run_scalar(policy, 10, lambda n, p: 1)
         assert decisions == [(1, 1)] * 10
