@@ -18,7 +18,14 @@ from .bounds import compute_bound_report
 from .environments import SyntheticDriftSpec, drift_to_trace
 from .graph import check_graphically_unimodal, check_monotone, check_unimodal
 from .harness import ExperimentConfig, _require_memory, emit_outputs, run_experiment
-from .model import DegenerateOptimumError, LinkModel, compute_optima, load_rates_json, load_theta_csv
+from .model import (
+    DegenerateOptimumError,
+    LinkModel,
+    _echo,
+    compute_optima,
+    load_rates_json,
+    load_theta_csv,
+)
 
 __all__ = ["main"]
 
@@ -105,7 +112,7 @@ def _cmd_gen_env(args: argparse.Namespace) -> int:
     spec = SyntheticDriftSpec.from_json(args.spec)
     _require_memory(
         spec.nbytes(args.sample_every),
-        f"the latent path and trace tables of a {spec.horizon}-step drift spec",
+        f"the latent path and trace tables of a {_echo(spec.horizon)}-step drift spec",
     )
     trace = drift_to_trace(spec, sample_every=args.sample_every)
     trace.to_csv(args.out)

@@ -15,7 +15,7 @@ Purity is achieved by deriving outcomes from a virtual uniform tape: step
 by ``default_rng(SeedSequence([tag, seed, n // chunk]))`` and compares it
 against the success probability in force at ``n``.  ``OutcomeTape``
 reproduces that stream without one ``SeedSequence`` per seed: it hashes
-the entropy of every seed at once (numpy's ``SeedSequence`` pool hash,
+the entropy of all seeds, whatever their size, at once (numpy's pool hash,
 vectorized over seeds) and draws only the rows a block needs, one of two
 ways chosen per chunk from its draws per lane (rows times cells).  A short
 chunk, of at most ``_EMULATE_MAX_DRAWS`` draws, steps numpy's PCG64 for
@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .model import RateSet, _csv_rows, _json_int, _json_real, _load_json, _parse
+from .model import RateSet, _csv_rows, _echo, _json_int, _json_real, _load_json, _parse
 
 __all__ = [
     "DriftEnvironment",
@@ -122,7 +122,7 @@ _EXP_MAX = math.log(sys.float_info.max)
 
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        raise ValueError(f"seed must be a nonnegative integer, got {_echo(seed)}")
     return int(seed)
 
 
@@ -144,14 +144,25 @@ def _words(n: int) -> list[int]:
     return out
 
 
-def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row.
+def _padded(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Word lists as one uint32 array, each zero-padded to the longest, and
+    their lengths."""
+    lengths = np.array(list(map(len, rows)))
+    width = lengths.max()
+    return np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.uint32), lengths
+
+
+def _seed_states(entropy: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
+    """``SeedSequence(row[:length]).generate_state(4, np.uint64)`` per row.
 
     ``entropy`` is a ``(lanes, L)`` uint32 array, one entropy word list per
-    row; the result is ``(lanes, 4)`` uint64.  Each step of numpy's pool
-    hash is one uint32 array operation over all rows (uint32 arithmetic
-    wraps, as the C code does); the hash constants do not depend on the
-    data, so they stay Python ints.
+    row, zero-padded past the row's length in ``lengths`` (``L`` for every
+    row when not given); the result is ``(lanes, 4)`` uint64.  numpy hashes
+    a word missing from its 4-word pool as 0, so padding there needs no
+    mask; a word past the pool is mixed in only where its row holds it.
+    Each step of numpy's pool hash is one uint32 array operation over all
+    rows (uint32 arithmetic wraps, as the C code does); the hash constants
+    do not depend on the data, so they stay Python ints.
     """
     lanes, L = entropy.shape
     hash_const = _INIT_A
@@ -176,8 +187,10 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
             if i_src != i_dst:
                 pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
     for i_src in range(_POOL_SIZE, L):
+        held = None if lengths is None else lengths > i_src
         for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+            mixed = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+            pool[i_dst] = mixed if held is None else np.where(held, mixed, pool[i_dst])
 
     # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
     # paired little-endian into uint64s.
@@ -190,12 +203,6 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
         value ^= value >> _XSHIFT
         state[:, i] = value
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-def _tagged(seed_words: np.ndarray) -> np.ndarray:
-    """Outcome-stream entropy prefixes: ``_OUTCOME_TAG`` before each row."""
-    tag = np.full((len(seed_words), 1), _OUTCOME_TAG, dtype=np.uint32)
-    return np.hstack([tag, seed_words])
 
 
 def _mul128(a_hi, a_lo, b_hi, b_lo, out):
@@ -332,17 +339,6 @@ def _pcg64_at(states: np.ndarray, jump: np.ndarray, work: np.ndarray) -> np.ndar
     h_hi, h_lo = _mul128(jump[2], jump[3], w2 << 1 | w3 >> 63, w3 << 1 | 1, work[2:])
     _add128(g_hi, g_lo, h_hi, h_lo, (g_hi, g_lo, work[4]))
     return _pcg64_double(g_hi, g_lo, work[2:5])
-
-
-def _lane_tiles(lanes, size: int):
-    """Split a seed group's lanes into tiles of ``size``: yields each tile's
-    slice of the group and its lanes in the tape, as a slice when the group
-    is a ``range`` (one group), so that writing them is not a fancy index."""
-    for a in range(0, len(lanes), size):
-        dst = lanes[a : a + size]
-        if isinstance(dst, range):
-            dst = slice(dst.start, dst.stop)
-        yield slice(a, a + size), dst
 
 
 class _PresetState(ISeedSequence):
@@ -630,10 +626,10 @@ class SyntheticDriftSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SyntheticDriftSpec":
         if not isinstance(data, dict):
-            raise ValueError(f"drift spec must be an object, got {data!r}")
+            raise ValueError(f"drift spec must be an object, got {_echo(data)}")
         extra = set(data) - {f.name for f in dataclasses.fields(cls)}
         if extra:
-            raise ValueError(f"unknown drift spec keys: {sorted(extra)}")
+            raise ValueError(f"unknown drift spec keys: {_echo(sorted(extra))}")
         missing = [k for k in ("rates", "channels", "horizon", "step_std") if k not in data]
         if missing:
             raise ValueError(f"drift spec missing keys: {missing}")
@@ -646,7 +642,7 @@ class SyntheticDriftSpec:
         thresholds = data.get("thresholds")
         if thresholds is not None:
             if not isinstance(thresholds, (list, tuple)):
-                raise ValueError(f"thresholds must be a list, got {thresholds!r}")
+                raise ValueError(f"thresholds must be a list, got {_echo(thresholds)}")
             kwargs["thresholds"] = tuple(_json_real(v, "each threshold") for v in thresholds)
         return cls(**kwargs)
 
@@ -789,6 +785,8 @@ class OutcomeTape:
     ``_STATE_BATCH`` lane-chunks.  A walk forward over ``n`` chunks so
     hashes them in about ``log2(n)`` batches.  A tape of more than
     ``_STATE_BATCH // 2`` lanes, whose batch is one chunk, keeps nothing.
+    A batch is one ``_seed_states`` call for all lanes, whatever the sizes
+    of their seeds (see ``_hash_chunks``).
     """
 
     def __init__(self, env: Environment, seeds: tuple[int, ...] | list[int]):
@@ -801,25 +799,16 @@ class OutcomeTape:
         self._seeds = seeds
         self._jumps = None  # _jump_tables, built by the first cells call
         self._last_jump = None  # (row offset, flats, jump) of the last cells call
-        self._held = None  # (first chunk, states per group) of the last state batch
+        self._held = None  # (first chunk, (n, lanes, 4) states) of the last state batch
         self._batch = 1  # chunks the next state batch hashes
-        # Lanes grouped by the word count of their seed, which sets the
-        # entropy length: (lane indices, (lanes, 1 + words) uint32 entropy
-        # prefix [tag, *words(seed)]).
+        # Each lane's entropy prefix [tag, *words(seed)], zero-padded to the
+        # longest, as a (lanes, width) uint32 array, and its length: one int
+        # for all lanes when every seed is one word.
         if max(seeds) <= _MASK32:
             words = np.array(seeds, dtype=np.uint32)[:, None]
-            self._groups = [(range(len(seeds)), _tagged(words))]
+            self._prefix, self._prefix_len = np.insert(words, 0, _OUTCOME_TAG, axis=1), 2
         else:
-            by_len: dict[int, list[int]] = {}
-            for lane, seed in enumerate(seeds):
-                by_len.setdefault(len(_words(seed)), []).append(lane)
-            self._groups = [
-                (
-                    np.array(lanes),
-                    _tagged(np.array([_words(seeds[i]) for i in lanes], dtype=np.uint32)),
-                )
-                for lanes in by_len.values()
-            ]
+            self._prefix, self._prefix_len = _padded([[_OUTCOME_TAG, *_words(s)] for s in seeds])
 
     @property
     def seeds(self) -> tuple[int, ...]:
@@ -842,24 +831,24 @@ class OutcomeTape:
             pos = b * _CHUNK + lo - start
             rows, seg = buf[:hi], buf[lo:hi]
             th_seg = th[pos : pos + hi - lo]
-            for lanes, states in self._chunk_states(b):
-                if hi * C * K > _EMULATE_MAX_DRAWS:
-                    for lane, state in zip(lanes, states):
-                        preset.state = state
-                        np.random.Generator(np.random.PCG64(preset)).random(out=rows)
-                        np.less(seg, th_seg, out=out[lane, pos : pos + hi - lo])
-                    continue
-                # Short chunk: step every lane's PCG64 at once, a tile of
-                # lanes at a time, and compare each draw as it comes.
-                th_draws = th_seg.reshape(-1)
-                tile = np.empty((min(_PCG_TILE, len(lanes)), th_draws.size), dtype=np.uint8)
-                for src, dst in _lane_tiles(lanes, _PCG_TILE):
-                    tile_states = states[src]
-                    part = tile[: len(tile_states)]
-                    draws = _pcg64_random(tile_states, lo * C * K, th_draws.size)
-                    for j, u in enumerate(draws):
-                        np.less(u, th_draws[j], out=part[:, j])
-                    out[dst, pos : pos + hi - lo] = part.reshape(-1, hi - lo, C, K)
+            states = self._chunk_states(b)
+            if hi * C * K > _EMULATE_MAX_DRAWS:
+                for lane, state in enumerate(states):
+                    preset.state = state
+                    np.random.Generator(np.random.PCG64(preset)).random(out=rows)
+                    np.less(seg, th_seg, out=out[lane, pos : pos + hi - lo])
+                continue
+            # Short chunk: step every lane's PCG64 at once, a tile of lanes
+            # at a time, and compare each draw as it comes.
+            th_draws = th_seg.reshape(-1)
+            tile = np.empty((min(_PCG_TILE, len(states)), th_draws.size), dtype=np.uint8)
+            for a in range(0, len(states), _PCG_TILE):
+                tile_states = states[a : a + _PCG_TILE]
+                part = tile[: len(tile_states)]
+                draws = _pcg64_random(tile_states, lo * C * K, th_draws.size)
+                for j, u in enumerate(draws):
+                    np.less(u, th_draws[j], out=part[:, j])
+                out[a : a + _PCG_TILE, pos : pos + hi - lo] = part.reshape(-1, hi - lo, C, K)
         return out
 
     def cells(self, start: int, stop: int, flats, theta) -> np.ndarray:
@@ -910,11 +899,11 @@ class OutcomeTape:
             seg = slice(i0, i1)
             tile = max(1, _CELL_TILE // (i1 - i0))
             work = np.empty((7, min(tile, len(self._seeds)), i1 - i0), dtype=np.uint64)
-            for lanes, states in self._chunk_states(b):
-                for src, dst in _lane_tiles(lanes, tile):
-                    part = states[src]
-                    draws = _pcg64_at(part, jump[:, seg], work[:, : len(part)])
-                    won[dst, seg] = draws < th_u[seg]
+            states = self._chunk_states(b)
+            for a in range(0, len(states), tile):
+                part = states[a : a + tile]
+                draws = _pcg64_at(part, jump[:, seg], work[:, : len(part)])
+                won[a : a + tile, seg] = draws < th_u[seg]
         if len(steps) == B:
             return won
         out = np.empty((len(self._seeds), B), dtype=np.uint8)
@@ -944,39 +933,29 @@ class OutcomeTape:
         self._last_jump = (rows, flats, work[:4])
         return work[:4]
 
-    def _chunk_states(self, b: int) -> list:
-        """``(lanes, states)`` for each seed group: the group's lane indices
-        and the ``_seed_states`` of their streams for chunk ``b``, from the
-        held batch or a new one (see the class docstring)."""
+    def _chunk_states(self, b: int) -> np.ndarray:
+        """The ``(lanes, 4)`` ``_seed_states`` of every lane's stream for
+        chunk ``b``, from the held batch or a new one (see the class
+        docstring)."""
         held = self._held
-        if held is None or not 0 <= b - held[0] < len(held[1][0]):
+        if held is None or not 0 <= b - held[0] < len(held[1]):
             cap = max(1, _STATE_BATCH // len(self._seeds))
             n = min(self._batch, cap)
             held = (b, self._hash_chunks(b, n))
             self._batch = min(2 * n, cap)
             self._held = held if cap > 1 else None
-        i = b - held[0]
-        return [(lanes, states[i]) for (lanes, _), states in zip(self._groups, held[1])]
+        return held[1][b - held[0]]
 
-    def _hash_chunks(self, b: int, n: int) -> list[np.ndarray]:
-        """The seed states of chunks ``b`` to ``b + n - 1`` for each seed
-        group, as a ``(n, lanes, 4)`` uint64 array: one ``_seed_states``
-        call per group and run of chunks that differ only in their low
-        32-bit word, so share their entropy's length."""
-        runs, c = [], b
-        while c < b + n:
-            runs.append((c, min(b + n, ((c >> 32) + 1) << 32)))
-            c = runs[-1][1]
-        batches = []
-        for lanes, prefix in self._groups:
-            parts, width = [], prefix.shape[1]
-            for c0, c1 in runs:
-                low, *high = _words(c0)
-                entropy = np.empty((c1 - c0, len(lanes), width + 1 + len(high)), dtype=np.uint32)
-                entropy[:, :, :width] = prefix
-                entropy[:, :, width] = np.arange(low, low + c1 - c0)[:, None]
-                entropy[:, :, width + 1 :] = high
-                states = _seed_states(entropy.reshape(-1, entropy.shape[2]))
-                parts.append(states.reshape(c1 - c0, len(lanes), 4))
-            batches.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
-        return batches
+    def _hash_chunks(self, b: int, n: int) -> np.ndarray:
+        """The seed states of chunks ``b`` to ``b + n - 1``, a ``(n, lanes,
+        4)`` uint64 array, from one ``_seed_states`` call whatever the
+        seeds' and chunks' sizes: row ``(i, lane)`` is the lane's prefix,
+        then the words of chunk ``b + i``, zero-padded to the longest row."""
+        words, counts = _padded([_words(c) for c in range(b, b + n)])
+        lanes, width = self._prefix.shape
+        entropy = np.zeros((n, lanes, width + words.shape[1]), dtype=np.uint32)
+        entropy[:, :, :width] = self._prefix
+        for k in range(words.shape[1]):
+            entropy[:, np.arange(lanes), self._prefix_len + k] = words[:, k, None]
+        lengths = np.broadcast_to(self._prefix_len + counts[:, None], (n, lanes)).reshape(-1)
+        return _seed_states(entropy.reshape(n * lanes, -1), lengths).reshape(n, lanes, 4)

@@ -55,6 +55,7 @@ from .model import (
     DecisionPair,
     LinkModel,
     RateSet,
+    _echo,
     _json_array,
     _json_int,
     _load_json,
@@ -88,7 +89,7 @@ def _json_ints(values, what: str) -> list[int] | tuple[int, ...]:
     """A list of integral numbers as ints, checked as by ``_json_int``, so a
     non-integral entry is rejected rather than truncated."""
     if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{what} must be a list, got {values!r}")
+        raise ValueError(f"{what} must be a list, got {_echo(values)}")
     if set(map(type, values)) <= {int}:  # all plain ints: no call per entry
         return values
     return [_json_int(v, f"each of {what}") for v in values]
@@ -130,18 +131,18 @@ class PolicySpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PolicySpec":
         if not isinstance(data, dict):
-            raise ValueError(f"policy entry must be an object, got {data!r}")
+            raise ValueError(f"policy entry must be an object, got {_echo(data)}")
         extra = set(data) - {"kind", "window", "strict"}
         if extra:
-            raise ValueError(f"unknown policy keys: {sorted(extra)}")
+            raise ValueError(f"unknown policy keys: {_echo(sorted(extra))}")
         if "kind" not in data:
             raise ValueError("policy entry needs a 'kind'")
         if not isinstance(data["kind"], str):
-            raise ValueError(f"policy kind must be a string, got {data['kind']!r}")
+            raise ValueError(f"policy kind must be a string, got {_echo(data['kind'])}")
         window = data.get("window")
         strict = data.get("strict", False)
         if not isinstance(strict, bool):
-            raise ValueError(f"strict must be true or false, got {strict!r}")
+            raise ValueError(f"strict must be true or false, got {_echo(strict)}")
         return cls(
             kind=data["kind"],
             window=None if window is None else _json_int(window, "window"),
@@ -194,10 +195,10 @@ class ExperimentConfig:
         object.__setattr__(self, "policies", tuple(self.policies))
         labels = [p.label for p in self.policies]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate policy labels: {labels}")
+            raise ValueError(f"duplicate policy labels: {_echo(labels)}")
         if self.horizon < self.channels * len(self.rates):
             raise ValueError(
-                f"horizon {self.horizon} below the pair count "
+                f"horizon {_echo(self.horizon)} below the pair count "
                 f"{self.channels * len(self.rates)}"
             )
         seeds = tuple(_json_ints(tuple(self.seeds), "seeds"))
@@ -210,7 +211,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be distinct")
         if self.accounting not in ("alternative", "original", "both"):
             raise ValueError(
-                f"accounting must be alternative, original or both, got {self.accounting!r}"
+                "accounting must be alternative, original or both, "
+                f"got {_echo(self.accounting)}"
             )
         if self.accounting != "alternative" and self.theta is None:
             raise ValueError("time accounting requires a stationary theta table")
@@ -299,7 +301,7 @@ class ExperimentConfig:
         }
         extra = set(data) - known
         if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
+            raise ValueError(f"unknown config keys: {_echo(sorted(extra))}")
         for key in ("rates", "policies", "horizon", "seeds"):
             if key not in data:
                 raise ValueError(f"config missing required key {key!r}")
@@ -308,7 +310,7 @@ class ExperimentConfig:
 
         def resolve(key: str) -> Path:
             if not isinstance(data[key], str):
-                raise ValueError(f"{key} must be a path, got {data[key]!r}")
+                raise ValueError(f"{key} must be a path, got {_echo(data[key])}")
             path = Path(data[key])
             return path if path.is_absolute() else base / path
 
@@ -327,19 +329,19 @@ class ExperimentConfig:
             trace = TraceTable.from_csv(resolve("trace_csv"), horizon=horizon)
         else:
             if not isinstance(data["synth"], dict):
-                raise ValueError(f"synth must be an object, got {data['synth']!r}")
+                raise ValueError(f"synth must be an object, got {_echo(data['synth'])}")
             drift = SyntheticDriftSpec.from_json_dict(
                 {"rates": data["rates"], "horizon": horizon, **data["synth"]}
             )
         if not isinstance(data["policies"], (list, tuple)):
-            raise ValueError(f"policies must be a list, got {data['policies']!r}")
+            raise ValueError(f"policies must be a list, got {_echo(data['policies'])}")
         seeds = data["seeds"]
         if not isinstance(seeds, (list, tuple)):
             seeds = _seed_range(_json_int(seeds, "seeds"))
         occupancy = data.get("occupancy")
         out_dir = data.get("out_dir", "results")
         if not isinstance(out_dir, str):
-            raise ValueError(f"out_dir must be a path, got {out_dir!r}")
+            raise ValueError(f"out_dir must be a path, got {_echo(out_dir)}")
         return cls(
             rates=rates,
             policies=tuple(PolicySpec.from_json_dict(p) for p in data["policies"]),
@@ -375,7 +377,7 @@ _SEED_BYTES = 128
 def _seed_range(n: int) -> range:
     """Seeds 1..n, once their config fits in physical memory: a count too
     large is rejected before its seed list is built."""
-    _require_memory(n * _SEED_BYTES, f"{n} seeds")
+    _require_memory(n * _SEED_BYTES, f"{_echo(n)} seeds")
     return range(1, n + 1)
 
 
@@ -509,7 +511,10 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
     pair ring and an int8 outcome ring, and for kl-ucb-u an int64 leader
     ring).  The result phase repeats each baseline's result tables to every
     lane.  The outcome tape's batch of seed states is not counted: it has a
-    fixed bound, ``environments._STATE_BATCH`` lane-chunks (512 KB).
+    fixed bound, ``environments._STATE_BATCH`` lane-chunks (512 KB).  While
+    a batch is hashed it also holds one entropy row per lane-chunk, 4 bytes
+    a word of the batch's longest ``[tag, seed, chunk]`` (12 bytes when the
+    seeds and chunk indices are below 2**32), and an 8-byte length.
 
     The check runs before the totals pass, so it cannot know whether
     ``static`` will share the oracle's ledger (see ``_simulate``); it counts
@@ -532,7 +537,9 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
             if p.window:
                 blocks += S * p.window * (17 if leader else 9)
     need += max(blocks, (len(config.policies) - len(learners)) * tables)
-    _require_memory(need, f"the per-slot, per-lane and block arrays of {slots} slots x {S} seeds")
+    _require_memory(
+        need, f"the per-slot, per-lane and block arrays of {_echo(slots)} slots x {S} seeds"
+    )
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ import csv
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -50,6 +52,40 @@ class DecisionPair(NamedTuple):
     rate_index: int
 
 
+class _Echo(reprlib.Repr):
+    """``reprlib.Repr`` keeping a dict's own key order, as ``repr`` does."""
+
+    def repr_dict(self, x, level):
+        if not x:
+            return "{}"
+        if level <= 0:
+            return "{...}"
+        items = islice(x.items(), self.maxdict)
+        pieces = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}" for k, v in items]
+        if len(x) > self.maxdict:
+            pieces.append("...")
+        return "{" + ", ".join(pieces) + "}"
+
+
+# Limits on a value echoed in an error message, so that a deep list or a
+# long string in an input cannot make the error line kilobytes long.
+_ECHO = _Echo()
+_ECHO.maxlevel = 4
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 60
+_ECHO_MAX = 100
+
+
+def _echo(value) -> str:
+    """``repr(value)`` for an error message, cut short when it is long or
+    deeply nested: each string or number at 60 characters, a list at 6
+    items (a dict at 4), nesting at 4 levels, and the whole, keeping its
+    head and tail, at ``_ECHO_MAX`` characters."""
+    text = _ECHO.repr(value)
+    if len(text) <= _ECHO_MAX:
+        return text
+    return text[: _ECHO_MAX - 20] + "..." + text[-17:]
+
+
 def _json_int(value, what: str) -> int:
     """``value`` as an int if it is an integral number (not a bool).  An
     integer goes straight through ``int``: ``float`` overflows past 1e308."""
@@ -58,14 +94,14 @@ def _json_int(value, what: str) -> int:
         or not isinstance(value, numbers.Real)
         or not (isinstance(value, numbers.Integral) or float(value).is_integer())
     ):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {_echo(value)}")
     return int(value)
 
 
 def _json_real(value, what: str):
     """``value``, unchanged, if it is a real number (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise ValueError(f"{what} must be a number, got {_echo(value)}")
     return value
 
 
@@ -75,7 +111,7 @@ def _json_array(value, what: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
     except TypeError:
-        raise ValueError(f"{what} must hold numbers, got {value!r}") from None
+        raise ValueError(f"{what} must hold numbers, got {_echo(value)}") from None
     except OverflowError:  # an int past float range
         raise ValueError(f"{what} holds a number beyond float range") from None
 
@@ -118,7 +154,7 @@ class RateSet:
     @classmethod
     def of(cls, rates: Sequence[float] | np.ndarray) -> "RateSet":
         if not isinstance(rates, (list, tuple, np.ndarray)):
-            raise ValueError(f"rates must be a list of numbers, got {rates!r}")
+            raise ValueError(f"rates must be a list of numbers, got {_echo(rates)}")
         return cls(tuple(_json_real(r, "each rate") for r in rates))
 
     def as_array(self) -> np.ndarray:
@@ -302,7 +338,7 @@ def _parse(convert, text: str, what: str, path: str | Path, line: int):
         return convert(text)
     except ValueError:
         kind = "an integer" if convert is int else "a number"
-        raise ValueError(f"{path}:{line}: {what} must be {kind}, got {text!r}") from None
+        raise ValueError(f"{path}:{line}: {what} must be {kind}, got {_echo(text)}") from None
 
 
 def load_theta_csv(path: str | Path) -> np.ndarray:

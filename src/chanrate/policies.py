@@ -43,7 +43,7 @@ import numpy as np
 
 from .graph import NeighborhoodGraph, build_graph
 from .klstats import _allowance_vec, _solve_trusted, allowance
-from .model import RateSet
+from .model import RateSet, _echo
 
 __all__ = [
     "BasePolicy",
@@ -405,14 +405,16 @@ def check_policy_kind(kind: str, *, window: int | None = None, strict: bool = Fa
     """
     key = kind.strip().lower()
     if key not in POLICY_KINDS:
-        raise ValueError(f"unknown policy kind {kind!r}; expected one of {sorted(POLICY_KINDS)}")
+        raise ValueError(
+            f"unknown policy kind {_echo(kind)}; expected one of {sorted(POLICY_KINDS)}"
+        )
     if window is not None:
         if POLICY_KINDS[key] is None:
             raise ValueError(f"{key} takes no window")
         if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
+            raise ValueError(f"window must be >= 1, got {_echo(window)}")
     if strict and POLICY_KINDS[key] is not KlUcbUPolicy:
-        raise ValueError(f"strict applies only to kl-ucb-u, not {kind!r}")
+        raise ValueError(f"strict applies only to kl-ucb-u, not {_echo(kind)}")
     return key
 
 

@@ -75,6 +75,42 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"error: {trace}:3: expected 4 fields, got {got}\n"
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            pytest.param({"horizon": json.loads("[" * 300 + "]" * 300)}, id="deep-horizon"),
+            pytest.param(
+                {"theta": None, "synth": {"channels": 2, "step_std": 0.01, "latent_hi": "x" * 5000}},
+                id="long-latent-hi",
+            ),
+            pytest.param({"policies": [{"kind": "k" * 3000}]}, id="long-kind"),
+            pytest.param({"seeds": ["9" * 4000]}, id="long-seed"),
+            pytest.param({"seeds": int("9" * 4000)}, id="long-seed-count"),
+            pytest.param({"horizon": -int("9" * 4000)}, id="long-horizon"),
+            pytest.param({"policies": [{"kind": "kl-ucb", "window": -int("9" * 4000)}]}, id="long-window"),
+            pytest.param({"policies": [{"kind": "kl-ucb", "window": int("9" * 4000)}] * 2}, id="long-labels"),
+            pytest.param({"policies": [{"kind": "static", "k" * 3000: 1}]}, id="long-policy-key"),
+            pytest.param({"k" * 3000: 1}, id="long-config-key"),
+        ],
+    )
+    def test_a_long_value_is_echoed_short(self, tmp_path, capsys, patch):
+        cfg = {"rates": [1.0, 2.0], "theta": [[0.9, 0.6], [0.5, 0.3]], "policies": [{"kind": "static"}],
+               "horizon": 16, "seeds": 2, "out_dir": str(tmp_path / "results")}
+        cfg = {k: v for k, v in {**cfg, **patch}.items() if v is not None}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:300]
+
+    def test_a_long_csv_cell_is_echoed_short(self, tmp_path, capsys):
+        (tmp_path / "theta.csv").write_text(f"channel,rate_1\n1,{'x' * 5000}\n")
+        (tmp_path / "rates.json").write_text("[1.0]")
+        argv = ["check", "--theta", str(tmp_path / "theta.csv"), "--rates", str(tmp_path / "rates.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'theta.csv'}:2: theta must be a number, got 'xxx")
+        assert err.count("\n") == 1 and len(err) < 200 + len(str(tmp_path))
+
     @pytest.mark.parametrize("start", [2**63, 10**30])
     def test_trace_start_beyond_int64(self, tmp_path, capsys, start):
         trace = tmp_path / "trace.csv"
@@ -878,6 +914,8 @@ class TestArbitraryTableFiles:
         assert code in (0, 2)
         if code == 2:
             assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+            # A value echoed in the line is cut short, however deep or long.
+            assert len(err.getvalue()) < 200, err.getvalue()[:300]
         else:
             assert err.getvalue() == ""
 

@@ -556,13 +556,13 @@ class TestOutcomeTapeAgainstReference:
         block = OutcomeTape(env, MIXED_SEEDS).block(start, stop)
         for i, seed in enumerate(MIXED_SEEDS):
             np.testing.assert_array_equal(block[i], reference_outcomes(env, seed, start, stop))
-        # MIXED_SEEDS fall in three groups by entropy length, one call each.
-        assert emulated_chunks == [call for call in emulated for _ in range(3)]
+        # One call a chunk for all lanes, whatever their entropy lengths.
+        assert emulated_chunks == emulated
 
     @pytest.mark.parametrize("seeds", [MIXED_SEEDS, (7, 3, 9, 1, 4)])
     def test_lane_tiles_reassemble(self, env, monkeypatch, seeds):
-        """Tiles narrower than a group, in multi-word groups (a fancy index)
-        and in one group of one-word seeds (a slice)."""
+        """Tiles narrower than the tape, with seeds of mixed word counts and
+        of one word."""
         want = OutcomeTape(env, seeds).block(505, 520)
         monkeypatch.setattr(environments, "_PCG_TILE", 2)
         assert OutcomeTape(env, seeds).block(505, 520).tobytes() == want.tobytes()
@@ -576,7 +576,7 @@ class TestOutcomeTapeAgainstReference:
         tape = OutcomeTape(env, seeds)
         short = tape.block(0, 7)  # 42 draws per lane: emulated, in lane tiles
         tiles = len(emulated_chunks)
-        assert tiles >= 4  # three groups, the widest in two tiles
+        assert tiles == 2  # 9,000 lanes in two tiles
         long = tape.block(0, 3 * EDGE)  # per-lane generator
         assert len(emulated_chunks) == tiles
         assert short.tobytes() == long[:, :7].tobytes()
@@ -598,6 +598,38 @@ class TestOutcomeTapeAgainstReference:
                     4, np.uint64
                 )
                 np.testing.assert_array_equal(state, expected)
+        # Rows of lengths 1 to 9 in one array, each zero-padded past its
+        # length: only a row's own words are hashed.
+        lengths = np.concatenate([np.arange(1, 10), rng.integers(1, 10, 30)])
+        rows = rng.integers(1, 2**32, size=(len(lengths), 9), dtype=np.uint32)
+        rows[np.arange(9) >= lengths[:, None]] = 0
+        rows[-1, : lengths[-1]] = 0  # a row of zero words
+        states = _seed_states(rows, lengths)
+        for row, length, state in zip(rows, lengths, states):
+            expected = np.random.SeedSequence(row[:length].tolist()).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(state, expected)
+
+    @pytest.mark.parametrize(
+        "start, stop, read",
+        [(505, 520, "block"), (0, 3 * EDGE, "block"), (300, 1100, "cells")],
+        ids=["stepped", "generator", "cells"],
+    )
+    def test_wider_seeds_leave_the_other_lanes_alone(self, env, start, stop, read):
+        """Seeds of three and four words widen every lane's entropy row; a
+        one-word lane's padding must not be hashed as its own words."""
+        flats = np.random.default_rng(start).integers(0, 6, stop - start)
+
+        def outcomes(seeds):
+            tape = OutcomeTape(env, seeds)
+            if read == "block":
+                return tape.block(start, stop)
+            return tape.cells(start, stop, flats, env.theta_block(start, stop))
+
+        seeds, wider = (7, 3, 2**32 - 1, 0), (2**64 + 3, 2**96 + 7)
+        alone, wide = outcomes(seeds), outcomes((*seeds, *wider))
+        assert wide[: len(seeds)].tobytes() == alone.tobytes()
+        for i, seed in enumerate(wider, len(seeds)):
+            assert wide[i].tobytes() == outcomes((seed,))[0].tobytes()
 
     def test_bulk_seed_validation(self, env):
         for bad in (-1, True, 2.0, "3"):
@@ -668,8 +700,8 @@ class TestOutcomeTapeCells:
 
     @pytest.mark.parametrize("seeds", [CELL_SEEDS, (7, 3, 9, 1, 4)])
     def test_lane_tiles_reassemble(self, env, monkeypatch, seeds):
-        """Tiles of one lane and of two, in multi-word groups (a fancy
-        index) and in one group of one-word seeds (a slice)."""
+        """Tiles of one lane and of two, with seeds of mixed word counts and
+        of one word."""
         flats = np.arange(25) % (env.channels * env.n_rates)
         theta = env.theta_block(500, 525)
         want = OutcomeTape(env, seeds).cells(500, 525, flats, theta)
@@ -717,40 +749,45 @@ class TestOutcomeTapeCaches:
             want = OutcomeTape(env, CELL_SEEDS).cells(*args)
             assert tape.cells(*args).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("seeds", [CELL_SEEDS, (7, 3, 9, 1, 4)], ids=["mixed", "one-word"])
-    @pytest.mark.parametrize("first", [0, 2**32 - 3, 2**32 - 1, 2**64 - 2])
+    @pytest.mark.parametrize(
+        "seeds",
+        [CELL_SEEDS, (7, 3, 9, 1, 4), (5, 2**96 + 7, 2**64 + 3)],
+        ids=["mixed", "one-word", "four-word"],
+    )
+    @pytest.mark.parametrize("first", [0, 2**32 - 3, 2**32 - 1, 2**64 - 2, 2**96 - 2])
     def test_a_batch_hashes_each_chunk_as_seed_sequence(self, env, seeds, first):
-        """A batch across chunk index 2**32 (and 2**64), where the chunk's
-        entropy gains a word, in groups of one-, two- and three-word seeds."""
-        tape = OutcomeTape(env, seeds)
-        batches = tape._hash_chunks(first, 5)
-        assert len(batches) == len(tape._groups)
-        for (lanes, _), states in zip(tape._groups, batches):
-            assert states.shape == (5, len(lanes), 4)
-            for i, chunk in enumerate(range(first, first + 5)):
-                for lane, state in zip(lanes, states[i]):
-                    entropy = [TAPE_TAG, seeds[lane], chunk]
-                    want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
-                    np.testing.assert_array_equal(state, want)
+        """A batch across chunk index 2**32 (2**64, 2**96), where the
+        chunk's entropy gains a word, with seeds of one to four words."""
+        states = OutcomeTape(env, seeds)._hash_chunks(first, 5)
+        assert states.shape == (5, len(seeds), 4)
+        for i, chunk in enumerate(range(first, first + 5)):
+            for seed, state in zip(seeds, states[i]):
+                entropy = [TAPE_TAG, seed, chunk]
+                want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+                np.testing.assert_array_equal(state, want)
 
-    def test_one_hash_a_group_per_word_count(self, env, monkeypatch):
+    @pytest.mark.parametrize("seeds", [CELL_SEEDS, MIXED_SEEDS], ids=["cell", "mixed"])
+    def test_one_hash_a_batch_whatever_the_word_counts(self, env, monkeypatch, seeds):
         calls = []
         monkeypatch.setattr(
-            environments, "_seed_states", lambda e: calls.append(e.shape) or _seed_states(e)
+            environments,
+            "_seed_states",
+            lambda e, lengths=None: calls.append(e.shape) or _seed_states(e, lengths),
         )
-        # Groups of two one-word seeds, two two-word seeds and one three-word
-        # seed; entropy [tag, *seed, chunk] with a one-word chunk below 2**32.
-        tape = OutcomeTape(env, CELL_SEEDS)
+        # One row per lane and chunk, [tag, *seed, *chunk] padded to the
+        # longest: three-word seeds, and a chunk of one word below 2**32
+        # and of two from it on.
+        tape = OutcomeTape(env, seeds)
         tape._hash_chunks(7, 4)
-        assert calls == [(8, 3), (8, 4), (4, 5)]
+        assert calls == [(4 * len(seeds), 5)]
         calls.clear()
         tape._hash_chunks(2**32 - 2, 4)
-        assert calls == [(4, 3), (4, 4), (4, 4), (4, 5), (2, 5), (2, 6)]
+        assert calls == [(4 * len(seeds), 6)]
 
     def test_a_forward_walk_hashes_doubling_batches(self, env, monkeypatch):
         rows = []
         monkeypatch.setattr(
-            environments, "_seed_states", lambda e: rows.append(len(e)) or _seed_states(e)
+            environments, "_seed_states", lambda e, *a: rows.append(len(e)) or _seed_states(e, *a)
         )
         tape = OutcomeTape(env, (7, 3, 9, 1, 4))
         for b in range(20):
@@ -764,7 +801,7 @@ class TestOutcomeTapeCaches:
         rows = []
         monkeypatch.setattr(environments, "_STATE_BATCH", bound)
         monkeypatch.setattr(
-            environments, "_seed_states", lambda e: rows.append(len(e)) or _seed_states(e)
+            environments, "_seed_states", lambda e, *a: rows.append(len(e)) or _seed_states(e, *a)
         )
         seeds = (7, 3, 9, 1, 4)
         tape = OutcomeTape(env, seeds)
@@ -775,7 +812,7 @@ class TestOutcomeTapeCaches:
             if chunks == 1:
                 assert tape._held is None
             else:
-                assert tape._held[1][0].shape[0] <= chunks
+                assert tape._held[1].shape[0] <= chunks
         assert max(rows) == len(seeds) * chunks
 
     def test_jump_constants_are_reused_only_for_the_same_cells(self, env):

@@ -9,6 +9,7 @@ from chanrate.model import (
     DecisionPair,
     LinkModel,
     RateSet,
+    _echo,
     compute_optima,
     flat_to_pair,
     load_rates_json,
@@ -37,6 +38,35 @@ class TestPairIndexing:
         pair = flat_to_pair(7, 3)
         assert pair.channel == 3
         assert pair.rate_index == 2
+
+
+class TestEcho:
+    """Error messages echo a value through ``_echo``: its ``repr`` when
+    short, and at most ``_ECHO_MAX`` characters however long or deep."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [{"b": 1, "a": [2, "x"]}, {}, [], "0..2", "", 3, -2**64, 0.1, float("nan"), None, True,
+         [[0.9, 0.6], [0.5, 0.3]], {"kind": {"window": [1, {"strict": False}]}}],
+    )
+    def test_a_short_value_reads_as_its_repr(self, value):
+        assert _echo(value) == repr(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "x" * 5000,
+            10**3000,
+            [[[[[[[]]]]]]] * 50,
+            [["y" * 500] * 50] * 50,
+            {str(i): i for i in range(999)},
+        ],
+        ids=["string", "int", "deep", "wide", "dict"],
+    )
+    def test_a_long_value_is_cut_short(self, value):
+        text = _echo(value)
+        assert len(text) <= 100 and "..." in text
+        assert text[0] == repr(value)[0] and text[-1] == repr(value)[-1]
 
 
 class TestRateSet:
