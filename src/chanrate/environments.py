@@ -1,12 +1,12 @@
 """Reward environments: trace-driven and synthetic drift.
 
-Environments are seedless probability schedules.  A trace
-(``TraceTable``) is piecewise constant and held as two read-only arrays,
-its segment starts and its ``(segments, C, K)`` tables; a stationary table
-runs as a trace of one segment with no horizon.  The outcomes drawn over
-one honor *common random numbers*: the Bernoulli outcome of playing pair
-``(c, k)`` at step ``n`` under seed ``s`` is a pure function of
-``(s, n, c, k)``.  Two policies evaluated on the same
+Environments are seedless probability schedules, each an ``Environment``.
+A trace (``TraceTable``) is its own schedule, piecewise constant and held
+as two read-only arrays, its segment starts and its ``(segments, C, K)``
+tables; a stationary table runs as a trace of one segment with no horizon.
+The outcomes drawn over one honor *common random numbers*: the Bernoulli
+outcome of playing pair ``(c, k)`` at step ``n`` under seed ``s`` is a
+pure function of ``(s, n, c, k)``.  Two policies evaluated on the same
 seed therefore see identical outcomes wherever their decisions coincide,
 and a scalar replay of a batched run reproduces it bit for bit.
 
@@ -55,7 +55,6 @@ __all__ = [
     "Environment",
     "OutcomeTape",
     "SyntheticDriftSpec",
-    "TraceEnvironment",
     "TraceTable",
     "drift_to_trace",
 ]
@@ -148,8 +147,10 @@ def _padded(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Word lists as one uint32 array, each zero-padded to the longest, and
     their lengths."""
     lengths = np.array(list(map(len, rows)))
-    width = lengths.max()
-    return np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.uint32), lengths
+    out = np.zeros((len(rows), lengths.max()), dtype=np.uint32)
+    for out_row, row in zip(out, rows):
+        out_row[: len(row)] = row
+    return out, lengths
 
 
 def _seed_states(entropy: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
@@ -351,36 +352,22 @@ class _PresetState(ISeedSequence):
 
 
 class Environment:
-    """Base class: a success-probability schedule.  It holds no seed;
-    ``OutcomeTape`` draws the outcomes, one stream per seed it is given.
+    """Base class: a success-probability schedule over ``channels`` x
+    ``n_rates`` pairs, valid below ``horizon`` when set.  It holds no state,
+    nor a seed (``OutcomeTape`` draws the outcomes, one stream per seed):
+    ``TraceTable`` and ``DriftEnvironment`` set the three attributes and
+    implement ``theta_block``."""
 
-    Subclasses implement ``theta_block``: the effective success
-    probabilities in force over a run of steps.
-    """
-
-    def __init__(self, rates: RateSet, channels: int, horizon: int | None):
-        if channels < 1:
-            raise ValueError("channels must be >= 1")
-        if horizon is not None and horizon < 1:
-            raise ValueError("horizon must be >= 1 when given")
-        self._rates = rates
-        self._channels = int(channels)
-        self._horizon = None if horizon is None else int(horizon)
-
-    @property
-    def channels(self) -> int:
-        return self._channels
-
-    @property
-    def n_rates(self) -> int:
-        return len(self._rates)
+    channels: int
+    n_rates: int
+    horizon: int | None
 
     def _check_step(self, step: int) -> None:
         step = int(step)
         if step < 0:
             raise ValueError(f"step must be >= 0, got {step}")
-        if self._horizon is not None and step >= self._horizon:
-            raise ValueError(f"step {step} beyond horizon {self._horizon}")
+        if self.horizon is not None and step >= self.horizon:
+            raise ValueError(f"step {step} beyond horizon {self.horizon}")
 
     def theta_block(self, start: int, stop: int) -> np.ndarray:
         """Probabilities for steps [start, stop), shape (stop-start, C, K)."""
@@ -388,16 +375,17 @@ class Environment:
 
 
 @dataclass(frozen=True)
-class TraceTable:
+class TraceTable(Environment):
     """Piecewise-constant success-probability schedule.
 
     ``starts`` are strictly increasing segment start steps beginning at 0;
     ``tables[i]`` holds the full (channels, n_rates) probabilities in force
-    from ``starts[i]`` until the next start.  ``horizon`` bounds the valid
-    step range when set.  Each is held once, as a read-only array: ``starts``
-    of int64, ``tables`` of floats shaped ``(segments, channels, n_rates)``.
-    An array of the right type is taken as it is and made read-only; a
-    sequence is stacked into a new one.
+    from ``starts[i]`` until the next start, for one channel and one rate at
+    least.  Steps at or past ``horizon``, when set, are rejected.  Each is
+    held once, as a read-only array: ``starts`` of int64, ``tables`` of
+    floats shaped ``(segments, channels, n_rates)``.  An array of the right
+    type is taken as it is and made read-only; a sequence is stacked into a
+    new one.
 
     The CSV form has columns ``start_step, channel, rate_index, theta``,
     one row per cell; rows sharing a start form a segment, and cells a
@@ -427,8 +415,8 @@ class TraceTable:
         if not isinstance(self.tables, np.ndarray) and len(set(map(np.shape, self.tables))) > 1:
             raise ValueError("all segment tables must share one (C, K) shape")
         tables = np.asarray(self.tables, dtype=float)
-        if tables.ndim != 3:
-            raise ValueError("all segment tables must share one (C, K) shape")
+        if tables.ndim != 3 or 0 in tables.shape[1:]:
+            raise ValueError("all segment tables must share one (C, K) shape, with C, K >= 1")
         bad = ~((tables >= 0.0) & (tables <= 1.0))  # NaN is bad too
         if bad.any():
             i, c, k = np.argwhere(bad)[0]
@@ -451,6 +439,17 @@ class TraceTable:
     @property
     def n_rates(self) -> int:
         return self.tables.shape[2]
+
+    def theta_block(self, start: int, stop: int) -> np.ndarray:
+        """Steps inside one segment read a broadcast view of its table."""
+        self._check_step(start)
+        if stop > start:
+            self._check_step(stop - 1)
+        starts, tables = self.starts, self.tables
+        i = bisect_right(starts, start) - 1
+        if i + 1 == len(starts) or stop <= starts[i + 1]:
+            return np.broadcast_to(tables[i], (stop - start, *tables.shape[1:]))
+        return tables[np.searchsorted(starts, np.arange(start, stop), side="right") - 1]
 
     def to_csv(self, path: str | Path) -> None:
         """Write the sparse CSV form: full first segment, then changed cells.
@@ -520,29 +519,6 @@ class TraceTable:
             for c, k, th in by_start[s]:
                 tables[i, c - 1, k - 1] = th
         return cls(starts=starts, tables=tables, horizon=horizon)
-
-
-class TraceEnvironment(Environment):
-    """Replays a trace table; steps at or past the horizon are rejected.
-    Steps inside one segment read a broadcast view of its table."""
-
-    def __init__(self, trace: TraceTable, rates: RateSet):
-        if len(rates) != trace.n_rates:
-            raise ValueError(
-                f"rate count {len(rates)} does not match trace width {trace.n_rates}"
-            )
-        super().__init__(rates, trace.channels, trace.horizon)
-        self._trace = trace
-
-    def theta_block(self, start: int, stop: int) -> np.ndarray:
-        self._check_step(start)
-        if stop > start:
-            self._check_step(stop - 1)
-        starts, tables = self._trace.starts, self._trace.tables
-        i = bisect_right(starts, start) - 1
-        if i + 1 == len(starts) or stop <= starts[i + 1]:
-            return np.broadcast_to(tables[i], (stop - start, *tables.shape[1:]))
-        return tables[np.searchsorted(starts, np.arange(start, stop), side="right") - 1]
 
 
 @dataclass(frozen=True)
@@ -661,12 +637,6 @@ def _check_finite(value, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {value}")
 
 
-def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    span = hi - lo
-    y = np.mod(x - lo, 2.0 * span)
-    return lo + np.where(y > span, 2.0 * span - y, y)
-
-
 def _expit(z: np.ndarray) -> np.ndarray:
     """``scipy.special.expit``, 1 / (1 + exp(-z)), elementwise.
 
@@ -697,17 +667,23 @@ class DriftEnvironment(Environment):
     """
 
     def __init__(self, spec: SyntheticDriftSpec):
-        super().__init__(spec.rates, spec.channels, spec.horizon)
+        self.channels, self.n_rates, self.horizon = spec.channels, len(spec.rates), spec.horizon
         self._softness = spec.softness
-        span = spec.latent_hi - spec.latent_lo
+        lo, span = spec.latent_lo, spec.latent_hi - spec.latent_lo
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            latent = spec.latent_lo + span * (np.arange(spec.channels) + 0.5) / spec.channels
+            latent = lo + span * (np.arange(spec.channels) + 0.5) / spec.channels
             if spec.step_std > 0.0:
                 gen = np.random.default_rng(np.random.SeedSequence([_DRIFT_TAG, spec.seed]))
                 steps = gen.normal(0.0, spec.step_std, size=(spec.horizon, spec.channels))
                 steps[0] = 0.0
-                raw = latent[None, :] + np.cumsum(steps, axis=0)
-                latent = _reflect(raw, spec.latent_lo, spec.latent_hi)
+                # The reflected walk, built in the only array of its size.
+                np.cumsum(steps, axis=0, out=steps)
+                steps += latent
+                steps -= lo
+                np.mod(steps, 2.0 * span, out=steps)
+                np.subtract(2.0 * span, steps, out=steps, where=steps > span)
+                steps += lo
+                latent = steps
         if not np.isfinite(latent).all():
             raise ValueError("the drift's latent path leaves float range")
         self._latent = np.broadcast_to(latent, (spec.horizon, spec.channels))

@@ -42,13 +42,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import environments
 from .bounds import compute_bound_report
 from .environments import (
     DriftEnvironment,
     Environment,
     OutcomeTape,
     SyntheticDriftSpec,
-    TraceEnvironment,
     TraceTable,
 )
 from .model import (
@@ -250,11 +250,8 @@ class ExperimentConfig:
     def build_environment(self) -> Environment:
         if self.theta is not None:
             # A stationary table is a trace of one segment with no horizon.
-            trace = TraceTable(starts=(0,), tables=self.model().effective_theta()[None])
-            return TraceEnvironment(trace, self.rates)
-        if self.trace is not None:
-            return TraceEnvironment(self.trace, self.rates)
-        return DriftEnvironment(self.drift)
+            return TraceTable(starts=(0,), tables=self.model().effective_theta()[None])
+        return self.trace if self.trace is not None else DriftEnvironment(self.drift)
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -498,23 +495,24 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
     Counts what the whole run keeps plus the larger of its two phases, which
     are never alive together.  The run keeps the per-step best pair and one
     decision log per policy, each entry of the smallest unsigned type that
-    holds a flat pair index; a synthetic drift source's latent path; and per
-    learner and lane its result's int64 pulls per pair, float64 regret at
-    each of the ``checkpoints`` and, when ``timed``, int64 packet counts per
-    pair.  The block phase holds, per lane and step of a block, each
-    baseline's uint8 outcome and the 8-byte temporaries of accounting one
-    ledger: one for a run of baselines alone, three with a learner.  With a
-    learner it adds the block's ``(seeds, steps, C, K)`` uint8 outcome tape
-    and each learner's picks and outcome bytes; and per learner and lane,
-    its int64 pulls, int64 successes and float64 rates per pair (and int64
-    leadership counts for kl-ucb-u) and, when windowed, its rings (an int64
-    pair ring and an int8 outcome ring, and for kl-ucb-u an int64 leader
-    ring).  The result phase repeats each baseline's result tables to every
-    lane.  The outcome tape's batch of seed states is not counted: it has a
-    fixed bound, ``environments._STATE_BATCH`` lane-chunks (512 KB).  While
-    a batch is hashed it also holds one entropy row per lane-chunk, 4 bytes
-    a word of the batch's longest ``[tag, seed, chunk]`` (12 bytes when the
-    seeds and chunk indices are below 2**32), and an 8-byte length.
+    holds a flat pair index; a synthetic drift source's latent path; the
+    outcome tape's uint32 ``[tag, seed]`` prefix, padded to the largest
+    seed's words; and per learner and lane its result's int64 pulls per
+    pair, float64 regret at each of the ``checkpoints`` and, when ``timed``,
+    int64 packet counts per pair.  The block phase holds, per lane and step
+    of a block, each baseline's uint8 outcome and the 8-byte temporaries of
+    accounting one ledger: one for a run of baselines alone, three with a
+    learner; and the tape's largest batch of seed states, of at most the
+    run's chunks and ``environments._STATE_BATCH`` lane-chunks (or one
+    chunk), 4 bytes a word of the longest ``[tag, seed, chunk]`` it reaches
+    and 128 more a lane-chunk: an 8-byte length, a 32-byte state and the
+    previous batch's, and 56 bytes of hash temporaries.  With a learner it
+    adds the block's ``(seeds, steps, C, K)`` uint8 outcome tape and each
+    learner's picks and outcome bytes; and per learner and lane, its int64
+    pulls, int64 successes and float64 rates per pair (and int64 leadership
+    counts for kl-ucb-u) and, when windowed, its rings (an int64 pair ring
+    and an int8 outcome ring, and for kl-ucb-u an int64 leader ring).  The
+    result phase repeats each baseline's result tables to every lane.
 
     The check runs before the totals pass, so it cannot know whether
     ``static`` will share the oracle's ledger (see ``_simulate``); it counts
@@ -528,7 +526,12 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
     need = pair * slots * (1 + len(config.policies)) + len(learners) * tables
     if config.drift is not None:
         need += config.drift.nbytes()
-    blocks = S * block * (len(config.policies) - len(learners) + 8 * (3 if learners else 1))
+    seed_words = len(environments._words(max(config.seeds)))
+    need += 4 * S * (1 + seed_words)
+    chunks = -(-slots // environments._CHUNK)
+    n = min(max(1, environments._STATE_BATCH // S), chunks)  # chunks in the largest batch
+    blocks = S * n * (4 * (1 + seed_words + len(environments._words(chunks + n))) + 128)
+    blocks += S * block * (len(config.policies) - len(learners) + 8 * (3 if learners else 1))
     if learners:
         blocks += S * block * P
         for p in learners:

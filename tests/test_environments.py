@@ -13,9 +13,9 @@ from chanrate import environments
 from chanrate.environments import (
     _EXP_MAX,
     DriftEnvironment,
+    Environment,
     OutcomeTape,
     SyntheticDriftSpec,
-    TraceEnvironment,
     TraceTable,
     _add128,
     _expit,
@@ -39,10 +39,10 @@ from _oracles import (
 )
 
 
-def stationary(model: LinkModel) -> TraceEnvironment:
+def stationary(model: LinkModel) -> TraceTable:
     """A link model's table as runs read it: a trace of one segment with
     no horizon."""
-    return TraceEnvironment(TraceTable((0,), model.effective_theta()[None]), model.rates)
+    return TraceTable((0,), model.effective_theta()[None])
 
 
 @pytest.fixture()
@@ -133,7 +133,7 @@ class TestTraceTable:
         assert trace.tables.tolist() == [[[0.75, 0.25]], [[0.75, 0.2]]]
 
     def test_segment_lookup(self, swap_trace):
-        block = TraceEnvironment(swap_trace, RateSet.of([1.0, 2.0])).theta_block(0, 200)
+        block = swap_trace.theta_block(0, 200)
         assert block[99, 0, 0] == 0.9
         assert block[100, 0, 0] == 0.2
         for n in range(200):
@@ -212,30 +212,43 @@ class TestTraceTable:
             TraceTable.from_csv(path)
 
 
-class TestTraceEnvironment:
+def test_every_schedule_is_an_environment():
+    """A tracer that wraps ``theta_block`` on each subclass of
+    ``Environment`` that defines it sees every schedule; the base holds no
+    state of its own."""
+    defining = {
+        cls for cls in vars(environments).values()
+        if isinstance(cls, type) and "theta_block" in cls.__dict__
+    }
+    assert all(issubclass(cls, Environment) for cls in defining)
+    assert set(Environment.__subclasses__()) == {TraceTable, DriftEnvironment}
+    assert {TraceTable, DriftEnvironment} <= defining
+    assert "__init__" not in Environment.__dict__
+
+
+class TestTraceSchedule:
     def test_theta_block_matches_pointwise_across_segments(self):
         rng = np.random.default_rng(3)
         starts = (0, 3, 4, 100, 512, 517, 600)
         tables = tuple(rng.random((2, 3)) for _ in starts)
         trace = TraceTable(starts, tables, horizon=1000)
-        env = TraceEnvironment(trace, RateSet.of([1.0, 2.0, 3.0]))
         for start, stop in ((0, 512), (2, 5), (3, 4), (99, 101), (500, 700), (599, 1000)):
-            block = env.theta_block(start, stop)
+            block = trace.theta_block(start, stop)
             expected = np.stack([trace_theta_reference(trace, n) for n in range(start, stop)])
             assert block.shape == expected.shape
             assert block.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="beyond horizon"):
-            env.theta_block(990, 1001)
+            trace.theta_block(990, 1001)
 
     def test_horizon_enforced(self, swap_trace):
-        env = TraceEnvironment(swap_trace, RateSet.of([1.0, 2.0]))
-        env.theta_block(199, 200)
+        swap_trace.theta_block(199, 200)
         with pytest.raises(ValueError, match="step 200 beyond horizon 200"):
-            env.theta_block(200, 201)
+            swap_trace.theta_block(200, 201)
 
-    def test_rate_width_must_match(self, swap_trace):
-        with pytest.raises(ValueError, match="rate count"):
-            TraceEnvironment(swap_trace, RateSet.of([1.0]))
+    @pytest.mark.parametrize("shape", [(1, 0, 3), (1, 2, 0)])
+    def test_a_table_needs_a_channel_and_a_rate(self, shape):
+        with pytest.raises(ValueError, match=r"\(C, K\) shape, with C, K >= 1"):
+            TraceTable((0,), np.zeros(shape))
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
@@ -246,9 +259,8 @@ class TestTraceEnvironment:
         starts = np.cumsum([0, *gaps])
         tables = np.random.default_rng(len(gaps)).random((len(starts), 2, 3))
         trace = TraceTable(starts, tables)
-        env = TraceEnvironment(trace, RateSet.of([1.0, 2.0, 3.0]))
         start, stop = min(span), max(span)
-        block = env.theta_block(start, stop)
+        block = trace.theta_block(start, stop)
         assert block.shape == (stop - start, 2, 3)
         for n in range(start, stop):
             assert_same_bits(block[n - start], trace_theta_reference(trace, n))
@@ -267,15 +279,11 @@ class TestTraceEnvironment:
             before = tracemalloc.get_traced_memory()[0]
             trace = TraceTable(starts, tables, horizon=300_000)
             table_growth = tracemalloc.get_traced_memory()[0] - before
-            before = tracemalloc.get_traced_memory()[0]
-            env = TraceEnvironment(trace, RateSet.of([1.0, 2.0]))
-            env_growth = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert trace.starts is starts and trace.tables is tables
         assert table_growth < 64 << 10
-        assert env_growth < 4096
-        block = env.theta_block(149_990, 150_010)
+        block = trace.theta_block(149_990, 150_010)
         want = np.stack([trace_theta_reference(trace, n) for n in range(149_990, 150_010)])
         assert block.tobytes() == want.tobytes()
 
@@ -346,6 +354,20 @@ class TestSyntheticDrift:
         # The environment walks that same path.
         z = (latent[:, :, None] - spec.threshold_array()) / spec.softness
         assert_same_bits(DriftEnvironment(spec).theta_block(0, spec.horizon), _expit(z))
+
+    @pytest.mark.parametrize("step_std", [0.01, 0.3])
+    def test_construction_holds_the_path_and_little_more(self, step_std):
+        # The walk is summed and reflected inside the array of its steps:
+        # beyond that 4 MB path, construction holds only a bool mask of it.
+        spec = self.spec(channels=5, horizon=10**5, step_std=step_std)
+        tracemalloc.start()
+        try:
+            env = DriftEnvironment(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * spec.nbytes()
+        assert_same_bits(env._latent, drift_latent_reference(spec))
 
     def test_same_spec_same_path(self):
         a = DriftEnvironment(self.spec())
@@ -420,7 +442,7 @@ class TestSyntheticDrift:
         trace = drift_to_trace(spec, sample_every=1)
         assert trace.horizon == 1100
         want = DriftEnvironment(spec).theta_block(0, 1100)
-        assert_same_bits(TraceEnvironment(trace, spec.rates).theta_block(0, 1100), want)
+        assert_same_bits(trace.theta_block(0, 1100), want)
 
     @pytest.mark.parametrize("step_std", [0.02, 0.0])
     @pytest.mark.parametrize("sample_every", [1, 3, 1600])
@@ -439,7 +461,7 @@ class TestSyntheticDrift:
         assert trace.starts.tolist() == list(range(0, 1600, 3))
         steps = np.arange(1600)
         want = DriftEnvironment(spec).theta_block(0, 1600)[steps - steps % 3]
-        assert_same_bits(TraceEnvironment(trace, spec.rates).theta_block(0, 1600), want)
+        assert_same_bits(trace.theta_block(0, 1600), want)
 
 
 class TestOutcomeTape:
@@ -454,12 +476,10 @@ class TestOutcomeTape:
                         assert block[si, n - 500, c - 1, k - 1] == reference_draw(env, seed, (c, k), n)
 
     def test_trace_schedule_respected(self, swap_trace):
-        rates = RateSet.of([1.0, 2.0])
-        env = TraceEnvironment(swap_trace, rates)
-        tape = OutcomeTape(env, seeds=(4,))
+        tape = OutcomeTape(swap_trace, seeds=(4,))
         block = tape.block(90, 110)
         for n in range(90, 110):
-            assert block[0, n - 90, 0, 0] == reference_draw(env, 4, (1, 1), n)
+            assert block[0, n - 90, 0, 0] == reference_draw(swap_trace, 4, (1, 1), n)
 
     def test_validation(self, tiny_model):
         env = stationary(tiny_model)
@@ -509,10 +529,9 @@ class TestOutcomeTapeAgainstReference:
         rng = np.random.default_rng(11)
         starts = (0, 260, 511, 513)
         trace = TraceTable(starts, tuple(rng.random((2, 2)) for _ in starts), horizon=700)
-        env = TraceEnvironment(trace, RateSet.of([1.0, 2.0]))
-        block = OutcomeTape(env, MIXED_SEEDS).block(250, 600)
+        block = OutcomeTape(trace, MIXED_SEEDS).block(250, 600)
         for i, seed in enumerate(MIXED_SEEDS):
-            np.testing.assert_array_equal(block[i], reference_outcomes(env, seed, 250, 600))
+            np.testing.assert_array_equal(block[i], reference_outcomes(trace, seed, 250, 600))
 
     def test_lanes_are_independent(self, env):
         full = OutcomeTape(env, MIXED_SEEDS).block(500, 530)
@@ -643,7 +662,7 @@ class TestOutcomeTapeAgainstReference:
 CELL_SEEDS = (0, 2**32 - 1, 2**32, 2**40, 2**70 + 3)
 
 
-def _stationary(channels: int, n_rates: int) -> TraceEnvironment:
+def _stationary(channels: int, n_rates: int) -> TraceTable:
     theta = np.random.default_rng(channels * n_rates).random((channels, n_rates))
     return stationary(LinkModel(RateSet.of(list(range(1, n_rates + 1))), theta))
 
@@ -692,10 +711,9 @@ class TestOutcomeTapeCells:
         rng = np.random.default_rng(3)
         starts = (0, 260, 511, 513)
         trace = TraceTable(starts, tuple(rng.random((2, 3)) for _ in starts), horizon=700)
-        env = TraceEnvironment(trace, RateSet.of([1.0, 2.0, 3.0]))
-        tape = OutcomeTape(env, CELL_SEEDS)
+        tape = OutcomeTape(trace, CELL_SEEDS)
         flats = rng.integers(0, 6, 450)
-        got = tape.cells(250, 700, flats, env.theta_block(250, 700))
+        got = tape.cells(250, 700, flats, trace.theta_block(250, 700))
         np.testing.assert_array_equal(got, _block_cells(tape, 250, 700, flats))
 
     @pytest.mark.parametrize("seeds", [CELL_SEEDS, (7, 3, 9, 1, 4)])
@@ -837,7 +855,7 @@ class TestOutcomeTapeCaches:
 _KNOWN_MIX = (0.0, -0.0, 1.0, 0.3, 0.999)
 
 
-def _mixed_trace(tables) -> TraceEnvironment:
+def _mixed_trace(tables) -> TraceTable:
     """A trace of the ``(segments, 2, 3)`` tables, a segment per 300 steps
     from 0 and from step 2**41 - 450 on, so spans near either edge cross
     segments."""
@@ -845,7 +863,7 @@ def _mixed_trace(tables) -> TraceEnvironment:
     half = len(tables) // 2
     starts = [300 * i for i in range(half)]
     starts += [2**41 - 450 + 300 * i for i in range(len(tables) - half)]
-    return TraceEnvironment(TraceTable(starts, tables), RateSet.of([1.0, 2.0, 3.0]))
+    return TraceTable(starts, tables)
 
 
 class TestOutcomeTapeKnownCells:

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import io
 import json
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -18,7 +19,6 @@ from chanrate import environments, harness, policies
 from chanrate.environments import (
     OutcomeTape,
     SyntheticDriftSpec,
-    TraceEnvironment,
     TraceTable,
 )
 from chanrate.harness import (
@@ -161,6 +161,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="exceeds the trace horizon"):
             config_2x2(theta=None, trace=trace, horizon=101)
 
+    def test_rate_width_must_match(self):
+        trace = TraceTable(starts=(0,), tables=(np.full((2, 3), 0.5),))
+        with pytest.raises(ValueError, match="trace rate count does not match the rate set"):
+            config_2x2(theta=None, trace=trace)
+        # A trace of the right width is the run's schedule as it is.
+        trace = TraceTable(starts=(0,), tables=(np.full((2, 2), 0.5),))
+        assert config_2x2(theta=None, trace=trace).build_environment() is trace
+
     def test_drift_rates_must_match(self):
         drift = SyntheticDriftSpec(
             rates=RateSet.of([1.0, 3.0]), channels=2, horizon=300, step_std=0.01
@@ -302,23 +310,29 @@ class TestRunExperiment:
         # Per lane and step of a block: the oracle's outcome byte and three
         # 8-byte temporaries of accounting a learner's ledger.
         block = 3 * 512 * (1 + 3 * 8)
-        want = logs + 2 * table + max(tape + learners + block, table)
+        # The tape's [tag, seed] prefix, two uint32 words a lane, for the
+        # whole run; its largest batch of seed states, the run's 2 chunks
+        # per lane, 4 bytes a word of [tag, seed, chunk] and 128 more.
+        prefix, batch = 3 * 2 * 4, 3 * 2 * (4 * 3 + 128)
+        want = logs + 2 * table + prefix + max(tape + learners + block + batch, table)
         assert _memory_asked(monkeypatch, config) == want
 
         # Baselines alone on many seeds draw no block of outcomes, but each
         # result repeats its one-row tables to every lane, and each block
         # holds a baseline's outcome bytes and one float64 reward per lane
         # and step.  Time accounting adds the int64 packet counts per pair.
+        # Past 16,384 lanes the tape's batch of seed states is one chunk.
         S = 2 * 10**5
         baselines = dataclasses.replace(
             config, policies=(PolicySpec("oracle"), PolicySpec("static")), horizon=600, seeds=tuple(range(S))
         )
-        want = itemsize * 600 * 3 + max(S * 2 * 8 * (P + 11), S * 512 * (2 + 8))
+        prefix, batch = S * 2 * 4, S * (4 * 3 + 128)
+        want = itemsize * 600 * 3 + prefix + max(S * 2 * 8 * (P + 11), S * 512 * (2 + 8) + batch)
         assert _memory_asked(monkeypatch, baselines) == want
         timed = dataclasses.replace(baselines, accounting="original")
         slots = 600 * rates  # the time budget at the top rate
         cps = len({2**i for i in range(slots.bit_length())} | {slots, 600})
-        want = itemsize * slots * 3 + max(S * 2 * 8 * (2 * P + cps), S * 512 * (2 + 8))
+        want = itemsize * slots * 3 + prefix + max(S * 2 * 8 * (2 * P + cps), S * 512 * (2 + 8) + batch)
         assert _memory_asked(monkeypatch, timed) == want
 
     def test_memory_check_counts_a_learners_block_buffers(self, monkeypatch):
@@ -335,19 +349,43 @@ class TestRunExperiment:
         S, P = 10**6, 40
         tables = S * 8 * (P + 11)  # the result's pulls and regret at 11 checkpoints
         block = S * 512 * (P + 3 * 8)  # the outcome tape and accounting temporaries
-        want = 1000 * 2 + block + S * (512 * 2 + P * 24) + tables
+        # The tape's [tag, seed] prefix, and its batch of seed states: one
+        # chunk, 4 bytes a word of [tag, seed, chunk] and 128 more a lane.
+        seeds = S * 2 * 4 + S * (4 * 3 + 128)
+        want = 1000 * 2 + block + S * (512 * 2 + P * 24) + tables + seeds
         assert _memory_asked(monkeypatch, config) == want
         # A run of baselines alone draws no block and keeps no policy tables;
         # its results repeat the pulls and regret to every lane once the
         # block phase is over, and take less than that phase here.
         baselines = dataclasses.replace(config, policies=(PolicySpec("oracle"), PolicySpec("static")))
         assert 2 * tables < S * 512 * (2 + 8)
-        assert _memory_asked(monkeypatch, baselines) == 1000 * 3 + S * 512 * (2 + 8)
+        assert _memory_asked(monkeypatch, baselines) == 1000 * 3 + S * 512 * (2 + 8) + seeds
         # On a host of 8 GiB the run stops before it allocates anything.
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
         monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
         with pytest.raises(ValueError, match=r"need about 32\.\d+ GiB, more than the 8 GiB"):
             run_experiment(config)
+
+    def test_memory_check_counts_the_tapes_seed_words(self, monkeypatch):
+        """10^4 lanes and one seed of 10^3999, 416 words: the tape's padded
+        entropy prefix (17 MB, held all run) and a batch's entropy rows
+        (17 MB more) dwarf the rest of a 4-slot oracle run.  The check asks
+        for at least the peak of building the tape and hashing a batch, and
+        the prefix is built in about its own size."""
+        seeds = (*range(1, 10_000), 10**3999)
+        config = config_2x2(policies=(PolicySpec("oracle"),), horizon=4, seeds=seeds)
+        asked = _memory_asked(monkeypatch, config)
+        tracemalloc.start()
+        try:
+            tape = OutcomeTape(config.build_environment(), seeds)
+            _, built = tracemalloc.get_traced_memory()
+            tape._chunk_states(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tape._prefix.shape == (10_000, 417)
+        assert built < 1.25 * tape._prefix.nbytes
+        assert asked >= peak > 2 * tape._prefix.nbytes
 
     def test_memory_check_takes_the_larger_phase_not_their_sum(self, monkeypatch):
         """The baselines' repeated result tables are built after the block
@@ -360,11 +398,13 @@ class TestRunExperiment:
             seeds=(1, 2, 3, 4),
             theta=np.full((2, 128), 0.5),
         )
-        logs = 1 * 512 * 3  # uint8 best-pair log plus two decision logs
+        kept = 1 * 512 * 3  # uint8 best-pair log plus two decision logs
+        kept += 4 * 2 * 4  # the tape's [tag, seed] prefix
         block = 4 * 512 * (2 + 8)  # two outcome bytes and one float64 a lane-step
+        block += 4 * (4 * 3 + 128)  # the tape's one-chunk batch of seed states
         results = 4 * 2 * 8 * (256 + 10)  # pulls and regret at 1, 2, ..., 512
-        assert results < block  # each phase fits in logs + block; both at once do not
-        for have, fits in ((logs + block, True), (logs + block - 1, False)):
+        assert results < block  # each phase fits in kept + block; both at once do not
+        for have, fits in ((kept + block, True), (kept + block - 1, False)):
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
             monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
             if fits:
@@ -532,13 +572,13 @@ class TestBaselinesAgainstReference:
         batches of 1, 2, 4, ... chunks; at the demo's 1.0 every outcome the
         baselines read is known, so no seed state is hashed."""
         counts = {"_seed_states": 0, "theta_block": 0}
-        seed_states, theta_block = environments._seed_states, TraceEnvironment.theta_block
+        seed_states, theta_block = environments._seed_states, TraceTable.theta_block
 
         def count(name, fn):
             return lambda *args: counts.__setitem__(name, counts[name] + 1) or fn(*args)
 
         monkeypatch.setattr(environments, "_seed_states", count("_seed_states", seed_states))
-        monkeypatch.setattr(TraceEnvironment, "theta_block", count("theta_block", theta_block))
+        monkeypatch.setattr(TraceTable, "theta_block", count("theta_block", theta_block))
         demo = demo_model()
         theta = demo.theta.copy()
         theta[1, 5] = best_theta

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import chanrate
 
 SRC = Path(chanrate.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # What README's library example and the benchmark import from the root,
 # plus ``emit_outputs``, which writes the artifacts README documents.
@@ -71,3 +73,12 @@ def test_every_import_is_used(path):
     used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    """Each ```python block of README runs as it stands, in a fresh namespace."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "__readme__"})
