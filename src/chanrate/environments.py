@@ -778,11 +778,16 @@ class OutcomeTape:
         self._held = None  # (first chunk, (n, lanes, 4) states) of the last state batch
         self._batch = 1  # chunks the next state batch hashes
         # Each lane's entropy prefix [tag, *words(seed)], zero-padded to the
-        # longest, as a (lanes, width) uint32 array, and its length: one int
-        # for all lanes when every seed is one word.
-        if max(seeds) <= _MASK32:
-            words = np.array(seeds, dtype=np.uint32)[:, None]
-            self._prefix, self._prefix_len = np.insert(words, 0, _OUTCOME_TAG, axis=1), 2
+        # longest, as a (lanes, width) uint32 array, and its length (one int
+        # when all seeds are one word); array operations build it below 2**64.
+        if max(seeds) < 2**64:
+            low = np.array(seeds, dtype=np.uint64)
+            high = (low >> np.uint64(32)).astype(np.uint32)
+            wide = bool(high.any())
+            words = [np.full(len(seeds), _OUTCOME_TAG, np.uint32), low.astype(np.uint32), high]
+            self._prefix, self._prefix_len = np.stack(words[: 2 + wide], axis=1), 2
+            if wide:
+                self._prefix_len = 2 + (high > 0)
         else:
             self._prefix, self._prefix_len = _padded([[_OUTCOME_TAG, *_words(s)] for s in seeds])
 
@@ -931,7 +936,9 @@ class OutcomeTape:
         lanes, width = self._prefix.shape
         entropy = np.zeros((n, lanes, width + words.shape[1]), dtype=np.uint32)
         entropy[:, :, :width] = self._prefix
+        # A slice when every prefix has one length, else each lane's own.
+        at = slice(None) if np.ndim(self._prefix_len) == 0 else np.arange(lanes)
         for k in range(words.shape[1]):
-            entropy[:, np.arange(lanes), self._prefix_len + k] = words[:, k, None]
+            entropy[:, at, self._prefix_len + k] = words[:, k, None]
         lengths = np.broadcast_to(self._prefix_len + counts[:, None], (n, lanes)).reshape(-1)
         return _seed_states(entropy.reshape(n * lanes, -1), lengths).reshape(n, lanes, 4)

@@ -1,13 +1,13 @@
 """Experiment harness: batched simulation, dual accounting, file outputs.
 
 A run evaluates each configured policy on the same environment under common
-random numbers (one replication lane per seed, all lanes advanced in lock
-step) in two passes over the schedule, a block of steps at a time.  The
+random numbers (one replication lane per seed, a tile of lanes advanced in
+lock step) in two passes over the schedule, a block of steps at a time.  The
 totals pass reads only the success probabilities: the oracle's reward, each
 pair's total (hence the static pick) and the best pair of every step.  The
-main pass draws each block's outcomes once (only the cells the baselines
-read when no learning policy runs); the learning policies step through it
-together, with one solver call per slot for all their confidence bounds.
+main pass, a tile at a time, draws each block's outcomes once (only the cells
+the baselines read when no learning policy runs); the learners step through
+it together, with one solver call per slot for all their confidence bounds.
 Then one ledger per policy accounts the block's picks, except that
 ``static`` shares the oracle's ledger when the best pair is the static pick
 at every step, as in every stationary environment.  Regret is tracked two
@@ -492,54 +492,59 @@ def _require_memory(need: int, what: str) -> None:
 def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed: bool) -> None:
     """Reject a run whose largest arrays cannot fit in physical memory.
 
-    Counts what the whole run keeps plus the larger of its two phases, which
-    are never alive together.  The run keeps the per-step best pair and one
-    decision log per policy, each entry of the smallest unsigned type that
-    holds a flat pair index; a synthetic drift source's latent path; the
-    outcome tape's uint32 ``[tag, seed]`` prefix, padded to the largest
-    seed's words; and per learner and lane its result's int64 pulls per
-    pair, float64 regret at each of the ``checkpoints`` and, when ``timed``,
-    int64 packet counts per pair.  The block phase holds, per lane and step
-    of a block, each baseline's uint8 outcome and the 8-byte temporaries of
-    accounting one ledger: one for a run of baselines alone, three with a
-    learner; and the tape's largest batch of seed states, of at most the
-    run's chunks and ``environments._STATE_BATCH`` lane-chunks (or one
-    chunk), 4 bytes a word of the longest ``[tag, seed, chunk]`` it reaches
-    and 128 more a lane-chunk: an 8-byte length, a 32-byte state and the
-    previous batch's, and 56 bytes of hash temporaries.  With a learner it
-    adds the block's ``(seeds, steps, C, K)`` uint8 outcome tape and each
-    learner's picks and outcome bytes; and per learner and lane, its int64
-    pulls, int64 successes and float64 rates per pair (and int64 leadership
-    counts for kl-ucb-u) and, when windowed, its rings (an int64 pair ring
-    and an int8 outcome ring, and for kl-ucb-u an int64 leader ring).  The
-    result phase repeats each baseline's result tables to every lane.
+    The run keeps the per-step best pair and one decision log per policy,
+    each entry of the smallest unsigned type that holds a flat pair index;
+    a synthetic drift source's latent path; the outcome tape's uint32
+    ``[tag, seed]`` prefix, padded to the largest seed's words; and per
+    learner and lane its result's int64 pulls per pair, float64 regret at
+    each of the ``checkpoints`` and, when ``timed``, int64 packet counts
+    per pair.  The block phase steps a lane tile, ``T = min(seeds,
+    environments._PCG_TILE)`` lanes, at a time (``_simulate_tiles``), and
+    holds per tile lane and step of a block each baseline's uint8 outcome
+    and the 8-byte temporaries of accounting one ledger: one for a run of
+    baselines alone, three with a learner; and the tape's largest batch of
+    seed states, of at most the run's chunks and
+    ``environments._STATE_BATCH`` lane-chunks (or one chunk), 4 bytes a
+    word of the longest ``[tag, seed, chunk]`` it reaches and 128 more a
+    lane-chunk: an 8-byte length, a 32-byte state and the previous batch's,
+    and 56 bytes of hash temporaries.  With a learner it adds the block's
+    ``(T, steps, C, K)`` uint8 outcome tape and each learner's picks and
+    outcome bytes; and per learner and tile lane, its int64 pulls, int64
+    successes and float64 rates per pair (and int64 leadership counts for
+    kl-ucb-u) and, when windowed, its rings (an int64 pair ring and an int8
+    outcome ring, and for kl-ucb-u an int64 leader ring).  The result phase
+    repeats each baseline's result tables to every lane.  One tile counts
+    the larger phase, as the two are never alive together; more tiles count
+    both, and a tile's result tables of each policy.
 
     The check runs before the totals pass, so it cannot know whether
     ``static`` will share the oracle's ledger (see ``_simulate``); it counts
     a decision log and outcome bytes for each, which errs on the safe side.
     """
     S, P = len(config.seeds), config.channels * config.n_rates
+    T = min(S, environments._PCG_TILE)
     pair = np.min_scalar_type(P - 1).itemsize
     block = min(_BLOCK, slots)
     learners = [p for p in config.policies if not p.is_baseline]
-    tables = S * 8 * (P * (2 if timed else 1) + checkpoints)  # one policy's result tables
-    need = pair * slots * (1 + len(config.policies)) + len(learners) * tables
+    table = 8 * (P * (2 if timed else 1) + checkpoints)  # one policy's result tables a lane
+    need = pair * slots * (1 + len(config.policies)) + len(learners) * S * table
     if config.drift is not None:
         need += config.drift.nbytes()
     seed_words = len(environments._words(max(config.seeds)))
-    need += 4 * S * (1 + seed_words)
+    need += 4 * T * (1 + seed_words)
     chunks = -(-slots // environments._CHUNK)
-    n = min(max(1, environments._STATE_BATCH // S), chunks)  # chunks in the largest batch
-    blocks = S * n * (4 * (1 + seed_words + len(environments._words(chunks + n))) + 128)
-    blocks += S * block * (len(config.policies) - len(learners) + 8 * (3 if learners else 1))
+    n = min(max(1, environments._STATE_BATCH // T), chunks)  # chunks in the largest batch
+    blocks = T * n * (4 * (1 + seed_words + len(environments._words(chunks + n))) + 128)
+    blocks += T * block * (len(config.policies) - len(learners) + 8 * (3 if learners else 1))
     if learners:
-        blocks += S * block * P
+        blocks += T * block * P
         for p in learners:
             leader = p.kind == "kl-ucb-u"
-            blocks += S * (block * (pair + 1) + P * (32 if leader else 24))
+            blocks += T * (block * (pair + 1) + P * (32 if leader else 24))
             if p.window:
-                blocks += S * p.window * (17 if leader else 9)
-    need += max(blocks, (len(config.policies) - len(learners)) * tables)
+                blocks += T * p.window * (17 if leader else 9)
+    repeats = (len(config.policies) - len(learners)) * S * table  # the baselines' results
+    need += blocks + repeats + len(config.policies) * T * table if S > T else max(blocks, repeats)
     _require_memory(
         need, f"the per-slot, per-lane and block arrays of {_echo(slots)} slots x {S} seeds"
     )
@@ -547,12 +552,11 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
 
 @dataclass(frozen=True)
 class _Schedule:
-    """What both passes of one run share: the environment and its outcome
-    tape, the slot and checkpoint grids, and the time ledger's constants
-    (``None`` under slot accounting)."""
+    """What both passes of one run share: the environment, the slot and
+    checkpoint grids, and the time ledger's constants (``None`` under slot
+    accounting)."""
 
     env: Environment
-    tape: OutcomeTape
     slots: int
     checkpoints: tuple[int, ...]
     r_flat: np.ndarray
@@ -579,6 +583,9 @@ def _flat_sum(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """The totals pass, then the main pass a lane tile at a time
+    (``_simulate_tiles``): the block arrays grow with the tile, the result
+    tables with the seed count."""
     slots, time_horizon = _resolve_slots(config)
     checkpoints = _checkpoint_grid(config, slots, time_horizon)
     _check_memory(config, slots, len(checkpoints), time_horizon is not None)
@@ -594,7 +601,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     run = _Schedule(
         env=env,
-        tape=OutcomeTape(env, config.seeds),
         slots=slots,
         checkpoints=checkpoints,
         r_flat=np.tile(config.rates.as_array(), config.channels),
@@ -604,13 +610,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     oracle_reward, mu_totals, best_flats = _totals(run)
     static_flat = int(np.argmax(mu_totals))
-    ledgers = _simulate(run, config, best_flats, static_flat)
     return ExperimentResult(
         config=config,
         slots=slots,
         time_horizon=time_horizon,
         checkpoints=run.checkpoints,
-        policies=tuple(led.result(spec) for spec, led in zip(config.policies, ledgers)),
+        policies=_simulate_tiles(run, config, best_flats, static_flat),
         oracle_reward=oracle_reward,
         static_reward=float(mu_totals[static_flat]),
         static_flat=static_flat,
@@ -632,19 +637,45 @@ def _totals(run: _Schedule) -> tuple[float, np.ndarray, np.ndarray]:
     return oracle_reward, mu_totals, best_flats
 
 
-def _simulate(
+def _simulate_tiles(
     run: _Schedule, config: ExperimentConfig, best_flats: np.ndarray, static_flat: int
+) -> tuple[PolicyRunResult, ...]:
+    """``_simulate`` over tiles of at most ``environments._PCG_TILE`` lanes.
+    A lane's results depend on its seed alone, so each tile writes its own
+    into the run's arrays; lane 0's decision logs come from the first tile.
+    A run of one tile returns that tile's results."""
+    seeds, tile = config.seeds, environments._PCG_TILE
+    results = []
+    for a in range(0, len(seeds), tile):
+        ledgers = _simulate(run, config, seeds[a : a + tile], best_flats, static_flat)
+        part = [led.result(spec) for spec, led in zip(config.policies, ledgers)]
+        if len(seeds) <= tile:
+            return tuple(part)
+        for i, r in enumerate(part):
+            lanes = {k: x for k, x in vars(r).items() if isinstance(x, np.ndarray)}
+            del lanes["decisions"]  # lane 0's log, from the first tile
+            if a == 0:
+                full = {k: np.empty((len(seeds), *x.shape[1:]), x.dtype) for k, x in lanes.items()}
+                results.append(dataclasses.replace(r, **full))
+            for k, x in lanes.items():
+                getattr(results[i], k)[a : a + len(x)] = x
+    return tuple(results)
+
+
+def _simulate(
+    run: _Schedule, config: ExperimentConfig, seeds: tuple, best_flats: np.ndarray, static_flat: int
 ) -> list["_Ledger"]:
-    """The main pass: one walk over the blocks.  With a learning policy each
-    block's outcomes are drawn once, and the learning policies step through
-    it together (one solver call per slot for all their bounds) and store
-    their picks and outcomes.  The baselines' picks are known in advance;
-    without a learner only the cells they read are drawn, once for the two
-    when they play the same pairs.  Then each ledger accounts the block.
-    The ledgers are returned in ``config.policies`` order; when the best
-    pair is the static pick at every step, ``static`` and ``oracle`` play
-    the same pairs and share one ledger."""
-    S, P = len(run.tape.seeds), run.r_flat.size
+    """The main pass of one lane tile, ``seeds``: one walk over the blocks
+    with the tile's own tape.  With a learning policy each block's outcomes
+    are drawn once, and the learning policies step through it together (one
+    solver call per slot for all their bounds) and store their picks and
+    outcomes.  The baselines' picks are known in advance; without a learner
+    only the cells they read are drawn, once for the two when they play the
+    same pairs.  Then each ledger accounts the block.  The ledgers are
+    returned in ``config.policies`` order; when the best pair is the static
+    pick at every step, ``static`` and ``oracle`` play the same pairs and
+    share one ledger."""
+    tape, S, P = OutcomeTape(run.env, seeds), len(seeds), run.r_flat.size
     policies = [
         build_policy(
             spec.kind, config.rates, config.channels,
@@ -653,7 +684,7 @@ def _simulate(
         for spec in config.policies
         if not spec.is_baseline
     ]
-    learned = [_Ledger(run, S) for _ in policies]
+    learned = [_Ledger(run, S, S) for _ in policies]
     same = best_flats.min() == static_flat == best_flats.max()  # no slots-long temporary
 
     def plays(spec: PolicySpec) -> str:
@@ -661,14 +692,14 @@ def _simulate(
         return "oracle" if same else spec.kind
 
     kinds = dict.fromkeys(plays(spec) for spec in config.policies if spec.is_baseline)
-    baselines = {kind: _Ledger(run, 1) for kind in kinds}
+    baselines = {kind: _Ledger(run, 1, S) for kind in kinds}
     shape = (min(_BLOCK, run.slots), len(policies), S)
     picks = np.empty(shape, dtype=np.min_scalar_type(P - 1))
     wins = np.empty(shape, dtype=np.uint8)
     for n0, n1, th_b, mu_b in run.blocks():
         B = n1 - n0
         if policies:
-            outs = run.tape.block(n0, n1).reshape(-1)  # (S, B, P), flat
+            outs = tape.block(n0, n1).reshape(-1)  # (S, B, P), flat
             cells = np.arange(0, S * B * P, B * P)  # each lane's cell of pair 0 at the step
             for i in range(B):
                 flats = select_all(policies)
@@ -689,7 +720,7 @@ def _simulate(
                 if policies:
                     won = outs.reshape(S, B, P)[:, np.arange(B), flats].T
                 else:
-                    won = run.tape.cells(n0, n1, flats, th_b).T
+                    won = tape.cells(n0, n1, flats, th_b).T
                 drawn.append((flats, won))
             led.account(n0, flats[:, None], won, mu_b, mu_star_b)
     learned = iter(learned)
@@ -728,12 +759,12 @@ class _Ledger:
     bits.
     """
 
-    def __init__(self, run: _Schedule, rows: int):
+    def __init__(self, run: _Schedule, rows: int, lanes: int):
         self.run = run
         self.cps = np.asarray(run.checkpoints)
         self.pseudo = np.zeros(rows)
         self.expected = np.zeros(rows)
-        self.realized = np.zeros(len(run.tape.seeds))
+        self.realized = np.zeros(lanes)
         self.pulls = np.zeros((rows, run.r_flat.size), dtype=np.int64)
         self.traj = np.empty((rows, len(self.cps)))
         self.decisions = np.empty(run.slots, dtype=np.min_scalar_type(run.r_flat.size - 1))
@@ -780,8 +811,7 @@ class _Ledger:
     def result(self, spec: PolicySpec) -> PolicyRunResult:
         """``spec``'s result.  A ledger that two baselines share hands the
         second its own copies, so no two results share an array."""
-        run = self.run
-        S = len(run.tape.seeds)
+        run, S = self.run, len(self.realized)
 
         def lanes(x):
             return x if len(x) == S else np.repeat(x, S, axis=0)
@@ -912,10 +942,13 @@ def accounting_check(result: ExperimentResult) -> AccountingReport:
 def _float_texts(values: np.ndarray) -> str:
     """``",".join(map(repr, values.tolist()))`` for a 1-D float array, with
     each distinct value formatted once.  Values are told apart by their
-    bits, so -0.0 keeps its own text beside 0.0."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return ",".join(texts[inverse].tolist())
+    bits, so -0.0 keeps its own text beside 0.0; the distinct bits come from
+    a sort, and each value's text from a binary search among them."""
+    bits = values.view(np.int64)
+    ordered = np.sort(bits)
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return ",".join(texts[np.searchsorted(distinct, bits)].tolist())
 
 
 def _words(texts: list[str], words: int, right: bool = False) -> np.ndarray:

@@ -657,6 +657,25 @@ class TestOutcomeTapeAgainstReference:
         tape = OutcomeTape(env, seeds=(np.int64(3), 4))
         assert tape.seeds == (3, 4) and all(type(s) is int for s in tape.seeds)
 
+    @pytest.mark.parametrize(
+        "seeds",
+        [(0, 2**32 - 1), (0, 2**32 - 1, 2**32, 2**64 - 1), (2**64 - 1,), (2**32, 5)],
+        ids=["one-word", "word-edges", "largest-two-word", "two-then-one"],
+    )
+    def test_prefix_below_2_64_equals_the_padded_word_lists(self, env, seeds):
+        """Seeds below 2**64 build their prefix in uint64 array arithmetic:
+        bit for bit the zero-padded ``[tag, *words(seed)]`` rows, with one
+        int length when every seed is one word."""
+        tape = OutcomeTape(env, seeds)
+        rows = [[TAPE_TAG, *environments._words(s)] for s in seeds]
+        prefix, lengths = environments._padded(rows)
+        assert (tape._prefix.dtype, tape._prefix.shape) == (prefix.dtype, prefix.shape)
+        assert tape._prefix.tobytes() == prefix.tobytes()
+        if max(seeds) < 2**32:
+            assert tape._prefix_len == 2 and isinstance(tape._prefix_len, int)
+        else:
+            np.testing.assert_array_equal(tape._prefix_len, lengths)
+
 
 # Seeds of one-, two- and three-word entropy at the word edges.
 CELL_SEEDS = (0, 2**32 - 1, 2**32, 2**40, 2**70 + 3)

@@ -321,23 +321,28 @@ class TestRunExperiment:
         # result repeats its one-row tables to every lane, and each block
         # holds a baseline's outcome bytes and one float64 reward per lane
         # and step.  Time accounting adds the int64 packet counts per pair.
-        # Past 16,384 lanes the tape's batch of seed states is one chunk.
-        S = 2 * 10**5
+        # The seeds span 25 lane tiles of 8,192: the block phase, the
+        # tape's prefix and its batch of seed states (two chunks of a tile's
+        # lanes) count one tile, and the full-width result tables are alive
+        # with them, as are one tile's tables of each policy.
+        S, T = 2 * 10**5, 8192
         baselines = dataclasses.replace(
             config, policies=(PolicySpec("oracle"), PolicySpec("static")), horizon=600, seeds=tuple(range(S))
         )
-        prefix, batch = S * 2 * 4, S * (4 * 3 + 128)
-        want = itemsize * 600 * 3 + prefix + max(S * 2 * 8 * (P + 11), S * 512 * (2 + 8) + batch)
+        prefix, batch = T * 2 * 4, T * 2 * (4 * 3 + 128)
+        block = T * 512 * (2 + 8) + batch
+        want = itemsize * 600 * 3 + prefix + block + (S + T) * 2 * 8 * (P + 11)
         assert _memory_asked(monkeypatch, baselines) == want
         timed = dataclasses.replace(baselines, accounting="original")
         slots = 600 * rates  # the time budget at the top rate
         cps = len({2**i for i in range(slots.bit_length())} | {slots, 600})
-        want = itemsize * slots * 3 + prefix + max(S * 2 * 8 * (2 * P + cps), S * 512 * (2 + 8) + batch)
+        want = itemsize * slots * 3 + prefix + block + (S + T) * 2 * 8 * (2 * P + cps)
         assert _memory_asked(monkeypatch, timed) == want
 
     def test_memory_check_counts_a_learners_block_buffers(self, monkeypatch):
-        """A million seeds on the demo table: one block's outcome tape alone
-        is 20.5 GB, whatever the horizon."""
+        """A million seeds on the demo table: the block phase counts one lane
+        tile of 8,192 (its outcome tape is 168 MB, where all lanes at once
+        would take 20.5 GB), and the result tables every lane."""
         demo = demo_model()
         config = ExperimentConfig(
             rates=demo.rates,
@@ -346,33 +351,35 @@ class TestRunExperiment:
             seeds=tuple(range(10**6)),
             theta=demo.theta,
         )
-        S, P = 10**6, 40
-        tables = S * 8 * (P + 11)  # the result's pulls and regret at 11 checkpoints
-        block = S * 512 * (P + 3 * 8)  # the outcome tape and accounting temporaries
-        # The tape's [tag, seed] prefix, and its batch of seed states: one
-        # chunk, 4 bytes a word of [tag, seed, chunk] and 128 more a lane.
-        seeds = S * 2 * 4 + S * (4 * 3 + 128)
-        want = 1000 * 2 + block + S * (512 * 2 + P * 24) + tables + seeds
+        S, T, P = 10**6, 8192, 40
+        table = 8 * (P + 11)  # a lane's result pulls and regret at 11 checkpoints
+        block = T * 512 * (P + 3 * 8)  # the outcome tape and accounting temporaries
+        # The tape's [tag, seed] prefix, and its batch of seed states: both
+        # chunks of a tile, 4 bytes a word of [tag, seed, chunk] and 128 more.
+        seeds = T * 2 * 4 + T * 2 * (4 * 3 + 128)
+        # A later tile runs with the full-width tables and one tile's.
+        want = 1000 * 2 + block + T * (512 * 2 + P * 24) + (S + T) * table + seeds
         assert _memory_asked(monkeypatch, config) == want
-        # A run of baselines alone draws no block and keeps no policy tables;
-        # its results repeat the pulls and regret to every lane once the
-        # block phase is over, and take less than that phase here.
+        # A run of baselines alone draws no block of outcomes and keeps no
+        # policy tables, but its full-width results are alive with each
+        # tile's block phase.
         baselines = dataclasses.replace(config, policies=(PolicySpec("oracle"), PolicySpec("static")))
-        assert 2 * tables < S * 512 * (2 + 8)
-        assert _memory_asked(monkeypatch, baselines) == 1000 * 3 + S * 512 * (2 + 8) + seeds
-        # On a host of 8 GiB the run stops before it allocates anything.
-        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+        want = 1000 * 3 + T * 512 * (2 + 8) + seeds + 2 * (S + T) * table
+        assert _memory_asked(monkeypatch, baselines) == want
+        # On a host of 512 MiB the run stops before it allocates anything.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**17}
         monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
-        with pytest.raises(ValueError, match=r"need about 32\.\d+ GiB, more than the 8 GiB"):
+        with pytest.raises(ValueError, match=r"need about 0\.65\d* GiB, more than the 0\.5 GiB"):
             run_experiment(config)
 
     def test_memory_check_counts_the_tapes_seed_words(self, monkeypatch):
-        """10^4 lanes and one seed of 10^3999, 416 words: the tape's padded
-        entropy prefix (17 MB, held all run) and a batch's entropy rows
-        (17 MB more) dwarf the rest of a 4-slot oracle run.  The check asks
-        for at least the peak of building the tape and hashing a batch, and
-        the prefix is built in about its own size."""
-        seeds = (*range(1, 10_000), 10**3999)
+        """One lane tile, 8,192 lanes, and one seed of 10^3999, 416 words:
+        the tape's padded entropy prefix (13.7 MB, held all run) and a
+        batch's entropy rows (13.7 MB more) dwarf the rest of a 4-slot
+        oracle run.  The check asks for at least the peak of building the
+        tape and hashing a batch, and the prefix is built in about its own
+        size."""
+        seeds = (*range(1, 8_192), 10**3999)
         config = config_2x2(policies=(PolicySpec("oracle"),), horizon=4, seeds=seeds)
         asked = _memory_asked(monkeypatch, config)
         tracemalloc.start()
@@ -383,7 +390,7 @@ class TestRunExperiment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert tape._prefix.shape == (10_000, 417)
+        assert tape._prefix.shape == (8_192, 417)
         assert built < 1.25 * tape._prefix.nbytes
         assert asked >= peak > 2 * tape._prefix.nbytes
 
@@ -879,6 +886,121 @@ class TestLockStep:
             )
 
 
+# Seven lanes, so tiles of three lanes make tiles of 3, 3 and 1; two seeds
+# take two 32-bit words.
+_TILED_SEEDS = (1, 2**32, 5, 9, 2**40 + 3, 12, 7)
+_TILED_POLICIES = (
+    PolicySpec("kl-ucb"), PolicySpec("kl-ucb-u", strict=True), PolicySpec("crs-t"),
+    PolicySpec("kl-ucb-u", window=40), PolicySpec("oracle"), PolicySpec("static"),
+)
+
+
+def _result_lanes(result):
+    """``(name, array)`` of each per-lane array of ``result``: every result
+    field but lane 0's decision log and the unset time fields."""
+    return [
+        (name, getattr(result, name))
+        for name in _RESULT_FIELDS
+        if name != "decisions" and getattr(result, name) is not None
+    ]
+
+
+def _tiled_configs():
+    # Time budget 583 at rates up to 1.0: 583 slots over blocks [0, 512) and
+    # [512, 583), and ledgers that freeze inside them.
+    yield "both-freezing-inside-blocks", dict(
+        rates=RateSet.of([0.55, 0.8, 1.0]), theta=np.array([[0.95, 0.6, 0.4], [0.9, 0.75, 0.5]]),
+        horizon=583, accounting="both",
+    )
+    # The best pair moves at step 300, inside the first block, so static
+    # and oracle keep a ledger each.
+    t0, t1 = np.array([[0.9, 0.2], [0.1, 0.1]]), np.array([[0.1, 0.1], [0.9, 0.2]])
+    yield "trace-segment-inside-a-block", dict(
+        rates=RateSet.of([1.0, 2.0]), horizon=700,
+        trace=TraceTable(starts=(0, 300), tables=(t0, t1), horizon=700),
+    )
+
+
+class TestLaneTiles:
+    """The main pass steps at most ``environments._PCG_TILE`` lanes at a
+    time; a run in tiles equals a run of all its lanes in one tile."""
+
+    @pytest.mark.parametrize("kw", [pytest.param(kw, id=name) for name, kw in _tiled_configs()])
+    def test_tiles_of_three_lanes_equal_one_tile(self, tmp_path, monkeypatch, kw):
+        config = ExperimentConfig(policies=_TILED_POLICIES, seeds=_TILED_SEEDS, **kw)
+        whole = run_experiment(config)
+        files = emit_outputs(whole, tmp_path / "whole")
+        tiles = []
+        simulate = harness._simulate
+
+        def spy(run, config, seeds, *args):
+            tiles.append(seeds)
+            return simulate(run, config, seeds, *args)
+
+        monkeypatch.setattr(harness, "_simulate", spy)
+        monkeypatch.setattr(environments, "_PCG_TILE", 3)
+        tiled = run_experiment(config)
+        assert tiles == [_TILED_SEEDS[:3], _TILED_SEEDS[3:6], _TILED_SEEDS[6:]]
+        for got, want in zip(tiled.policies, whole.policies, strict=True):
+            for f in dataclasses.fields(want):
+                x, y = getattr(got, f.name), getattr(want, f.name)
+                if not isinstance(y, np.ndarray):
+                    assert x == y, (want.label, f.name)
+                    continue
+                assert np.array_equal(x, y), (want.label, f.name)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        assert np.array_equal(tiled.best_flats, whole.best_flats)
+        assert (tiled.oracle_reward, tiled.static_reward, tiled.static_flat) == (
+            whole.oracle_reward, whole.static_reward, whole.static_flat,
+        )
+        # No two results share an array, as in a run of one tile.
+        arrays = [x for p in tiled.policies for _, x in _result_lanes(p)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
+        emitted = emit_outputs(tiled, tmp_path / "tiled")
+        assert sorted(emitted) == sorted(files)
+        for name, path in emitted.items():
+            assert path.read_bytes() == files[name].read_bytes(), name
+        if config.accounting == "both":
+            assert len(files) == 4
+            packets = {int(n) for p in tiled.policies for n in p.packet_counts.sum(axis=1)}
+            assert any(n % 512 not in (0, 511) for n in packets)
+            assert min(packets) < tiled.slots
+
+    def test_a_run_of_four_tiles_peaks_near_one_tiles_block_phase(self, monkeypatch):
+        """A run's traced peak grows with its result arrays, not with its
+        block arrays: four tiles of lanes peak below their results plus 1.5
+        times the peak of a run of one tile, its own results included."""
+        monkeypatch.setattr(environments, "_PCG_TILE", 1024)
+        config = config_2x2(policies=(PolicySpec("kl-ucb"), PolicySpec("oracle")), horizon=520)
+
+        def traced(seeds):
+            tracemalloc.start()
+            try:
+                result = run_experiment(dataclasses.replace(config, seeds=seeds))
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, one = traced(tuple(range(1, 1025)))
+        result, four = traced(tuple(range(1, 4097)))
+        lanes = sum(x.nbytes for p in result.policies for _, x in _result_lanes(p))
+        assert four <= lanes + 1.5 * one
+
+    def test_memory_check_counts_one_tiles_block_arrays(self, monkeypatch):
+        """Past one tile, a lane adds only its result tables to what the
+        memory check asks for: a learner's and a baseline's int64 pulls of
+        4 pairs and float64 regret at 11 checkpoints."""
+        T = environments._PCG_TILE
+        config = config_2x2(policies=(PolicySpec("kl-ucb"), PolicySpec("oracle")), horizon=600)
+        asked = [
+            _memory_asked(monkeypatch, dataclasses.replace(config, seeds=tuple(range(S))))
+            for S in (T + 1, 2 * T, 5 * T)
+        ]
+        table = 2 * 8 * (4 + 11)
+        assert asked[1] - asked[0] == (T - 1) * table
+        assert asked[2] - asked[1] == 3 * T * table
+
+
 class TestTimeAccounting:
     def test_slot_and_time_regret_coincide_for_unit_rate(self):
         """One rate equal to 1 makes both ledgers count the same thing;
@@ -1111,6 +1233,8 @@ class TestFloatTexts:
             pytest.param(np.full(300, 2.75), id="equal"),
             pytest.param(np.array([0.0, -0.0, 1.5, -0.0, 0.0, 1.5, -1.5]), id="signed-zeros"),
             pytest.param(np.array([1e-320, np.inf, -np.inf, np.nan, 1e-320]), id="special"),
+            pytest.param(np.array([-0.0]), id="single"),
+            pytest.param(np.array([0.0, -0.0] * 40 + [0.25]), id="zeros-beside-zeros"),
         ],
     )
     def test_matches_repr_of_each_value(self, values):
@@ -1119,3 +1243,8 @@ class TestFloatTexts:
     def test_strided_column(self):
         table = np.arange(12.0).reshape(4, 3) / 7.0
         assert _float_texts(table[:, 1]) == ",".join(map(repr, table[:, 1].tolist()))
+        table[::2, 1] = -0.0
+        table[1::2, 1] = 0.0
+        assert _float_texts(table[:, 1]) == ",".join(map(repr, table[:, 1].tolist()))
+        column = np.repeat(_SPREAD[:60], 3).reshape(-1, 6)[::2, 5]
+        assert _float_texts(column) == ",".join(map(repr, column.tolist()))
