@@ -939,16 +939,55 @@ def accounting_check(result: ExperimentResult) -> AccountingReport:
     )
 
 
-def _float_texts(values: np.ndarray) -> str:
-    """``",".join(map(repr, values.tolist()))`` for a 1-D float array, with
-    each distinct value formatted once.  Values are told apart by their
-    bits, so -0.0 keeps its own text beside 0.0; the distinct bits come from
-    a sort, and each value's text from a binary search among them."""
+def _float_texts(values: np.ndarray) -> bytes:
+    """``",".join(map(repr, values.tolist()))`` as bytes, for a non-empty
+    1-D float array, with each distinct value formatted once.  Values are
+    told apart by their bits, so -0.0 keeps its own text beside 0.0.  A
+    lane-constant array (one bit pattern) is one text repeated; otherwise
+    the distinct bits come from a sort, and each value's text from a binary
+    search among them."""
     bits = values.view(np.int64)
+    if bits.min() == bits.max():
+        text = repr(float(values[0])).encode()
+        return text + (b"," + text) * (len(values) - 1)
     ordered = np.sort(bits)
     distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
-    texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return ",".join(texts[np.searchsorted(distinct, bits)].tolist())
+    texts = np.array([repr(v).encode() for v in distinct.view(np.float64).tolist()], dtype=object)
+    return b",".join(texts[np.searchsorted(distinct, bits)].tolist())
+
+
+def _write_ints(fh, item: bytes, values: tuple, skip: int = 0) -> None:
+    """Write ``item % v`` for each int ``v`` of ``values`` to the binary file
+    ``fh``, less the first ``skip`` bytes: one bytes %-format per tile of
+    ``environments._PCG_TILE`` values."""
+    tile = environments._PCG_TILE
+    for a in range(0, len(values), tile):
+        part = values[a : a + tile]
+        text = item * len(part) % part
+        fh.write(text[skip:] if a == 0 else text)
+
+
+def _write_regret(fh, policies, checkpoints: tuple[int, ...], seeds: tuple) -> None:
+    """Write regret.csv to the binary file ``fh``: the header, then one row
+    per policy (by label) and checkpoint.  The seed names and each row's
+    per-seed values go out ``environments._PCG_TILE`` lanes at a time, so
+    the text held at once is one tile's, not one row's.  Each row's mean
+    and stddev are reduced over the whole table, as ``PolicyRunResult``
+    reports them."""
+    tile = environments._PCG_TILE
+    fh.write(b"checkpoint,policy,mean,stddev")
+    _write_ints(fh, b",seed_%d", seeds)
+    fh.write(b"\n")
+    for pol in sorted(policies, key=lambda p: p.label):
+        means = pol.mean_regret.tolist()
+        stds = pol.stddev_regret.tolist()
+        for i, cp in enumerate(checkpoints):
+            fh.write(f"{cp},{pol.label},{means[i]!r},{stds[i]!r}".encode())
+            column = pol.trajectories[:, i]
+            for a in range(0, len(seeds), tile):
+                fh.write(b",")
+                fh.write(_float_texts(column[a : a + tile]))
+            fh.write(b"\n")
 
 
 def _words(texts: list[str], words: int, right: bool = False) -> np.ndarray:
@@ -1014,12 +1053,15 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
     is stationary, bounds.json.  Returns the paths keyed by artifact name.
 
     regret.csv: one row per (policy, checkpoint), columns ``checkpoint,
-    policy, mean, stddev, seed_<id>...`` with per-seed trajectory values.
+    policy, mean, stddev, seed_<id>...`` with per-seed trajectory values,
+    written as bytes a lane tile at a time by :func:`_write_regret`.
     decisions.csv: lane-0 decision log, ``step, policy, channel,
     rate_index, best_channel, best_rate_index``, one row per policy and
     slot.  It is encoded as bytes, ``_EMIT_ROWS`` rows at a time, by
-    :func:`_write_decisions`, so emission holds no array as long as the
-    horizon beyond the decision logs themselves.
+    :func:`_write_decisions`.  summary.json's seed list is written into its
+    text a lane tile at a time.  So emission holds no text as long as the
+    horizon or the seed list, beyond the decision logs themselves; its
+    largest temporary is the stddev's copy of one policy's regret table.
     """
     out = Path(out_dir if out_dir is not None else result.config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -1027,16 +1069,9 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
     config = result.config
     K = config.n_rates
 
-    seed_texts = list(map(str, config.seeds))
     regret_path = out / "regret.csv"
-    with regret_path.open("w", newline="") as fh:
-        fh.write("checkpoint,policy,mean,stddev,seed_" + ",seed_".join(seed_texts) + "\n")
-        for pol in sorted(result.policies, key=lambda p: p.label):
-            means = pol.mean_regret.tolist()
-            stds = pol.stddev_regret.tolist()
-            for i, cp in enumerate(result.checkpoints):
-                lanes = _float_texts(pol.trajectories[:, i])
-                fh.write(f"{cp},{pol.label},{means[i]!r},{stds[i]!r},{lanes}\n")
+    with regret_path.open("wb") as fh:
+        _write_regret(fh, result.policies, result.checkpoints, config.seeds)
     paths["regret"] = regret_path
 
     dec_path = out / "decisions.csv"
@@ -1054,7 +1089,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
     # Efficiencies are fractions of the oracle's reward: null when it is 0.
     undefined = result.oracle_reward == 0.0
     summary: dict = {
-        # The seed list is spliced into the text afterwards, as json.dumps
+        # The seed list is written into the text afterwards, as json.dumps
         # encodes a list one token at a time.  Quoted, this key and value
         # match nowhere else: a quote inside a string value is escaped.
         "config": {**config.to_json_dict(), "seeds": "seeds"},
@@ -1086,12 +1121,15 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path | None = None) ->
             entry["time_regret_mean"] = float(pol.time_regret.mean())
             entry["max_time_used"] = float(pol.time_used.max())
         summary["policies"][pol.label] = entry
-    # One dumps and one write: json.dump writes each token on its own.
+    # One dumps: json.dump writes each token on its own.  The seed list goes
+    # between the text's two halves, laid out as json.dumps lays out a list.
     sum_path = out / "summary.json"
     text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-    seeds = "[\n      " + ",\n      ".join(seed_texts) + "\n    ]"
-    text = text.replace('"seeds": "seeds"', f'"seeds": {seeds}', 1)
-    sum_path.write_text(text + "\n")
+    head, tail = text.split('"seeds": "seeds"')
+    with sum_path.open("wb") as fh:
+        fh.write(head.encode() + b'"seeds": [')
+        _write_ints(fh, b",\n      %d", config.seeds, skip=1)
+        fh.write(b"\n    ]" + tail.encode() + b"\n")
     paths["summary"] = sum_path
 
     model = config.model()

@@ -23,6 +23,8 @@ from chanrate.environments import (
 )
 from chanrate.harness import (
     ExperimentConfig,
+    ExperimentResult,
+    PolicyRunResult,
     PolicySpec,
     _flat_sum,
     _float_texts,
@@ -1238,13 +1240,138 @@ class TestFloatTexts:
         ],
     )
     def test_matches_repr_of_each_value(self, values):
-        assert _float_texts(values) == ",".join(map(repr, values.tolist()))
+        assert _float_texts(values) == _repr_texts(values)
 
     def test_strided_column(self):
         table = np.arange(12.0).reshape(4, 3) / 7.0
-        assert _float_texts(table[:, 1]) == ",".join(map(repr, table[:, 1].tolist()))
+        assert _float_texts(table[:, 1]) == _repr_texts(table[:, 1])
         table[::2, 1] = -0.0
         table[1::2, 1] = 0.0
-        assert _float_texts(table[:, 1]) == ",".join(map(repr, table[:, 1].tolist()))
+        assert _float_texts(table[:, 1]) == _repr_texts(table[:, 1])
         column = np.repeat(_SPREAD[:60], 3).reshape(-1, 6)[::2, 5]
-        assert _float_texts(column) == ",".join(map(repr, column.tolist()))
+        assert _float_texts(column) == _repr_texts(column)
+
+
+def _repr_texts(values: np.ndarray) -> bytes:
+    return ",".join(map(repr, values.tolist())).encode()
+
+
+def _regret_reference(policies, checkpoints, seeds) -> bytes:
+    """regret.csv written one whole row at a time, with the seed names from
+    ``map(str)``, as emit_outputs wrote it before the lane-tile encoder."""
+    seed_texts = list(map(str, seeds))
+    lines = ["checkpoint,policy,mean,stddev,seed_" + ",seed_".join(seed_texts) + "\n"]
+    for pol in sorted(policies, key=lambda p: p.label):
+        means, stds = pol.mean_regret.tolist(), pol.stddev_regret.tolist()
+        for i, cp in enumerate(checkpoints):
+            lanes = ",".join(map(repr, pol.trajectories[:, i].tolist()))
+            lines.append(f"{cp},{pol.label},{means[i]!r},{stds[i]!r},{lanes}\n")
+    return "".join(lines).encode()
+
+
+def _summary_reference(written: bytes, seeds) -> bytes:
+    """summary.json's other entries as written, re-encoded by one json.dumps
+    with the seed list spliced in from ``map(str)``, as emit_outputs wrote
+    it before the lane-tile encoder."""
+    doc = json.loads(written)
+    assert doc["config"]["seeds"] == list(seeds)
+    doc["config"]["seeds"] = "seeds"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    listed = "[\n      " + ",\n      ".join(map(str, seeds)) + "\n    ]"
+    return (text.replace('"seeds": "seeds"', f'"seeds": {listed}', 1) + "\n").encode()
+
+
+def _hand_built(seeds: tuple, tables: list[np.ndarray]) -> ExperimentResult:
+    """A result holding ``tables`` as the regret of one policy each, over
+    checkpoints 1, 2, ...; the other per-lane fields are constants."""
+    lanes, cols = tables[0].shape
+    specs = tuple(PolicySpec(k) for k in ("static", "kl-ucb", "oracle", "crs-t")[: len(tables)])
+    checkpoints = tuple(range(1, cols + 1))
+    config = config_2x2(seeds=seeds, horizon=max(4, cols), policies=specs)
+    half = np.full(lanes, 0.5)
+    decisions = np.zeros(cols, dtype=np.uint8)
+    pols = tuple(
+        PolicyRunResult(spec, spec.label, checkpoints, table, None, half, half, decisions)
+        for spec, table in zip(specs, tables)
+    )
+    return ExperimentResult(config, cols, None, checkpoints, pols, 1.0, 0.75, 1, decisions)
+
+
+# Values that share texts or bits, or have special texts.
+_POOL = (0.0, -0.0, 0.5, 1.5, -2.25, 0.1 + 0.2, 1e-320, 1e30, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def _regret_tables(draw, lanes: int, cols: int) -> np.ndarray:
+    """A ``(lanes, cols)`` table whose columns are lane-constant, drawn from
+    ``_POOL`` (repeated values, -0.0 beside 0.0, inf and nan) or spread out.
+    The last column is finite, as summary.json's final regret must be."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), "array seed"))
+    table = np.empty((lanes, cols))
+    for i in range(cols):
+        pool = np.array(_POOL if i < cols - 1 else _POOL[:-3])
+        kind = draw(st.sampled_from(["constant", "pool", "spread"]), "column kind")
+        if kind == "constant":
+            table[:, i] = draw(st.sampled_from(pool.tolist()), "value")
+        elif kind == "pool":
+            table[:, i] = rng.choice(pool, lanes)
+        else:
+            table[:, i] = rng.normal(size=lanes) * np.logspace(-20, 20, lanes)
+    return table
+
+
+_SEEDS = st.sampled_from([0, 2**64, 2**64 + 1, 10**3999, 10**3999 + 7]) | st.integers(0, 10**20)
+
+
+class TestStreamedRegretAndSeeds:
+    """regret.csv and summary.json's seed list, written a lane tile at a
+    time, against whole rows and the ``map(str)`` splice."""
+
+    @staticmethod
+    def _assert_matches_reference(result: ExperimentResult, chunk: int, out) -> None:
+        with mock.patch.object(environments, "_PCG_TILE", chunk), np.errstate(all="ignore"):
+            paths = emit_outputs(result, out)
+            want = _regret_reference(result.policies, result.checkpoints, result.config.seeds)
+        assert paths["regret"].read_bytes() == want
+        summary = paths["summary"].read_bytes()
+        assert summary == _summary_reference(summary, result.config.seeds)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_whole_rows_and_the_map_str_splice(self, data, tmp_path_factory):
+        lanes = data.draw(st.integers(1, 12), "lanes")
+        cols = data.draw(st.integers(1, 4), "checkpoints")
+        seeds = data.draw(st.lists(_SEEDS, min_size=lanes, max_size=lanes, unique=True), "seeds")
+        tables = [data.draw(_regret_tables(lanes, cols)) for _ in range(data.draw(st.integers(1, 3)))]
+        chunk = data.draw(st.sampled_from([c for c in (1, 2, 3, lanes - 1, lanes + 1) if c >= 1]))
+        result = _hand_built(tuple(seeds), tables)
+        self._assert_matches_reference(result, chunk, tmp_path_factory.mktemp("emit"))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "seeds", [(10**3999, 0, 2**64, 7), (2**64,), (0,)], ids=["long-and-zero", "one-wide", "one"]
+    )
+    def test_edge_seeds_at_every_chunk(self, tmp_path, seeds, chunk):
+        table = np.array([[0.0, -0.0, np.inf, 1.5], [-0.0, -0.0, np.nan, 1.5]] * 2)[: len(seeds)]
+        result = _hand_built(seeds, [table, np.abs(table[:, ::-1])])
+        self._assert_matches_reference(result, chunk, tmp_path)
+
+    def test_emission_peak_is_one_table_and_a_few_tiles_of_text(self, tmp_path):
+        """Over three lane tiles and one more lane, every value distinct and
+        every seed 13 digits long, emission's traced peak above the result
+        stays within one policy's (lanes, checkpoints) float64 table (the
+        stddev's temporary) plus 8 times one tile's regret text.  Whole rows
+        and whole seed lists take more than twice that."""
+        T = environments._PCG_TILE
+        lanes = 3 * T + 1
+        table = np.random.default_rng(3).random((lanes, 4))
+        seeds = tuple(range(10**12, 10**12 + lanes))
+        result = _hand_built(seeds, [np.zeros((lanes, 4)), table])
+        tile_text = len(_float_texts(table[:T, 0]))
+        tracemalloc.start()
+        try:
+            emit_outputs(result, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes + 8 * tile_text
