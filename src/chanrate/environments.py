@@ -89,20 +89,12 @@ _XSHIFT = np.uint32(16)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
 
-# Lanes OutcomeTape.block steps together through _pcg64_random, so that a
-# draw's temporaries (64 KB an array here) stay in cache.  At 50,000 lanes
-# x 28 draws, median of 15 on a 2-core x86-64 host, over three sweeps:
-# 2,048-lane tiles 0.070-0.091 s, 4,096 0.050-0.068 s, 8,192 0.038-0.049 s,
-# 16,384 0.044-0.054 s, untiled 0.044-0.057 s.
-_PCG_TILE = 8192
-
 # Lane-steps (lanes x rows of a chunk) OutcomeTape.cells computes in one
 # pass, so that its work arrays stay small however many lanes there are.
 _CELL_TILE = 16384
 
 # Lane-chunks of seed states (32 bytes each) an OutcomeTape hashes in one
-# batch and keeps: 512 KB.  A tape of more than half as many lanes keeps
-# none, since its batch is a single chunk.
+# batch and keeps: 512 KB, or one chunk of a tape of more lanes.
 _STATE_BATCH = 16384
 
 # Draws per lane (hi * C * K for rows [0, hi) of a chunk) up to which
@@ -153,12 +145,12 @@ def _padded(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     return out, lengths
 
 
-def _seed_states(entropy: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
+def _seed_states(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``SeedSequence(row[:length]).generate_state(4, np.uint64)`` per row.
 
     ``entropy`` is a ``(lanes, L)`` uint32 array, one entropy word list per
-    row, zero-padded past the row's length in ``lengths`` (``L`` for every
-    row when not given); the result is ``(lanes, 4)`` uint64.  numpy hashes
+    row, zero-padded past the row's length in ``lengths``; the result is
+    ``(lanes, 4)`` uint64.  numpy hashes
     a word missing from its 4-word pool as 0, so padding there needs no
     mask; a word past the pool is mixed in only where its row holds it.
     Each step of numpy's pool hash is one uint32 array operation over all
@@ -188,10 +180,9 @@ def _seed_states(entropy: np.ndarray, lengths: np.ndarray | None = None) -> np.n
             if i_src != i_dst:
                 pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
     for i_src in range(_POOL_SIZE, L):
-        held = None if lengths is None else lengths > i_src
+        held = lengths > i_src
         for i_dst in range(_POOL_SIZE):
-            mixed = mix(pool[i_dst], hashmix(entropy[:, i_src]))
-            pool[i_dst] = mixed if held is None else np.where(held, mixed, pool[i_dst])
+            pool[i_dst] = np.where(held, mix(pool[i_dst], hashmix(entropy[:, i_src])), pool[i_dst])
 
     # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
     # paired little-endian into uint64s.
@@ -356,21 +347,22 @@ class Environment:
     ``n_rates`` pairs, valid below ``horizon`` when set.  It holds no state,
     nor a seed (``OutcomeTape`` draws the outcomes, one stream per seed):
     ``TraceTable`` and ``DriftEnvironment`` set the three attributes and
-    implement ``theta_block``."""
+    implement ``_theta_block``, which ``theta_block`` calls on valid steps."""
 
     channels: int
     n_rates: int
     horizon: int | None
 
-    def _check_step(self, step: int) -> None:
-        step = int(step)
-        if step < 0:
-            raise ValueError(f"step must be >= 0, got {step}")
-        if self.horizon is not None and step >= self.horizon:
-            raise ValueError(f"step {step} beyond horizon {self.horizon}")
-
     def theta_block(self, start: int, stop: int) -> np.ndarray:
         """Probabilities for steps [start, stop), shape (stop-start, C, K)."""
+        for step in (int(start), max(int(start), int(stop) - 1)):
+            if step < 0:
+                raise ValueError(f"step must be >= 0, got {step}")
+            if self.horizon is not None and step >= self.horizon:
+                raise ValueError(f"step {step} beyond horizon {self.horizon}")
+        return self._theta_block(start, stop)
+
+    def _theta_block(self, start: int, stop: int) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -440,11 +432,8 @@ class TraceTable(Environment):
     def n_rates(self) -> int:
         return self.tables.shape[2]
 
-    def theta_block(self, start: int, stop: int) -> np.ndarray:
+    def _theta_block(self, start: int, stop: int) -> np.ndarray:
         """Steps inside one segment read a broadcast view of its table."""
-        self._check_step(start)
-        if stop > start:
-            self._check_step(stop - 1)
         starts, tables = self.starts, self.tables
         i = bisect_right(starts, start) - 1
         if i + 1 == len(starts) or stop <= starts[i + 1]:
@@ -662,8 +651,9 @@ class DriftEnvironment(Environment):
     bits of ``scipy.special.expit`` without importing scipy.
 
     ``theta_block`` returns a read-only array and hands the last one back
-    when asked for the same steps again, as a run's outcome tape does right
-    after its main pass: θ is computed twice a block, once for one block.
+    when asked for the same steps again, as a tile's outcome tape does right
+    after its main pass: θ is computed once a block by a run's totals pass
+    and again by each lane tile's main pass (once in all for one block).
     """
 
     def __init__(self, spec: SyntheticDriftSpec):
@@ -690,10 +680,7 @@ class DriftEnvironment(Environment):
         self._thresholds = spec.threshold_array()
         self._last = (None, None)  # (start, stop) and the block of the last theta_block
 
-    def theta_block(self, start: int, stop: int) -> np.ndarray:
-        self._check_step(start)
-        if stop > start:
-            self._check_step(stop - 1)
+    def _theta_block(self, start: int, stop: int) -> np.ndarray:
         if self._last[0] != (start, stop):
             block = self._theta(slice(start, stop))
             block.flags.writeable = False
@@ -737,9 +724,10 @@ class OutcomeTape:
 
     A chunk whose rows ``[0, hi)`` hold at most ``_EMULATE_MAX_DRAWS``
     draws per lane (``hi * C * K``), as in many seeds over a few steps, is
-    drawn by ``_pcg64_random`` for ``_PCG_TILE`` lanes at a time; a longer
+    drawn by one ``_pcg64_random`` pass over all the tape's lanes; a longer
     one by numpy's generator, one lane at a time.  The choice depends on
-    the chunk, never on the lanes, and both paths give the same bits.
+    the chunk, never on the lanes, and both paths give the same bits.  A
+    run gives each tape one lane tile, so a pass's temporaries stay small.
 
     ``cells(start, stop, flats, theta)`` reads one cell a step of the same
     outcomes, ``block(start, stop)`` at step ``n``'s cell ``flats[n -
@@ -758,11 +746,10 @@ class OutcomeTape:
     Seed states are hashed a batch of chunks at a time.  Asked for a chunk
     it does not hold, the tape drops what it holds and hashes that chunk
     and the ones after it, twice as many as at its previous miss, up to
-    ``_STATE_BATCH`` lane-chunks.  A walk forward over ``n`` chunks so
-    hashes them in about ``log2(n)`` batches.  A tape of more than
-    ``_STATE_BATCH // 2`` lanes, whose batch is one chunk, keeps nothing.
-    A batch is one ``_seed_states`` call for all lanes, whatever the sizes
-    of their seeds (see ``_hash_chunks``).
+    ``_STATE_BATCH`` lane-chunks (one chunk at least).  A walk forward over
+    ``n`` chunks so hashes them in about ``log2(n)`` batches.  A batch is
+    one ``_seed_states`` call for all lanes, whatever the sizes of their
+    seeds (see ``_hash_chunks``).
     """
 
     def __init__(self, env: Environment, seeds: tuple[int, ...] | list[int]):
@@ -778,22 +765,34 @@ class OutcomeTape:
         self._held = None  # (first chunk, (n, lanes, 4) states) of the last state batch
         self._batch = 1  # chunks the next state batch hashes
         # Each lane's entropy prefix [tag, *words(seed)], zero-padded to the
-        # longest, as a (lanes, width) uint32 array, and its length (one int
-        # when all seeds are one word); array operations build it below 2**64.
+        # longest, as a (lanes, width) uint32 array, and its int64 length;
+        # array operations build them below 2**64.
         if max(seeds) < 2**64:
             low = np.array(seeds, dtype=np.uint64)
             high = (low >> np.uint64(32)).astype(np.uint32)
-            wide = bool(high.any())
             words = [np.full(len(seeds), _OUTCOME_TAG, np.uint32), low.astype(np.uint32), high]
-            self._prefix, self._prefix_len = np.stack(words[: 2 + wide], axis=1), 2
-            if wide:
-                self._prefix_len = 2 + (high > 0)
+            self._prefix = np.stack(words[: 3 if high.any() else 2], axis=1)
+            self._prefix_len = 2 + (high > 0)
         else:
             self._prefix, self._prefix_len = _padded([[_OUTCOME_TAG, *_words(s)] for s in seeds])
 
     @property
     def seeds(self) -> tuple[int, ...]:
         return self._seeds
+
+    @staticmethod
+    def nbytes(lanes: int, largest_seed: int, steps: int) -> int:
+        """Bytes a tape of ``lanes`` seeds up to ``largest_seed`` holds at
+        most over steps below ``steps``: a lane's uint32 ``[tag, seed]``
+        prefix, padded to the largest seed's words, and int64 length; and a
+        lane-chunk of its largest batch, 4 bytes a word of the longest
+        ``[tag, seed, chunk]`` and 128 more: an 8-byte length, a 32-byte
+        state and the previous batch's, and 56 bytes of hash temporaries."""
+        seed_words = len(_words(largest_seed))
+        chunks = -(-steps // _CHUNK)
+        n = min(max(1, _STATE_BATCH // lanes), chunks)  # chunks in the largest batch
+        batch = n * (4 * (1 + seed_words + len(_words(chunks + n))) + 128)
+        return lanes * (4 * (1 + seed_words) + 8 + batch)
 
     def block(self, start: int, stop: int) -> np.ndarray:
         if stop <= start:
@@ -811,25 +810,19 @@ class OutcomeTape:
             hi = min(stop, (b + 1) * _CHUNK) - b * _CHUNK
             pos = b * _CHUNK + lo - start
             rows, seg = buf[:hi], buf[lo:hi]
-            th_seg = th[pos : pos + hi - lo]
+            th_seg, part = th[pos : pos + hi - lo], out[:, pos : pos + hi - lo]
             states = self._chunk_states(b)
             if hi * C * K > _EMULATE_MAX_DRAWS:
                 for lane, state in enumerate(states):
                     preset.state = state
                     np.random.Generator(np.random.PCG64(preset)).random(out=rows)
-                    np.less(seg, th_seg, out=out[lane, pos : pos + hi - lo])
+                    np.less(seg, th_seg, out=part[lane])
                 continue
-            # Short chunk: step every lane's PCG64 at once, a tile of lanes
-            # at a time, and compare each draw as it comes.
-            th_draws = th_seg.reshape(-1)
-            tile = np.empty((min(_PCG_TILE, len(states)), th_draws.size), dtype=np.uint8)
-            for a in range(0, len(states), _PCG_TILE):
-                tile_states = states[a : a + _PCG_TILE]
-                part = tile[: len(tile_states)]
-                draws = _pcg64_random(tile_states, lo * C * K, th_draws.size)
-                for j, u in enumerate(draws):
-                    np.less(u, th_draws[j], out=part[:, j])
-                out[a : a + _PCG_TILE, pos : pos + hi - lo] = part.reshape(-1, hi - lo, C, K)
+            # Short chunk: step every lane's PCG64 at once, and compare each
+            # draw as it comes, into its column of the lanes' outcomes.
+            th_draws, lane_draws = th_seg.reshape(-1), part.reshape(len(states), -1)
+            for j, u in enumerate(_pcg64_random(states, lo * C * K, th_draws.size)):
+                np.less(u, th_draws[j], out=lane_draws[:, j])
         return out
 
     def cells(self, start: int, stop: int, flats, theta) -> np.ndarray:
@@ -922,9 +915,8 @@ class OutcomeTape:
         if held is None or not 0 <= b - held[0] < len(held[1]):
             cap = max(1, _STATE_BATCH // len(self._seeds))
             n = min(self._batch, cap)
-            held = (b, self._hash_chunks(b, n))
+            self._held = held = (b, self._hash_chunks(b, n))
             self._batch = min(2 * n, cap)
-            self._held = held if cap > 1 else None
         return held[1][b - held[0]]
 
     def _hash_chunks(self, b: int, n: int) -> np.ndarray:
@@ -936,9 +928,8 @@ class OutcomeTape:
         lanes, width = self._prefix.shape
         entropy = np.zeros((n, lanes, width + words.shape[1]), dtype=np.uint32)
         entropy[:, :, :width] = self._prefix
-        # A slice when every prefix has one length, else each lane's own.
-        at = slice(None) if np.ndim(self._prefix_len) == 0 else np.arange(lanes)
+        at = np.arange(lanes)
         for k in range(words.shape[1]):
             entropy[:, at, self._prefix_len + k] = words[:, k, None]
-        lengths = np.broadcast_to(self._prefix_len + counts[:, None], (n, lanes)).reshape(-1)
+        lengths = (self._prefix_len + counts[:, None]).reshape(-1)
         return _seed_states(entropy.reshape(n * lanes, -1), lengths).reshape(n, lanes, 4)

@@ -137,7 +137,10 @@ def allowance(n: int) -> float:
 
 
 def _allowance_vec(n: np.ndarray) -> np.ndarray:
-    # Array counterpart of allowance(); caller guarantees n >= 1.
+    # allowance() of each n >= 1, but through np.log, whose last bit differs
+    # from math.log's at some n (389, 5431, 9170, ...: 265 of n <= 2 * 10**6).
+    # kl-ucb-u's budget is this, kl-ucb's and crs-t's allowance(): merging
+    # the two changes output bits.
     ln = np.log(n)
     return ln + 3.0 * np.log(np.maximum(ln, 1.0))
 

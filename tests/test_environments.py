@@ -214,16 +214,33 @@ class TestTraceTable:
 
 def test_every_schedule_is_an_environment():
     """A tracer that wraps ``theta_block`` on each subclass of
-    ``Environment`` that defines it sees every schedule; the base holds no
-    state of its own."""
+    ``Environment`` that defines it sees every schedule: only the base
+    defines it, checks the steps and calls the schedule's own
+    ``_theta_block``.  The base holds no state of its own."""
     defining = {
         cls for cls in vars(environments).values()
         if isinstance(cls, type) and "theta_block" in cls.__dict__
     }
-    assert all(issubclass(cls, Environment) for cls in defining)
+    assert defining == {Environment}
     assert set(Environment.__subclasses__()) == {TraceTable, DriftEnvironment}
-    assert {TraceTable, DriftEnvironment} <= defining
+    assert all("_theta_block" in cls.__dict__ for cls in (TraceTable, DriftEnvironment))
     assert "__init__" not in Environment.__dict__
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        TraceTable((0, 50), (np.full((2, 2), 0.3), np.full((2, 2), 0.6)), horizon=200),
+        DriftEnvironment(SyntheticDriftSpec(RateSet.of([1.0, 2.0]), channels=2, horizon=200, step_std=0.01)),
+    ],
+    ids=["trace", "drift"],
+)
+def test_every_schedule_checks_a_blocks_steps(env):
+    assert env.theta_block(199, 200).shape == (1, 2, 2)
+    with pytest.raises(ValueError, match="step must be >= 0, got -1"):
+        env.theta_block(-1, 3)
+    with pytest.raises(ValueError, match="step 200 beyond horizon 200"):
+        env.theta_block(150, 201)
 
 
 class TestTraceSchedule:
@@ -578,28 +595,17 @@ class TestOutcomeTapeAgainstReference:
         # One call a chunk for all lanes, whatever their entropy lengths.
         assert emulated_chunks == emulated
 
-    @pytest.mark.parametrize("seeds", [MIXED_SEEDS, (7, 3, 9, 1, 4)])
-    def test_lane_tiles_reassemble(self, env, monkeypatch, seeds):
-        """Tiles narrower than the tape, with seeds of mixed word counts and
-        of one word."""
-        want = OutcomeTape(env, seeds).block(505, 520)
-        monkeypatch.setattr(environments, "_PCG_TILE", 2)
-        assert OutcomeTape(env, seeds).block(505, 520).tobytes() == want.tobytes()
-        for i, seed in enumerate(seeds):
-            np.testing.assert_array_equal(want[i], reference_outcomes(env, seed, 505, 520))
-
     def test_lane_alone_equals_its_lane_in_a_wide_batch(self, env, emulated_chunks):
         rng = np.random.default_rng(8)
         seeds = [int(s) for s in rng.choice(2**40, size=9_000, replace=False)]
         seeds[:3] = [0, 2**32 - 1, 2**64 + 3]  # one-, two- and three-word entropy
         tape = OutcomeTape(env, seeds)
-        short = tape.block(0, 7)  # 42 draws per lane: emulated, in lane tiles
-        tiles = len(emulated_chunks)
-        assert tiles == 2  # 9,000 lanes in two tiles
+        short = tape.block(0, 7)  # 42 draws per lane: emulated
+        assert emulated_chunks == [(0, 42)]  # 9,000 lanes in one pass
         long = tape.block(0, 3 * EDGE)  # per-lane generator
-        assert len(emulated_chunks) == tiles
+        assert emulated_chunks == [(0, 42)]
         assert short.tobytes() == long[:, :7].tobytes()
-        for lane in (0, 1, 2, 3, 4_000, environments._PCG_TILE, len(seeds) - 1):
+        for lane in (0, 1, 2, 3, 4_000, 8_192, len(seeds) - 1):
             alone = OutcomeTape(env, (seeds[lane],)).block(0, 7)
             assert alone[0].tobytes() == short[lane].tobytes()
 
@@ -610,7 +616,7 @@ class TestOutcomeTapeAgainstReference:
             rows[0] = 0
             rows[1] = 2**32 - 1
             rows[:, 0] = TAPE_TAG
-            states = _seed_states(rows)
+            states = _seed_states(rows, np.full(6, length))
             assert states.dtype == np.uint64 and states.shape == (6, 4)
             for row, state in zip(rows, states):
                 expected = np.random.SeedSequence([int(w) for w in row]).generate_state(
@@ -664,17 +670,14 @@ class TestOutcomeTapeAgainstReference:
     )
     def test_prefix_below_2_64_equals_the_padded_word_lists(self, env, seeds):
         """Seeds below 2**64 build their prefix in uint64 array arithmetic:
-        bit for bit the zero-padded ``[tag, *words(seed)]`` rows, with one
-        int length when every seed is one word."""
+        bit for bit the zero-padded ``[tag, *words(seed)]`` rows, and each
+        row's int64 length."""
         tape = OutcomeTape(env, seeds)
         rows = [[TAPE_TAG, *environments._words(s)] for s in seeds]
         prefix, lengths = environments._padded(rows)
         assert (tape._prefix.dtype, tape._prefix.shape) == (prefix.dtype, prefix.shape)
         assert tape._prefix.tobytes() == prefix.tobytes()
-        if max(seeds) < 2**32:
-            assert tape._prefix_len == 2 and isinstance(tape._prefix_len, int)
-        else:
-            np.testing.assert_array_equal(tape._prefix_len, lengths)
+        assert (tape._prefix_len.dtype, tape._prefix_len.tolist()) == (np.int64, lengths.tolist())
 
 
 # Seeds of one-, two- and three-word entropy at the word edges.
@@ -833,8 +836,8 @@ class TestOutcomeTapeCaches:
 
     @pytest.mark.parametrize("bound", [5 * 3, 5 * 2, 5 * 2 - 1, 1])
     def test_held_states_stay_within_the_bound(self, env, monkeypatch, bound):
-        """At most ``_STATE_BATCH`` lane-chunks are hashed or held; at a
-        bound of one chunk (under two chunks' lanes) nothing is held."""
+        """At most ``_STATE_BATCH`` lane-chunks are hashed or held, and one
+        chunk at a bound under two chunks' lanes."""
         rows = []
         monkeypatch.setattr(environments, "_STATE_BATCH", bound)
         monkeypatch.setattr(
@@ -846,10 +849,7 @@ class TestOutcomeTapeCaches:
         for start, stop in [(0, 9), (512, 530), (1030, 1600), (2100, 2103), (0, 2)] * 2:
             args = self._cells_args(env, start, stop, np.arange(stop - start) % 6)
             assert tape.cells(*args).tobytes() == OutcomeTape(env, seeds).cells(*args).tobytes()
-            if chunks == 1:
-                assert tape._held is None
-            else:
-                assert tape._held[1].shape[0] <= chunks
+            assert tape._held[1].shape[0] <= chunks
         assert max(rows) == len(seeds) * chunks
 
     def test_jump_constants_are_reused_only_for_the_same_cells(self, env):

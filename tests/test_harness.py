@@ -312,11 +312,12 @@ class TestRunExperiment:
         # Per lane and step of a block: the oracle's outcome byte and three
         # 8-byte temporaries of accounting a learner's ledger.
         block = 3 * 512 * (1 + 3 * 8)
-        # The tape's [tag, seed] prefix, two uint32 words a lane, for the
-        # whole run; its largest batch of seed states, the run's 2 chunks
-        # per lane, 4 bytes a word of [tag, seed, chunk] and 128 more.
-        prefix, batch = 3 * 2 * 4, 3 * 2 * (4 * 3 + 128)
-        want = logs + 2 * table + prefix + max(tape + learners + block + batch, table)
+        # The tile's tape, alive in the block phase: its [tag, seed] prefix,
+        # two uint32 words and an int64 length a lane; its largest batch of
+        # seed states, the run's 2 chunks per lane, 4 bytes a word of [tag,
+        # seed, chunk] and 128 more.
+        prefix, batch = 3 * (2 * 4 + 8), 3 * 2 * (4 * 3 + 128)
+        want = logs + 2 * table + max(prefix + tape + learners + block + batch, table)
         assert _memory_asked(monkeypatch, config) == want
 
         # Baselines alone on many seeds draw no block of outcomes, but each
@@ -331,7 +332,7 @@ class TestRunExperiment:
         baselines = dataclasses.replace(
             config, policies=(PolicySpec("oracle"), PolicySpec("static")), horizon=600, seeds=tuple(range(S))
         )
-        prefix, batch = T * 2 * 4, T * 2 * (4 * 3 + 128)
+        prefix, batch = T * (2 * 4 + 8), T * 2 * (4 * 3 + 128)
         block = T * 512 * (2 + 8) + batch
         want = itemsize * 600 * 3 + prefix + block + (S + T) * 2 * 8 * (P + 11)
         assert _memory_asked(monkeypatch, baselines) == want
@@ -356,9 +357,10 @@ class TestRunExperiment:
         S, T, P = 10**6, 8192, 40
         table = 8 * (P + 11)  # a lane's result pulls and regret at 11 checkpoints
         block = T * 512 * (P + 3 * 8)  # the outcome tape and accounting temporaries
-        # The tape's [tag, seed] prefix, and its batch of seed states: both
-        # chunks of a tile, 4 bytes a word of [tag, seed, chunk] and 128 more.
-        seeds = T * 2 * 4 + T * 2 * (4 * 3 + 128)
+        # The tape's [tag, seed] prefix and int64 lengths, and its batch of
+        # seed states: both chunks of a tile, 4 bytes a word of [tag, seed,
+        # chunk] and 128 more.
+        seeds = T * (2 * 4 + 8) + T * 2 * (4 * 3 + 128)
         # A later tile runs with the full-width tables and one tile's.
         want = 1000 * 2 + block + T * (512 * 2 + P * 24) + (S + T) * table + seeds
         assert _memory_asked(monkeypatch, config) == want
@@ -408,8 +410,8 @@ class TestRunExperiment:
             theta=np.full((2, 128), 0.5),
         )
         kept = 1 * 512 * 3  # uint8 best-pair log plus two decision logs
-        kept += 4 * 2 * 4  # the tape's [tag, seed] prefix
         block = 4 * 512 * (2 + 8)  # two outcome bytes and one float64 a lane-step
+        block += 4 * (2 * 4 + 8)  # the tape's [tag, seed] prefix and int64 lengths
         block += 4 * (4 * 3 + 128)  # the tape's one-chunk batch of seed states
         results = 4 * 2 * 8 * (256 + 10)  # pulls and regret at 1, 2, ..., 512
         assert results < block  # each phase fits in kept + block; both at once do not
@@ -924,8 +926,8 @@ def _tiled_configs():
 
 
 class TestLaneTiles:
-    """The main pass steps at most ``environments._PCG_TILE`` lanes at a
-    time; a run in tiles equals a run of all its lanes in one tile."""
+    """The main pass steps at most ``harness._LANE_TILE`` lanes at a time;
+    a run in tiles equals a run of all its lanes in one tile."""
 
     @pytest.mark.parametrize("kw", [pytest.param(kw, id=name) for name, kw in _tiled_configs()])
     def test_tiles_of_three_lanes_equal_one_tile(self, tmp_path, monkeypatch, kw):
@@ -940,7 +942,7 @@ class TestLaneTiles:
             return simulate(run, config, seeds, *args)
 
         monkeypatch.setattr(harness, "_simulate", spy)
-        monkeypatch.setattr(environments, "_PCG_TILE", 3)
+        monkeypatch.setattr(harness, "_LANE_TILE", 3)
         tiled = run_experiment(config)
         assert tiles == [_TILED_SEEDS[:3], _TILED_SEEDS[3:6], _TILED_SEEDS[6:]]
         for got, want in zip(tiled.policies, whole.policies, strict=True):
@@ -968,11 +970,29 @@ class TestLaneTiles:
             assert any(n % 512 not in (0, 511) for n in packets)
             assert min(packets) < tiled.slots
 
+    @pytest.mark.parametrize(
+        "policies", [_TILED_POLICIES, _TILED_POLICIES[-2:]], ids=["learners", "baselines"]
+    )
+    def test_each_tape_holds_one_tile_of_seeds(self, monkeypatch, policies):
+        """Every ``OutcomeTape`` a run of several tiles builds holds one
+        tile's seeds, at most ``_LANE_TILE``: a tape draws all its lanes in
+        one pass and keeps a batch of seed states for them."""
+        built, tape_init = [], OutcomeTape.__init__
+
+        def spy(tape, env, seeds):
+            tape_init(tape, env, seeds)
+            built.append(tape.seeds)
+
+        monkeypatch.setattr(OutcomeTape, "__init__", spy)
+        monkeypatch.setattr(harness, "_LANE_TILE", 3)
+        run_experiment(config_2x2(policies=policies, seeds=_TILED_SEEDS, horizon=600))
+        assert built == [_TILED_SEEDS[:3], _TILED_SEEDS[3:6], _TILED_SEEDS[6:]]
+
     def test_a_run_of_four_tiles_peaks_near_one_tiles_block_phase(self, monkeypatch):
         """A run's traced peak grows with its result arrays, not with its
         block arrays: four tiles of lanes peak below their results plus 1.5
         times the peak of a run of one tile, its own results included."""
-        monkeypatch.setattr(environments, "_PCG_TILE", 1024)
+        monkeypatch.setattr(harness, "_LANE_TILE", 1024)
         config = config_2x2(policies=(PolicySpec("kl-ucb"), PolicySpec("oracle")), horizon=520)
 
         def traced(seeds):
@@ -992,7 +1012,7 @@ class TestLaneTiles:
         """Past one tile, a lane adds only its result tables to what the
         memory check asks for: a learner's and a baseline's int64 pulls of
         4 pairs and float64 regret at 11 checkpoints."""
-        T = environments._PCG_TILE
+        T = harness._LANE_TILE
         config = config_2x2(policies=(PolicySpec("kl-ucb"), PolicySpec("oracle")), horizon=600)
         asked = [
             _memory_asked(monkeypatch, dataclasses.replace(config, seeds=tuple(range(S))))
@@ -1329,7 +1349,7 @@ class TestStreamedRegretAndSeeds:
 
     @staticmethod
     def _assert_matches_reference(result: ExperimentResult, chunk: int, out) -> None:
-        with mock.patch.object(environments, "_PCG_TILE", chunk), np.errstate(all="ignore"):
+        with mock.patch.object(harness, "_LANE_TILE", chunk), np.errstate(all="ignore"):
             paths = emit_outputs(result, out)
             want = _regret_reference(result.policies, result.checkpoints, result.config.seeds)
         assert paths["regret"].read_bytes() == want
@@ -1362,7 +1382,7 @@ class TestStreamedRegretAndSeeds:
         stays within one policy's (lanes, checkpoints) float64 table (the
         stddev's temporary) plus 8 times one tile's regret text.  Whole rows
         and whole seed lists take more than twice that."""
-        T = environments._PCG_TILE
+        T = harness._LANE_TILE
         lanes = 3 * T + 1
         table = np.random.default_rng(3).random((lanes, 4))
         seeds = tuple(range(10**12, 10**12 + lanes))

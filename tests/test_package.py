@@ -82,3 +82,26 @@ def test_readme_python_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for block in blocks:
         exec(compile(block, str(README), "exec"), {"__name__": "__readme__"})
+
+
+def test_harness_reads_no_private_name_of_environments():
+    """The harness sizes a tape through ``OutcomeTape.nbytes`` and owns its
+    lane tile: it neither reads an ``environments._`` attribute nor imports
+    a private name from the module."""
+    tree = ast.parse((SRC / "harness.py").read_text())
+    private = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "environments"
+        and node.attr.startswith("_")
+    ]
+    private += [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").endswith("environments")
+        and any(alias.name.startswith("_") for alias in node.names)
+    ]
+    assert not private, f"harness.py reads private names of environments at lines {private}"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanrate import policies
-from chanrate.klstats import allowance, lcb_probability, ucb_probability
+from chanrate.klstats import _allowance_vec, allowance, lcb_probability, ucb_probability
 from chanrate.model import RateSet, flat_to_pair
 from chanrate.policies import KlUcbPolicy, build_policy, check_policy_kind, record, select_all
 
@@ -169,6 +169,35 @@ class TestSelectAll:
                 assert np.geterr() == raising
         assert np.geterr() == before
         assert seen == {"t=0", "f=0", "p=0", "p=1", "interior up", "interior down"}
+
+
+class TestBudgetBits:
+    """Each learner asks the solver for a budget with the bits of the
+    allowance it uses: ``allowance`` (math.log) at the step count for kl-ucb
+    and crs-t, ``_allowance_vec`` (np.log) at the leader's count for
+    kl-ucb-u.  The two differ in the last bit at n = 389, which these runs
+    reach, so a learner that switched functions fails here; a golden digest
+    rarely shows a budget's last bit."""
+
+    @pytest.mark.parametrize("kind", ["kl-ucb", "crs-t", "kl-ucb-u"])
+    def test_requested_budget_has_the_bits_of_its_allowance(self, monkeypatch, kind):
+        assert allowance(389) != _allowance_vec(np.array([389]))[0]
+        policy = build_policy(kind, RATES2, channels=1, batch=2)
+        leader = kind == "kl-ucb-u"
+        asked, solve = [], policies._solve_trusted
+
+        def spy(p, t, f, upper):
+            n = policy._v_lead.copy() if leader else policy._step
+            asked.append((n, np.broadcast_to(f, p.shape).copy()))
+            return solve(p, t, f, upper)
+
+        monkeypatch.setattr(policies, "_solve_trusted", spy)
+        for _ in range(400):
+            step_policy(policy, lambda f: f == 0)  # rate 1 always works, rate 2 never
+        for n, f in asked:
+            want = _allowance_vec(n).repeat(policy._width) if leader else np.full(f.shape, allowance(n))
+            assert_same_bits(f, want)
+        assert any(389 in np.atleast_1d(n) for n, _ in asked)
 
 
 class TestDeterminism:
