@@ -21,24 +21,26 @@ ways chosen per chunk from its draws per lane (rows times cells).  A short
 chunk, of at most ``_EMULATE_MAX_DRAWS`` draws, steps numpy's PCG64 for
 every lane at once in uint64 array arithmetic; a longer one seeds one
 numpy ``PCG64`` per seed, whose C loop draws faster once set up.  A third
-way, ``OutcomeTape.cells``, computes one cell a step and nothing else: it
-jumps PCG64 straight to the draw of that cell, for every lane at once.  The
-harness uses it when a run holds only the baselines, whose picks are known
-before the run; a learning policy's reads depend on its picks slot by
-slot, so a run with one draws whole blocks.  The two ways in numpy step
-or jump the state with one PCG64 kernel.  All three give numpy's bits.
-A tape keeps two bounded caches, which change no bit: the seed states of a
-run of chunks, hashed in one batch as the tape moves forward, and the jump
-constants of its last ``cells`` call, which the next one reuses when it
-draws the same cells at the same rows.  A cell of probability 0 or 1 is
-never drawn by ``cells``: every draw lies in [0, 1), so its outcome is
-known.
+way computes one cell a read and nothing else: it jumps PCG64 straight to
+the draw of that cell, for every lane at once.  ``OutcomeTape.cells`` reads
+so the baselines' cells, known before the run; ``OutcomeTape.reader``
+reads so a learning policy's cells in a short chunk, one step at a time as
+the policy picks them, where a row's cells are at least twice the reads,
+and draws the block otherwise.  The ways in numpy step or jump the state
+with one PCG64 kernel.  All give numpy's bits.  A tape keeps two bounded
+caches, which change no bit: the seed states of a run of chunks, hashed in
+one batch as the tape moves forward, and the jump constants of its last
+``cells`` call, which the next one reuses when it draws the same cells at
+the same rows; the jump tables they come from are built once per process.
+A cell of probability 0 or 1 is never drawn by ``cells``: every draw lies
+in [0, 1), so its outcome is known.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 import sys
 from bisect import bisect_right
@@ -103,7 +105,9 @@ _STATE_BATCH = 16384
 # about 8 us per lane to set up and 2 ns per draw.  A block of 50,000 lanes
 # (2x2 cells, same host) took, emulated against per-lane generators, 0.34
 # against 0.40 s at 224 draws per lane, 0.47 against 0.47 s at 256, 0.50
-# against 0.50 s at 320 and 0.96 against 0.54 s at 512.
+# against 0.50 s at 320 and 0.96 against 0.54 s at 512.  OutcomeTape.reader
+# jumps to a learner's cells in the same chunks, where stepping would run;
+# this sweep timed stepping only, not jumping against the generator.
 _EMULATE_MAX_DRAWS = 256
 
 # The largest double whose exp is finite; math.exp raises above it, where
@@ -288,6 +292,7 @@ def _pcg64_random(states: np.ndarray, skip: int, count: int):
             yield _pcg64_double(hi, lo, work[4:])
 
 
+@functools.lru_cache(maxsize=16)
 def _jump_tables(P: int) -> tuple[np.ndarray, np.ndarray]:
     """The jump constants of draw ``d = r * P + j`` of a chunk of ``P``
     cells a row, where PCG64's state is ``M**(d+2) * s + A(d+3) * inc``
@@ -297,6 +302,7 @@ def _jump_tables(P: int) -> tuple[np.ndarray, np.ndarray]:
     for each row ``r`` and a ``(4, P)`` one of ``M**(j+2)`` and ``A(j+3)``
     for each cell ``j``, each constant as its high and low words; a draw's
     constants are ``M**(r*P) * M**(j+2)`` and ``A(r*P) + M**(r*P) * A(j+3)``.
+    Both are read-only and built once per process for each ``P``.
     """
     mask = (1 << 128) - 1
     powers, sums = [1], [0]
@@ -311,9 +317,25 @@ def _jump_tables(P: int) -> tuple[np.ndarray, np.ndarray]:
 
     def words(pairs):  # (n, 2) constants -> (4, n) high and low words
         flat = [w for pair in pairs for v in pair for w in (v >> 64, v & 2**64 - 1)]
-        return np.array(flat, dtype=np.uint64).reshape(-1, 4).T
+        out = np.array(flat, dtype=np.uint64).reshape(-1, 4).T
+        out.flags.writeable = False
+        return out
 
     return words(rows), words(cells)
+
+
+def _jump_constants(rows: np.ndarray, flats: np.ndarray, P: int) -> np.ndarray:
+    """The ``(4, steps)`` jump constants ``_pcg64_at`` takes for cells
+    ``flats`` read at rows ``rows`` of their chunks, of ``P`` cells a row:
+    at row ``r`` and cell ``j``, ``G = M**(r*P) * M**(j+2)`` and ``H =
+    A(r*P) + M**(r*P) * A(j+3)``, each as its high and low words."""
+    row_jumps, cell_jumps = _jump_tables(P)
+    r, c = row_jumps[:, rows], cell_jumps[:, flats]
+    work = np.empty((7, len(flats)), dtype=np.uint64)
+    _mul128(r[0], r[1], c[0], c[1], work[:5])
+    _mul128(r[0], r[1], c[2], c[3], work[2:])
+    _add128(work[2], work[3], r[2], r[3], (work[2], work[3], work[4]))
+    return work[:4]
 
 
 def _pcg64_at(states: np.ndarray, jump: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -331,6 +353,24 @@ def _pcg64_at(states: np.ndarray, jump: np.ndarray, work: np.ndarray) -> np.ndar
     h_hi, h_lo = _mul128(jump[2], jump[3], w2 << 1 | w3 >> 63, w3 << 1 | 1, work[2:])
     _add128(g_hi, g_lo, h_hi, h_lo, (g_hi, g_lo, work[4]))
     return _pcg64_double(g_hi, g_lo, work[2:5])
+
+
+def _pcg64_picked(ops, jump, theta, at, work, out) -> None:
+    """Outcomes at one row of a chunk, one cell a lane and read: ``out[i,
+    lane]`` is 1 when the lane's draw at cell ``at[i, lane]`` is below that
+    cell's probability in ``theta``.  ``ops`` holds each lane's ``s`` and
+    ``inc`` (see ``_pcg64_random``) as four ``(lanes,)`` uint64 rows, high
+    and low words; ``jump`` the row's ``(4, P)`` constants ``G`` and ``H``
+    (``_jump_constants``), the state at a cell being ``G * s + H * inc``;
+    ``at`` is ``(reads, lanes)`` intp, ``work`` a ``(7, reads, lanes)``
+    uint64 scratch array and ``out`` ``(reads, lanes)`` uint8."""
+    g_hi, g_lo, h_hi, h_lo = work[:4]
+    np.take(jump, at, axis=1, out=work[:4], mode="clip")
+    _mul128(g_hi, g_lo, ops[0], ops[1], (g_hi, g_lo, *work[4:]))
+    _mul128(h_hi, h_lo, ops[2], ops[3], (h_hi, h_lo, *work[4:]))
+    _add128(g_hi, g_lo, h_hi, h_lo, (g_hi, g_lo, work[4]))
+    u = _pcg64_double(g_hi, g_lo, work[4:])
+    np.less(u, np.take(theta, at, out=work[4].view(np.float64), mode="clip"), out=out)
 
 
 class _PresetState(ISeedSequence):
@@ -729,6 +769,15 @@ class OutcomeTape:
     the chunk, never on the lanes, and both paths give the same bits.  A
     run gives each tape one lane tile, so a pass's temporaries stay small.
 
+    ``reader(start, stop, theta, reads)`` serves a learning policy, whose
+    cells are known only a step at a time: each ``read(i, flats, out)``
+    gives the outcomes at one step's picked cells, ``reads`` a lane.  In a
+    chunk ``block`` would step, with at least twice as many cells a row as
+    reads, it draws no block: each read jumps the lane's stream to its own
+    cell, as ``cells`` does, about 55 array operations a lane against
+    about 30 a cell for stepping.  Elsewhere it draws the block once, with
+    the caller's ``theta``, and each read is a take.
+
     ``cells(start, stop, flats, theta)`` reads one cell a step of the same
     outcomes, ``block(start, stop)`` at step ``n``'s cell ``flats[n -
     start]``, without drawing the rest: each lane's state at that cell's
@@ -760,7 +809,6 @@ class OutcomeTape:
             raise ValueError("seeds must be distinct")
         self._env = env
         self._seeds = seeds
-        self._jumps = None  # _jump_tables, built by the first cells call
         self._last_jump = None  # (row offset, flats, jump) of the last cells call
         self._held = None  # (first chunk, (n, lanes, 4) states) of the last state batch
         self._batch = 1  # chunks the next state batch hashes
@@ -781,24 +829,33 @@ class OutcomeTape:
         return self._seeds
 
     @staticmethod
-    def nbytes(lanes: int, largest_seed: int, steps: int) -> int:
+    def nbytes(lanes: int, largest_seed: int, steps: int, reads: int = 0) -> int:
         """Bytes a tape of ``lanes`` seeds up to ``largest_seed`` holds at
         most over steps below ``steps``: a lane's uint32 ``[tag, seed]``
         prefix, padded to the largest seed's words, and int64 length; and a
         lane-chunk of its largest batch, 4 bytes a word of the longest
         ``[tag, seed, chunk]`` and 128 more: an 8-byte length, a 32-byte
-        state and the previous batch's, and 56 bytes of hash temporaries."""
+        state and the previous batch's, and 56 bytes of hash temporaries.
+        With ``reads`` cells read a lane and step (``reader``), it adds a
+        jumped read's per-lane arrays: the lane's 32 bytes of ``s`` and
+        ``inc``, and per read 56 bytes of work and an 8-byte cell index."""
         seed_words = len(_words(largest_seed))
         chunks = -(-steps // _CHUNK)
         n = min(max(1, _STATE_BATCH // lanes), chunks)  # chunks in the largest batch
         batch = n * (4 * (1 + seed_words + len(_words(chunks + n))) + 128)
-        return lanes * (4 * (1 + seed_words) + 8 + batch)
+        read = 32 + 64 * reads if reads else 0
+        return lanes * (4 * (1 + seed_words) + 8 + batch + read)
 
     def block(self, start: int, stop: int) -> np.ndarray:
         if stop <= start:
             raise ValueError("stop must exceed start")
-        th = np.ascontiguousarray(self._env.theta_block(start, stop))
+        return self._block(start, stop, self._env.theta_block(start, stop))
+
+    def _block(self, start: int, stop: int, theta) -> np.ndarray:
+        """``block(start, stop)`` compared against ``theta``, the block's
+        probabilities as ``cells`` takes them."""
         C, K = self._env.channels, self._env.n_rates
+        th = np.asarray(theta).reshape(stop - start, C, K)
         out = np.empty((len(self._seeds), stop - start, C, K), dtype=np.uint8)
         b_lo, b_hi = start // _CHUNK, (stop - 1) // _CHUNK
         # A double takes one uint64 draw, so rows [0, hi) of a chunk are
@@ -886,26 +943,71 @@ class OutcomeTape:
         return out
 
     def _jump(self, rows: np.ndarray, flats: np.ndarray) -> np.ndarray:
-        """The ``(4, steps)`` jump constants ``_pcg64_at`` takes for cells
-        ``flats`` read at rows ``rows`` of their chunks: the last call's
-        when it read the same cells at the same rows."""
+        """``_jump_constants`` of cells ``flats`` at rows ``rows``: the last
+        call's when it read the same cells at the same rows."""
         last = self._last_jump
         if last is not None and np.array_equal(last[0], rows) and np.array_equal(last[1], flats):
             return last[2]
         if not len(flats):  # nothing to draw: no tables to build
             return np.empty((4, 0), dtype=np.uint64)
-        if self._jumps is None:
-            self._jumps = _jump_tables(self._env.channels * self._env.n_rates)
-        row_jumps, cell_jumps = self._jumps
-        r, c = row_jumps[:, rows], cell_jumps[:, flats]
-        # Step n's constants, at row r and cell j: G = M**(r*P) * M**(j+2)
-        # and H = A(r*P) + M**(r*P) * A(j+3).
-        work = np.empty((7, len(flats)), dtype=np.uint64)
-        _mul128(r[0], r[1], c[0], c[1], work[:5])
-        _mul128(r[0], r[1], c[2], c[3], work[2:])
-        _add128(work[2], work[3], r[2], r[3], (work[2], work[3], work[4]))
-        self._last_jump = (rows, flats, work[:4])
-        return work[:4]
+        jump = _jump_constants(rows, flats, self._env.channels * self._env.n_rates)
+        self._last_jump = (rows, flats, jump)
+        return jump
+
+    def reader(self, start: int, stop: int, theta, reads: int):
+        """A reader of the outcomes at cells picked step by step, as a
+        learning policy picks them: ``read(i, flats, out)`` writes into the
+        ``(reads, seeds)`` uint8 ``out`` what ``block(start, stop)`` holds
+        at step ``start + i`` and, for each read and lane, flat cell
+        ``flats[read, lane]``.  The steps lie in one chunk; ``theta`` is
+        as ``cells`` takes it, and ``flats`` are trusted as given.
+
+        The reader draws the block once when its chunk's rows ``[0, hi)``
+        hold more than ``_EMULATE_MAX_DRAWS`` draws a lane (numpy's
+        generator is faster there), or when a row's cells are fewer than
+        twice the reads, where stepping them costs less than jumping to
+        each read's cell; each read is then a take.  Otherwise it draws
+        nothing ahead: each read jumps the lane's stream straight to its
+        cell (``_pcg64_picked``, the closed form of ``cells``), with work
+        arrays of ``reads x seeds`` whatever the cells a row.
+        """
+        B, P = stop - start, self._env.channels * self._env.n_rates
+        b = start // _CHUNK
+        if B <= 0 or (stop - 1) // _CHUNK != b:
+            raise ValueError("a reader's steps must lie in one chunk")
+        # Jumping to a read's cell takes about 55 array operations a lane,
+        # stepping a row about 30 a cell for all reads: at 8,192 lanes over
+        # a short chunk (2-core x86-64 host), jumping took 0.09-0.97 of
+        # stepping's time where 2 * reads <= P (P = 2 to 16 pairs, one to
+        # four reads) and 1.06-2.7 times it elsewhere (P = 1 to 6).
+        if (stop - b * _CHUNK) * P > _EMULATE_MAX_DRAWS or 2 * reads > P:
+            outs = self._block(start, stop, theta).reshape(-1)
+            lanes = np.arange(0, outs.size, B * P)  # each lane's cell 0 at step 0
+
+            def take(i, flats, out):
+                # The cells are in range; "clip" writes to ``out`` unbuffered.
+                outs[i * P :].take(flats + lanes, out=out, mode="clip")
+
+            return take
+        th = np.asarray(theta).reshape(B, P)
+        jump = _jump_constants(
+            np.repeat(np.arange(start, stop) % _CHUNK, P), np.tile(np.arange(P), B), P
+        ).reshape(4, B, P)
+        states = self._chunk_states(b)
+        ops = np.empty((4, len(states)), dtype=np.uint64)  # s and inc, high and low words
+        ops[:2] = states[:, :2].T
+        np.left_shift(states[:, 2], 1, out=ops[2])
+        ops[2] |= states[:, 3] >> 63
+        np.left_shift(states[:, 3], 1, out=ops[3])
+        ops[3] |= 1
+        work = np.empty((7, reads, len(states)), dtype=np.uint64)
+        at = np.empty((reads, len(states)), dtype=np.intp)
+
+        def jumped(i, flats, out):
+            np.copyto(at, flats)
+            _pcg64_picked(ops, jump[:, i], th[i], at, work, out)
+
+        return jumped
 
     def _chunk_states(self, b: int) -> np.ndarray:
         """The ``(lanes, 4)`` ``_seed_states`` of every lane's stream for

@@ -5,13 +5,14 @@ random numbers (one replication lane per seed, a tile of lanes advanced in
 lock step) in two passes over the schedule, a block of steps at a time.  The
 totals pass reads only the success probabilities: the oracle's reward, each
 pair's total (hence the static pick) and the best pair of every step.  The
-main pass, a tile at a time, draws each block's outcomes once (only the cells
-the baselines read when no learning policy runs); the learners step through
-it together, with one solver call per slot for all their confidence bounds.
-Then one ledger per policy accounts the block's picks, except that
-``static`` shares the oracle's ledger when the best pair is the static pick
-at every step, as in every stationary environment.  Regret is tracked two
-ways:
+main pass, a tile at a time, steps the learners through each block together,
+with one solver call per slot for all their confidence bounds, and reads
+their picked cells from the tile's outcome tape: by jumps to those cells in a
+short chunk, from the block drawn once otherwise.  The baselines' cells are
+drawn alone.  Then one ledger per policy accounts the block's picks,
+except that ``static`` shares the oracle's ledger when the best pair is the
+static pick at every step, as in every stationary environment.  Regret is
+tracked two ways:
 
 * slot accounting: every transmission costs one slot; the pseudo-regret
   trajectory ``sum(mu_star(n) - mu_chosen(n))`` is sampled at checkpoints.
@@ -505,22 +506,25 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
     ``checkpoints`` and, when ``timed``, int64 packet counts per pair.  The
     block phase steps a lane tile, ``T = min(seeds, _LANE_TILE)`` lanes, at
     a time (``_simulate_tiles``), and holds the tile's outcome tape, as
-    ``OutcomeTape.nbytes`` reports it, and per tile lane and step of a
-    block each baseline's uint8 outcome and the 8-byte temporaries of
-    accounting one ledger: one for a run of baselines alone, three with a
-    learner.  With a learner it adds the block's ``(T, steps, C, K)`` uint8
-    outcomes and each learner's picks and outcome bytes; and per learner
-    and tile lane, its int64 pulls, int64 successes and float64 rates per
-    pair (and int64 leadership counts for kl-ucb-u) and, when windowed, its
-    rings (an int64 pair ring and an int8 outcome ring, and for kl-ucb-u an
-    int64 leader ring).  The result phase repeats each baseline's result
-    tables to every lane.  One tile counts the larger phase, as the two are
-    never alive together; more tiles count both, and a tile's result tables
-    of each policy.
+    ``OutcomeTape.nbytes`` reports it (with a learner, its per-lane read
+    arrays too), and per tile lane and step of a block each baseline's
+    uint8 outcome and the 8-byte temporaries of accounting one ledger: one
+    for a run of baselines alone, three with a learner.  With a learner it
+    adds the block's ``(T, steps, C, K)`` uint8 outcomes and each learner's
+    picks and outcome bytes; and per learner and tile lane, its int64
+    pulls, int64 successes and float64 rates per pair (and int64 leadership
+    counts for kl-ucb-u) and, when windowed, its rings (an int64 pair ring
+    and an int8 outcome ring, and for kl-ucb-u an int64 leader ring).  The
+    result phase repeats each baseline's result tables to every lane.  One
+    tile counts the larger phase, as the two are never alive together; more
+    tiles count both, and a tile's result tables of each policy.
 
     The check runs before the totals pass, so it cannot know whether
     ``static`` will share the oracle's ledger (see ``_simulate``); it counts
-    a decision log and outcome bytes for each, which errs on the safe side.
+    a decision log and outcome bytes for each.  Nor does it ask which
+    chunks the tape reads by jumps: it counts both a drawn block and the
+    jumped read's arrays, though a chunk holds one.  Both err on the safe
+    side.
     """
     S, P = len(config.seeds), config.channels * config.n_rates
     T = min(S, _LANE_TILE)
@@ -531,7 +535,7 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
     need = pair * slots * (1 + len(config.policies)) + len(learners) * S * table
     if config.drift is not None:
         need += config.drift.nbytes()
-    blocks = OutcomeTape.nbytes(T, max(config.seeds), slots)
+    blocks = OutcomeTape.nbytes(T, max(config.seeds), slots, len(learners))
     blocks += T * block * (len(config.policies) - len(learners) + 8 * (3 if learners else 1))
     if learners:
         blocks += T * block * P
@@ -663,15 +667,16 @@ def _simulate(
     run: _Schedule, config: ExperimentConfig, seeds: tuple, best_flats: np.ndarray, static_flat: int
 ) -> list["_Ledger"]:
     """The main pass of one lane tile, ``seeds``: one walk over the blocks
-    with the tile's own tape.  With a learning policy each block's outcomes
-    are drawn once, and the learning policies step through it together (one
-    solver call per slot for all their bounds) and store their picks and
-    outcomes.  The baselines' picks are known in advance; without a learner
-    only the cells they read are drawn, once for the two when they play the
-    same pairs.  Then each ledger accounts the block.  The ledgers are
-    returned in ``config.policies`` order; when the best pair is the static
-    pick at every step, ``static`` and ``oracle`` play the same pairs and
-    share one ledger."""
+    with the tile's own tape.  The learning policies step through each block
+    together (one solver call per slot for all their bounds), read the
+    outcomes of their picks through the tape's ``reader`` with the block's
+    probabilities from the schedule, and store picks and outcomes.  The
+    baselines' picks are known in advance, so only the cells they read are
+    drawn (``OutcomeTape.cells``), once for the two when they play the same
+    pairs.  Then each ledger accounts the block.  The ledgers are returned
+    in ``config.policies`` order; when the best pair is the static pick at
+    every step, ``static`` and ``oracle`` play the same pairs and share one
+    ledger."""
     tape, S, P = OutcomeTape(run.env, seeds), len(seeds), run.r_flat.size
     policies = [
         build_policy(
@@ -696,16 +701,12 @@ def _simulate(
     for n0, n1, th_b, mu_b in run.blocks():
         B = n1 - n0
         if policies:
-            outs = tape.block(n0, n1).reshape(-1)  # (S, B, P), flat
-            cells = np.arange(0, S * B * P, B * P)  # each lane's cell of pair 0 at the step
+            read = tape.reader(n0, n1, th_b, len(policies))
             for i in range(B):
                 flats = select_all(policies)
                 picks[i] = flats
-                won = wins[i]
-                # The cells are in range; "clip" writes to ``won`` unbuffered.
-                outs.take(picks[i] + cells, out=won, mode="clip")
-                record(policies, flats, won)
-                cells += P
+                read(i, picks[i], wins[i])
+                record(policies, flats, wins[i])
         mu_star_b = mu_b.max(axis=1)
         for l, led in enumerate(learned):
             led.account(n0, picks[:B, l], wins[:B, l], mu_b, mu_star_b)
@@ -714,10 +715,7 @@ def _simulate(
             flats = best_flats[n0:n1] if kind == "oracle" else np.full(B, static_flat)
             won = next((w for f, w in drawn if np.array_equal(f, flats)), None)
             if won is None:
-                if policies:
-                    won = outs.reshape(S, B, P)[:, np.arange(B), flats].T
-                else:
-                    won = tape.cells(n0, n1, flats, th_b).T
+                won = tape.cells(n0, n1, flats, th_b).T
                 drawn.append((flats, won))
             led.account(n0, flats[:, None], won, mu_b, mu_star_b)
     learned = iter(learned)

@@ -764,6 +764,66 @@ class TestOutcomeTapeCells:
             tape.cells(10, 12, [0, 0], env.theta_block(10, 13))
 
 
+class TestOutcomeTapeReader:
+    """``reader`` reads a learner's picked cells step by step, by jumps in
+    a short chunk and by a take from a drawn block otherwise; the bits are
+    ``block``'s."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 4)], ids=["P=1", "P=8"])
+    @pytest.mark.parametrize(
+        "start, stop",
+        [
+            (0, 1),  # the first row of a chunk
+            (0, 32),  # 32 rows of 8 cells: at _EMULATE_MAX_DRAWS
+            (512 + 5, 512 + 30),  # unaligned, not the first chunk
+            (2**41 + 3, 2**41 + 20),  # block index 2^32: a two-word block entropy
+            (0, 300),  # a long chunk
+            (1000, 1024),  # the end of a long chunk
+        ],
+    )
+    @pytest.mark.parametrize("reads", [1, 4, 5])
+    def test_matches_block_bitwise(self, shape, start, stop, reads):
+        env = _stationary(*shape)
+        P, S = env.channels * env.n_rates, len(CELL_SEEDS)
+        flats = np.random.default_rng(stop).integers(0, P, (stop - start, reads, S))
+        block = OutcomeTape(env, CELL_SEEDS).block(start, stop).reshape(S, stop - start, P)
+        read = OutcomeTape(env, CELL_SEEDS).reader(start, stop, env.theta_block(start, stop), reads)
+        out = np.empty((reads, S), dtype=np.uint8)
+        for i, f in enumerate(flats):
+            read(i, f.astype(np.uint8), out)
+            np.testing.assert_array_equal(out, block[np.arange(S), i, f])
+
+    @pytest.mark.parametrize(
+        "shape, stop, reads, drawn",
+        [
+            ((2, 4), 32, 4, False),  # 256 draws, 2 x 4 reads <= 8 pairs: jumps
+            ((2, 4), 32, 5, True),  # more reads than half the pairs: stepped
+            ((2, 4), 33, 1, True),  # 264 draws: numpy's generator
+            ((1, 2), 100, 1, False),
+            ((1, 2), 100, 2, True),
+            ((1, 1), 200, 1, True),
+        ],
+    )
+    def test_jumps_only_where_it_pays(self, monkeypatch, shape, stop, reads, drawn):
+        calls, draw = [], OutcomeTape._block
+        monkeypatch.setattr(OutcomeTape, "_block", lambda *a: calls.append(a[1:3]) or draw(*a))
+        env = _stationary(*shape)
+        OutcomeTape(env, CELL_SEEDS).reader(0, stop, env.theta_block(0, stop), reads)
+        assert calls == ([(0, stop)] if drawn else [])
+
+    def test_steps_lie_in_one_chunk(self):
+        env = _stationary(2, 3)
+        tape = OutcomeTape(env, (1,))
+        for start, stop in [(500, 520), (10, 10)]:
+            with pytest.raises(ValueError, match="one chunk"):
+                tape.reader(start, stop, env.theta_block(start, max(start + 1, stop)), 1)
+
+    def test_jump_tables_are_built_once_and_read_only(self):
+        rows, cells = environments._jump_tables(6)
+        assert environments._jump_tables(6)[0] is rows
+        assert not rows.flags.writeable and not cells.flags.writeable
+
+
 class TestOutcomeTapeCaches:
     """The seed-state batches and the reused jump constants change no bit:
     whatever a tape was asked before, it answers as a fresh tape does."""

@@ -315,9 +315,11 @@ class TestRunExperiment:
         # The tile's tape, alive in the block phase: its [tag, seed] prefix,
         # two uint32 words and an int64 length a lane; its largest batch of
         # seed states, the run's 2 chunks per lane, 4 bytes a word of [tag,
-        # seed, chunk] and 128 more.
+        # seed, chunk] and 128 more; and a jumped read's arrays, a lane's 32
+        # bytes of s and inc and 64 a learner.
         prefix, batch = 3 * (2 * 4 + 8), 3 * 2 * (4 * 3 + 128)
-        want = logs + 2 * table + max(prefix + tape + learners + block + batch, table)
+        read = 3 * (32 + 2 * 64)
+        want = logs + 2 * table + max(prefix + tape + learners + block + batch + read, table)
         assert _memory_asked(monkeypatch, config) == want
 
         # Baselines alone on many seeds draw no block of outcomes, but each
@@ -361,8 +363,9 @@ class TestRunExperiment:
         # seed states: both chunks of a tile, 4 bytes a word of [tag, seed,
         # chunk] and 128 more.
         seeds = T * (2 * 4 + 8) + T * 2 * (4 * 3 + 128)
+        read = T * (32 + 64)  # a jumped read's arrays: s and inc, one learner's work
         # A later tile runs with the full-width tables and one tile's.
-        want = 1000 * 2 + block + T * (512 * 2 + P * 24) + (S + T) * table + seeds
+        want = 1000 * 2 + block + T * (512 * 2 + P * 24) + (S + T) * table + seeds + read
         assert _memory_asked(monkeypatch, config) == want
         # A run of baselines alone draws no block of outcomes and keeps no
         # policy tables, but its full-width results are alive with each
@@ -679,6 +682,10 @@ _LEARNERS = (
 )
 
 
+# A 2x4 table of interior probabilities for runs of short chunks.
+_SHORT_THETA = np.array([[0.9, 0.7, 0.5, 0.3], [0.85, 0.75, 0.45, 0.2]])
+
+
 def _learner_configs():
     """Configs for the learner reference test, with the packet counts at
     which some lane's time ledger freezes: 511 is the last step of the first
@@ -695,6 +702,12 @@ def _learner_configs():
     yield "original-freeze-at-block-edges", dict(
         rates=rates, theta=theta, horizon=590, seeds=(1, 2, 3), accounting="original"
     ), (511, 512)
+    # A 2x4 table, so that the four learners' reads jump to their cells
+    # (2 x 4 reads <= 8 pairs): a run of one short chunk (32 rows x 8 =
+    # 256 draws), and a run whose trailing chunk is short (28 x 8 = 224).
+    short = dict(rates=RateSet.of([1.0, 1.5, 2.0, 3.0]), theta=_SHORT_THETA, seeds=(1, 2**32, 7))
+    yield "one-short-chunk", dict(short, horizon=32), ()
+    yield "short-trailing-chunk", dict(short, horizon=540), ()
 
 
 def _learner_plays(spec: PolicySpec, config: ExperimentConfig, outcomes) -> np.ndarray:
@@ -736,6 +749,71 @@ class TestLearnersAgainstReference:
             assert set(edges) <= packets
             assert any(n % 512 not in (0, 511) for n in packets)
             assert max(packets) < result.slots
+
+
+class TestLearnerReads:
+    """A learner's outcome reads: jumps to its cells in a short chunk, a
+    block drawn once in a long one, and θ computed once a block a pass."""
+
+    @staticmethod
+    def _calls(monkeypatch, name, owner=environments, fail=False) -> list:
+        calls, fn = [], getattr(owner, name)
+
+        def spy(*args):
+            if fail:
+                pytest.fail(f"{name} called")
+            calls.append(args[-3:-1] if owner is OutcomeTape else args)
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def test_a_short_chunk_draws_no_block(self, monkeypatch):
+        for name in ("block", "_block"):
+            self._calls(monkeypatch, name, OutcomeTape, fail=True)
+        self._calls(monkeypatch, "_pcg64_random", fail=True)
+        config = ExperimentConfig(
+            rates=RateSet.of([1.0, 1.5, 2.0, 3.0]), theta=_SHORT_THETA, horizon=32,
+            seeds=(1, 2, 3), policies=(PolicySpec("kl-ucb"), PolicySpec("crs-t")),
+        )
+        assert run_experiment(config).policy("kl-ucb").pulls.sum() == 3 * 32
+
+    def test_a_long_chunk_draws_each_block_once(self, monkeypatch):
+        drawn = self._calls(monkeypatch, "_block", OutcomeTape)
+        self._calls(monkeypatch, "block", OutcomeTape, fail=True)
+        run_experiment(config_2x2(policies=_LEARNERS, horizon=1100))
+        assert drawn == [(0, 512), (512, 1024), (1024, 1100)]
+
+    @pytest.mark.parametrize("horizon, blocks", [(1100, 3), (540, 2)])
+    def test_a_learner_run_reads_theta_twice_a_block(self, monkeypatch, horizon, blocks):
+        """Once a block in the totals pass and once in the main pass,
+        whose reads take the schedule's θ: the last block of ``540`` is a
+        short chunk read by jumps, the others are drawn."""
+        calls = self._calls(monkeypatch, "theta_block", TraceTable)
+        config = ExperimentConfig(
+            rates=RateSet.of([1.0, 1.5, 2.0, 3.0]), theta=_SHORT_THETA, horizon=horizon,
+            seeds=(1, 2, 3), policies=(PolicySpec("kl-ucb"), PolicySpec("static")),
+        )
+        run_experiment(config)
+        steps = [(n0, min(n0 + 512, horizon)) for n0 in range(0, horizon, 512)]
+        assert len(steps) == blocks
+        assert [args[1:] for args in calls] == steps + steps
+
+    def test_memory_check_covers_a_short_chunk_run(self, monkeypatch):
+        """One tile of 8,192 lanes over a short chunk, read by jumps: the
+        check asks for at least the run's traced peak."""
+        config = ExperimentConfig(
+            rates=RateSet.of([1.0, 1.5, 2.0, 3.0]), theta=_SHORT_THETA, horizon=32,
+            seeds=tuple(range(1, 8193)), policies=(PolicySpec("kl-ucb"),),
+        )
+        asked = _memory_asked(monkeypatch, config)
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert asked >= peak
 
 
 class TestLaneIndependence:
@@ -800,6 +878,24 @@ class TestLaneIndependence:
                     if name == "decisions" or getattr(pol, name) is None:
                         continue  # lane 0's log only; no time accounting
                     assert_same_bits(getattr(one, name)[0], getattr(pol, name)[lane])
+
+    def test_short_chunk_lane_alone_equals_its_lane_in_tiles(self, monkeypatch):
+        """Tiles of three lanes over a run of one short chunk, where the
+        learners' reads jump to their cells, with seeds of one, two and
+        three words."""
+        monkeypatch.setattr(harness, "_LANE_TILE", 3)
+        config = ExperimentConfig(
+            rates=RateSet.of([1.0, 1.5, 2.0, 3.0]), theta=_SHORT_THETA, horizon=30,
+            seeds=(1, 2**32, 2**64 + 3, 5, 9, 2**40 + 1, 12),
+            policies=(PolicySpec("kl-ucb"), PolicySpec("crs-t"), PolicySpec("oracle")),
+        )
+        batch = run_experiment(config)
+        for lane, seed in enumerate(config.seeds):
+            alone = run_experiment(dataclasses.replace(config, seeds=(seed,)))
+            for pol in batch.policies:
+                one = alone.policy(pol.label)
+                for name, x in _result_lanes(pol):
+                    assert_same_bits(getattr(one, name)[0], x[lane])
 
     def test_airtime_of_a_row_does_not_depend_on_its_stack(self):
         rng = np.random.default_rng(11)
