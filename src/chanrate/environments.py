@@ -752,6 +752,17 @@ def drift_to_trace(spec: SyntheticDriftSpec, sample_every: int = 1) -> TraceTabl
     return TraceTable(starts=starts, tables=tables, horizon=spec.horizon)
 
 
+def _draws_block(rows: int, pairs: int, reads: int) -> bool:
+    """Whether ``OutcomeTape.reader`` draws the block of a chunk whose rows
+    ``[0, rows)`` it reads, ``pairs`` cells a row and ``reads`` a lane and
+    step, rather than jump to each read's cell.  Jumping takes about 55
+    array operations a lane, stepping a row about 30 a cell for all reads:
+    at 8,192 lanes over a short chunk (2-core x86-64 host), jumping took
+    0.09-0.97 of stepping's time where 2 * reads <= pairs (2 to 16 pairs,
+    one to four reads) and 1.06-2.7 times it elsewhere (1 to 6 pairs)."""
+    return rows * pairs > _EMULATE_MAX_DRAWS or 2 * reads > pairs
+
+
 class OutcomeTape:
     """Materializes outcome blocks for many seeds over one environment.
 
@@ -773,10 +784,8 @@ class OutcomeTape:
     cells are known only a step at a time: each ``read(i, flats, out)``
     gives the outcomes at one step's picked cells, ``reads`` a lane.  In a
     chunk ``block`` would step, with at least twice as many cells a row as
-    reads, it draws no block: each read jumps the lane's stream to its own
-    cell, as ``cells`` does, about 55 array operations a lane against
-    about 30 a cell for stepping.  Elsewhere it draws the block once, with
-    the caller's ``theta``, and each read is a take.
+    reads (``_draws_block``), each read jumps the lane's stream to its own
+    cell, as ``cells`` does; elsewhere the block is drawn once.
 
     ``cells(start, stop, flats, theta)`` reads one cell a step of the same
     outcomes, ``block(start, stop)`` at step ``n``'s cell ``flats[n -
@@ -829,22 +838,32 @@ class OutcomeTape:
         return self._seeds
 
     @staticmethod
-    def nbytes(lanes: int, largest_seed: int, steps: int, reads: int = 0) -> int:
-        """Bytes a tape of ``lanes`` seeds up to ``largest_seed`` holds at
-        most over steps below ``steps``: a lane's uint32 ``[tag, seed]``
-        prefix, padded to the largest seed's words, and int64 length; and a
-        lane-chunk of its largest batch, 4 bytes a word of the longest
-        ``[tag, seed, chunk]`` and 128 more: an 8-byte length, a 32-byte
-        state and the previous batch's, and 56 bytes of hash temporaries.
-        With ``reads`` cells read a lane and step (``reader``), it adds a
-        jumped read's per-lane arrays: the lane's 32 bytes of ``s`` and
-        ``inc``, and per read 56 bytes of work and an 8-byte cell index."""
+    def nbytes(
+        lanes: int, largest_seed: int, steps: int, pairs: int, reads: int = 0
+    ) -> tuple[int, int]:
+        """The bytes a tape of ``lanes`` seeds up to ``largest_seed`` and
+        ``pairs`` cells a row holds over steps below ``steps``: a lane's uint32
+        ``[tag, seed]`` prefix, padded to the largest seed's words, and int64
+        length; and a lane-chunk of its largest batch, 4 bytes a word of the
+        longest ``[tag, seed, chunk]`` and 128 more (a length, a state and the
+        previous batch's, and hash temporaries).  And the most a read adds a
+        lane: with ``reads`` cells a lane and step, in its chunk of most rows
+        of each kind ``_draws_block`` picks, the block (a byte a cell, 8 bytes
+        of indices and 8 a read, 56 of work where stepped) or a jump's arrays
+        (32 bytes of ``s`` and ``inc``, 64 of work and index a read); without,
+        ``cells``' two bytes a step and 57 a lane-step for ``_CELL_TILE``."""
         seed_words = len(_words(largest_seed))
         chunks = -(-steps // _CHUNK)
         n = min(max(1, _STATE_BATCH // lanes), chunks)  # chunks in the largest batch
         batch = n * (4 * (1 + seed_words + len(_words(chunks + n))) + 128)
-        read = 32 + 64 * reads if reads else 0
-        return lanes * (4 * (1 + seed_words) + 8 + batch + read)
+        held, rows = lanes * (4 * (1 + seed_words) + 8 + batch), min(steps, _CHUNK)
+        if not reads:
+            return held, 2 * lanes * rows + 57 * min(max(_CELL_TILE, rows), lanes * rows)
+        read = 0
+        for hi in {rows, (steps - 1) % _CHUNK + 1}:  # a full chunk's rows, the last chunk's
+            drawn = hi * pairs + 8 + 8 * reads + 56 * (hi * pairs <= _EMULATE_MAX_DRAWS)
+            read = max(read, drawn if _draws_block(hi, pairs, reads) else 32 + 64 * reads)
+        return held, lanes * read
 
     def block(self, start: int, stop: int) -> np.ndarray:
         if stop <= start:
@@ -962,25 +981,16 @@ class OutcomeTape:
         ``flats[read, lane]``.  The steps lie in one chunk; ``theta`` is
         as ``cells`` takes it, and ``flats`` are trusted as given.
 
-        The reader draws the block once when its chunk's rows ``[0, hi)``
-        hold more than ``_EMULATE_MAX_DRAWS`` draws a lane (numpy's
-        generator is faster there), or when a row's cells are fewer than
-        twice the reads, where stepping them costs less than jumping to
-        each read's cell; each read is then a take.  Otherwise it draws
-        nothing ahead: each read jumps the lane's stream straight to its
-        cell (``_pcg64_picked``, the closed form of ``cells``), with work
-        arrays of ``reads x seeds`` whatever the cells a row.
+        Where ``_draws_block`` says so, the reader draws the block once and
+        each read is a take.  Otherwise each read jumps the lane's stream
+        straight to its cell (``_pcg64_picked``, the closed form of
+        ``cells``), with work arrays of ``reads x seeds`` whatever the cells.
         """
         B, P = stop - start, self._env.channels * self._env.n_rates
         b = start // _CHUNK
         if B <= 0 or (stop - 1) // _CHUNK != b:
             raise ValueError("a reader's steps must lie in one chunk")
-        # Jumping to a read's cell takes about 55 array operations a lane,
-        # stepping a row about 30 a cell for all reads: at 8,192 lanes over
-        # a short chunk (2-core x86-64 host), jumping took 0.09-0.97 of
-        # stepping's time where 2 * reads <= P (P = 2 to 16 pairs, one to
-        # four reads) and 1.06-2.7 times it elsewhere (P = 1 to 6).
-        if (stop - b * _CHUNK) * P > _EMULATE_MAX_DRAWS or 2 * reads > P:
+        if _draws_block(stop - b * _CHUNK, P, reads):
             outs = self._block(start, stop, theta).reshape(-1)
             lanes = np.arange(0, outs.size, B * P)  # each lane's cell 0 at step 0
 

@@ -497,58 +497,36 @@ def _require_memory(need: int, what: str) -> None:
 
 
 def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed: bool) -> None:
-    """Reject a run whose largest arrays cannot fit in physical memory.
-
-    The run keeps the per-step best pair and one decision log per policy,
-    each entry of the smallest unsigned type that holds a flat pair index;
-    a synthetic drift source's latent path; and per learner and lane its
-    result's int64 pulls per pair, float64 regret at each of the
-    ``checkpoints`` and, when ``timed``, int64 packet counts per pair.  The
-    block phase steps a lane tile, ``T = min(seeds, _LANE_TILE)`` lanes, at
-    a time (``_simulate_tiles``), and holds the tile's outcome tape, as
-    ``OutcomeTape.nbytes`` reports it (with a learner, its per-lane read
-    arrays too), and per tile lane and step of a block each baseline's
-    uint8 outcome and the 8-byte temporaries of accounting one ledger: one
-    for a run of baselines alone, three with a learner.  With a learner it
-    adds the block's ``(T, steps, C, K)`` uint8 outcomes and each learner's
-    picks and outcome bytes; and per learner and tile lane, its int64
-    pulls, int64 successes and float64 rates per pair (and int64 leadership
-    counts for kl-ucb-u) and, when windowed, its rings (an int64 pair ring
-    and an int8 outcome ring, and for kl-ucb-u an int64 leader ring).  The
-    result phase repeats each baseline's result tables to every lane.  One
-    tile counts the larger phase, as the two are never alive together; more
-    tiles count both, and a tile's result tables of each policy.
-
-    The check runs before the totals pass, so it cannot know whether
-    ``static`` will share the oracle's ledger (see ``_simulate``); it counts
-    a decision log and outcome bytes for each.  Nor does it ask which
-    chunks the tape reads by jumps: it counts both a drawn block and the
-    jumped read's arrays, though a chunk holds one.  Both err on the safe
-    side.
-    """
-    S, P = len(config.seeds), config.channels * config.n_rates
-    T = min(S, _LANE_TILE)
-    pair = np.min_scalar_type(P - 1).itemsize
-    block = min(_BLOCK, slots)
+    """Reject a run whose arrays cannot fit in physical memory: the sum of
+    what their owners report for a tile of ``T = min(seeds, _LANE_TILE)``
+    lanes, and the harness's own arrays.  A block holds the tile's tape,
+    policies, ledgers and picks, and the largest of its busy moments: the
+    learners' step, a learner's ledger accounting, or the baselines' reads
+    and accounting.  One tile counts the larger of that and the result phase
+    (the ledgers and the baselines' repeated results); more tiles count both,
+    with all lanes' and one tile's results and lane 0's decision logs.
+    ``static`` counts a ledger even where it shares the oracle's."""
+    S, C, K, top = len(config.seeds), config.channels, config.n_rates, max(config.seeds)
+    P, T, B = C * K, min(S, _LANE_TILE), min(_BLOCK, slots)
     learners = [p for p in config.policies if not p.is_baseline]
-    table = 8 * (P * (2 if timed else 1) + checkpoints)  # one policy's result tables a lane
-    need = pair * slots * (1 + len(config.policies)) + len(learners) * S * table
-    if config.drift is not None:
-        need += config.drift.nbytes()
-    blocks = OutcomeTape.nbytes(T, max(config.seeds), slots, len(learners))
-    blocks += T * block * (len(config.policies) - len(learners) + 8 * (3 if learners else 1))
-    if learners:
-        blocks += T * block * P
-        for p in learners:
-            leader = p.kind == "kl-ucb-u"
-            blocks += T * (block * (pair + 1) + P * (32 if leader else 24))
-            if p.window:
-                blocks += T * p.window * (17 if leader else 9)
-    repeats = (len(config.policies) - len(learners)) * S * table  # the baselines' results
-    need += blocks + repeats + len(config.policies) * T * table if S > T else max(blocks, repeats)
-    _require_memory(
-        need, f"the per-slot, per-lane and block arrays of {_echo(slots)} slots x {S} seeds"
-    )
+    n, L, pair = len(config.policies), len(learners), np.min_scalar_type(P - 1).itemsize
+    learned, shared = (_Ledger.nbytes(rows, T, slots, P, checkpoints, timed) for rows in (T, 1))
+    policies = [POLICY_KINDS[p.kind].nbytes(T, C, K, slots, p.window, p.strict) for p in learners]
+    tape, read = OutcomeTape.nbytes(T, top, slots, P, L)
+    cells = OutcomeTape.nbytes(T, top, slots, P)[1] + (n - L) * T * B
+    ledgers = L * learned[0] + (n - L) * shared[0]
+    # Each learner's picks and outcomes, and the block's probabilities and throughputs.
+    held = tape + ledgers + sum(h for h, _ in policies) + L * T * B * (pair + 1) + 16 * B * P
+    step = read + sum(b for _, b in policies)
+    blocks = held + max(L and max(step, learned[1]), (n - L) and cells + shared[1])
+    table = _Ledger.lane_nbytes(P, checkpoints, timed)
+    need = pair * slots + (config.drift.nbytes() if config.drift is not None else 0)
+    if S > T:
+        need += blocks + n * ((S + T) * table + slots * pair)
+    else:
+        need += max(blocks, ledgers + (n - L) * S * table)
+    what = f"the per-slot, per-lane and block arrays of {_echo(slots)} slots x {S} seeds"
+    _require_memory(need, what)
 
 
 @dataclass(frozen=True)
@@ -707,6 +685,7 @@ def _simulate(
                 picks[i] = flats
                 read(i, picks[i], wins[i])
                 record(policies, flats, wins[i])
+            del read  # the block it may hold is not needed to account the picks
         mu_star_b = mu_b.max(axis=1)
         for l, led in enumerate(learned):
             led.account(n0, picks[:B, l], wins[:B, l], mu_b, mu_star_b)
@@ -769,6 +748,26 @@ class _Ledger:
             self.inv_r = 1.0 / run.r_flat
             self.counts = np.zeros_like(self.pulls)
             self.frozen = np.zeros(rows, dtype=bool)
+
+    @staticmethod
+    def nbytes(rows, lanes, slots, pairs, checkpoints, timed) -> tuple[int, int]:
+        """The bytes a ledger of ``rows`` rows and ``lanes`` lanes holds over
+        ``slots`` slots (a decision log, a float64 realized reward a lane, a
+        float64 pseudo-regret and ``lane_nbytes`` a row), and the most a block
+        of ``B`` steps adds: float64 rewards a step, lane and row or three
+        temporaries a step and row, a tally a row and pair, and if ``timed``
+        each row's picks and four tallies."""
+        B, pair = min(_BLOCK, slots), np.min_scalar_type(pairs - 1).itemsize
+        table = _Ledger.lane_nbytes(pairs, checkpoints, timed)
+        held = slots * pair + 8 * lanes + rows * (8 + table)
+        tallies = rows * (B * pair + 32 * pairs) if timed else 0
+        return held, 8 * B * max(lanes + rows, 3 * rows) + 8 * rows * pairs + tallies
+
+    @staticmethod
+    def lane_nbytes(pairs, checkpoints, timed) -> int:
+        """Bytes of a lane of ``result()``: float64 regret a checkpoint and two rewards,
+        int64 pulls a pair, and if ``timed`` int64 packets a pair and two float64 times."""
+        return 8 * (checkpoints + 2 + (2 * pairs + 2 if timed else pairs))
 
     def account(self, n0, picks, wins, mu_b, mu_star_b) -> None:
         """Add one block: ``picks`` are the ``(B, rows)`` flat pairs played

@@ -320,6 +320,19 @@ def _solve_probability(p_hat, pulls, budget, upper):
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
+# Interior elements _solve_trusted solves in log space at a time, so their
+# temporaries stay in cache: 327,680 elements took 45.8 ms in one call, 24.8
+# ms in chunks of 8,192 and 29.2 ms of 4,096 (2-core x86-64 host).
+_SOLVE_CHUNK = 8192
+
+
+def _solve_nbytes(n: int) -> int:
+    """The most bytes ``_solve_trusted``'s temporaries take for ``n``
+    elements, its result among them: 26 an element, and 224 an element of a
+    chunk (traced at most 26 and 221) or 8 while mixed directions are set up."""
+    return 26 * n + max(8 * n, 224 * min(n, _SOLVE_CHUNK))
+
+
 @np.errstate(all="ignore")
 def _solve_trusted(p, t, f, upper):
     """:func:`_solve_probability` with nothing checked, for a caller whose
@@ -349,10 +362,10 @@ def _solve_trusted(p, t, f, upper):
     inner &= use_p
     inner &= target > 0.0
     at = inner.nonzero()[0]
-    if at.size:
-        if not isinstance(upper, bool):
-            upper = upper.take(at)
-        out.put(at, _solve_log_space(p.take(at), t.take(at), target.take(at), upper)[0])
+    for a in range(0, at.size, _SOLVE_CHUNK):
+        part = at[a : a + _SOLVE_CHUNK]
+        up = upper if isinstance(upper, bool) else upper.take(part)
+        out.put(part, _solve_log_space(p.take(part), t.take(part), target.take(part), up)[0])
     return out
 
 

@@ -42,7 +42,7 @@ from typing import Iterable
 import numpy as np
 
 from .graph import NeighborhoodGraph, build_graph
-from .klstats import _allowance_vec, _solve_trusted, allowance
+from .klstats import _allowance_vec, _solve_nbytes, _solve_trusted, allowance
 from .model import RateSet, _echo
 
 __all__ = [
@@ -54,6 +54,12 @@ __all__ = [
     "record",
     "select_all",
 ]
+
+
+def _solved(n: int, own: int) -> int:
+    """Bytes of an ``n``-element request while :func:`select_all` solves it:
+    ``own`` an element, 25 of float64 p, t, f and bool direction, and the solver's."""
+    return n * (own + 25) + _solve_nbytes(n)
 
 
 class BasePolicy:
@@ -91,6 +97,14 @@ class BasePolicy:
             self._ring_at = np.full((window, batch), -1, dtype=np.int64)
             self._ring_out = np.zeros((window, batch), dtype=np.int8)
             self._ring_pos = 0
+
+    @classmethod
+    def nbytes(cls, lanes, channels, n_rates, steps, window=None, strict=False) -> tuple[int, int]:
+        """The bytes ``lanes`` lanes hold over ``steps`` steps, and the most a
+        step's request adds (``_solved``); here per lane int64 pulls and
+        successes and a float64 rate a pair, an int64 index and pick, and an
+        int64 pair and int8 outcome a window step."""
+        return lanes * (24 * channels * n_rates + 16 + 9 * (window or 0)), 0
 
     # -- subclass hooks ---------------------------------------------------
 
@@ -137,6 +151,16 @@ class KlUcbPolicy(BasePolicy):
     the solver treats elements independently and the grid's rates are
     ``s / t`` as :func:`record` divides them, so the bits are the same.
     """
+
+    @classmethod
+    def nbytes(cls, lanes, channels, n_rates, steps, window=None, strict=False):
+        """Adds the request: the table's rates and pulls as views, or the
+        smaller grid's float64 rates and int64 pulls, then int64 keys and
+        gathered bounds a lane and pair."""
+        table, top = lanes * channels * n_rates, min(steps - 1, window or steps)
+        grid = (top + 1) * (top + 2) // 2
+        step = _solved(table, 0) if grid >= table else _solved(grid, 16) + 16 * table
+        return super().nbytes(lanes, channels, n_rates, steps, window)[0], step
 
     def _request(self):
         top = self._step if self._window is None else min(self._step, self._window)
@@ -196,6 +220,15 @@ class CrsTPolicy(BasePolicy):
         self._lanes3 = lanes * 3
         self._lane_c = lanes * C  # flat index of (lane, channel 0) in (S, C)
         self._chan_base = (self._lane_c[:, None] + np.arange(C)) * K  # of (lane, c, rate 0)
+
+    @classmethod
+    def nbytes(cls, lanes, channels, n_rates, steps, window=None, strict=False):
+        """Adds per lane two int64, and per lane and channel four bool
+        directions, an int64 rate-0 index and leader, and four bounds'
+        requests, each a gathered float64 rate and int64 pulls."""
+        bounds = 4 * lanes * channels
+        held = super().nbytes(lanes, channels, n_rates, steps, window)[0] + 5 * bounds + 16 * lanes
+        return held, _solved(bounds, 16)
 
     def _request(self):
         S, C, K = self._batch, self._channels, self._n_rates
@@ -283,6 +316,17 @@ class KlUcbUPolicy(BasePolicy):
         for flat, row in enumerate(rows):
             table[flat, : len(row)] = row
         return table
+
+    @classmethod
+    def nbytes(cls, lanes, channels, n_rates, steps, window=None, strict=False):
+        """Adds per lane int64 leadership counts a pair, four int64, an int64
+        pair a candidate and an int64 leader a window step, and a request of
+        its candidates, each a gathered float64 rate, int64 pulls and budget."""
+        gamma = build_graph(channels, n_rates).gamma
+        width = gamma + (not strict)  # candidates a lane: out-neighbours, and the leader
+        held = super().nbytes(lanes, channels, n_rates, steps, window)[0]
+        held += lanes * (8 * channels * n_rates + 32 + 8 * width + 8 * (window or 0))
+        return held, _solved(lanes * width, 24) if gamma else 0
 
     @property
     def gamma(self) -> int:

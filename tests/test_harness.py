@@ -26,6 +26,7 @@ from chanrate.harness import (
     ExperimentResult,
     PolicyRunResult,
     PolicySpec,
+    _Ledger,
     _flat_sum,
     _float_texts,
     accounting_check,
@@ -291,7 +292,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("channels, rates, itemsize", [(2, 2, 1), (2, 128, 1), (3, 100, 2)])
     def test_memory_check_counts_the_log_entry_size(self, monkeypatch, channels, rates, itemsize):
         """A decision log entry takes the bytes of the smallest type that
-        holds a flat pair index: 1 up to 256 pairs, 2 above."""
+        holds a flat pair index: 1 up to 256 pairs, 2 above.  One more slot
+        (the same 11 checkpoints, blocks and chunks) adds one entry to the
+        best-pair log and to each policy's decision log: with the learners
+        alone, with a baseline, and past one tile of baselines, where lane
+        0's logs are kept beside those of the tile being stepped."""
         config = ExperimentConfig(
             rates=RateSet.of([float(r) for r in range(1, rates + 1)]),
             policies=(PolicySpec("oracle"), PolicySpec("kl-ucb-u", window=7), PolicySpec("crs-t")),
@@ -299,55 +304,22 @@ class TestRunExperiment:
             seeds=(1, 2, 3),
             theta=np.full((channels, rates), 0.5),
         )
-        P = channels * rates
-        logs = itemsize * 1000 * 4  # best-pair log plus three decision logs
-        tape = 3 * 512 * P  # one block of outcomes
-        # Per learner and lane: a block's picks and outcome bytes and the pair
-        # tables (kl-ucb-u adds leadership counts); the window's rings.
-        learners = 3 * (2 * 512 * (itemsize + 1) + P * (32 + 24)) + 3 * 7 * 17
-        # Per policy and lane, the result's int64 pulls and float64 regret at
-        # 11 checkpoints (1, 2, 4, ..., 512 and 1000): a learner's for the
-        # whole run, the oracle's repeated only after the block phase.
-        table = 3 * 8 * (P + 11)
-        # Per lane and step of a block: the oracle's outcome byte and three
-        # 8-byte temporaries of accounting a learner's ledger.
-        block = 3 * 512 * (1 + 3 * 8)
-        # The tile's tape, alive in the block phase: its [tag, seed] prefix,
-        # two uint32 words and an int64 length a lane; its largest batch of
-        # seed states, the run's 2 chunks per lane, 4 bytes a word of [tag,
-        # seed, chunk] and 128 more; and a jumped read's arrays, a lane's 32
-        # bytes of s and inc and 64 a learner.
-        prefix, batch = 3 * (2 * 4 + 8), 3 * 2 * (4 * 3 + 128)
-        read = 3 * (32 + 2 * 64)
-        want = logs + 2 * table + max(prefix + tape + learners + block + batch + read, table)
-        assert _memory_asked(monkeypatch, config) == want
-
-        # Baselines alone on many seeds draw no block of outcomes, but each
-        # result repeats its one-row tables to every lane, and each block
-        # holds a baseline's outcome bytes and one float64 reward per lane
-        # and step.  Time accounting adds the int64 packet counts per pair.
-        # The seeds span 25 lane tiles of 8,192: the block phase, the
-        # tape's prefix and its batch of seed states (two chunks of a tile's
-        # lanes) count one tile, and the full-width result tables are alive
-        # with them, as are one tile's tables of each policy.
-        S, T = 2 * 10**5, 8192
         baselines = dataclasses.replace(
-            config, policies=(PolicySpec("oracle"), PolicySpec("static")), horizon=600, seeds=tuple(range(S))
+            config, policies=(PolicySpec("oracle"), PolicySpec("static")),
+            seeds=tuple(range(2 * 10**4)),
         )
-        prefix, batch = T * (2 * 4 + 8), T * 2 * (4 * 3 + 128)
-        block = T * 512 * (2 + 8) + batch
-        want = itemsize * 600 * 3 + prefix + block + (S + T) * 2 * 8 * (P + 11)
-        assert _memory_asked(monkeypatch, baselines) == want
-        timed = dataclasses.replace(baselines, accounting="original")
-        slots = 600 * rates  # the time budget at the top rate
-        cps = len({2**i for i in range(slots.bit_length())} | {slots, 600})
-        want = itemsize * slots * 3 + prefix + block + (S + T) * 2 * 8 * (2 * P + cps)
-        assert _memory_asked(monkeypatch, timed) == want
+        for run in (dataclasses.replace(config, policies=config.policies[1:]), config, baselines):
+            asked = [
+                _memory_asked(monkeypatch, dataclasses.replace(run, horizon=h)) for h in (1000, 1001)
+            ]
+            logs = len(run.policies) * (2 if len(run.seeds) > 8192 else 1)
+            assert asked[1] - asked[0] == itemsize * (1 + logs)
 
     def test_memory_check_counts_a_learners_block_buffers(self, monkeypatch):
         """A million seeds on the demo table: the block phase counts one lane
-        tile of 8,192 (its outcome tape is 168 MB, where all lanes at once
-        would take 20.5 GB), and the result tables every lane."""
+        tile of 8,192, and the result tables every lane, so the ask of a run
+        of one tile more grows by each lane's result tables alone.  On a host
+        of 512 MiB the run stops before it allocates anything."""
         demo = demo_model()
         config = ExperimentConfig(
             rates=demo.rates,
@@ -356,28 +328,15 @@ class TestRunExperiment:
             seeds=tuple(range(10**6)),
             theta=demo.theta,
         )
-        S, T, P = 10**6, 8192, 40
-        table = 8 * (P + 11)  # a lane's result pulls and regret at 11 checkpoints
-        block = T * 512 * (P + 3 * 8)  # the outcome tape and accounting temporaries
-        # The tape's [tag, seed] prefix and int64 lengths, and its batch of
-        # seed states: both chunks of a tile, 4 bytes a word of [tag, seed,
-        # chunk] and 128 more.
-        seeds = T * (2 * 4 + 8) + T * 2 * (4 * 3 + 128)
-        read = T * (32 + 64)  # a jumped read's arrays: s and inc, one learner's work
-        # A later tile runs with the full-width tables and one tile's.
-        want = 1000 * 2 + block + T * (512 * 2 + P * 24) + (S + T) * table + seeds + read
-        assert _memory_asked(monkeypatch, config) == want
-        # A run of baselines alone draws no block of outcomes and keeps no
-        # policy tables, but its full-width results are alive with each
-        # tile's block phase.
-        baselines = dataclasses.replace(config, policies=(PolicySpec("oracle"), PolicySpec("static")))
-        want = 1000 * 3 + T * 512 * (2 + 8) + seeds + 2 * (S + T) * table
-        assert _memory_asked(monkeypatch, baselines) == want
-        # On a host of 512 MiB the run stops before it allocates anything.
+        asked = _memory_asked(monkeypatch, config)
+        tile = _memory_asked(monkeypatch, dataclasses.replace(config, seeds=tuple(range(8193))))
+        assert asked - tile == (10**6 - 8193) * _Ledger.lane_nbytes(40, 11, False)
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**17}
         monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
-        with pytest.raises(ValueError, match=r"need about 0\.65\d* GiB, more than the 0\.5 GiB"):
+        message = rf"need about {asked / 2**30:.3g} GiB, more than the 0\.5 GiB"
+        with pytest.raises(ValueError, match=message):
             run_experiment(config)
+        assert 2**29 < asked < 2**30
 
     def test_memory_check_counts_the_tapes_seed_words(self, monkeypatch):
         """One lane tile, 8,192 lanes, and one seed of 10^3999, 416 words:
@@ -403,26 +362,31 @@ class TestRunExperiment:
 
     def test_memory_check_takes_the_larger_phase_not_their_sum(self, monkeypatch):
         """The baselines' repeated result tables are built after the block
-        arrays are freed, so a run that fits each phase but not both at
-        once is accepted, and one byte less memory rejects it."""
+        arrays are freed, so the check asks for the larger phase.  One more
+        checkpoint adds a float64 to each baseline's one-row ledger while
+        the block phase is the larger, and a float64 a lane of both results
+        besides once the result phase is.  A run fits in what it asks, and
+        not in one byte less."""
         config = ExperimentConfig(
             rates=RateSet.of([float(r) for r in range(1, 129)]),
             policies=(PolicySpec("oracle"), PolicySpec("static")),
-            horizon=512,
-            seeds=(1, 2, 3, 4),
+            horizon=4096,
+            seeds=tuple(range(1, 257)),
             theta=np.full((2, 128), 0.5),
         )
-        kept = 1 * 512 * 3  # uint8 best-pair log plus two decision logs
-        block = 4 * 512 * (2 + 8)  # two outcome bytes and one float64 a lane-step
-        block += 4 * (2 * 4 + 8)  # the tape's [tag, seed] prefix and int64 lengths
-        block += 4 * (4 * 3 + 128)  # the tape's one-chunk batch of seed states
-        results = 4 * 2 * 8 * (256 + 10)  # pulls and regret at 1, 2, ..., 512
-        assert results < block  # each phase fits in kept + block; both at once do not
-        for have, fits in ((kept + block, True), (kept + block - 1, False)):
+
+        def asked(m):  # with m more checkpoints, none a power of two
+            checkpoints = tuple(range(1001, 1001 + 2 * m, 2))
+            return _memory_asked(monkeypatch, dataclasses.replace(config, checkpoints=checkpoints))
+
+        assert asked(1) - asked(0) == 2 * 8
+        assert asked(1501) - asked(1500) == 2 * 8 + 2 * 256 * 8
+        need = asked(0)
+        for have, fits in ((need, True), (need - 1, False)):
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
             monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
             if fits:
-                assert run_experiment(config).policy("oracle").trajectories.shape == (4, 10)
+                assert run_experiment(config).policy("oracle").trajectories.shape == (256, 13)
             else:
                 with pytest.raises(ValueError, match="physical memory"):
                     run_experiment(config)
@@ -799,21 +763,72 @@ class TestLearnerReads:
         assert len(steps) == blocks
         assert [args[1:] for args in calls] == steps + steps
 
-    def test_memory_check_covers_a_short_chunk_run(self, monkeypatch):
-        """One tile of 8,192 lanes over a short chunk, read by jumps: the
-        check asks for at least the run's traced peak."""
+
+def _traced_peak(config: ExperimentConfig) -> int:
+    """The tracemalloc peak of ``run_experiment(config)``."""
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryAsk:
+    """The memory check asks for at least a run's traced peak, and at most
+    a quarter more: every array that grows with the lanes, the slots or a
+    block is counted by its owner, once, in the phase it is alive."""
+
+    @pytest.mark.parametrize("beside", [(), (PolicySpec("oracle"),)], ids=["alone", "oracle"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PolicySpec("kl-ucb"),
+            PolicySpec("crs-t"),
+            PolicySpec("crs-t", window=50),
+            PolicySpec("kl-ucb-u"),
+            PolicySpec("kl-ucb-u", window=50, strict=True),
+        ],
+        ids=lambda spec: spec.label,
+    )
+    def test_ask_covers_the_traced_peak(self, monkeypatch, spec, beside):
+        """Each learning kind on a 2x4 table, alone and beside ``oracle``:
+        at horizon 32 (a short chunk, read by jumps) and 64 (each block
+        drawn), on one lane tile of 4,096 and on three."""
+        monkeypatch.setattr(harness, "_LANE_TILE", 4096)
+        for horizon in (32, 64):
+            for tiles in (1, 3):
+                config = ExperimentConfig(
+                    rates=RateSet.of([1.0, 1.5, 2.0, 3.0]), theta=_SHORT_THETA, horizon=horizon,
+                    seeds=tuple(range(1, 4096 * tiles + 1)), policies=(spec, *beside),
+                )
+                asked, peak = _memory_asked(monkeypatch, config), _traced_peak(config)
+                assert peak <= asked <= 1.25 * peak, (horizon, tiles, asked / peak)
+
+    @pytest.mark.parametrize(
+        "spec", [PolicySpec("kl-ucb"), PolicySpec("kl-ucb-u", window=50)], ids=lambda spec: spec.label
+    )
+    def test_ask_covers_drawn_blocks_of_many_pairs(self, monkeypatch, spec):
+        """On the demo table's 40 pairs each drawn block, 512 x 40 bytes a
+        lane, outweighs the accounting that follows it; the second block is
+        drawn after the first one's reader is dropped."""
+        demo = demo_model()
+        config = ExperimentConfig(
+            rates=demo.rates, theta=demo.theta, horizon=1024, seeds=tuple(range(1, 129)),
+            policies=(spec,),
+        )
+        asked, peak = _memory_asked(monkeypatch, config), _traced_peak(config)
+        assert peak <= asked <= 1.25 * peak
+
+    def test_ask_covers_a_full_tile_of_short_chunk_reads(self, monkeypatch):
+        """One tile of 8,192 lanes of ``kl-ucb`` over a short chunk, read by
+        jumps."""
         config = ExperimentConfig(
             rates=RateSet.of([1.0, 1.5, 2.0, 3.0]), theta=_SHORT_THETA, horizon=32,
             seeds=tuple(range(1, 8193)), policies=(PolicySpec("kl-ucb"),),
         )
-        asked = _memory_asked(monkeypatch, config)
-        tracemalloc.start()
-        try:
-            run_experiment(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert asked >= peak
+        asked, peak = _memory_asked(monkeypatch, config), _traced_peak(config)
+        assert peak <= asked <= 1.25 * peak
 
 
 class TestLaneIndependence:
@@ -1104,17 +1119,22 @@ class TestLaneTiles:
         lanes = sum(x.nbytes for p in result.policies for _, x in _result_lanes(p))
         assert four <= lanes + 1.5 * one
 
-    def test_memory_check_counts_one_tiles_block_arrays(self, monkeypatch):
+    @pytest.mark.parametrize("accounting", ["alternative", "both"])
+    def test_memory_check_counts_one_tiles_block_arrays(self, monkeypatch, accounting):
         """Past one tile, a lane adds only its result tables to what the
-        memory check asks for: a learner's and a baseline's int64 pulls of
-        4 pairs and float64 regret at 11 checkpoints."""
+        memory check asks for: a learner's and a baseline's, as many bytes
+        as a run's results hold a lane."""
         T = harness._LANE_TILE
-        config = config_2x2(policies=(PolicySpec("kl-ucb"), PolicySpec("oracle")), horizon=600)
+        config = config_2x2(
+            policies=(PolicySpec("kl-ucb"), PolicySpec("oracle")), horizon=600, accounting=accounting
+        )
         asked = [
             _memory_asked(monkeypatch, dataclasses.replace(config, seeds=tuple(range(S))))
             for S in (T + 1, 2 * T, 5 * T)
         ]
-        table = 2 * 8 * (4 + 11)
+        result = run_experiment(dataclasses.replace(config, seeds=(1, 2, 3)))
+        table = sum(x.nbytes for p in result.policies for _, x in _result_lanes(p)) // 3
+        assert table == 2 * _Ledger.lane_nbytes(4, len(result.checkpoints), accounting == "both")
         assert asked[1] - asked[0] == (T - 1) * table
         assert asked[2] - asked[1] == 3 * T * table
 

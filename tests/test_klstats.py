@@ -9,6 +9,7 @@ formula and the two can differ in the last bit.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,6 +368,36 @@ class TestTrustedEntry:
         up = np.broadcast_to(directions, p.shape)
         np.testing.assert_array_equal(got[t == 0], up[t == 0].astype(float))
         np.testing.assert_array_equal(got[(f == 0) & (t > 0)], p[(f == 0) & (t > 0)])
+
+    @pytest.mark.parametrize("upper", [True, False, "mixed"])
+    def test_chunks_do_not_change_bits(self, monkeypatch, upper):
+        """Interior elements are solved ``_SOLVE_CHUNK`` at a time; chunks of
+        one, of seven, or all at once give the same bits."""
+        p, t, f = TestSolverIndependence._cases()
+        directions = np.random.default_rng(3).random(p.size) < 0.5 if upper == "mixed" else upper
+        whole = klstats._solve_trusted(p, t, f, directions)
+        for chunk in (1, 7):
+            monkeypatch.setattr(klstats, "_SOLVE_CHUNK", chunk)
+            got = klstats._solve_trusted(p, t, f, directions)
+            np.testing.assert_array_equal(got.view(np.int64), whole.view(np.int64))
+
+    @pytest.mark.parametrize("upper", [True, "mixed"])
+    def test_solve_nbytes_covers_the_traced_peak(self, upper):
+        """Over three chunks and a part, with every element interior and
+        bracketed steps likely (pulls up to 10**18), ``_solve_nbytes`` asks
+        at least the traced peak, and at most a quarter more."""
+        n = 3 * klstats._SOLVE_CHUNK + 5
+        rng = np.random.default_rng(23)
+        p, t = rng.uniform(1e-9, 1 - 1e-9, n), 10.0 ** rng.uniform(0, 18, n)
+        f = 10.0 ** rng.uniform(-3, 3, n)
+        directions = rng.random(n) < 0.5 if upper == "mixed" else upper
+        tracemalloc.start()
+        try:
+            klstats._solve_trusted(p, t, f, directions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= klstats._solve_nbytes(n) <= 1.25 * peak
 
 
 def test_the_callers_error_state_is_kept():

@@ -105,3 +105,33 @@ def test_harness_reads_no_private_name_of_environments():
         and any(alias.name.startswith("_") for alias in node.names)
     ]
     assert not private, f"harness.py reads private names of environments at lines {private}"
+
+
+def test_harness_reads_no_policy_layout():
+    """The harness sizes a policy through its kind's ``nbytes``: it reads no
+    ``policies._`` attribute, imports no private name of the module and
+    names no learning kind, so a new kind cannot slip into the memory
+    check."""
+    tree = ast.parse((SRC / "harness.py").read_text())
+    private = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "policies"
+            and node.attr.startswith("_")
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").endswith("policies")
+            and any(alias.name.startswith("_") for alias in node.names)
+        )
+    ]
+    assert not private, f"harness.py reads private names of policies at lines {private}"
+    kinds = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ("kl-ucb", "crs-t", "kl-ucb-u")
+    ]
+    assert not kinds, f"harness.py names a learning kind at lines {kinds}"
