@@ -111,7 +111,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_gen_env(args: argparse.Namespace) -> int:
     spec = SyntheticDriftSpec.from_json(args.spec)
     _require_memory(
-        spec.nbytes(args.sample_every),
+        sum(spec.nbytes(args.sample_every)),
         f"the latent path and trace tables of a {_echo(spec.horizon)}-step drift spec",
     )
     trace = drift_to_trace(spec, sample_every=args.sample_every)

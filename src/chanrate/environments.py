@@ -16,24 +16,24 @@ by ``default_rng(SeedSequence([tag, seed, n // chunk]))`` and compares it
 against the success probability in force at ``n``.  ``OutcomeTape``
 reproduces that stream without one ``SeedSequence`` per seed: it hashes
 the entropy of all seeds, whatever their size, at once (numpy's pool hash,
-vectorized over seeds) and draws only the rows a block needs, one of two
-ways chosen per chunk from its draws per lane (rows times cells).  A short
-chunk, of at most ``_EMULATE_MAX_DRAWS`` draws, steps numpy's PCG64 for
-every lane at once in uint64 array arithmetic; a longer one seeds one
-numpy ``PCG64`` per seed, whose C loop draws faster once set up.  A third
-way computes one cell a read and nothing else: it jumps PCG64 straight to
-the draw of that cell, for every lane at once.  ``OutcomeTape.cells`` reads
-so the baselines' cells, known before the run; ``OutcomeTape.reader``
-reads so a learning policy's cells in a short chunk, one step at a time as
-the policy picks them, where a row's cells are at least twice the reads,
-and draws the block otherwise.  The ways in numpy step or jump the state
-with one PCG64 kernel.  All give numpy's bits.  A tape keeps two bounded
-caches, which change no bit: the seed states of a run of chunks, hashed in
-one batch as the tape moves forward, and the jump constants of its last
-``cells`` call, which the next one reuses when it draws the same cells at
-the same rows; the jump tables they come from are built once per process.
-A cell of probability 0 or 1 is never drawn by ``cells``: every draw lies
-in [0, 1), so its outcome is known.
+vectorized over seeds), and reads the steps of one chunk a call.  A read
+draws only the rows it needs, one of two ways chosen per chunk from its
+draws per lane (rows times cells).  A short chunk, of at most
+``_EMULATE_MAX_DRAWS`` draws, steps numpy's PCG64 for every lane at once
+in uint64 array arithmetic; a longer one seeds one numpy ``PCG64`` per
+seed, whose C loop draws faster once set up.  Or a read computes one cell
+and nothing else: one jump kernel takes PCG64 straight to the draw of
+that cell, for every lane at once.  ``OutcomeTape.cells`` reads so the
+baselines' cells, known before the run; ``OutcomeTape.reader`` reads so a
+learning policy's cells in a short chunk, one step at a time as the
+policy picks them, where a row's cells are at least twice the reads, and
+draws the block otherwise.  All give numpy's bits.  A tape keeps two
+bounded caches, which change no bit: the seed states of a run of chunks,
+hashed in one batch as the tape moves forward, and the jump constants of
+its last ``cells`` call, which the next one reuses when it draws the same
+cells at the same rows; the jump tables they come from are built once
+per process.  A cell of probability 0 or 1 is never drawn by ``cells``:
+every draw lies in [0, 1), so its outcome is known.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ _CELL_TILE = 16384
 _STATE_BATCH = 16384
 
 # Draws per lane (hi * C * K for rows [0, hi) of a chunk) up to which
-# OutcomeTape.block steps PCG64 for all lanes at once in numpy, about 37 ns
+# OutcomeTape._block steps PCG64 for all lanes at once in numpy, about 37 ns
 # per lane-draw, rather than running numpy's C generator once per lane,
 # about 8 us per lane to set up and 2 ns per draw.  A block of 50,000 lanes
 # (2x2 cells, same host) took, emulated against per-lane generators, 0.34
@@ -262,6 +262,20 @@ def _pcg64_double(hi, lo, out):
     return np.multiply(xor, 2.0**-53, out=right.view(np.float64))
 
 
+def _pcg64_ops(states: np.ndarray) -> np.ndarray:
+    """PCG64's ``s`` and ``inc`` for every lane seeded from the ``(lanes,
+    4)`` uint64 states ``_seed_states`` gives: a ``(4, lanes)`` uint64 array
+    of the high and low words of ``s = (s0:s1)`` and of ``inc = (s2:s3) <<
+    1 | 1``."""
+    ops = np.empty((4, len(states)), dtype=np.uint64)
+    ops[:2] = states[:, :2].T
+    np.left_shift(states[:, 2], 1, out=ops[2])
+    ops[2] |= states[:, 3] >> 63
+    np.left_shift(states[:, 3], 1, out=ops[3])
+    ops[3] |= 1
+    return ops
+
+
 def _pcg64_random(states: np.ndarray, skip: int, count: int):
     """Draws ``skip`` to ``skip + count - 1`` of numpy's
     ``Generator(PCG64(...)).random()`` for every lane, seeded from the
@@ -271,25 +285,20 @@ def _pcg64_random(states: np.ndarray, skip: int, count: int):
     time: a draw must be used before the next is asked for.  PCG64
     (O'Neill, PCG, HMC-CS-2014-0905) is the 128-bit LCG ``state = state * M
     + inc`` (mod 2**128) with XSL-RR output (``_pcg64_double``); numpy seeds
-    it with ``inc = (s2:s3) << 1 | 1`` and ``state = (inc + (s0:s1)) * M +
-    inc``.  Here the state is a high and a low uint64 array over the lanes
-    (uint64 arithmetic wraps mod 2**64), stepped in place by ``_mul128`` and
-    ``_add128``.
+    it with ``state = (inc + s) * M + inc`` (``_pcg64_ops``).  Here the
+    state is a high and a low uint64 array over the lanes (uint64 arithmetic
+    wraps mod 2**64), stepped in place by ``_mul128`` and ``_add128``.
     """
-    work = np.empty((7, len(states)), dtype=np.uint64)
-    hi, lo, inc_hi, inc_lo = work[:4]
-    np.left_shift(states[:, 2], 1, out=inc_hi)
-    inc_hi |= states[:, 3] >> 63
-    np.left_shift(states[:, 3], 1, out=inc_lo)
-    inc_lo |= 1
-    # state = inc + initstate; then numpy's seeding step, the skipped draws'
-    # steps, and one step per draw.
-    _add128(states[:, 0], states[:, 1], inc_hi, inc_lo, (hi, lo, work[4]))
+    hi, lo, inc_hi, inc_lo = _pcg64_ops(states)
+    work = np.empty((3, len(states)), dtype=np.uint64)
+    # state = inc + s; then numpy's seeding step, the skipped draws' steps,
+    # and one step per draw.
+    _add128(hi, lo, inc_hi, inc_lo, (hi, lo, work[0]))
     for i in range(1 + skip + count):
-        _mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO, (hi, lo, *work[4:]))
-        _add128(hi, lo, inc_hi, inc_lo, (hi, lo, work[4]))
+        _mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO, (hi, lo, *work))
+        _add128(hi, lo, inc_hi, inc_lo, (hi, lo, work[0]))
         if i > skip:
-            yield _pcg64_double(hi, lo, work[4:])
+            yield _pcg64_double(hi, lo, work)
 
 
 @functools.lru_cache(maxsize=16)
@@ -338,39 +347,22 @@ def _jump_constants(rows: np.ndarray, flats: np.ndarray, P: int) -> np.ndarray:
     return work[:4]
 
 
-def _pcg64_at(states: np.ndarray, jump: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Doubles of numpy's ``Generator(PCG64(...)).random()`` for every lane
-    and step, seeded from the ``(lanes, 4)`` uint64 states ``_seed_states``
-    gives, at the draws whose jump constants ``jump`` holds: a ``(4,
-    steps)`` uint64 array of ``G`` and ``H`` as high and low words, where
-    the state is ``G * s + H * inc`` (mod 2**128).  ``work`` is a ``(7,
-    lanes, steps)`` uint64 scratch array; the ``(lanes, steps)`` result is a
-    float64 view of one of its rows.  Output and seeding as in
-    ``_pcg64_random``.
+def _pcg64_at(jump: np.ndarray, ops: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Doubles of numpy's ``Generator(PCG64(...)).random()`` at the draws
+    whose jump constants ``jump`` holds, ``G`` and ``H`` as high and low
+    words (``_jump_constants``), where the state is ``G * s + H * inc`` (mod
+    2**128) for the lanes' ``s`` and ``inc`` in ``ops`` (``_pcg64_ops``).
+    The four rows of each broadcast against each other, as ``(4, steps)``
+    constants against ``(4, lanes, 1)`` words, or gathered ``(4, reads,
+    lanes)`` constants against ``(4, lanes)``; ``jump`` may be ``work[:4]``.
+    ``work`` is a ``(7, ...)`` uint64 scratch array of the broadcast shape,
+    ``work[4:7]`` the products' scratch; the result is a float64 view of
+    one of its rows.  Output as in ``_pcg64_random``.
     """
-    s_hi, s_lo, w2, w3 = (states[:, i, None] for i in range(4))
-    g_hi, g_lo = _mul128(jump[0], jump[1], s_hi, s_lo, work[:5])
-    h_hi, h_lo = _mul128(jump[2], jump[3], w2 << 1 | w3 >> 63, w3 << 1 | 1, work[2:])
+    g_hi, g_lo = _mul128(jump[0], jump[1], ops[0], ops[1], (*work[:2], *work[4:7]))
+    h_hi, h_lo = _mul128(jump[2], jump[3], ops[2], ops[3], (*work[2:4], *work[4:7]))
     _add128(g_hi, g_lo, h_hi, h_lo, (g_hi, g_lo, work[4]))
-    return _pcg64_double(g_hi, g_lo, work[2:5])
-
-
-def _pcg64_picked(ops, jump, theta, at, work, out) -> None:
-    """Outcomes at one row of a chunk, one cell a lane and read: ``out[i,
-    lane]`` is 1 when the lane's draw at cell ``at[i, lane]`` is below that
-    cell's probability in ``theta``.  ``ops`` holds each lane's ``s`` and
-    ``inc`` (see ``_pcg64_random``) as four ``(lanes,)`` uint64 rows, high
-    and low words; ``jump`` the row's ``(4, P)`` constants ``G`` and ``H``
-    (``_jump_constants``), the state at a cell being ``G * s + H * inc``;
-    ``at`` is ``(reads, lanes)`` intp, ``work`` a ``(7, reads, lanes)``
-    uint64 scratch array and ``out`` ``(reads, lanes)`` uint8."""
-    g_hi, g_lo, h_hi, h_lo = work[:4]
-    np.take(jump, at, axis=1, out=work[:4], mode="clip")
-    _mul128(g_hi, g_lo, ops[0], ops[1], (g_hi, g_lo, *work[4:]))
-    _mul128(h_hi, h_lo, ops[2], ops[3], (h_hi, h_lo, *work[4:]))
-    _add128(g_hi, g_lo, h_hi, h_lo, (g_hi, g_lo, work[4]))
-    u = _pcg64_double(g_hi, g_lo, work[4:])
-    np.less(u, np.take(theta, at, out=work[4].view(np.float64), mode="clip"), out=out)
+    return _pcg64_double(g_hi, g_lo, work[4:7])
 
 
 class _PresetState(ISeedSequence):
@@ -602,18 +594,23 @@ class SyntheticDriftSpec:
         span = self.latent_hi - self.latent_lo
         return self.latent_lo + span * (np.arange(1, K + 1) / (K + 1))
 
-    def nbytes(self, sample_every: int | None = None) -> int:
+    def nbytes(self, sample_every: int | None = None) -> tuple[int, int]:
         """Bytes this process holds in memory: its latent path (``horizon x
         channels`` float64, unless ``step_std`` is 0) and, when
         ``sample_every`` is given, the trace ``drift_to_trace`` builds, one
-        int64 start and ``channels x n_rates`` float64 a segment."""
+        int64 start and ``channels x n_rates`` float64 a segment.  And the
+        most that computing the probabilities of ``_ROWS`` rows adds for a
+        moment, 72 bytes a row and pair: the float64 result and three
+        temporaries, and the Python float ``_expit`` makes of each (a list
+        slot, and 32 bytes as pymalloc allocates a float)."""
         need = 8 * self.horizon * self.channels if self.step_std > 0.0 else 0
+        rows = self.horizon
         if sample_every is not None:
             if sample_every < 1:
                 raise ValueError("sample_every must be >= 1")
-            segments = -(-self.horizon // sample_every)
-            need += 8 * segments * (1 + self.channels * len(self.rates))
-        return need
+            rows = -(-self.horizon // sample_every)
+            need += 8 * rows * (1 + self.channels * len(self.rates))
+        return need, 72 * min(rows, _ROWS) * self.channels * len(self.rates)
 
     def to_json_dict(self) -> dict:
         return {
@@ -691,9 +688,9 @@ class DriftEnvironment(Environment):
     bits of ``scipy.special.expit`` without importing scipy.
 
     ``theta_block`` returns a read-only array and hands the last one back
-    when asked for the same steps again, as a tile's outcome tape does right
-    after its main pass: θ is computed once a block by a run's totals pass
-    and again by each lane tile's main pass (once in all for one block).
+    when asked for the same steps again.  A run's totals pass computes θ
+    once a block and each lane tile's main pass again, except in a run of
+    one block, whose main pass gets the totals pass's block back.
     """
 
     def __init__(self, spec: SyntheticDriftSpec):
@@ -763,43 +760,43 @@ def _draws_block(rows: int, pairs: int, reads: int) -> bool:
     return rows * pairs > _EMULATE_MAX_DRAWS or 2 * reads > pairs
 
 
+def _one_chunk(start: int, stop: int) -> tuple[int, int, int]:
+    """The chunk of a tape read of steps ``[start, stop)``, and the rows of
+    its first and end steps in the chunk; the steps must lie in one."""
+    b, lo = divmod(start, _CHUNK)
+    if stop <= start or (stop - 1) // _CHUNK != b:
+        raise ValueError("a tape read's steps must lie in one chunk")
+    return b, lo, stop - b * _CHUNK
+
+
 class OutcomeTape:
-    """Materializes outcome blocks for many seeds over one environment.
+    """Reads the outcomes of many seeds over one environment, a chunk at a
+    time.
 
-    ``block(start, stop)`` returns a ``(seeds, stop-start, C, K)`` uint8
-    array: entry ``[i, n - start, c, k]`` is 1 when cell ``(c, k)`` of the
-    uniform chunk ``default_rng(SeedSequence([tag, seeds[i], n // chunk]))
-    .random((chunk, C, K))``, at row ``n % chunk``, is below the success
-    probability in force at ``n``.  Each lane depends on its own seed only,
-    so batched runs and scalar replays agree bit for bit.
-
-    A chunk whose rows ``[0, hi)`` hold at most ``_EMULATE_MAX_DRAWS``
-    draws per lane (``hi * C * K``), as in many seeds over a few steps, is
-    drawn by one ``_pcg64_random`` pass over all the tape's lanes; a longer
-    one by numpy's generator, one lane at a time.  The choice depends on
-    the chunk, never on the lanes, and both paths give the same bits.  A
-    run gives each tape one lane tile, so a pass's temporaries stay small.
+    Lane ``i``'s outcome at step ``n`` and cell ``(c, k)`` is 1 when cell
+    ``(c, k)`` of the uniform chunk ``default_rng(SeedSequence([tag,
+    seeds[i], n // chunk])).random((chunk, C, K))``, at row ``n % chunk``,
+    is below the success probability in force at ``n``.  Each lane depends
+    on its own seed only, so batched runs and scalar replays agree bit for
+    bit.  Every read covers steps ``[start, stop)`` of one chunk, as the
+    harness's blocks do, and takes their probabilities ``theta``, the
+    environment's ``theta_block(start, stop)`` in any shape of
+    ``stop-start`` rows of ``C * K``, which a caller walking the schedule
+    already has.
 
     ``reader(start, stop, theta, reads)`` serves a learning policy, whose
     cells are known only a step at a time: each ``read(i, flats, out)``
-    gives the outcomes at one step's picked cells, ``reads`` a lane.  In a
-    chunk ``block`` would step, with at least twice as many cells a row as
-    reads (``_draws_block``), each read jumps the lane's stream to its own
-    cell, as ``cells`` does; elsewhere the block is drawn once.
+    gives the outcomes at one step's picked cells, ``reads`` a lane.
+    ``cells(start, stop, flats, theta)`` serves the baselines, whose cells
+    are known in advance: one cell a step.
 
-    ``cells(start, stop, flats, theta)`` reads one cell a step of the same
-    outcomes, ``block(start, stop)`` at step ``n``'s cell ``flats[n -
-    start]``, without drawing the rest: each lane's state at that cell's
-    draw comes from a closed form, ``_CELL_TILE`` lane-steps at a time.  It
-    costs two 128-bit products a lane-step, however many cells a row has,
-    and runs the kernel ``_pcg64_random`` steps with (``_mul128``,
-    ``_add128``, ``_pcg64_double``).  A step whose cell has probability 0
-    or 1 costs nothing: every draw lies in [0, 1), so its outcome is known
-    without it, and a chunk whose steps are all known hashes no seed
-    state.  The closed form's jump constants depend only on the drawn cells
-    and their rows in the chunk, so a call that draws the last call's cells
-    at the same rows reuses its constants: baselines that keep to one pair
-    repeat them every full block.
+    ``cells`` jumps each lane's stream to the cells it reads through one
+    kernel, ``_pcg64_at``; ``reader`` jumps so where ``_draws_block`` says
+    so, and otherwise draws the block once (``_block``): by one
+    ``_pcg64_random`` pass over all lanes up to ``_EMULATE_MAX_DRAWS``
+    draws a lane (``hi * C * K`` for rows ``[0, hi)``), by numpy's
+    generator one lane at a time above.  A run gives each tape one lane
+    tile, so a pass's temporaries stay small.
 
     Seed states are hashed a batch of chunks at a time.  Asked for a chunk
     it does not hold, the tape drops what it holds and hashes that chunk
@@ -844,70 +841,58 @@ class OutcomeTape:
         """The bytes a tape of ``lanes`` seeds up to ``largest_seed`` and
         ``pairs`` cells a row holds over steps below ``steps``: a lane's uint32
         ``[tag, seed]`` prefix, padded to the largest seed's words, and int64
-        length; and a lane-chunk of its largest batch, 4 bytes a word of the
-        longest ``[tag, seed, chunk]`` and 128 more (a length, a state and the
-        previous batch's, and hash temporaries).  And the most a read adds a
-        lane: with ``reads`` cells a lane and step, in its chunk of most rows
-        of each kind ``_draws_block`` picks, the block (a byte a cell, 8 bytes
-        of indices and 8 a read, 56 of work where stepped) or a jump's arrays
-        (32 bytes of ``s`` and ``inc``, 64 of work and index a read); without,
-        ``cells``' two bytes a step and 57 a lane-step for ``_CELL_TILE``."""
+        length; and a lane-chunk of the largest batch a forward walk hashes,
+        4 bytes a word of the longest ``[tag, seed, chunk]`` and 128 more (a
+        length, a state and the previous batch's, and hash temporaries).  And
+        the most a read adds a lane: with ``reads`` cells a lane and step, in
+        its chunk of most rows of each kind ``_draws_block`` picks, the block
+        (a byte a cell, 8 bytes of indices and 8 a read, 56 of work where
+        stepped) or a jump's arrays (32 bytes of ``s`` and ``inc``, 64 of
+        work and index a read); without, ``cells``' byte a step and 57 a
+        lane-step for ``_CELL_TILE``."""
         seed_words = len(_words(largest_seed))
         chunks = -(-steps // _CHUNK)
-        n = min(max(1, _STATE_BATCH // lanes), chunks)  # chunks in the largest batch
+        # Batches of 1, 2, 4, ... chunks cover 2p - 1 chunks up to one of p.
+        n = min(max(1, _STATE_BATCH // lanes), 1 << (chunks // 2).bit_length())
         batch = n * (4 * (1 + seed_words + len(_words(chunks + n))) + 128)
         held, rows = lanes * (4 * (1 + seed_words) + 8 + batch), min(steps, _CHUNK)
         if not reads:
-            return held, 2 * lanes * rows + 57 * min(max(_CELL_TILE, rows), lanes * rows)
+            return held, lanes * rows + 57 * min(max(_CELL_TILE, rows), lanes * rows)
         read = 0
         for hi in {rows, (steps - 1) % _CHUNK + 1}:  # a full chunk's rows, the last chunk's
             drawn = hi * pairs + 8 + 8 * reads + 56 * (hi * pairs <= _EMULATE_MAX_DRAWS)
             read = max(read, drawn if _draws_block(hi, pairs, reads) else 32 + 64 * reads)
         return held, lanes * read
 
-    def block(self, start: int, stop: int) -> np.ndarray:
-        if stop <= start:
-            raise ValueError("stop must exceed start")
-        return self._block(start, stop, self._env.theta_block(start, stop))
-
     def _block(self, start: int, stop: int, theta) -> np.ndarray:
-        """``block(start, stop)`` compared against ``theta``, the block's
-        probabilities as ``cells`` takes them."""
+        """The outcomes of every cell at steps ``[start, stop)`` of one
+        chunk, a ``(seeds, stop-start, C, K)`` uint8 array, against their
+        probabilities ``theta``."""
+        b, lo, hi = _one_chunk(start, stop)
         C, K = self._env.channels, self._env.n_rates
-        th = np.asarray(theta).reshape(stop - start, C, K)
-        out = np.empty((len(self._seeds), stop - start, C, K), dtype=np.uint8)
-        b_lo, b_hi = start // _CHUNK, (stop - 1) // _CHUNK
+        th = np.asarray(theta).reshape(hi - lo, C, K)
+        states = self._chunk_states(b)
+        out = np.empty((len(states), hi - lo, C, K), dtype=np.uint8)
         # A double takes one uint64 draw, so rows [0, hi) of a chunk are
         # the first hi * C * K draws of its stream: generate only those.
-        buf = np.empty((min(_CHUNK, stop - b_lo * _CHUNK), C, K))
-        preset = _PresetState()
-        for b in range(b_lo, b_hi + 1):
-            lo = max(start, b * _CHUNK) - b * _CHUNK
-            hi = min(stop, (b + 1) * _CHUNK) - b * _CHUNK
-            pos = b * _CHUNK + lo - start
-            rows, seg = buf[:hi], buf[lo:hi]
-            th_seg, part = th[pos : pos + hi - lo], out[:, pos : pos + hi - lo]
-            states = self._chunk_states(b)
-            if hi * C * K > _EMULATE_MAX_DRAWS:
-                for lane, state in enumerate(states):
-                    preset.state = state
-                    np.random.Generator(np.random.PCG64(preset)).random(out=rows)
-                    np.less(seg, th_seg, out=part[lane])
-                continue
-            # Short chunk: step every lane's PCG64 at once, and compare each
-            # draw as it comes, into its column of the lanes' outcomes.
-            th_draws, lane_draws = th_seg.reshape(-1), part.reshape(len(states), -1)
-            for j, u in enumerate(_pcg64_random(states, lo * C * K, th_draws.size)):
-                np.less(u, th_draws[j], out=lane_draws[:, j])
+        if hi * C * K > _EMULATE_MAX_DRAWS:
+            rows, preset = np.empty((hi, C, K)), _PresetState()
+            for lane, state in enumerate(states):
+                preset.state = state
+                np.random.Generator(np.random.PCG64(preset)).random(out=rows)
+                np.less(rows[lo:], th, out=out[lane])
+            return out
+        # Short chunk: step every lane's PCG64 at once, and compare each
+        # draw as it comes, into its column of the lanes' outcomes.
+        th_draws, lane_draws = th.reshape(-1), out.reshape(len(states), -1)
+        for j, u in enumerate(_pcg64_random(states, lo * C * K, th_draws.size)):
+            np.less(u, th_draws[j], out=lane_draws[:, j])
         return out
 
     def cells(self, start: int, stop: int, flats, theta) -> np.ndarray:
         """Outcomes of one cell a step: a ``(seeds, stop-start)`` uint8 array
-        whose entry ``[i, n - start]`` equals ``block(start, stop)[i, n -
-        start]`` at flat cell ``flats[n - start]`` (``c * K + k``).
-        ``theta`` holds the block's success probabilities, the environment's
-        ``theta_block(start, stop)`` in any shape of ``stop-start`` rows of
-        ``C * K``, which a caller walking the schedule already has.
+        whose entry ``[i, n - start]`` is lane ``i``'s outcome at step ``n``
+        and flat cell ``flats[n - start]`` (``c * K + k``).
 
         Each outcome is computed alone, without the draws before it.  PCG64
         is an LCG, so the state it outputs at draw ``d`` has a closed form
@@ -915,17 +900,23 @@ class OutcomeTape:
         ``M**(d+2) * s + A(d+3) * inc`` (mod 2**128), where numpy starts
         from ``x0 = s + inc`` (see ``_pcg64_random``) and ``A(k) = M**0 +
         ... + M**(k-1)``.  The cell at row ``r`` of a chunk is draw ``d = r
-        * C * K + c * K + k``.
+        * C * K + c * K + k``.  ``_pcg64_at`` computes it ``_CELL_TILE``
+        lane-steps at a time, two 128-bit products a lane-step however many
+        cells a row has.
 
         Only steps whose probability lies strictly between 0 and 1 are
         drawn.  A draw is ``k * 2**-53`` with ``k < 2**53``, below 1 always
         and below 0 (or -0.0) never, so the outcome at probability 1 is 1
-        and at 0 is 0 whatever the draw, exactly as ``block`` compares it.
+        and at 0 is 0 whatever the draw, exactly as a drawn block compares
+        it; a call whose steps are all known hashes no seed state.  The
+        jump constants depend only on the drawn cells and their rows in the
+        chunk, so a call that draws the last call's cells at the same rows
+        reuses its constants: baselines that keep to one pair repeat them
+        every full block.
         """
+        b, lo, hi = _one_chunk(start, stop)
         flats = np.asarray(flats)
-        B, P = stop - start, self._env.channels * self._env.n_rates
-        if B <= 0:
-            raise ValueError("stop must exceed start")
+        B, P = hi - lo, self._env.channels * self._env.n_rates
         if flats.shape != (B,):
             raise ValueError(f"need one flat cell a step, {B}, got shape {flats.shape}")
         if flats.min() < 0 or flats.max() >= P:
@@ -937,28 +928,19 @@ class OutcomeTape:
         # A draw is k * 2**-53 with k < 2**53: below 1 always, below 0 never.
         known = (th == 0.0) | (th == 1.0)
         steps = np.flatnonzero(~known)  # the steps drawn, in order
-        jump = self._jump((start + steps) % _CHUNK, flats[steps])
-        th_u = th[steps]
-        won = np.empty((len(self._seeds), len(steps)), dtype=np.uint8)
-        # Chunk b's drawn steps are steps[i0:i1], between two edges.
-        b_lo, b_hi = start // _CHUNK, (stop - 1) // _CHUNK
-        edges = np.searchsorted(steps, np.arange(b_lo, b_hi + 2) * _CHUNK - start).tolist()
-        for b, i0, i1 in zip(range(b_lo, b_hi + 1), edges, edges[1:]):
-            if i0 == i1:
-                continue  # every cell known: no seed state to hash
-            seg = slice(i0, i1)
-            tile = max(1, _CELL_TILE // (i1 - i0))
-            work = np.empty((7, min(tile, len(self._seeds)), i1 - i0), dtype=np.uint64)
-            states = self._chunk_states(b)
-            for a in range(0, len(states), tile):
-                part = states[a : a + tile]
-                draws = _pcg64_at(part, jump[:, seg], work[:, : len(part)])
-                won[a : a + tile, seg] = draws < th_u[seg]
-        if len(steps) == B:
-            return won
         out = np.empty((len(self._seeds), B), dtype=np.uint8)
         out[:, known] = th[known] == 1.0
-        out[:, steps] = won
+        if not len(steps):
+            return out  # every cell known: no seed state to hash
+        jump, th_u = self._jump(lo + steps, flats[steps]), th[steps]
+        drawn = slice(None) if len(steps) == B else steps
+        states = self._chunk_states(b)
+        tile = max(1, _CELL_TILE // len(steps))
+        work = np.empty((7, min(tile, len(states)), len(steps)), dtype=np.uint64)
+        for a in range(0, len(states), tile):
+            part = states[a : a + tile]
+            draws = _pcg64_at(jump, _pcg64_ops(part)[:, :, None], work[:, : len(part)])
+            out[a : a + tile, drawn] = draws < th_u
         return out
 
     def _jump(self, rows: np.ndarray, flats: np.ndarray) -> np.ndarray:
@@ -967,8 +949,6 @@ class OutcomeTape:
         last = self._last_jump
         if last is not None and np.array_equal(last[0], rows) and np.array_equal(last[1], flats):
             return last[2]
-        if not len(flats):  # nothing to draw: no tables to build
-            return np.empty((4, 0), dtype=np.uint64)
         jump = _jump_constants(rows, flats, self._env.channels * self._env.n_rates)
         self._last_jump = (rows, flats, jump)
         return jump
@@ -976,21 +956,18 @@ class OutcomeTape:
     def reader(self, start: int, stop: int, theta, reads: int):
         """A reader of the outcomes at cells picked step by step, as a
         learning policy picks them: ``read(i, flats, out)`` writes into the
-        ``(reads, seeds)`` uint8 ``out`` what ``block(start, stop)`` holds
-        at step ``start + i`` and, for each read and lane, flat cell
-        ``flats[read, lane]``.  The steps lie in one chunk; ``theta`` is
-        as ``cells`` takes it, and ``flats`` are trusted as given.
+        ``(reads, seeds)`` uint8 ``out`` each lane's outcome at step ``start
+        + i`` and, for each read, flat cell ``flats[read, lane]``; ``flats``
+        are trusted as given.
 
         Where ``_draws_block`` says so, the reader draws the block once and
         each read is a take.  Otherwise each read jumps the lane's stream
-        straight to its cell (``_pcg64_picked``, the closed form of
-        ``cells``), with work arrays of ``reads x seeds`` whatever the cells.
+        straight to its cell through ``_pcg64_at``, as ``cells`` does, with
+        work arrays of ``reads x seeds`` whatever the cells.
         """
-        B, P = stop - start, self._env.channels * self._env.n_rates
-        b = start // _CHUNK
-        if B <= 0 or (stop - 1) // _CHUNK != b:
-            raise ValueError("a reader's steps must lie in one chunk")
-        if _draws_block(stop - b * _CHUNK, P, reads):
+        b, lo, hi = _one_chunk(start, stop)
+        B, P = hi - lo, self._env.channels * self._env.n_rates
+        if _draws_block(hi, P, reads):
             outs = self._block(start, stop, theta).reshape(-1)
             lanes = np.arange(0, outs.size, B * P)  # each lane's cell 0 at step 0
 
@@ -1000,22 +977,17 @@ class OutcomeTape:
 
             return take
         th = np.asarray(theta).reshape(B, P)
-        jump = _jump_constants(
-            np.repeat(np.arange(start, stop) % _CHUNK, P), np.tile(np.arange(P), B), P
-        ).reshape(4, B, P)
-        states = self._chunk_states(b)
-        ops = np.empty((4, len(states)), dtype=np.uint64)  # s and inc, high and low words
-        ops[:2] = states[:, :2].T
-        np.left_shift(states[:, 2], 1, out=ops[2])
-        ops[2] |= states[:, 3] >> 63
-        np.left_shift(states[:, 3], 1, out=ops[3])
-        ops[3] |= 1
-        work = np.empty((7, reads, len(states)), dtype=np.uint64)
-        at = np.empty((reads, len(states)), dtype=np.intp)
+        jump = _jump_constants(np.repeat(np.arange(lo, hi), P), np.tile(np.arange(P), B), P)
+        jump = jump.reshape(4, B, P)
+        ops = _pcg64_ops(self._chunk_states(b))
+        work = np.empty((7, reads, ops.shape[1]), dtype=np.uint64)
+        at = np.empty((reads, ops.shape[1]), dtype=np.intp)
 
         def jumped(i, flats, out):
             np.copyto(at, flats)
-            _pcg64_picked(ops, jump[:, i], th[i], at, work, out)
+            np.take(jump[:, i], at, axis=1, out=work[:4], mode="clip")
+            u = _pcg64_at(work[:4], ops, work)
+            np.less(u, np.take(th[i], at, out=work[4].view(np.float64), mode="clip"), out=out)
 
         return jumped
 

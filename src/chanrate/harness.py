@@ -501,11 +501,15 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
     what their owners report for a tile of ``T = min(seeds, _LANE_TILE)``
     lanes, and the harness's own arrays.  A block holds the tile's tape,
     policies, ledgers and picks, and the largest of its busy moments: the
-    learners' step, a learner's ledger accounting, or the baselines' reads
-    and accounting.  One tile counts the larger of that and the result phase
-    (the ledgers and the baselines' repeated results); more tiles count both,
-    with all lanes' and one tile's results and lane 0's decision logs.
-    ``static`` counts a ledger even where it shares the oracle's."""
+    learners' step, a learner's ledger accounting, the baselines' reads and
+    accounting, or a drift's next θ block beside the last block's (none in
+    a run of one block, whose main pass reuses the totals pass's).  One tile
+    counts the larger of that and the result phase (the ledgers and the
+    baselines' repeated results); more tiles count both, with all lanes'
+    and one tile's results and lane 0's decision logs.  The totals pass
+    holds only a θ block's busy moment and, past one block, the last
+    block's θ and μ.  ``static`` counts a ledger even where it shares the
+    oracle's."""
     S, C, K, top = len(config.seeds), config.channels, config.n_rates, max(config.seeds)
     P, T, B = C * K, min(S, _LANE_TILE), min(_BLOCK, slots)
     learners = [p for p in config.policies if not p.is_baseline]
@@ -518,13 +522,15 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
     # Each learner's picks and outcomes, and the block's probabilities and throughputs.
     held = tape + ledgers + sum(h for h, _ in policies) + L * T * B * (pair + 1) + 16 * B * P
     step = read + sum(b for _, b in policies)
-    blocks = held + max(L and max(step, learned[1]), (n - L) and cells + shared[1])
+    drift, theta = config.drift.nbytes() if config.drift is not None else (0, 0)
+    again = theta if slots > B else 0  # a θ block, beside the last block's θ and μ
+    blocks = held + max(L and max(step, learned[1]), (n - L) and cells + shared[1], again)
     table = _Ledger.lane_nbytes(P, checkpoints, timed)
-    need = pair * slots + (config.drift.nbytes() if config.drift is not None else 0)
     if S > T:
-        need += blocks + n * ((S + T) * table + slots * pair)
+        need = blocks + n * ((S + T) * table + slots * pair)
     else:
-        need += max(blocks, ledgers + (n - L) * S * table)
+        need = max(blocks, ledgers + (n - L) * S * table)
+    need = pair * slots + drift + max(need, theta + (again and 16 * B * P))
     what = f"the per-slot, per-lane and block arrays of {_echo(slots)} slots x {S} seeds"
     _require_memory(need, what)
 

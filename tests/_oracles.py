@@ -406,6 +406,23 @@ def reference_outcomes(env, seed: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def chunk_spans(start: int, stop: int) -> list[tuple[int, int]]:
+    """Steps ``[start, stop)`` cut at the tape's chunk edges, as the
+    ``(a, b)`` spans of one chunk each that a tape read takes."""
+    edges = range((start // TAPE_CHUNK + 1) * TAPE_CHUNK, stop, TAPE_CHUNK)
+    bounds = [start, *edges, stop]
+    return list(zip(bounds, bounds[1:]))
+
+
+def tape_block(tape, start: int, stop: int) -> np.ndarray:
+    """``(seeds, stop - start, C, K)`` uint8 outcomes of every cell of
+    ``tape`` over steps ``[start, stop)``: ``tape._block`` one chunk at a
+    time, against its environment's ``theta_block``."""
+    env = tape._env
+    parts = [tape._block(a, b, env.theta_block(a, b)) for a, b in chunk_spans(start, stop)]
+    return np.concatenate(parts, axis=1)
+
+
 def pcg64_doubles(state_words, count: int) -> np.ndarray:
     """The first ``count`` doubles of numpy's ``Generator(PCG64(...))``
     seeded with the four uint64 words ``state_words``, which numpy would

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanrate import environments
+from chanrate import environments, harness
 from chanrate.environments import (
     _EXP_MAX,
     DriftEnvironment,
@@ -30,10 +30,12 @@ from chanrate.model import LinkModel, RateSet
 from _oracles import (
     TAPE_TAG,
     assert_same_bits,
+    chunk_spans,
     drift_latent_reference,
     pcg64_doubles,
     reference_draw,
     reference_outcomes,
+    tape_block,
     trace_csv_reference,
     trace_theta_reference,
 )
@@ -383,7 +385,7 @@ class TestSyntheticDrift:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * spec.nbytes()
+        assert peak <= 1.25 * spec.nbytes()[0]
         assert_same_bits(env._latent, drift_latent_reference(spec))
 
     def test_same_spec_same_path(self):
@@ -466,11 +468,28 @@ class TestSyntheticDrift:
     def test_nbytes_counts_the_latent_path_and_the_trace_arrays(self, step_std, sample_every):
         spec = self.spec(horizon=1600, step_std=step_std)
         latent = 8 * 1600 * 3 if step_std else 0
-        assert spec.nbytes() == latent
+        assert spec.nbytes()[0] == latent
         segments = -(-1600 // sample_every)
-        assert spec.nbytes(sample_every) == latent + 8 * segments * (1 + 3 * 3)
+        assert spec.nbytes(sample_every)[0] == latent + 8 * segments * (1 + 3 * 3)
         trace = drift_to_trace(spec, sample_every)
         assert trace.starts.nbytes + trace.tables.nbytes == 8 * segments * (1 + 3 * 3)
+
+    @pytest.mark.parametrize("horizon, sample_every", [(1600, None), (1600, 4), (300, None)])
+    def test_nbytes_covers_a_theta_block(self, horizon, sample_every):
+        """A block of ``_ROWS`` rows (fewer where the trace or the horizon has
+        fewer), 5 x 8 pairs: its probabilities and ``_expit``'s floats."""
+        spec = self.spec(channels=5, horizon=horizon, rates=RateSet.of(list(range(1, 9))))
+        env = DriftEnvironment(spec)
+        rows = min(512, -(-horizon // (sample_every or 1)))
+        tracemalloc.start()
+        try:
+            env._theta(np.arange(rows) * (sample_every or 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        busy = spec.nbytes(sample_every)[1]
+        assert busy == 72 * rows * 40
+        assert peak <= busy <= 1.25 * peak
 
     def test_drift_to_trace_holds_between_samples(self):
         spec = self.spec(horizon=1600)
@@ -485,7 +504,7 @@ class TestOutcomeTape:
     def test_matches_scalar_draws_across_chunk_boundary(self, tiny_model):
         env = stationary(tiny_model)
         tape = OutcomeTape(env, seeds=(1, 2))
-        block = tape.block(500, 530)  # spans the 512-step chunk edge
+        block = tape_block(tape, 500, 530)  # spans the 512-step chunk edge
         for si, seed in enumerate((1, 2)):
             for n in range(500, 530):
                 for c in (1, 2):
@@ -494,7 +513,7 @@ class TestOutcomeTape:
 
     def test_trace_schedule_respected(self, swap_trace):
         tape = OutcomeTape(swap_trace, seeds=(4,))
-        block = tape.block(90, 110)
+        block = tape_block(tape, 90, 110)
         for n in range(90, 110):
             assert block[0, n - 90, 0, 0] == reference_draw(swap_trace, 4, (1, 1), n)
 
@@ -505,8 +524,23 @@ class TestOutcomeTape:
         with pytest.raises(ValueError, match="at least one seed"):
             OutcomeTape(env, seeds=())
         tape = OutcomeTape(env, seeds=(1,))
-        with pytest.raises(ValueError, match="stop"):
-            tape.block(10, 10)
+        with pytest.raises(ValueError, match="one chunk"):
+            tape._block(10, 10, env.theta_block(10, 11)[:0])
+
+    def test_a_read_across_a_chunk_edge_raises(self, tiny_model):
+        """Every read lies in one chunk.  The harness's blocks, of at most
+        ``_BLOCK`` steps from multiples of it, do while it divides the
+        chunk."""
+        assert environments._CHUNK % harness._BLOCK == 0
+        env = stationary(tiny_model)
+        tape, theta = OutcomeTape(env, seeds=(1, 2)), env.theta_block(500, 520)
+        for read in (
+            lambda: tape._block(500, 520, theta),
+            lambda: tape.cells(500, 520, np.zeros(20, dtype=int), theta),
+            lambda: tape.reader(500, 520, theta, 1),
+        ):
+            with pytest.raises(ValueError, match="one chunk"):
+                read()
 
 
 # Seeds whose entropy rows have one, two and three words, and 0 (one word).
@@ -536,7 +570,7 @@ class TestOutcomeTapeAgainstReference:
         ],
     )
     def test_block_matches_reference_bitwise(self, env, start, stop):
-        block = OutcomeTape(env, MIXED_SEEDS).block(start, stop)
+        block = tape_block(OutcomeTape(env, MIXED_SEEDS), start, stop)
         assert block.dtype == np.uint8
         assert block.shape == (len(MIXED_SEEDS), stop - start, 2, 3)
         for i, seed in enumerate(MIXED_SEEDS):
@@ -546,19 +580,19 @@ class TestOutcomeTapeAgainstReference:
         rng = np.random.default_rng(11)
         starts = (0, 260, 511, 513)
         trace = TraceTable(starts, tuple(rng.random((2, 2)) for _ in starts), horizon=700)
-        block = OutcomeTape(trace, MIXED_SEEDS).block(250, 600)
+        block = tape_block(OutcomeTape(trace, MIXED_SEEDS), 250, 600)
         for i, seed in enumerate(MIXED_SEEDS):
             np.testing.assert_array_equal(block[i], reference_outcomes(trace, seed, 250, 600))
 
     def test_lanes_are_independent(self, env):
-        full = OutcomeTape(env, MIXED_SEEDS).block(500, 530)
+        full = tape_block(OutcomeTape(env, MIXED_SEEDS), 500, 530)
         for i, seed in enumerate(MIXED_SEEDS):
-            alone = OutcomeTape(env, (seed,)).block(500, 530)
+            alone = tape_block(OutcomeTape(env, (seed,)), 500, 530)
             assert alone[0].tobytes() == full[i].tobytes()
         order = [3, 0, 4, 2, 1]
-        permuted = OutcomeTape(env, [MIXED_SEEDS[i] for i in order]).block(500, 530)
+        permuted = tape_block(OutcomeTape(env, [MIXED_SEEDS[i] for i in order]), 500, 530)
         assert permuted.tobytes() == full[order].tobytes()
-        added = OutcomeTape(env, (*MIXED_SEEDS, 2**40 + 5)).block(500, 530)
+        added = tape_block(OutcomeTape(env, (*MIXED_SEEDS, 2**40 + 5)), 500, 530)
         assert added[:-1].tobytes() == full.tobytes()
 
     @pytest.fixture()
@@ -589,7 +623,7 @@ class TestOutcomeTapeAgainstReference:
     def test_both_draw_paths_match_reference(self, env, emulated_chunks, start, stop, emulated):
         """A chunk of at most _EMULATE_MAX_DRAWS draws per lane steps PCG64
         across lanes; a longer one runs numpy's generator per lane."""
-        block = OutcomeTape(env, MIXED_SEEDS).block(start, stop)
+        block = tape_block(OutcomeTape(env, MIXED_SEEDS), start, stop)
         for i, seed in enumerate(MIXED_SEEDS):
             np.testing.assert_array_equal(block[i], reference_outcomes(env, seed, start, stop))
         # One call a chunk for all lanes, whatever their entropy lengths.
@@ -600,13 +634,13 @@ class TestOutcomeTapeAgainstReference:
         seeds = [int(s) for s in rng.choice(2**40, size=9_000, replace=False)]
         seeds[:3] = [0, 2**32 - 1, 2**64 + 3]  # one-, two- and three-word entropy
         tape = OutcomeTape(env, seeds)
-        short = tape.block(0, 7)  # 42 draws per lane: emulated
+        short = tape_block(tape, 0, 7)  # 42 draws per lane: emulated
         assert emulated_chunks == [(0, 42)]  # 9,000 lanes in one pass
-        long = tape.block(0, 3 * EDGE)  # per-lane generator
+        long = tape_block(tape, 0, 3 * EDGE)  # per-lane generator
         assert emulated_chunks == [(0, 42)]
         assert short.tobytes() == long[:, :7].tobytes()
         for lane in (0, 1, 2, 3, 4_000, 8_192, len(seeds) - 1):
-            alone = OutcomeTape(env, (seeds[lane],)).block(0, 7)
+            alone = tape_block(OutcomeTape(env, (seeds[lane],)), 0, 7)
             assert alone[0].tobytes() == short[lane].tobytes()
 
     def test_hash_matches_seed_sequence(self):
@@ -647,8 +681,8 @@ class TestOutcomeTapeAgainstReference:
         def outcomes(seeds):
             tape = OutcomeTape(env, seeds)
             if read == "block":
-                return tape.block(start, stop)
-            return tape.cells(start, stop, flats, env.theta_block(start, stop))
+                return tape_block(tape, start, stop)
+            return _cells(tape, start, stop, flats)
 
         seeds, wider = (7, 3, 2**32 - 1, 0), (2**64 + 3, 2**96 + 7)
         alone, wide = outcomes(seeds), outcomes((*seeds, *wider))
@@ -690,14 +724,26 @@ def _stationary(channels: int, n_rates: int) -> TraceTable:
 
 
 def _block_cells(tape: OutcomeTape, start: int, stop: int, flats) -> np.ndarray:
-    """``block(start, stop)`` read at one flat cell a step."""
-    block = tape.block(start, stop)
+    """The drawn blocks of steps ``[start, stop)`` read at one flat cell a
+    step."""
+    block = tape_block(tape, start, stop)
     steps = np.arange(stop - start)
     return block.reshape(*block.shape[:2], -1)[:, steps, flats]
 
 
+def _cells(tape: OutcomeTape, start: int, stop: int, flats) -> np.ndarray:
+    """``tape.cells`` over steps ``[start, stop)``, one call a chunk."""
+    flats, env = np.asarray(flats), tape._env
+    parts = [
+        tape.cells(a, b, flats[a - start : b - start], env.theta_block(a, b))
+        for a, b in chunk_spans(start, stop)
+    ]
+    return np.concatenate(parts, axis=1)
+
+
 class TestOutcomeTapeCells:
-    """``cells`` jumps to each cell it reads; the bits are ``block``'s."""
+    """``cells`` jumps to each cell it reads; the bits are the drawn
+    block's."""
 
     @pytest.fixture(params=[(1, 1), (5, 8)], ids=["P=1", "P=40"])
     def env(self, request):
@@ -725,7 +771,7 @@ class TestOutcomeTapeCells:
             "last": np.full(stop - start, P - 1),
         }[which]
         tape = OutcomeTape(env, CELL_SEEDS)
-        got = tape.cells(start, stop, flats, env.theta_block(start, stop))
+        got = _cells(tape, start, stop, flats)
         assert got.dtype == np.uint8 and got.shape == (len(CELL_SEEDS), stop - start)
         np.testing.assert_array_equal(got, _block_cells(tape, start, stop, flats))
 
@@ -735,7 +781,7 @@ class TestOutcomeTapeCells:
         trace = TraceTable(starts, tuple(rng.random((2, 3)) for _ in starts), horizon=700)
         tape = OutcomeTape(trace, CELL_SEEDS)
         flats = rng.integers(0, 6, 450)
-        got = tape.cells(250, 700, flats, trace.theta_block(250, 700))
+        got = _cells(tape, 250, 700, flats)
         np.testing.assert_array_equal(got, _block_cells(tape, 250, 700, flats))
 
     @pytest.mark.parametrize("seeds", [CELL_SEEDS, (7, 3, 9, 1, 4)])
@@ -743,18 +789,17 @@ class TestOutcomeTapeCells:
         """Tiles of one lane and of two, with seeds of mixed word counts and
         of one word."""
         flats = np.arange(25) % (env.channels * env.n_rates)
-        theta = env.theta_block(500, 525)
-        want = OutcomeTape(env, seeds).cells(500, 525, flats, theta)
+        want = _cells(OutcomeTape(env, seeds), 500, 525, flats)
         for tile in (1, 2 * 25):
             monkeypatch.setattr(environments, "_CELL_TILE", tile)
-            assert OutcomeTape(env, seeds).cells(500, 525, flats, theta).tobytes() == want.tobytes()
+            assert _cells(OutcomeTape(env, seeds), 500, 525, flats).tobytes() == want.tobytes()
         np.testing.assert_array_equal(want, _block_cells(OutcomeTape(env, seeds), 500, 525, flats))
 
     def test_validation(self, env):
         tape = OutcomeTape(env, (1,))
         P = env.channels * env.n_rates
-        with pytest.raises(ValueError, match="stop"):
-            tape.cells(10, 10, [], env.theta_block(10, 10))
+        with pytest.raises(ValueError, match="one chunk"):
+            tape.cells(10, 10, [], env.theta_block(10, 11)[:0])
         with pytest.raises(ValueError, match="one flat cell a step"):
             tape.cells(10, 12, [0], env.theta_block(10, 12))
         for bad in (-1, P):
@@ -767,7 +812,7 @@ class TestOutcomeTapeCells:
 class TestOutcomeTapeReader:
     """``reader`` reads a learner's picked cells step by step, by jumps in
     a short chunk and by a take from a drawn block otherwise; the bits are
-    ``block``'s."""
+    the drawn block's."""
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 4)], ids=["P=1", "P=8"])
     @pytest.mark.parametrize(
@@ -786,7 +831,7 @@ class TestOutcomeTapeReader:
         env = _stationary(*shape)
         P, S = env.channels * env.n_rates, len(CELL_SEEDS)
         flats = np.random.default_rng(stop).integers(0, P, (stop - start, reads, S))
-        block = OutcomeTape(env, CELL_SEEDS).block(start, stop).reshape(S, stop - start, P)
+        block = tape_block(OutcomeTape(env, CELL_SEEDS), start, stop).reshape(S, stop - start, P)
         read = OutcomeTape(env, CELL_SEEDS).reader(start, stop, env.theta_block(start, stop), reads)
         out = np.empty((reads, S), dtype=np.uint8)
         for i, f in enumerate(flats):
@@ -843,11 +888,10 @@ class TestOutcomeTapeCaches:
         spans += [(2**41 - 3, 2**41 + 3), (5, 9), (2**41 - 600, 2**41 - 1), (1023, 1025)]
         for start, stop in spans:
             fresh = OutcomeTape(env, CELL_SEEDS)
-            assert tape.block(start, stop).tobytes() == fresh.block(start, stop).tobytes()
+            assert tape_block(tape, start, stop).tobytes() == tape_block(fresh, start, stop).tobytes()
             flats = rng.integers(0, 6, stop - start)
-            args = self._cells_args(env, start, stop, flats)
-            want = OutcomeTape(env, CELL_SEEDS).cells(*args)
-            assert tape.cells(*args).tobytes() == want.tobytes()
+            want = _cells(OutcomeTape(env, CELL_SEEDS), start, stop, flats)
+            assert _cells(tape, start, stop, flats).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "seeds",
@@ -891,8 +935,31 @@ class TestOutcomeTapeCaches:
         )
         tape = OutcomeTape(env, (7, 3, 9, 1, 4))
         for b in range(20):
-            tape.block(512 * b, 512 * b + 3)
+            tape_block(tape, 512 * b, 512 * b + 3)
         assert rows == [5 * n for n in (1, 2, 4, 8, 16)]
+
+    @pytest.mark.parametrize("lanes", [1, 5, 100, 5_000, 20_000])
+    def test_nbytes_counts_the_largest_batch_a_forward_walk_hashes(self, env, monkeypatch, lanes):
+        """A walk from chunk 0 over 1 to 300 chunks hashes batches of 1, 2,
+        4, ... chunks, up to ``_STATE_BATCH`` lane-chunks; ``nbytes`` holds
+        a lane's 16 bytes of prefix and 140 a chunk of the largest batch
+        (one-word seeds and chunks).  Criterion 07's 196 chunks hash 128."""
+        batches = []  # (first chunk, chunks) of each hash
+
+        def spy(tape, b, n):
+            batches.append((b, n))
+            return np.zeros((n, lanes, 4), dtype=np.uint64)
+
+        monkeypatch.setattr(OutcomeTape, "_hash_chunks", spy)
+        tape = OutcomeTape(env, tuple(range(lanes)))
+        for b in range(300):
+            tape._chunk_states(b)
+        for chunks in range(1, 301):
+            largest = max(n for b, n in batches if b < chunks)
+            held = OutcomeTape.nbytes(lanes, lanes - 1, 512 * chunks - 7, 6)[0]
+            assert held == lanes * (16 + 140 * largest), chunks
+        if lanes < 100:
+            assert max(n for b, n in batches if b < 196) == 128
 
     @pytest.mark.parametrize("bound", [5 * 3, 5 * 2, 5 * 2 - 1, 1])
     def test_held_states_stay_within_the_bound(self, env, monkeypatch, bound):
@@ -907,8 +974,9 @@ class TestOutcomeTapeCaches:
         tape = OutcomeTape(env, seeds)
         chunks = max(1, bound // len(seeds))
         for start, stop in [(0, 9), (512, 530), (1030, 1600), (2100, 2103), (0, 2)] * 2:
-            args = self._cells_args(env, start, stop, np.arange(stop - start) % 6)
-            assert tape.cells(*args).tobytes() == OutcomeTape(env, seeds).cells(*args).tobytes()
+            flats = np.arange(stop - start) % 6
+            want = _cells(OutcomeTape(env, seeds), start, stop, flats)
+            assert _cells(tape, start, stop, flats).tobytes() == want.tobytes()
             assert tape._held[1].shape[0] <= chunks
         assert max(rows) == len(seeds) * chunks
 
@@ -964,7 +1032,7 @@ class TestOutcomeTapeKnownCells:
         hashed, drawn = self._spy(monkeypatch, "_seed_states"), self._spy(monkeypatch, "_pcg64_at")
         tape = OutcomeTape(env, CELL_SEEDS)
         flats = np.arange(1100) % 3
-        got = tape.cells(300, 1400, flats, env.theta_block(300, 1400))
+        got = _cells(tape, 300, 1400, flats)
         assert hashed == [] and drawn == []
         np.testing.assert_array_equal(got, np.broadcast_to(flats == 0, got.shape))
         assert got.dtype == np.uint8
@@ -976,13 +1044,13 @@ class TestOutcomeTapeKnownCells:
         start, stop = 400, 1700
         flats = np.random.default_rng(5).integers(0, 6, stop - start)
         flats[512 - start : 1024 - start] %= 3  # chunk 1 all known
-        got = tape.cells(start, stop, flats, env.theta_block(start, stop))
+        got = _cells(tape, start, stop, flats)
         unknown = np.flatnonzero(flats >= 3)
         per_chunk = np.bincount((start + unknown) // 512).tolist()
         assert per_chunk[1] == 0 and len(per_chunk) == 4
-        assert [a[1].shape[1] for a in drawn] == [n for n in per_chunk if n]
+        assert [a[0].shape[1] for a in drawn] == [n for n in per_chunk if n]
         # Each draw's jump constants are those of its own step.
-        jump = np.concatenate([a[1] for a in drawn], axis=1)
+        jump = np.concatenate([a[0] for a in drawn], axis=1)
         full = OutcomeTape(env, (7, 3, 9))._jump((start + unknown) % 512, flats[unknown])
         np.testing.assert_array_equal(jump, full)
         np.testing.assert_array_equal(got, _block_cells(tape, start, stop, flats))
@@ -1007,9 +1075,8 @@ class TestOutcomeTapeKnownCells:
         spans += [(2**41 - 3, 2**41 + 3), (5, 9), (2**41 - 600, 2**41 - 1), (1023, 1025)]
         for start, stop in spans:
             for flats in (rng.integers(0, 6, stop - start), rng.integers(0, 3, stop - start)):
-                args = (start, stop, flats, env.theta_block(start, stop))
-                want = OutcomeTape(env, CELL_SEEDS).cells(*args)
-                assert tape.cells(*args).tobytes() == want.tobytes()
+                want = _cells(OutcomeTape(env, CELL_SEEDS), start, stop, flats)
+                assert _cells(tape, start, stop, flats).tobytes() == want.tobytes()
                 np.testing.assert_array_equal(want, _block_cells(tape, start, stop, flats))
 
 
@@ -1030,7 +1097,7 @@ def test_cells_of_known_and_drawn_cells_match_block(data):
     flats = data.draw(st.lists(st.integers(0, 5), min_size=stop - start, max_size=stop - start))
     seeds = data.draw(st.lists(st.sampled_from(CELL_SEEDS), min_size=1, max_size=3, unique=True))
     tape = OutcomeTape(env, seeds)
-    got = tape.cells(start, stop, flats, env.theta_block(start, stop))
+    got = _cells(tape, start, stop, flats)
     assert got.dtype == np.uint8
     np.testing.assert_array_equal(got, _block_cells(tape, start, stop, flats))
 
@@ -1046,7 +1113,7 @@ def test_cells_match_block_on_random_spans(data):
     flats = data.draw(st.lists(st.integers(0, 5), min_size=stop - start, max_size=stop - start))
     seeds = data.draw(st.lists(st.sampled_from(CELL_SEEDS), min_size=1, max_size=3, unique=True))
     tape = OutcomeTape(_CELL_ENV, seeds)
-    got = tape.cells(start, stop, flats, _CELL_ENV.theta_block(start, stop))
+    got = _cells(tape, start, stop, flats)
     np.testing.assert_array_equal(got, _block_cells(tape, start, stop, flats))
 
 

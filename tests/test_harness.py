@@ -42,6 +42,7 @@ from _oracles import (
     baseline_plays,
     run_reference,
     step_policy,
+    tape_block,
     weighted_sum_reference,
     write_theta_csv,
 )
@@ -479,7 +480,7 @@ def _assert_matches_reference(pol, ref) -> None:
 def _schedule(config: ExperimentConfig, slots: int):
     """The run's ``(slots, C, K)`` probabilities and ``(S, slots, C, K)`` outcomes."""
     env = config.build_environment()
-    return env.theta_block(0, slots), OutcomeTape(env, config.seeds).block(0, slots)
+    return env.theta_block(0, slots), tape_block(OutcomeTape(env, config.seeds), 0, slots)
 
 
 def _assert_baselines_match_reference(config: ExperimentConfig, packets) -> None:
@@ -519,7 +520,7 @@ class TestBaselinesAgainstReference:
     def test_alone_no_block_is_drawn_and_equal_picks_share_a_draw(self, monkeypatch):
         calls = []
         cells = OutcomeTape.cells
-        monkeypatch.setattr(OutcomeTape, "block", lambda *args: pytest.fail("block drawn"))
+        monkeypatch.setattr(OutcomeTape, "_block", lambda *args: pytest.fail("block drawn"))
         monkeypatch.setattr(
             OutcomeTape, "cells", lambda tape, *args: calls.append(args[:2]) or cells(tape, *args)
         )
@@ -733,8 +734,7 @@ class TestLearnerReads:
         return calls
 
     def test_a_short_chunk_draws_no_block(self, monkeypatch):
-        for name in ("block", "_block"):
-            self._calls(monkeypatch, name, OutcomeTape, fail=True)
+        self._calls(monkeypatch, "_block", OutcomeTape, fail=True)
         self._calls(monkeypatch, "_pcg64_random", fail=True)
         config = ExperimentConfig(
             rates=RateSet.of([1.0, 1.5, 2.0, 3.0]), theta=_SHORT_THETA, horizon=32,
@@ -744,7 +744,6 @@ class TestLearnerReads:
 
     def test_a_long_chunk_draws_each_block_once(self, monkeypatch):
         drawn = self._calls(monkeypatch, "_block", OutcomeTape)
-        self._calls(monkeypatch, "block", OutcomeTape, fail=True)
         run_experiment(config_2x2(policies=_LEARNERS, horizon=1100))
         assert drawn == [(0, 512), (512, 1024), (1024, 1100)]
 
@@ -816,6 +815,22 @@ class TestMemoryAsk:
         config = ExperimentConfig(
             rates=demo.rates, theta=demo.theta, horizon=1024, seeds=tuple(range(1, 129)),
             policies=(spec,),
+        )
+        asked, peak = _memory_asked(monkeypatch, config), _traced_peak(config)
+        assert peak <= asked <= 1.25 * peak
+
+    @pytest.mark.parametrize("horizon", [500, 1100], ids=["one-block", "three-blocks"])
+    def test_ask_covers_a_drift_theta_block(self, monkeypatch, horizon):
+        """A 5 x 8 synth drift, 20 seeds, ``kl-ucb-u`` w200 and ``crs-t``:
+        a θ block and its Python floats outweigh the learners' arrays.  In
+        one block the totals pass's θ is the peak, and the main pass reuses
+        it; in three the main pass computes θ again, beside the last
+        block's."""
+        rates = RateSet.of([6.0, 13.0, 19.5, 26.0, 39.0, 52.0, 58.5, 65.0])
+        drift = SyntheticDriftSpec(rates=rates, channels=5, horizon=horizon, step_std=0.01)
+        config = ExperimentConfig(
+            rates=rates, drift=drift, horizon=horizon, seeds=tuple(range(1, 21)),
+            policies=(PolicySpec("kl-ucb-u", window=200), PolicySpec("crs-t")),
         )
         asked, peak = _memory_asked(monkeypatch, config), _traced_peak(config)
         assert peak <= asked <= 1.25 * peak

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import chanrate
 SRC = Path(chanrate.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # What README's library example and the benchmark import from the root,
 # plus ``emit_outputs``, which writes the artifacts README documents.
@@ -135,3 +138,42 @@ def test_harness_reads_no_policy_layout():
         if isinstance(node, ast.Constant) and node.value in ("kl-ucb", "crs-t", "kl-ucb-u")
     ]
     assert not kinds, f"harness.py names a learning kind at lines {kinds}"
+
+
+def _chanrate_bindings() -> dict:
+    """Every name each chanrate module binds, and every attribute of each
+    class it defines, keyed by module, name and attribute."""
+    out = {}
+    for mod_name, module in list(sys.modules.items()):
+        if module is None or not (mod_name == "chanrate" or mod_name.startswith("chanrate.")):
+            continue
+        for attr, value in vars(module).items():
+            out[mod_name, attr] = value
+            if isinstance(value, type) and value.__module__ == mod_name:
+                out.update({(mod_name, attr, k): v for k, v in vars(value).items()})
+    return out
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="no perfbench/ beside the package")
+def test_perfbench_tracer_installs_and_uninstalls():
+    """The benchmark's tracer rebinds chanrate functions and methods by
+    name: it installs against the package as it is, and ``uninstall`` puts
+    back every original it rebound."""
+    for path in MODULES:
+        if not path.stem.startswith("__"):
+            importlib.import_module(f"chanrate.{path.stem}")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    before = _chanrate_bindings()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        during = _chanrate_bindings()
+    finally:
+        tracer.uninstall()
+    rebound = {key for key, value in before.items() if during[key] is not value}
+    assert ("chanrate.harness", "run_experiment") in rebound
+    after = _chanrate_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in rebound if after[key] is not before[key]] == []
