@@ -17,23 +17,20 @@ against the success probability in force at ``n``.  ``OutcomeTape``
 reproduces that stream without one ``SeedSequence`` per seed: it hashes
 the entropy of all seeds, whatever their size, at once (numpy's pool hash,
 vectorized over seeds), and reads the steps of one chunk a call.  A read
-draws only the rows it needs, one of two ways chosen per chunk from its
-draws per lane (rows times cells).  A short chunk, of at most
-``_EMULATE_MAX_DRAWS`` draws, steps numpy's PCG64 for every lane at once
-in uint64 array arithmetic; a longer one seeds one numpy ``PCG64`` per
-seed, whose C loop draws faster once set up.  Or a read computes one cell
-and nothing else: one jump kernel takes PCG64 straight to the draw of
-that cell, for every lane at once.  ``OutcomeTape.cells`` reads so the
-baselines' cells, known before the run; ``OutcomeTape.reader`` reads so a
-learning policy's cells in a short chunk, one step at a time as the
-policy picks them, where a row's cells are at least twice the reads, and
-draws the block otherwise.  All give numpy's bits.  A tape keeps two
-bounded caches, which change no bit: the seed states of a run of chunks,
-hashed in one batch as the tape moves forward, and the jump constants of
-its last ``cells`` call, which the next one reuses when it draws the same
-cells at the same rows; the jump tables they come from are built once
-per process.  A cell of probability 0 or 1 is never drawn by ``cells``:
-every draw lies in [0, 1), so its outcome is known.
+makes numpy's bits one of two ways.  It draws the rows it needs with one
+numpy ``PCG64`` per seed, whose C loop is fast once set up.  Or it
+computes only the cells it reads: one jump kernel takes each lane's PCG64
+straight to the draw of its cell, for every lane at once.
+``OutcomeTape.cells`` reads so the baselines' cells, known before the
+run; ``OutcomeTape.reader`` reads so a learning policy's cells in a short
+chunk, one step at a time as the policy picks them, and draws the block
+of a longer one.  A tape keeps two bounded caches, which change no bit:
+the seed states of a run of chunks, hashed in one batch as the tape moves
+forward, and the jump constants of its last ``cells`` call, which the
+next one reuses when it draws the same cells at the same rows; the jump
+tables they come from are built once per process.  A cell of probability
+0 or 1 is never drawn by ``cells``: every draw lies in [0, 1), so its
+outcome is known.
 """
 
 from __future__ import annotations
@@ -86,10 +83,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), and its
-# high and low 64-bit words.
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
 
 # Lane-steps (lanes x rows of a chunk) OutcomeTape.cells computes in one
 # pass, so that its work arrays stay small however many lanes there are.
@@ -100,14 +95,15 @@ _CELL_TILE = 16384
 _STATE_BATCH = 16384
 
 # Draws per lane (hi * C * K for rows [0, hi) of a chunk) up to which
-# OutcomeTape._block steps PCG64 for all lanes at once in numpy, about 37 ns
-# per lane-draw, rather than running numpy's C generator once per lane,
-# about 8 us per lane to set up and 2 ns per draw.  A block of 50,000 lanes
-# (2x2 cells, same host) took, emulated against per-lane generators, 0.34
-# against 0.40 s at 224 draws per lane, 0.47 against 0.47 s at 256, 0.50
-# against 0.50 s at 320 and 0.96 against 0.54 s at 512.  OutcomeTape.reader
-# jumps to a learner's cells in the same chunks, where stepping would run;
-# this sweep timed stepping only, not jumping against the generator.
+# OutcomeTape.reader jumps each read to its cell for all lanes at once,
+# about 0.1 us a lane-read a row, rather than drawing the block with numpy's
+# C generator once per lane, about 8 us per lane to set up and 2 ns per
+# draw.  Over one chunk of 8,192 lanes (2x2 and 2x4 cells, two sweeps on a
+# shared 2-core x86-64 host), jumping took, against the generator, 0.1-0.5
+# of its time with one read and 0.55-1.15 with three or five at 192 and 256
+# draws per lane; and 0.17-0.55 with one read and 0.95-2.1 with three or
+# five at 320 and 512.  Every benchmark workload stays on its side of any
+# cut from 28 up to 19,519 draws.
 _EMULATE_MAX_DRAWS = 256
 
 # The largest double whose exp is finite; math.exp raises above it, where
@@ -276,31 +272,6 @@ def _pcg64_ops(states: np.ndarray) -> np.ndarray:
     return ops
 
 
-def _pcg64_random(states: np.ndarray, skip: int, count: int):
-    """Draws ``skip`` to ``skip + count - 1`` of numpy's
-    ``Generator(PCG64(...)).random()`` for every lane, seeded from the
-    ``(lanes, 4)`` uint64 states ``_seed_states`` gives.
-
-    Yields one ``(lanes,)`` float64 array per draw, the same buffer each
-    time: a draw must be used before the next is asked for.  PCG64
-    (O'Neill, PCG, HMC-CS-2014-0905) is the 128-bit LCG ``state = state * M
-    + inc`` (mod 2**128) with XSL-RR output (``_pcg64_double``); numpy seeds
-    it with ``state = (inc + s) * M + inc`` (``_pcg64_ops``).  Here the
-    state is a high and a low uint64 array over the lanes (uint64 arithmetic
-    wraps mod 2**64), stepped in place by ``_mul128`` and ``_add128``.
-    """
-    hi, lo, inc_hi, inc_lo = _pcg64_ops(states)
-    work = np.empty((3, len(states)), dtype=np.uint64)
-    # state = inc + s; then numpy's seeding step, the skipped draws' steps,
-    # and one step per draw.
-    _add128(hi, lo, inc_hi, inc_lo, (hi, lo, work[0]))
-    for i in range(1 + skip + count):
-        _mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO, (hi, lo, *work))
-        _add128(hi, lo, inc_hi, inc_lo, (hi, lo, work[0]))
-        if i > skip:
-            yield _pcg64_double(hi, lo, work)
-
-
 @functools.lru_cache(maxsize=16)
 def _jump_tables(P: int) -> tuple[np.ndarray, np.ndarray]:
     """The jump constants of draw ``d = r * P + j`` of a chunk of ``P``
@@ -352,12 +323,14 @@ def _pcg64_at(jump: np.ndarray, ops: np.ndarray, work: np.ndarray) -> np.ndarray
     whose jump constants ``jump`` holds, ``G`` and ``H`` as high and low
     words (``_jump_constants``), where the state is ``G * s + H * inc`` (mod
     2**128) for the lanes' ``s`` and ``inc`` in ``ops`` (``_pcg64_ops``).
-    The four rows of each broadcast against each other, as ``(4, steps)``
-    constants against ``(4, lanes, 1)`` words, or gathered ``(4, reads,
-    lanes)`` constants against ``(4, lanes)``; ``jump`` may be ``work[:4]``.
-    ``work`` is a ``(7, ...)`` uint64 scratch array of the broadcast shape,
-    ``work[4:7]`` the products' scratch; the result is a float64 view of
-    one of its rows.  Output as in ``_pcg64_random``.
+    PCG64 (O'Neill, PCG, HMC-CS-2014-0905) is the 128-bit LCG ``state =
+    state * M + inc`` with XSL-RR output (``_pcg64_double``), which numpy
+    seeds with ``state = (inc + s) * M + inc``.  The four rows of each
+    broadcast against each other, as ``(4, steps)`` constants against ``(4,
+    lanes, 1)`` words, or gathered ``(4, reads, lanes)`` constants against
+    ``(4, lanes)``; ``jump`` may be ``work[:4]``.  ``work`` is a ``(7,
+    ...)`` uint64 scratch array of the broadcast shape, ``work[4:7]`` the
+    products' scratch; the result is a float64 view of one of its rows.
     """
     g_hi, g_lo = _mul128(jump[0], jump[1], ops[0], ops[1], (*work[:2], *work[4:7]))
     h_hi, h_lo = _mul128(jump[2], jump[3], ops[2], ops[3], (*work[2:4], *work[4:7]))
@@ -749,15 +722,11 @@ def drift_to_trace(spec: SyntheticDriftSpec, sample_every: int = 1) -> TraceTabl
     return TraceTable(starts=starts, tables=tables, horizon=spec.horizon)
 
 
-def _draws_block(rows: int, pairs: int, reads: int) -> bool:
+def _draws_block(rows: int, pairs: int) -> bool:
     """Whether ``OutcomeTape.reader`` draws the block of a chunk whose rows
-    ``[0, rows)`` it reads, ``pairs`` cells a row and ``reads`` a lane and
-    step, rather than jump to each read's cell.  Jumping takes about 55
-    array operations a lane, stepping a row about 30 a cell for all reads:
-    at 8,192 lanes over a short chunk (2-core x86-64 host), jumping took
-    0.09-0.97 of stepping's time where 2 * reads <= pairs (2 to 16 pairs,
-    one to four reads) and 1.06-2.7 times it elsewhere (1 to 6 pairs)."""
-    return rows * pairs > _EMULATE_MAX_DRAWS or 2 * reads > pairs
+    ``[0, rows)`` it reads, ``pairs`` cells a row, rather than jump each
+    read to its cell: above ``_EMULATE_MAX_DRAWS`` draws a lane."""
+    return rows * pairs > _EMULATE_MAX_DRAWS
 
 
 def _one_chunk(start: int, stop: int) -> tuple[int, int, int]:
@@ -791,12 +760,11 @@ class OutcomeTape:
     are known in advance: one cell a step.
 
     ``cells`` jumps each lane's stream to the cells it reads through one
-    kernel, ``_pcg64_at``; ``reader`` jumps so where ``_draws_block`` says
-    so, and otherwise draws the block once (``_block``): by one
-    ``_pcg64_random`` pass over all lanes up to ``_EMULATE_MAX_DRAWS``
-    draws a lane (``hi * C * K`` for rows ``[0, hi)``), by numpy's
-    generator one lane at a time above.  A run gives each tape one lane
-    tile, so a pass's temporaries stay small.
+    kernel, ``_pcg64_at``.  ``reader`` jumps so up to
+    ``_EMULATE_MAX_DRAWS`` draws a lane (``hi * C * K`` for rows ``[0,
+    hi)``), and above draws the block once (``_block``), by numpy's
+    generator one lane at a time (``_draws_block``).  A run gives each
+    tape one lane tile, so a pass's temporaries stay small.
 
     Seed states are hashed a batch of chunks at a time.  Asked for a chunk
     it does not hold, the tape drops what it holds and hashes that chunk
@@ -844,25 +812,37 @@ class OutcomeTape:
         length; and a lane-chunk of the largest batch a forward walk hashes,
         4 bytes a word of the longest ``[tag, seed, chunk]`` and 128 more (a
         length, a state and the previous batch's, and hash temporaries).  And
-        the most a read adds a lane: with ``reads`` cells a lane and step, in
-        its chunk of most rows of each kind ``_draws_block`` picks, the block
-        (a byte a cell, 8 bytes of indices and 8 a read, 56 of work where
-        stepped) or a jump's arrays (32 bytes of ``s`` and ``inc``, 64 of
-        work and index a read); without, ``cells``' byte a step and 57 a
-        lane-step for ``_CELL_TILE``."""
+        the jump tables of ``pairs`` cells a row (32 bytes a row of a chunk
+        and a cell) and the last ``cells`` call's jump constants (72 bytes a
+        row).  And the most a read adds: with ``reads`` cells a lane and
+        step, in its chunk of most rows of each kind ``_draws_block`` picks,
+        the block (a byte a cell, 8 bytes of indices and 8 a read, a lane)
+        or a jump's arrays (32 bytes of ``s`` and ``inc``, 64 of work and
+        index a read, a lane); without, ``cells``' outcomes, a byte a
+        lane-step, and its tile of ``_CELL_TILE`` lane-steps, 57 bytes each
+        and 16 up to numpy's buffer size for its casting buffers, with 120
+        bytes a step of jump constants and temporaries.  A jump's first
+        build of the tables, about 165 KB and 330 bytes a cell of Python
+        ints, comes before its work arrays."""
         seed_words = len(_words(largest_seed))
         chunks = -(-steps // _CHUNK)
         # Batches of 1, 2, 4, ... chunks cover 2p - 1 chunks up to one of p.
         n = min(max(1, _STATE_BATCH // lanes), 1 << (chunks // 2).bit_length())
         batch = n * (4 * (1 + seed_words + len(_words(chunks + n))) + 128)
         held, rows = lanes * (4 * (1 + seed_words) + 8 + batch), min(steps, _CHUNK)
+        held += 32 * (_CHUNK + pairs) + 72 * rows
+        build = 165_000 + 330 * pairs
         if not reads:
-            return held, lanes * rows + 57 * min(max(_CELL_TILE, rows), lanes * rows)
+            tile = min(max(_CELL_TILE, rows), lanes * rows)
+            work = 57 * tile + 16 * min(tile, np.getbufsize()) + 120 * rows
+            return held, lanes * rows + max(build, work)
         read = 0
         for hi in {rows, (steps - 1) % _CHUNK + 1}:  # a full chunk's rows, the last chunk's
-            drawn = hi * pairs + 8 + 8 * reads + 56 * (hi * pairs <= _EMULATE_MAX_DRAWS)
-            read = max(read, drawn if _draws_block(hi, pairs, reads) else 32 + 64 * reads)
-        return held, lanes * read
+            if _draws_block(hi, pairs):
+                read = max(read, lanes * (hi * pairs + 8 + 8 * reads))
+            else:
+                read = max(read, build, lanes * (32 + 64 * reads))
+        return held, read
 
     def _block(self, start: int, stop: int, theta) -> np.ndarray:
         """The outcomes of every cell at steps ``[start, stop)`` of one
@@ -875,18 +855,11 @@ class OutcomeTape:
         out = np.empty((len(states), hi - lo, C, K), dtype=np.uint8)
         # A double takes one uint64 draw, so rows [0, hi) of a chunk are
         # the first hi * C * K draws of its stream: generate only those.
-        if hi * C * K > _EMULATE_MAX_DRAWS:
-            rows, preset = np.empty((hi, C, K)), _PresetState()
-            for lane, state in enumerate(states):
-                preset.state = state
-                np.random.Generator(np.random.PCG64(preset)).random(out=rows)
-                np.less(rows[lo:], th, out=out[lane])
-            return out
-        # Short chunk: step every lane's PCG64 at once, and compare each
-        # draw as it comes, into its column of the lanes' outcomes.
-        th_draws, lane_draws = th.reshape(-1), out.reshape(len(states), -1)
-        for j, u in enumerate(_pcg64_random(states, lo * C * K, th_draws.size)):
-            np.less(u, th_draws[j], out=lane_draws[:, j])
+        rows, preset = np.empty((hi, C, K)), _PresetState()
+        for lane, state in enumerate(states):
+            preset.state = state
+            np.random.Generator(np.random.PCG64(preset)).random(out=rows)
+            np.less(rows[lo:], th, out=out[lane])
         return out
 
     def cells(self, start: int, stop: int, flats, theta) -> np.ndarray:
@@ -898,7 +871,7 @@ class OutcomeTape:
         is an LCG, so the state it outputs at draw ``d`` has a closed form
         (Brown, Random Number Generation with Arbitrary Strides, 1994):
         ``M**(d+2) * s + A(d+3) * inc`` (mod 2**128), where numpy starts
-        from ``x0 = s + inc`` (see ``_pcg64_random``) and ``A(k) = M**0 +
+        from ``x0 = s + inc`` (see ``_pcg64_at``) and ``A(k) = M**0 +
         ... + M**(k-1)``.  The cell at row ``r`` of a chunk is draw ``d = r
         * C * K + c * K + k``.  ``_pcg64_at`` computes it ``_CELL_TILE``
         lane-steps at a time, two 128-bit products a lane-step however many
@@ -961,13 +934,14 @@ class OutcomeTape:
         are trusted as given.
 
         Where ``_draws_block`` says so, the reader draws the block once and
-        each read is a take.  Otherwise each read jumps the lane's stream
-        straight to its cell through ``_pcg64_at``, as ``cells`` does, with
-        work arrays of ``reads x seeds`` whatever the cells.
+        each read is a take.  Otherwise, whatever the read count, each read
+        jumps the lane's stream straight to its cell through ``_pcg64_at``,
+        as ``cells`` does, with work arrays of ``reads x seeds`` whatever
+        the cells.
         """
         b, lo, hi = _one_chunk(start, stop)
         B, P = hi - lo, self._env.channels * self._env.n_rates
-        if _draws_block(hi, P, reads):
+        if _draws_block(hi, P):
             outs = self._block(start, stop, theta).reshape(-1)
             lanes = np.arange(0, outs.size, B * P)  # each lane's cell 0 at step 0
 

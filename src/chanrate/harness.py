@@ -501,12 +501,13 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
     what their owners report for a tile of ``T = min(seeds, _LANE_TILE)``
     lanes, and the harness's own arrays.  A block holds the tile's tape,
     policies, ledgers and picks, and the largest of its busy moments: the
-    learners' step, a learner's ledger accounting, the baselines' reads and
-    accounting, or a drift's next θ block beside the last block's (none in
-    a run of one block, whose main pass reuses the totals pass's).  One tile
-    counts the larger of that and the result phase (the ledgers and the
-    baselines' repeated results); more tiles count both, with all lanes'
-    and one tile's results and lane 0's decision logs.  The totals pass
+    learners' step, a learner's ledger accounting, a baseline's read, a
+    baseline's accounting beside the one outcome array it reads, or a
+    drift's next θ block beside the last block's (none in a run of one
+    block, whose main pass reuses the totals pass's).  One tile counts the
+    larger of that and the result phase (the ledgers and the baselines'
+    repeated results); more tiles count both, with all lanes' and one
+    tile's results and lane 0's decision logs.  The totals pass
     holds only a θ block's busy moment and, past one block, the last
     block's θ and μ.  ``static`` counts a ledger even where it shares the
     oracle's."""
@@ -517,14 +518,14 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
     learned, shared = (_Ledger.nbytes(rows, T, slots, P, checkpoints, timed) for rows in (T, 1))
     policies = [POLICY_KINDS[p.kind].nbytes(T, C, K, slots, p.window, p.strict) for p in learners]
     tape, read = OutcomeTape.nbytes(T, top, slots, P, L)
-    cells = OutcomeTape.nbytes(T, top, slots, P)[1] + (n - L) * T * B
+    baseline = max(OutcomeTape.nbytes(T, top, slots, P)[1], T * B + shared[1])
     ledgers = L * learned[0] + (n - L) * shared[0]
     # Each learner's picks and outcomes, and the block's probabilities and throughputs.
     held = tape + ledgers + sum(h for h, _ in policies) + L * T * B * (pair + 1) + 16 * B * P
     step = read + sum(b for _, b in policies)
     drift, theta = config.drift.nbytes() if config.drift is not None else (0, 0)
     again = theta if slots > B else 0  # a θ block, beside the last block's θ and μ
-    blocks = held + max(L and max(step, learned[1]), (n - L) and cells + shared[1], again)
+    blocks = held + max(L and max(step, learned[1]), (n - L) and baseline, again)
     table = _Ledger.lane_nbytes(P, checkpoints, timed)
     if S > T:
         need = blocks + n * ((S + T) * table + slots * pair)
@@ -695,13 +696,13 @@ def _simulate(
         mu_star_b = mu_b.max(axis=1)
         for l, led in enumerate(learned):
             led.account(n0, picks[:B, l], wins[:B, l], mu_b, mu_star_b)
-        drawn = []  # (flats, wins) of this block's baselines so far
+        flats = won = None  # the last baseline's pairs and outcomes in this block
         for kind, led in baselines.items():
+            played = flats
             flats = best_flats[n0:n1] if kind == "oracle" else np.full(B, static_flat)
-            won = next((w for f, w in drawn if np.array_equal(f, flats)), None)
-            if won is None:
+            if won is None or not np.array_equal(flats, played):
+                won = None  # one outcome array at a time
                 won = tape.cells(n0, n1, flats, th_b).T
-                drawn.append((flats, won))
             led.account(n0, flats[:, None], won, mu_b, mu_star_b)
     learned = iter(learned)
     return [

@@ -19,8 +19,10 @@ from chanrate.environments import (
     TraceTable,
     _add128,
     _expit,
+    _jump_constants,
     _mul128,
-    _pcg64_random,
+    _pcg64_at,
+    _pcg64_ops,
     _seed_states,
     drift_to_trace,
 )
@@ -546,7 +548,7 @@ class TestOutcomeTape:
 # Seeds whose entropy rows have one, two and three words, and 0 (one word).
 MIXED_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3)
 
-# Rows of the longest chunk prefix of 2 x 3 cells that block emulates.
+# Rows of the longest chunk prefix of 2 x 3 cells that a reader jumps.
 EDGE = environments._EMULATE_MAX_DRAWS // 6
 
 
@@ -567,6 +569,13 @@ class TestOutcomeTapeAgainstReference:
             (300, 1100),  # across two edges
             (2**41, 2**41 + 9),  # block index 2^32: a two-word block entropy
             (2**41 - 4, 2**41 + 4),  # block index 2^32 - 1 into 2^32
+            (0, EDGE),  # rows at the reader's cut and one past it
+            (0, EDGE + 1),
+            (EDGE - 5, EDGE),  # unaligned start
+            (10, EDGE + 1),
+            (510, 512 + EDGE),
+            (512 + 3, 512 + 9),
+            (2**41 + 3, 2**41 + EDGE),
         ],
     )
     def test_block_matches_reference_bitwise(self, env, start, stop):
@@ -595,49 +604,13 @@ class TestOutcomeTapeAgainstReference:
         added = tape_block(OutcomeTape(env, (*MIXED_SEEDS, 2**40 + 5)), 500, 530)
         assert added[:-1].tobytes() == full.tobytes()
 
-    @pytest.fixture()
-    def emulated_chunks(self, monkeypatch):
-        """Records (skip, count) of every tile of every emulated chunk."""
-        calls = []
-
-        def spy(states, skip, count):
-            calls.append((skip, count))
-            return _pcg64_random(states, skip, count)
-
-        monkeypatch.setattr(environments, "_pcg64_random", spy)
-        return calls
-
-    @pytest.mark.parametrize(
-        "start, stop, emulated",
-        [
-            (0, EDGE, [(0, 6 * EDGE)]),  # at the constant
-            (0, EDGE + 1, []),  # one row over it
-            (EDGE - 5, EDGE, [(6 * (EDGE - 5), 30)]),  # unaligned start
-            (10, EDGE + 1, []),
-            (510, 512 + EDGE, [(0, 6 * EDGE)]),  # chunk edge: generator, then emulated
-            (512 + 3, 512 + 9, [(18, 36)]),
-            (2**41 + 3, 2**41 + EDGE, [(18, 6 * (EDGE - 3))]),  # block index 2^32
-            (2**41 - 4, 2**41 + 4, [(0, 24)]),  # block index 2^32 - 1 into 2^32
-        ],
-    )
-    def test_both_draw_paths_match_reference(self, env, emulated_chunks, start, stop, emulated):
-        """A chunk of at most _EMULATE_MAX_DRAWS draws per lane steps PCG64
-        across lanes; a longer one runs numpy's generator per lane."""
-        block = tape_block(OutcomeTape(env, MIXED_SEEDS), start, stop)
-        for i, seed in enumerate(MIXED_SEEDS):
-            np.testing.assert_array_equal(block[i], reference_outcomes(env, seed, start, stop))
-        # One call a chunk for all lanes, whatever their entropy lengths.
-        assert emulated_chunks == emulated
-
-    def test_lane_alone_equals_its_lane_in_a_wide_batch(self, env, emulated_chunks):
+    def test_lane_alone_equals_its_lane_in_a_wide_batch(self, env):
         rng = np.random.default_rng(8)
         seeds = [int(s) for s in rng.choice(2**40, size=9_000, replace=False)]
         seeds[:3] = [0, 2**32 - 1, 2**64 + 3]  # one-, two- and three-word entropy
         tape = OutcomeTape(env, seeds)
-        short = tape_block(tape, 0, 7)  # 42 draws per lane: emulated
-        assert emulated_chunks == [(0, 42)]  # 9,000 lanes in one pass
-        long = tape_block(tape, 0, 3 * EDGE)  # per-lane generator
-        assert emulated_chunks == [(0, 42)]
+        short = tape_block(tape, 0, 7)
+        long = tape_block(tape, 0, 3 * EDGE)
         assert short.tobytes() == long[:, :7].tobytes()
         for lane in (0, 1, 2, 3, 4_000, 8_192, len(seeds) - 1):
             alone = tape_block(OutcomeTape(env, (seeds[lane],)), 0, 7)
@@ -671,7 +644,7 @@ class TestOutcomeTapeAgainstReference:
     @pytest.mark.parametrize(
         "start, stop, read",
         [(505, 520, "block"), (0, 3 * EDGE, "block"), (300, 1100, "cells")],
-        ids=["stepped", "generator", "cells"],
+        ids=["short", "generator", "cells"],
     )
     def test_wider_seeds_leave_the_other_lanes_alone(self, env, start, stop, read):
         """Seeds of three and four words widen every lane's entropy row; a
@@ -841,12 +814,13 @@ class TestOutcomeTapeReader:
     @pytest.mark.parametrize(
         "shape, stop, reads, drawn",
         [
-            ((2, 4), 32, 4, False),  # 256 draws, 2 x 4 reads <= 8 pairs: jumps
-            ((2, 4), 32, 5, True),  # more reads than half the pairs: stepped
+            ((2, 4), 32, 4, False),  # 256 draws: jumps, whatever the reads
+            ((2, 4), 32, 5, False),
             ((2, 4), 33, 1, True),  # 264 draws: numpy's generator
             ((1, 2), 100, 1, False),
-            ((1, 2), 100, 2, True),
-            ((1, 1), 200, 1, True),
+            ((1, 2), 100, 2, False),
+            ((1, 1), 200, 1, False),
+            ((1, 2), 129, 2, True),  # one row past the cut
         ],
     )
     def test_jumps_only_where_it_pays(self, monkeypatch, shape, stop, reads, drawn):
@@ -943,7 +917,8 @@ class TestOutcomeTapeCaches:
         """A walk from chunk 0 over 1 to 300 chunks hashes batches of 1, 2,
         4, ... chunks, up to ``_STATE_BATCH`` lane-chunks; ``nbytes`` holds
         a lane's 16 bytes of prefix and 140 a chunk of the largest batch
-        (one-word seeds and chunks).  Criterion 07's 196 chunks hash 128."""
+        (one-word seeds and chunks), beside the jump tables and constants.
+        Criterion 07's 196 chunks hash 128."""
         batches = []  # (first chunk, chunks) of each hash
 
         def spy(tape, b, n):
@@ -957,7 +932,8 @@ class TestOutcomeTapeCaches:
         for chunks in range(1, 301):
             largest = max(n for b, n in batches if b < chunks)
             held = OutcomeTape.nbytes(lanes, lanes - 1, 512 * chunks - 7, 6)[0]
-            assert held == lanes * (16 + 140 * largest), chunks
+            jumps = 32 * (512 + 6) + 72 * min(512 * chunks - 7, 512)
+            assert held - jumps == lanes * (16 + 140 * largest), chunks
         if lanes < 100:
             assert max(n for b, n in batches if b < 196) == 128
 
@@ -1117,7 +1093,7 @@ def test_cells_match_block_on_random_spans(data):
     np.testing.assert_array_equal(got, _block_cells(tape, start, stop, flats))
 
 
-# Edge seed states for the emulated generator, as (s0, s1, s2, s3) words:
+# Edge seed states for the jump kernel, as (s0, s1, s2, s3) words:
 # initstate = s0:s1 and inc = (s2:s3) << 1 | 1.
 ALL_ONES = 2**64 - 1
 PCG_EDGE_STATES = [
@@ -1166,7 +1142,7 @@ def _out(rows: int, *operands) -> tuple[np.ndarray, ...]:
 
 
 class TestKernel128:
-    """The 128-bit product and sum both PCG64 paths run, against Python
+    """The 128-bit product and sum the jump kernel runs, against Python
     ints mod 2**128.  The multiplier may be a pair of uint64 scalars; every
     other operand is an array, since numpy warns on uint64 scalar
     overflow."""
@@ -1182,8 +1158,7 @@ class TestKernel128:
 
     def test_a_scalar_factor_broadcasts(self):
         a = _words128(self.EDGE_VALUES, -1)
-        mult = environments._PCG_MULT_HI, environments._PCG_MULT_LO
-        assert all(type(w) is np.uint64 for w in mult)
+        mult = np.uint64(environments._PCG_MULT >> 64), np.uint64(environments._PCG_MULT & ALL_ONES)
         _assert_words_equal(
             *_mul128(*a, *mult, _out(5, *a)), [x * environments._PCG_MULT for x in self.EDGE_VALUES]
         )
@@ -1208,11 +1183,22 @@ class TestKernel128:
         _assert_words_equal(*_add128(*a, *b, _out(3, *a)), [x + y for x, y in pairs])
 
 
+def _jumped_doubles(states: np.ndarray, skip: int, count: int, P: int) -> np.ndarray:
+    """Draws ``skip`` to ``skip + count - 1`` of each lane's stream seeded
+    from the ``(lanes, 4)`` uint64 ``states``, through the jump kernel: draw
+    ``d`` is row ``d // P`` and cell ``d % P`` of a chunk of ``P`` cells a
+    row."""
+    d = np.arange(skip, skip + count)
+    jump = _jump_constants(d // P, d % P, P)
+    work = np.empty((7, len(states), count), dtype=np.uint64)
+    return _pcg64_at(jump, _pcg64_ops(states)[:, :, None], work)
+
+
 class TestPcg64Emulation:
     def test_random_states_match_numpy_bitwise(self):
         rng = np.random.default_rng(21)
         states = rng.integers(0, 2**64, size=(1_000, 4), dtype=np.uint64, endpoint=False)
-        got = np.array([d.copy() for d in _pcg64_random(states, 0, 40)]).T
+        got = _jumped_doubles(states, 0, 40, 3)
         assert got.shape == (1_000, 40)
         for row, draws in zip(states, got):
             assert_same_bits(draws, pcg64_doubles(row, 40))
@@ -1220,12 +1206,12 @@ class TestPcg64Emulation:
     @pytest.mark.parametrize("state", PCG_EDGE_STATES)
     def test_edge_states_match_numpy_bitwise(self, state):
         states = np.array([state], dtype=np.uint64)
-        got = [d[0] for d in _pcg64_random(states, 0, 600)]
+        got = _jumped_doubles(states, 0, 600, 2)[0]
         assert_same_bits(got, pcg64_doubles(state, 600))
 
     @pytest.mark.parametrize("skip, count", [(0, 1), (1, 1), (5, 3), (300, 24)])
     def test_skip_starts_later_in_the_stream(self, skip, count):
         states = np.array(PCG_EDGE_STATES, dtype=np.uint64)
-        got = np.array([d.copy() for d in _pcg64_random(states, skip, count)]).T
+        got = _jumped_doubles(states, skip, count, 1)
         for row, draws in zip(states, got):
             assert_same_bits(draws, pcg64_doubles(row, skip + count)[skip:])

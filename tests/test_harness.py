@@ -667,9 +667,9 @@ def _learner_configs():
     yield "original-freeze-at-block-edges", dict(
         rates=rates, theta=theta, horizon=590, seeds=(1, 2, 3), accounting="original"
     ), (511, 512)
-    # A 2x4 table, so that the four learners' reads jump to their cells
-    # (2 x 4 reads <= 8 pairs): a run of one short chunk (32 rows x 8 =
-    # 256 draws), and a run whose trailing chunk is short (28 x 8 = 224).
+    # A 2x4 table, whose short chunks the four learners' reads jump: a run
+    # of one short chunk (32 rows x 8 = 256 draws), and a run whose
+    # trailing chunk is short (28 x 8 = 224).
     short = dict(rates=RateSet.of([1.0, 1.5, 2.0, 3.0]), theta=_SHORT_THETA, seeds=(1, 2**32, 7))
     yield "one-short-chunk", dict(short, horizon=32), ()
     yield "short-trailing-chunk", dict(short, horizon=540), ()
@@ -735,7 +735,6 @@ class TestLearnerReads:
 
     def test_a_short_chunk_draws_no_block(self, monkeypatch):
         self._calls(monkeypatch, "_block", OutcomeTape, fail=True)
-        self._calls(monkeypatch, "_pcg64_random", fail=True)
         config = ExperimentConfig(
             rates=RateSet.of([1.0, 1.5, 2.0, 3.0]), theta=_SHORT_THETA, horizon=32,
             seeds=(1, 2, 3), policies=(PolicySpec("kl-ucb"), PolicySpec("crs-t")),
@@ -842,6 +841,36 @@ class TestMemoryAsk:
             rates=RateSet.of([1.0, 1.5, 2.0, 3.0]), theta=_SHORT_THETA, horizon=32,
             seeds=tuple(range(1, 8193)), policies=(PolicySpec("kl-ucb"),),
         )
+        asked, peak = _memory_asked(monkeypatch, config), _traced_peak(config)
+        assert peak <= asked <= 1.25 * peak
+
+    @pytest.mark.parametrize("built", [False, True], ids=["first-build", "built"])
+    def test_ask_covers_one_baseline_on_few_seeds(self, monkeypatch, built):
+        """``oracle`` alone on a 2x2 table, 20 seeds, over three blocks:
+        ``cells``' jump constants, tile and numpy's casting buffers outweigh
+        its lanes, with the jump tables built in the run or before it."""
+        environments._jump_tables.cache_clear()
+        if built:
+            environments._jump_tables(4)
+        config = config_2x2(
+            policies=(PolicySpec("oracle"),), horizon=1100, seeds=tuple(range(1, 21))
+        )
+        asked, peak = _memory_asked(monkeypatch, config), _traced_peak(config)
+        assert peak <= asked <= 1.25 * peak
+
+    @pytest.mark.parametrize("flip", [None, 40], ids=["same-pairs", "other-pairs"])
+    @pytest.mark.parametrize("seeds, horizon", [(4096, 64), (3000, 600)])
+    def test_ask_covers_two_baselines(self, monkeypatch, seeds, horizon, flip):
+        """``oracle`` and ``static`` on a 2x2 table, and on a trace whose
+        best pair changes at step 40: the baselines hold one outcome array
+        at a time, and ``cells`` returns before its outcomes are accounted."""
+        config = config_2x2(
+            policies=(PolicySpec("oracle"), PolicySpec("static")), horizon=horizon,
+            seeds=tuple(range(1, seeds + 1)),
+        )
+        if flip is not None:
+            tables = (config.theta, config.theta[::-1])
+            config = dataclasses.replace(config, theta=None, trace=TraceTable((0, flip), tables))
         asked, peak = _memory_asked(monkeypatch, config), _traced_peak(config)
         assert peak <= asked <= 1.25 * peak
 
