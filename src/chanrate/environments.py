@@ -352,7 +352,9 @@ class Environment:
     ``n_rates`` pairs, valid below ``horizon`` when set.  It holds no state,
     nor a seed (``OutcomeTape`` draws the outcomes, one stream per seed):
     ``TraceTable`` and ``DriftEnvironment`` set the three attributes and
-    implement ``_theta_block``, which ``theta_block`` calls on valid steps."""
+    implement ``_theta_block``, which ``theta_block`` calls on valid steps.
+    ``segment`` names the constant stretch a run of steps lies in, if any:
+    a trace answers with a segment, a drift with ``None`` always."""
 
     channels: int
     n_rates: int
@@ -370,6 +372,11 @@ class Environment:
     def _theta_block(self, start: int, stop: int) -> np.ndarray:
         raise NotImplementedError
 
+    def segment(self, start: int, stop: int) -> int | None:
+        """The segment in force at every step of ``[start, stop)``, or
+        ``None``: runs of one segment and length have one ``theta_block``."""
+        return None
+
 
 @dataclass(frozen=True)
 class TraceTable(Environment):
@@ -382,7 +389,9 @@ class TraceTable(Environment):
     held once, as a read-only array: ``starts`` of int64, ``tables`` of
     floats shaped ``(segments, channels, n_rates)``.  An array of the right
     type is taken as it is and made read-only; a sequence is stacked into a
-    new one.
+    new one.  ``segment`` finds the segment holding a run of steps with the
+    bisect ``theta_block`` uses to read such a run as a broadcast view of
+    its table: a stationary table, one segment, has one block a length.
 
     The CSV form has columns ``start_step, channel, rate_index, theta``,
     one row per cell; rows sharing a start form a segment, and cells a
@@ -437,11 +446,17 @@ class TraceTable(Environment):
     def n_rates(self) -> int:
         return self.tables.shape[2]
 
+    def segment(self, start: int, stop: int) -> int | None:
+        """The index of the segment holding steps ``[start, stop)``, or
+        ``None`` when a segment starts inside them."""
+        starts = self.starts
+        i = bisect_right(starts, start) - 1
+        return i if i + 1 == len(starts) or stop <= starts[i + 1] else None
+
     def _theta_block(self, start: int, stop: int) -> np.ndarray:
         """Steps inside one segment read a broadcast view of its table."""
-        starts, tables = self.starts, self.tables
-        i = bisect_right(starts, start) - 1
-        if i + 1 == len(starts) or stop <= starts[i + 1]:
+        starts, tables, i = self.starts, self.tables, self.segment(start, stop)
+        if i is not None:
             return np.broadcast_to(tables[i], (stop - start, *tables.shape[1:]))
         return tables[np.searchsorted(starts, np.arange(start, stop), side="right") - 1]
 

@@ -39,6 +39,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -509,8 +510,8 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
     repeated results); more tiles count both, with all lanes' and one
     tile's results and lane 0's decision logs.  The totals pass
     holds only a θ block's busy moment and, past one block, the last
-    block's θ and μ.  ``static`` counts a ledger even where it shares the
-    oracle's."""
+    block's.  A block is its θ and μ and their reductions (``_Block``).
+    ``static`` counts a ledger even where it shares the oracle's."""
     S, C, K, top = len(config.seeds), config.channels, config.n_rates, max(config.seeds)
     P, T, B = C * K, min(S, _LANE_TILE), min(_BLOCK, slots)
     learners = [p for p in config.policies if not p.is_baseline]
@@ -520,18 +521,19 @@ def _check_memory(config: ExperimentConfig, slots: int, checkpoints: int, timed:
     tape, read = OutcomeTape.nbytes(T, top, slots, P, L)
     baseline = max(OutcomeTape.nbytes(T, top, slots, P)[1], T * B + shared[1])
     ledgers = L * learned[0] + (n - L) * shared[0]
-    # Each learner's picks and outcomes, and the block's probabilities and throughputs.
-    held = tape + ledgers + sum(h for h, _ in policies) + L * T * B * (pair + 1) + 16 * B * P
+    block = 16 * B * (P + 1) + 8 * P  # θ, μ, row maxima, their pairs and pair sums
+    # Each learner's picks and outcomes, and the block.
+    held = tape + ledgers + sum(h for h, _ in policies) + L * T * B * (pair + 1) + block
     step = read + sum(b for _, b in policies)
     drift, theta = config.drift.nbytes() if config.drift is not None else (0, 0)
-    again = theta if slots > B else 0  # a θ block, beside the last block's θ and μ
+    again = theta if slots > B else 0  # a θ block, beside the last block
     blocks = held + max(L and max(step, learned[1]), (n - L) and baseline, again)
     table = _Ledger.lane_nbytes(P, checkpoints, timed)
     if S > T:
         need = blocks + n * ((S + T) * table + slots * pair)
     else:
         need = max(blocks, ledgers + (n - L) * S * table)
-    need = pair * slots + drift + max(need, theta + (again and 16 * B * P))
+    need = pair * slots + drift + max(need, theta + (again and block))
     what = f"the per-slot, per-lane and block arrays of {_echo(slots)} slots x {S} seeds"
     _require_memory(need, what)
 
@@ -551,14 +553,50 @@ class _Schedule:
     time_benchmark: float | None
 
     def blocks(self):
-        """Yield ``(n0, n1, th_b, mu_b)`` block by block: the success
-        probabilities ``(B, P)`` of steps ``[n0, n1)`` and their
-        throughputs."""
-        P = self.r_flat.size
+        """Yield ``(n0, n1, block)``: the ``_Block`` of steps ``[n0, n1)``.
+        A block in the last one's segment (``Environment.segment``) and of
+        its length is the last ``_Block`` again, computed once; a drift
+        block, or one a segment starts inside, is never shared."""
+        P, last = self.r_flat.size, (None, None)
         for n0 in range(0, self.slots, _BLOCK):
             n1 = min(n0 + _BLOCK, self.slots)
-            th_b = self.env.theta_block(n0, n1).reshape(n1 - n0, P)
-            yield n0, n1, th_b, th_b * self.r_flat
+            key = (self.env.segment(n0, n1), n1 - n0)
+            if key[0] is None or key != last[0]:
+                th_b = self.env.theta_block(n0, n1).reshape(n1 - n0, P)
+                last = (key, _Block(th_b, th_b * self.r_flat))
+            yield n0, n1, last[1]
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+class _Block:
+    """One block's success probabilities ``theta`` and throughputs ``mu``,
+    ``(B, P)`` and read-only, and the reductions of ``mu`` both passes read,
+    each taken when first read and kept read-only: ``mu_star`` the row
+    maxima, ``best`` their pairs, ``oracle`` the oracle's reward (the sum of
+    ``mu_star``) and ``mu_sums`` each pair's sum over the block."""
+
+    def __init__(self, theta: np.ndarray, mu: np.ndarray):
+        self.theta, self.mu = _frozen(theta), _frozen(mu)
+
+    @cached_property
+    def mu_star(self) -> np.ndarray:
+        return _frozen(self.mu.max(axis=1))
+
+    @cached_property
+    def best(self) -> np.ndarray:
+        return _frozen(np.argmax(self.mu, axis=1))
+
+    @cached_property
+    def oracle(self) -> float:
+        return float(self.mu_star.sum())
+
+    @cached_property
+    def mu_sums(self) -> np.ndarray:
+        return _frozen(self.mu.sum(axis=0))
 
 
 def _flat_sum(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -612,14 +650,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def _totals(run: _Schedule) -> tuple[float, np.ndarray, np.ndarray]:
     """The totals pass, over the probability schedule only: the oracle's
     expected reward, each pair's expected reward over the run (the static
-    pick is the largest) and the best pair of every step."""
+    pick is the largest) and the best pair of every step: each
+    ``_Block``'s reductions, taken once and added block by block in order."""
     oracle_reward = 0.0
     mu_totals = np.zeros(run.r_flat.size)
     best_flats = np.empty(run.slots, dtype=np.min_scalar_type(run.r_flat.size - 1))
-    for n0, n1, _, mu_b in run.blocks():
-        oracle_reward += float(mu_b.max(axis=1).sum())
-        mu_totals += mu_b.sum(axis=0)
-        best_flats[n0:n1] = np.argmax(mu_b, axis=1)
+    for n0, n1, block in run.blocks():
+        oracle_reward += block.oracle
+        mu_totals += block.mu_sums
+        best_flats[n0:n1] = block.best
     return oracle_reward, mu_totals, best_flats
 
 
@@ -683,27 +722,26 @@ def _simulate(
     shape = (min(_BLOCK, run.slots), len(policies), S)
     picks = np.empty(shape, dtype=np.min_scalar_type(P - 1))
     wins = np.empty(shape, dtype=np.uint8)
-    for n0, n1, th_b, mu_b in run.blocks():
+    for n0, n1, block in run.blocks():
         B = n1 - n0
         if policies:
-            read = tape.reader(n0, n1, th_b, len(policies))
+            read = tape.reader(n0, n1, block.theta, len(policies))
             for i in range(B):
                 flats = select_all(policies)
                 picks[i] = flats
                 read(i, picks[i], wins[i])
                 record(policies, flats, wins[i])
             del read  # the block it may hold is not needed to account the picks
-        mu_star_b = mu_b.max(axis=1)
         for l, led in enumerate(learned):
-            led.account(n0, picks[:B, l], wins[:B, l], mu_b, mu_star_b)
+            led.account(n0, picks[:B, l], wins[:B, l], block)
         flats = won = None  # the last baseline's pairs and outcomes in this block
         for kind, led in baselines.items():
             played = flats
             flats = best_flats[n0:n1] if kind == "oracle" else np.full(B, static_flat)
             if won is None or not np.array_equal(flats, played):
                 won = None  # one outcome array at a time
-                won = tape.cells(n0, n1, flats, th_b).T
-            led.account(n0, flats[:, None], won, mu_b, mu_star_b)
+                won = tape.cells(n0, n1, flats, block.theta).T
+            led.account(n0, flats[:, None], won, block)
     learned = iter(learned)
     return [
         baselines[plays(spec)] if spec.is_baseline else next(learned) for spec in config.policies
@@ -761,14 +799,19 @@ class _Ledger:
         """The bytes a ledger of ``rows`` rows and ``lanes`` lanes holds over
         ``slots`` slots (a decision log, a float64 realized reward a lane, a
         float64 pseudo-regret and ``lane_nbytes`` a row), and the most a block
-        of ``B`` steps adds: float64 rewards a step, lane and row or three
-        temporaries a step and row, a tally a row and pair, and if ``timed``
-        each row's picks and four tallies."""
+        of ``B`` steps adds: its int64 steps; the realized rewards, float64 a
+        step and lane, beside a rate and its index a step and row, and numpy's
+        buffers for the uint8 outcomes' cast, 16 bytes a lane-step up to
+        ``np.getbufsize()`` (no fewer than the regret's three float64
+        temporaries a step and row and the picks' cast, as ``rows <=
+        lanes``); a tally a row and pair; and if ``timed`` each row's picks
+        and four tallies."""
         B, pair = min(_BLOCK, slots), np.min_scalar_type(pairs - 1).itemsize
         table = _Ledger.lane_nbytes(pairs, checkpoints, timed)
         held = slots * pair + 8 * lanes + rows * (8 + table)
         tallies = rows * (B * pair + 32 * pairs) if timed else 0
-        return held, 8 * B * max(lanes + rows, 3 * rows) + 8 * rows * pairs + tallies
+        rewards = 8 * B * (1 + lanes + 2 * rows) + 16 * min(B * lanes, np.getbufsize())
+        return held, rewards + 8 * rows * pairs + tallies
 
     @staticmethod
     def lane_nbytes(pairs, checkpoints, timed) -> int:
@@ -776,16 +819,15 @@ class _Ledger:
         int64 pulls a pair, and if ``timed`` int64 packets a pair and two float64 times."""
         return 8 * (checkpoints + 2 + (2 * pairs + 2 if timed else pairs))
 
-    def account(self, n0, picks, wins, mu_b, mu_star_b) -> None:
+    def account(self, n0, picks, wins, block: _Block) -> None:
         """Add one block: ``picks`` are the ``(B, rows)`` flat pairs played
         at steps ``[n0, n0 + B)``, ``wins`` their ``(B, S)`` outcomes and
-        ``mu_b``/``mu_star_b`` the block's throughputs and their row
-        maxima."""
+        ``block`` the steps' ``_Block``."""
         run, P = self.run, self.run.r_flat.size
         B, steps = len(picks), np.arange(len(picks))
         self.realized = _running(wins * run.r_flat.take(picks), self.realized)[-1].copy()
-        mu = mu_b.take(picks + P * steps[:, None])  # cheaper than mu_b[steps, picks]
-        sums = _running(mu_star_b[:, None] - mu, self.pseudo)
+        mu = block.mu.take(picks + P * steps[:, None])  # cheaper than mu[steps, picks]
+        sums = _running(block.mu_star[:, None] - mu, self.pseudo)
         self.pseudo = sums[-1].copy()
         lo, hi = np.searchsorted(self.cps, (n0, n0 + B), side="right")
         self.traj[:, lo:hi] = sums[self.cps[lo:hi] - n0 - 1].T

@@ -542,11 +542,13 @@ class TestBaselinesAgainstReference:
         "best_theta, hashes",
         [pytest.param(0.99, 6, id="interior-best"), pytest.param(1.0, 0, id="demo")],
     )
-    def test_alone_hashes_seed_states_in_few_batches_and_reads_theta_twice_a_block(
+    def test_alone_hashes_seed_states_in_few_batches_and_reads_theta_once_a_distinct_block(
         self, monkeypatch, best_theta, hashes
     ):
         """Demo table, 20 seeds, time budget 300 (19,500 slots in 39 blocks):
-        each pass computes a block's probabilities once.  With the best
+        each pass computes the probabilities of a full block and of the
+        last, 44-step one, and shares them with the blocks of their
+        segment and length.  With the best
         cell (channel 2, 52 Mbit/s) at 0.99 the chunks' seed states come in
         batches of 1, 2, 4, ... chunks; at the demo's 1.0 every outcome the
         baselines read is known, so no seed state is hashed."""
@@ -571,7 +573,7 @@ class TestBaselinesAgainstReference:
         )
         result = run_experiment(config)
         assert result.slots == 19_500 and set(result.best_flats) == {1 * 8 + 5}
-        assert counts == {"_seed_states": hashes, "theta_block": 2 * 39}
+        assert counts == {"_seed_states": hashes, "theta_block": 2 * 2}
 
     @pytest.mark.parametrize(
         "rates, theta",
@@ -718,7 +720,8 @@ class TestLearnersAgainstReference:
 
 class TestLearnerReads:
     """A learner's outcome reads: jumps to its cells in a short chunk, a
-    block drawn once in a long one, and θ computed once a block a pass."""
+    block drawn once in a long one, and θ computed once a distinct block a
+    pass."""
 
     @staticmethod
     def _calls(monkeypatch, name, owner=environments, fail=False) -> list:
@@ -746,10 +749,15 @@ class TestLearnerReads:
         run_experiment(config_2x2(policies=_LEARNERS, horizon=1100))
         assert drawn == [(0, 512), (512, 1024), (1024, 1100)]
 
-    @pytest.mark.parametrize("horizon, blocks", [(1100, 3), (540, 2)])
-    def test_a_learner_run_reads_theta_twice_a_block(self, monkeypatch, horizon, blocks):
-        """Once a block in the totals pass and once in the main pass,
-        whose reads take the schedule's θ: the last block of ``540`` is a
+    @pytest.mark.parametrize(
+        "horizon, blocks", [(1100, [0, 1024]), (540, [0, 512])], ids=["1100", "540"]
+    )
+    def test_a_learner_run_reads_theta_once_a_distinct_block_a_pass(
+        self, monkeypatch, horizon, blocks
+    ):
+        """Once a distinct block in the totals pass and once in the main
+        pass, whose reads take the schedule's θ: at ``1100`` the second
+        block shares the first one's, and the last block of ``540`` is a
         short chunk read by jumps, the others are drawn."""
         calls = self._calls(monkeypatch, "theta_block", TraceTable)
         config = ExperimentConfig(
@@ -757,9 +765,116 @@ class TestLearnerReads:
             seeds=(1, 2, 3), policies=(PolicySpec("kl-ucb"), PolicySpec("static")),
         )
         run_experiment(config)
-        steps = [(n0, min(n0 + 512, horizon)) for n0 in range(0, horizon, 512)]
-        assert len(steps) == blocks
+        steps = [(n0, min(n0 + 512, horizon)) for n0 in blocks]
         assert [args[1:] for args in calls] == steps + steps
+
+
+def _walks(monkeypatch) -> tuple[list, list]:
+    """The ``(n0, n1, block)`` of each walk over the schedule from now on,
+    one list a walk, and the ``_Block`` objects built in them."""
+    walks, made = [], []
+    blocks, init = harness._Schedule.blocks, harness._Block.__init__
+
+    def walk(run):
+        walks.append([])
+        for item in blocks(run):
+            walks[-1].append(item)
+            yield item
+
+    monkeypatch.setattr(harness._Schedule, "blocks", walk)
+    monkeypatch.setattr(harness._Block, "__init__", lambda b, *args: made.append(b) or init(b, *args))
+    return walks, made
+
+
+def _artifacts(config: ExperimentConfig, out) -> dict[str, bytes]:
+    paths = emit_outputs(run_experiment(config), out)
+    return {name: path.read_bytes() for name, path in paths.items()}
+
+
+_SPLIT_THETA = np.array([[0.9, 0.6, 0.2], [0.5, 0.7, 0.3]])
+
+
+def _split_config(**kw) -> ExperimentConfig:
+    """``_BASELINES`` on a 2x3 table, 5 seeds, 1,700 slots."""
+    base = dict(
+        rates=RateSet.of([1.0, 2.0, 3.0]), policies=_BASELINES, horizon=1700,
+        seeds=(1, 2, 3, 4, 5), theta=_SPLIT_THETA,
+    )
+    return ExperimentConfig(**{**base, **kw})
+
+
+class TestSharedBlocks:
+    """A walk over the schedule computes each distinct block once: blocks
+    of one segment and length share one read-only ``_Block``, and the
+    outputs are the bytes of computing every block anew."""
+
+    def test_a_one_segment_walk_computes_a_full_block_and_the_last(self, monkeypatch):
+        """The demo table under time budget 300: 19,500 slots in one
+        segment, 38 blocks of 512 steps and one of 44.  The totals pass and
+        the main pass each compute θ and μ of two blocks."""
+        walks, made = _walks(monkeypatch)
+        demo = demo_model()
+        config = ExperimentConfig(
+            rates=demo.rates, theta=demo.theta, policies=_BASELINES[:2], horizon=300,
+            seeds=tuple(range(1, 21)), accounting="both",
+        )
+        run_experiment(config)
+        steps = [(n0, min(n0 + 512, 19_500)) for n0 in range(0, 19_500, 512)]
+        assert len(steps) == 39 and len(walks) == 2 and len(made) == 4
+        for walk in walks:
+            assert [item[:2] for item in walk] == steps
+            full, last = walk[0][2], walk[-1][2]
+            assert all(block is full for _, _, block in walk[:-1]) and last is not full
+            assert full.mu.shape == (512, 40) and last.mu.shape == (44, 40)
+
+    def test_what_a_block_shares_is_read_only(self, monkeypatch):
+        walks, _ = _walks(monkeypatch)
+        run_experiment(config_2x2(policies=_BASELINES[:2], horizon=1100, seeds=(1, 2)))
+        block = walks[0][0][2]  # the totals pass's, every reduction taken
+        assert walks[0][1][2] is block and isinstance(block.oracle, float)
+        for name in ("theta", "mu", "mu_star", "best", "mu_sums"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(block, name)[0] = 0
+
+    def test_identical_segments_share_nothing_and_write_the_tables_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        """The table split into identical 100-step segments: no block lies
+        in one segment, so nothing is shared, and regret.csv and
+        decisions.csv are the table run's bytes."""
+        _, made = _walks(monkeypatch)
+        config = _split_config()
+        want = _artifacts(config, tmp_path / "table")
+        assert len(made) == 2 * 2  # each walk: a full block, shared twice, and the last
+        split = TraceTable(starts=range(0, 1700, 100), tables=[_SPLIT_THETA] * 17)
+        got = _artifacts(dataclasses.replace(config, theta=None, trace=split), tmp_path / "split")
+        assert len(made) == 2 * 2 + 2 * 4
+        for name in ("regret", "decisions"):
+            assert got[name] == want[name], name
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            pytest.param(dict(horizon=600, accounting="both"), id="both"),
+            pytest.param(dict(trace=(0, 300)), id="inside-a-block"),
+            pytest.param(dict(trace=(0, 512)), id="at-512"),
+            pytest.param(dict(trace=(0, 1024)), id="at-1024"),
+        ],
+    )
+    def test_sharing_writes_the_bytes_of_computing_every_block(self, tmp_path, monkeypatch, kw):
+        """A time-accounted table (1,800 slots), and traces whose best pair
+        moves at a step inside a block or at a block's first step: a run
+        that shares blocks writes every artifact of a run that shares none."""
+        if "trace" in kw:
+            tables = (_SPLIT_THETA, _SPLIT_THETA[::-1])
+            kw = dict(theta=None, trace=TraceTable(starts=kw["trace"], tables=tables))
+        config = _split_config(**kw)
+        walks, made = _walks(monkeypatch)
+        shared = _artifacts(config, tmp_path / "shared")
+        assert len(made) < sum(map(len, walks))
+        # No run of steps lies in one segment: every block is computed anew.
+        monkeypatch.setattr(TraceTable, "segment", lambda env, start, stop: None)
+        assert _artifacts(config, tmp_path / "anew") == shared
 
 
 def _traced_peak(config: ExperimentConfig) -> int:
@@ -857,6 +972,34 @@ class TestMemoryAsk:
         )
         asked, peak = _memory_asked(monkeypatch, config), _traced_peak(config)
         assert peak <= asked <= 1.25 * peak
+
+    @pytest.mark.parametrize("seeds", [20, 100])
+    def test_a_baseline_ledgers_busy_term_covers_its_accounting(self, monkeypatch, seeds):
+        """``oracle``'s one-row ledger on a 2x2 table, horizon 1100: each
+        block's ``account`` multiplies its uint8 outcomes by float64 rates,
+        and numpy casts them through buffers of its own beside the product.
+        The ledger's busy term covers the traced peak over every call.  The
+        block's row maxima are taken first: they are held with the block."""
+        peaks, account = [], harness._Ledger.account
+
+        def traced(led, n0, picks, wins, block):
+            block.mu_star
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            account(led, n0, picks, wins, block)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+        monkeypatch.setattr(harness._Ledger, "account", traced)
+        config = config_2x2(
+            policies=(PolicySpec("oracle"),), horizon=1100, seeds=tuple(range(1, seeds + 1))
+        )
+        tracemalloc.start()
+        try:
+            checkpoints = len(run_experiment(config).checkpoints)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 3
+        assert max(peaks) <= _Ledger.nbytes(1, seeds, 1100, 4, checkpoints, False)[1]
 
     @pytest.mark.parametrize("flip", [None, 40], ids=["same-pairs", "other-pairs"])
     @pytest.mark.parametrize("seeds, horizon", [(4096, 64), (3000, 600)])
